@@ -30,8 +30,6 @@ main(int argc, char **argv)
     RunRequest req;
     req.runNachos = false;
     req.pipeline = PipelineConfig::baselineCompiler();
-    req.batchSim = suiteBatch(argc, argv);
-    req.fusion = suiteFusion(argc, argv);
     SuiteRun run =
         runSuite(benchmarkSuite(), req, suiteThreads(argc, argv));
 

@@ -27,8 +27,6 @@ main(int argc, char **argv)
                 "faster); marker = NACHOS-SW");
 
     RunRequest req;
-    req.batchSim = suiteBatch(argc, argv);
-    req.fusion = suiteFusion(argc, argv);
     SuiteRun run =
         runSuite(benchmarkSuite(), req, suiteThreads(argc, argv));
 

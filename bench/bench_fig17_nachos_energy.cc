@@ -26,8 +26,6 @@ main(int argc, char **argv)
 
     RunRequest req;
     req.runSw = false;
-    req.batchSim = suiteBatch(argc, argv);
-    req.fusion = suiteFusion(argc, argv);
     SuiteRun run =
         runSuite(benchmarkSuite(), req, suiteThreads(argc, argv));
 

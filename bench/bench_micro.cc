@@ -1,8 +1,9 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the library's hot paths: the
- * alias pipeline, MDE insertion, the cycle simulator, the bloom
- * filter, the comparator station, and the synthesizer.
+ * alias pipeline, MDE insertion, the firing-plan build, the cycle
+ * simulator, the bloom filter, the comparator station, and the
+ * synthesizer.
  */
 
 #include <benchmark/benchmark.h>
@@ -11,6 +12,7 @@
 #include <queue>
 
 #include "analysis/pipeline.hh"
+#include "cgra/sim_tables.hh"
 #include "cgra/simulator.hh"
 #include "harness/suite_runner.hh"
 #include "ir/builder.hh"
@@ -20,6 +22,7 @@
 #include "nachos/may_station.hh"
 #include "support/event_queue.hh"
 #include "support/logging.hh"
+#include "testing/region_gen.hh"
 #include "workloads/suite.hh"
 
 namespace nachos {
@@ -65,6 +68,37 @@ BM_MdeInsertion(benchmark::State &state)
     }
 }
 BENCHMARK(BM_MdeInsertion);
+
+/**
+ * Per-simulation set-up of the firing plan: placement, operand network
+ * and SimTables::build, which every SimCore pays before its first
+ * event. Arg 0 = a suite region (183.equake, long address spines),
+ * arg 1 = a small generated region (the fuzzer's typical case).
+ * Items = plan builds.
+ */
+void
+BM_SimTablesBuild(benchmark::State &state)
+{
+    setQuiet(true);
+    const Region r =
+        state.range(0) == 0
+            ? synthesizeRegion(benchmarkByName("equake"))
+            : testing::generateRegion(7, testing::RegionGenOptions{});
+    const SimConfig cfg;
+    for (auto _ : state) {
+        StatSet stats;
+        Placement placement(r, cfg.grid);
+        OperandNetwork net(placement, cfg.net, stats);
+        SimTables tables;
+        tables.build(r, placement, net);
+        benchmark::DoNotOptimize(tables.arenaSize());
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+    state.SetLabel(std::to_string(r.numOps()) + " ops");
+}
+BENCHMARK(BM_SimTablesBuild)
+    ->Arg(0)  // suite region
+    ->Arg(1); // generated region
 
 void
 BM_SimulatorInvocation(benchmark::State &state)

@@ -1,13 +1,12 @@
 /**
  * @file
- * nachosd SLO curve: sustained req/s at a p99 latency bound, before
- * and after the serving-plane rework. Config A is the PR3-faithful
- * baseline (single-lane execution, no region cache — the daemon's
- * legacy mode); config B is the sharded plane with cross-connection
- * bulk batching and the synthesized-region cache. Both are driven by
- * the same closed-loop loadgen (service/loadgen.hh) over 1/4/16/64
- * client connections sending identical bulk jobs (183.equake,
- * 1 invocation, nachos backend).
+ * nachosd SLO curve: sustained req/s at a p99 latency bound, with and
+ * without the synthesized-region cache. Config A is the cache-off
+ * daemon (every job synthesizes, analyzes and inserts MDEs afresh);
+ * config B serves the front end from the region cache. Both are
+ * driven by the same closed-loop loadgen (service/loadgen.hh) over
+ * 1/4/16/64 client connections sending identical bulk jobs
+ * (183.equake, 1 invocation, nachos backend).
  *
  * Also measures interactive p99 while a 16-client bulk sweep runs on
  * config B — the per-class rings mean bulk load must not wreck
@@ -59,21 +58,12 @@ gitSha()
 }
 
 DaemonConfig
-makeConfig(const std::string &socketPath, bool legacy)
+makeConfig(const std::string &socketPath, bool cached)
 {
     DaemonConfig config;
     config.socketPath = socketPath;
-    if (legacy) {
-        // PR3 shape: two plain workers off one set of rings, no
-        // coalescing, no cache.
-        config.workers = 2;
-        config.maxBatchLanes = 1;
-        config.regionCacheEntries = 0;
-    } else {
-        config.workers = 4;
-        config.maxBatchLanes = 64;
-        config.regionCacheEntries = 64;
-    }
+    config.workers = 4;
+    config.regionCacheEntries = cached ? 64 : 0;
     config.queueCapacity = 256;
     config.bulkQueueCapacity = 512;
     return config;
@@ -104,12 +94,12 @@ struct SloPoint
 };
 
 SloPoint
-measure(bool legacy, unsigned clients)
+measure(bool cached, unsigned clients)
 {
     const std::string socketPath =
         "/tmp/nachos-slo-" + std::to_string(::getpid()) + "-" +
-        (legacy ? "a" : "b") + std::to_string(clients) + ".sock";
-    Daemon daemon(makeConfig(socketPath, legacy));
+        (cached ? "b" : "a") + std::to_string(clients) + ".sock";
+    Daemon daemon(makeConfig(socketPath, cached));
     std::string error;
     SloPoint point;
     point.clients = clients;
@@ -144,8 +134,8 @@ main(int argc, char **argv)
     setQuiet(true);
     const std::string jsonPath = suiteJsonPath(argc, argv);
     printHeader(std::cout, "Service",
-                "nachosd SLO curve: bulk req/s at p99, legacy "
-                "single-lane (A) vs sharded+batched+cached (B)");
+                "nachosd SLO curve: bulk req/s at p99, region "
+                "cache off (A) vs on (B)");
 
     bool allClean = true;
     std::vector<JsonValue> rows;
@@ -169,15 +159,15 @@ main(int argc, char **argv)
     table.header({"clients", "A req/s", "A p99 us", "B req/s",
                   "B p99 us", "speedup"});
     for (const unsigned clients : {1u, 4u, 16u, 64u}) {
-        const SloPoint a = measure(true, clients);
-        const SloPoint b = measure(false, clients);
+        const SloPoint a = measure(false, clients);
+        const SloPoint b = measure(true, clients);
         allClean = allClean && a.clean && b.clean;
         table.row({std::to_string(clients), fmtDouble(a.reqps, 1),
                    std::to_string(a.p99Micros), fmtDouble(b.reqps, 1),
                    std::to_string(b.p99Micros),
                    a.reqps > 0 ? fmtDouble(b.reqps / a.reqps, 2) + "x"
                                : "n/a"});
-        pushRow("slo-legacy-c" + std::to_string(clients), clients,
+        pushRow("slo-nocache-c" + std::to_string(clients), clients,
                 a.reqps > 0 ? kTotalRequests / a.reqps : 0, a.reqps,
                 a.p99Micros);
         pushRow("slo-sharded-c" + std::to_string(clients), clients,
@@ -191,7 +181,7 @@ main(int argc, char **argv)
         const std::string socketPath =
             "/tmp/nachos-slo-" + std::to_string(::getpid()) +
             "-mix.sock";
-        Daemon daemon(makeConfig(socketPath, false));
+        Daemon daemon(makeConfig(socketPath, true));
         std::string error;
         if (!daemon.start(&error)) {
             std::cerr << "nachosd start: " << error << "\n";

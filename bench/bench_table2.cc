@@ -27,8 +27,6 @@ main(int argc, char **argv)
     req.runSw = false;
     req.runNachos = false;
     req.invocationsOverride = 24;
-    req.batchSim = suiteBatch(argc, argv);
-    req.fusion = suiteFusion(argc, argv);
     SuiteRun run =
         runSuite(benchmarkSuite(), req, suiteThreads(argc, argv));
 

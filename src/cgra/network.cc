@@ -4,12 +4,6 @@
 
 namespace nachos {
 
-bool
-NetworkConfig::sameAs(const NetworkConfig &o) const
-{
-    return hopsPerCycle == o.hopsPerCycle && minLatency == o.minLatency;
-}
-
 OperandNetwork::OperandNetwork(const Placement &placement,
                                const NetworkConfig &cfg, StatSet &stats)
     : placement_(placement), cfg_(cfg),

@@ -22,9 +22,6 @@ struct NetworkConfig
     uint32_t hopsPerCycle = 4;
     /** Minimum transfer latency in cycles. */
     uint32_t minLatency = 1;
-
-    /** Field-wise equality — batched lanes must share one network. */
-    bool sameAs(const NetworkConfig &o) const;
 };
 
 /** Latency + energy model of the static operand network. */

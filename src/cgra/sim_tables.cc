@@ -1,8 +1,5 @@
 #include "cgra/sim_tables.hh"
 
-#include "cgra/function_unit.hh"
-#include "support/logging.hh"
-
 namespace nachos {
 
 void
@@ -61,66 +58,6 @@ SimTables::build(const Region &region, const Placement &placement,
     }
     for (size_t i = 0; i < n; ++i)
         fanoutOffset[i + 1] += fanoutOffset[i];
-
-    // Firing plan: single-consumer chains of fixed-latency pure ops.
-    // A chain step is any op that (a) receives operands (so a chain
-    // value can trigger or thread through it), (b) is not a memory op
-    // (variable timing stays on the event engine), and (c) has a
-    // nonzero FU latency — (c) guarantees a fused tail completes
-    // strictly after the trigger cycle, which keeps the macro's
-    // CompleteOp in the first dispatch wave of its cycle exactly like
-    // the unfused completion it replaces (DESIGN.md §15).
-    chainStep.assign(n, 0);
-    nextInChain.assign(n, kChainEnd);
-    nextChainSlot.assign(n, 0);
-    chainSuffix.assign(n, ChainSuffix{});
-    for (const auto &o : region.ops()) {
-        chainStep[o.id] = !o.isMem() && !o.operands.empty() &&
-                          fuLatency(o.kind) > 0;
-    }
-    for (const auto &o : region.ops()) {
-        if (fanoutOffset[o.id + 1] - fanoutOffset[o.id] != 1)
-            continue; // fan-out point: the chain cannot pass through
-        const FanoutEdge &e = fanoutEdges[fanoutOffset[o.id]];
-        if (!chainStep[e.user])
-            continue;
-        nextInChain[o.id] = e.user;
-        nextChainSlot[o.id] = e.slot;
-    }
-    // Suffix aggregates per potential head. Chains may merge (two
-    // single-consumer producers feeding different slots of one step),
-    // so suffixes are walked per head; the runtime guard
-    // (pendingAllInputs == 1 along the whole suffix) ensures at most
-    // one merged path ever fires through a shared step.
-    for (const auto &o : region.ops()) {
-        if (!chainStep[o.id])
-            continue;
-        ChainSuffix c;
-        uint32_t s = o.id;
-        c.len = 0;
-        for (;;) {
-            ++c.len;
-            const OpKind k = region.op(s).kind;
-            c.latency += fuLatency(k);
-            if (k != OpKind::LiveOut) {
-                if (isFloatKind(k))
-                    ++c.fpOps;
-                else
-                    ++c.intOps;
-            }
-            const uint32_t next = nextInChain[s];
-            if (next == kChainEnd)
-                break;
-            const FanoutEdge &e = fanoutEdges[fanoutOffset[s]];
-            ++c.netTransfers;
-            c.netHops += e.hops;
-            c.latency += e.latency;
-            NACHOS_ASSERT(c.len <= n, "firing-plan chain cycle");
-            s = next;
-        }
-        c.tail = s;
-        chainSuffix[o.id] = c;
-    }
 }
 
 } // namespace nachos

@@ -48,9 +48,6 @@ SimCore::SimCore(const Region &region, const MdeSet &mdes,
       trace_(!cfg.traceFile.empty())
 {
     NACHOS_ASSERT(region_.finalized(), "simulate a finalized region");
-    // Tracing wants one record per op execution; fused interiors never
-    // dispatch, so tracing forces the unfused engine.
-    fusionOn_ = cfg_.fusion && !trace_.enabled();
     backend_.attach(*this);
     buildStaticTables();
 }
@@ -60,11 +57,10 @@ SimCore::SimCore(const Region &region, const MdeSet &mdes,
                  HierarchyPool &pool)
     : region_(region), mdes_(mdes), backend_(backend), cfg_(cfg),
       placement_(region, cfg.grid), network_(placement_, cfg.net, stats_),
-      hierarchy_(pool.acquire(0, cfg.mem, stats_)),
+      hierarchy_(pool.acquire(cfg.mem, stats_)),
       energyModel_(cfg.energy), trace_(!cfg.traceFile.empty())
 {
     NACHOS_ASSERT(region_.finalized(), "simulate a finalized region");
-    fusionOn_ = cfg_.fusion && !trace_.enabled();
     backend_.attach(*this);
     buildStaticTables();
 }
@@ -318,18 +314,10 @@ SimCore::evalFireValue(OpId op)
  * Fire a pure op at `cycle` (the max arrival cycle of its operands):
  * no event round-trip — the op evaluates now and completes
  * arithmetically at cycle + FU latency, cascading into its users.
- * When fusion is on and the op heads a ready chain, the whole chain
- * fires as one macro-op instead.
  */
 void
 SimCore::fireOp(OpId op, uint64_t cycle)
 {
-    if (fusionOn_ && tables_.chainStep[op] &&
-        tables_.nextInChain[op] != SimTables::kChainEnd &&
-        chainSuffixReady(op, cycle)) {
-        fireChain(op, cycle);
-        return;
-    }
     const Operation &o = region_.op(op);
     countFuExecution(o.kind, *intOps_, *fpOps_);
     if (trace_.enabled() && fuLatency(o.kind) > 0) {
@@ -347,9 +335,7 @@ SimCore::fireOp(OpId op, uint64_t cycle)
  * future) and deliver its value. Critical-op rule is the argmax of
  * (completion cycle, op id) — order-free, so it cannot depend on
  * whether completions were processed in event order (memory ops) or
- * cascade order (pure ops), nor on the fusion mode: a fused chain's
- * interior steps always complete strictly before its tail, so
- * skipping them never skips a candidate.
+ * cascade order (pure ops).
  */
 void
 SimCore::completeAt(OpId op, uint64_t cycle, int64_t value)
@@ -378,69 +364,6 @@ SimCore::completeOp(OpId op, uint64_t cycle, int64_t value)
     const Operation &o = region_.op(op);
     if (o.isMem() && o.mem->disambiguated())
         backend_.memCompleted(op, cycle);
-}
-
-/**
- * A chain headed at `head` (which fires at `fireCycle`) may fire as
- * one macro-op iff every downstream step is waiting on exactly its
- * chain-slot operand AND its other operands' arrival cycles are no
- * later than the chain value's arrival at that step — otherwise the
- * step's firing cycle would be a max the precomputed suffix latency
- * cannot express, and the op falls back to the generic cascade
- * (which computes that max naturally).
- */
-bool
-SimCore::chainSuffixReady(OpId head, uint64_t fireCycle) const
-{
-    uint64_t t = fireCycle;
-    uint32_t s = head;
-    for (;;) {
-        t += fuLatency(region_.op(s).kind);
-        const uint32_t next = tables_.nextInChain[s];
-        if (next == SimTables::kChainEnd)
-            return true;
-        // A chain link is the producer's single fanout edge.
-        t += tables_.fanoutEdges[tables_.fanoutOffset[s]].latency;
-        const OpState &st = states_[next];
-        if (st.pendingAllInputs != 1 || st.readyCycle > t)
-            return false;
-        s = next;
-    }
-}
-
-/**
- * Fire the fused chain headed at `head` as one macro-op: evaluate
- * every step straight off the operand arena (interior steps thread
- * the carried value), apply the per-op stat/energy increments in
- * bulk, and complete the tail at the precomputed suffix latency.
- * Counter sums are order-free (read only at end of run), so bulk
- * application preserves byte-identity with the unfused cascade, and
- * chainSuffixReady guarantees the suffix latency equals the cascade's
- * per-step arrival maxes (DESIGN.md §15).
- */
-void
-SimCore::fireChain(OpId head, uint64_t fireCycle)
-{
-    const SimTables::ChainSuffix &c = tables_.chainSuffix[head];
-    int64_t carried = evalFireValue(head);
-    uint32_t s = head;
-    for (uint32_t i = 1; i < c.len; ++i) {
-        const uint32_t slot = tables_.nextChainSlot[s];
-        s = tables_.nextInChain[s];
-        carried = evalChainStep(region_.op(s), inputs(s), slot, carried);
-    }
-    intOps_->inc(c.intOps);
-    fpOps_->inc(c.fpOps);
-    netTransfers_->inc(c.netTransfers);
-    netHops_->inc(c.netHops);
-    // Interior steps complete implicitly; only the tail's completion
-    // is observable (its cycle dominates every interior step's).
-    NACHOS_ASSERT(opsRemaining_ >= c.len, "macro completion underflow");
-    opsRemaining_ -= c.len - 1;
-    ++planMacroOps_;
-    planFusedOps_ += c.len;
-    planEventsElided_ += 2 * static_cast<uint64_t>(c.len) - 1;
-    completeAt(c.tail, fireCycle + c.latency, carried);
 }
 
 void
@@ -641,8 +564,6 @@ SimCore::run()
     result.memCommits = std::move(memCommits_);
     result.planEventsDispatched = planEventsDispatched_;
     result.planEventsElided = planEventsElided_;
-    result.planMacroOps = planMacroOps_;
-    result.planFusedOps = planFusedOps_;
     if (trace_.enabled())
         trace_.writeFile(cfg_.traceFile);
     return result;

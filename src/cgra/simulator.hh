@@ -27,19 +27,14 @@
  * and folds the wire arrival cycle into the consumer's ready clock),
  * and a pure op whose operands are all in fires arithmetically, as a
  * straight-line cascade at completion cycle = max arrival + FU
- * latency. Macro-op fusion (SimConfig::fusion) additionally collapses
- * single-consumer chains of such ops into one precomputed firing
- * (cgra/sim_tables); fused and unfused runs are byte-identical
- * because both are exact evaluations of the same arrival arithmetic
- * (DESIGN.md §15).
+ * latency (cgra/sim_tables, DESIGN.md §15).
  *
  * Events are small typed records dispatched from a cycle-bucketed
  * CalendarQueue with no per-event allocation. Same-cycle events drain
  * a wave at a time and dispatch in a canonical content order
  * (kind, op, slot, value) — a pure function of event contents, so the
  * dispatch schedule cannot depend on the order handlers scheduled
- * them, which is what keeps the two engines (sequential and batched)
- * and the two fusion modes on one timeline.
+ * them.
  */
 
 #ifndef NACHOS_CGRA_SIMULATOR_HH
@@ -87,14 +82,6 @@ struct SimConfig
     /** Write a Chrome trace-event JSON of op executions here. */
     std::string traceFile;
     /**
-     * Fuse single-consumer chains of fixed-latency pure ops into
-     * macro-ops executed off the event engine (the region's firing
-     * plan, SimTables). Results are byte-identical either way; off is
-     * the `--no-fusion` escape hatch. Tracing (traceFile) disables
-     * fusion internally so per-op trace records stay complete.
-     */
-    bool fusion = true;
-    /**
      * Record every committed memory op into SimResult::memCommits, in
      * functional commit order (the order data motion hit memory). The
      * differential fuzzer checks ordering invariants against it.
@@ -129,8 +116,8 @@ struct SimResult
     /** Order-insensitive digest of every load's observed value. */
     uint64_t loadValueDigest = 0;
     /** Op completing last in the final invocation: the argmax of
-     *  (completion cycle, op id), an order-free rule so every engine
-     *  and fusion mode reports the same op (diagnostics). */
+     *  (completion cycle, op id), an order-free rule that cannot depend
+     *  on cascade order (diagnostics). */
     OpId criticalOp = 0;
     /** Final functional-memory image (sorted bytes). */
     std::vector<std::pair<uint64_t, uint8_t>> memImage;
@@ -139,59 +126,13 @@ struct SimResult
 
     // ---- firing-plan observability ------------------------------------
     // Kept out of `stats` deliberately: the StatSet, digest, image and
-    // commit trace are the byte-compared surfaces of the fusion-on-vs-
-    // off identity contract, while these counters describe the engine's
-    // own work and legitimately differ across modes.
+    // commit trace describe the modeled machine, while these counters
+    // describe the host engine's own work.
     uint64_t planEventsDispatched = 0; ///< events the engine dispatched
-    uint64_t planEventsElided = 0;     ///< events fusion avoided
-    uint64_t planMacroOps = 0;         ///< fused-chain firings
-    uint64_t planFusedOps = 0;         ///< op executions inside macros
+    uint64_t planEventsElided = 0;     ///< events eager delivery avoided
 };
 
-/**
- * The execution-engine services an ordering backend builds on. The
- * sequential SimCore implements it directly; the batched engine
- * (cgra/batch_sim) implements it once per lane, routing each call into
- * the lane's slice of the shared structure-of-arrays state. Backends
- * never see which engine is driving them.
- */
-class BackendCore
-{
-  public:
-    virtual ~BackendCore() = default;
-
-    /** Counter registry of the run this backend is serving. */
-    virtual StatSet &stats() = 0;
-
-    /** Deliver a 1-bit ORDER token to backend.onOrderToken at `cycle`. */
-    virtual void scheduleOrderToken(uint64_t cycle, OpId to) = 0;
-
-    /** Deliver a FORWARD value to backend.onForwardValue at `cycle`. */
-    virtual void scheduleForwardValue(uint64_t cycle, OpId to,
-                                      int64_t value) = 0;
-
-    /**
-     * Perform op's memory access at `cycle`: functional data motion
-     * now, timed completion later; backend sees memCompleted().
-     */
-    virtual void performMemAccess(OpId op, uint64_t cycle) = 0;
-
-    /** Complete a load without touching memory (forwarded value). */
-    virtual void completeLoadForwarded(OpId op, uint64_t cycle,
-                                       int64_t value) = 0;
-
-    /** Operand-network latency between two mapped ops. */
-    virtual uint64_t netLatency(OpId from, OpId to) const = 0;
-
-    /** Count a 1-bit ORDER token traversal (energy). */
-    virtual void countOrderToken(OpId from, OpId to) = 0;
-
-    /** Count a FORWARD value traversal (energy). */
-    virtual void countForward(OpId from, OpId to) = 0;
-
-    /** Data value a store will write (valid once fully ready). */
-    virtual int64_t storeData(OpId op) const = 0;
-};
+class SimCore;
 
 /** Strategy interface: memory-ordering policy of the accelerator. */
 class OrderingBackend
@@ -200,14 +141,7 @@ class OrderingBackend
     explicit OrderingBackend(const Region &region) : region_(region) {}
     virtual ~OrderingBackend() = default;
 
-    void attach(BackendCore &core) { core_ = &core; }
-
-    /**
-     * The region this backend's static tables were built for. The
-     * batch engine refuses lanes bound to a different region than the
-     * batch's (all lanes share one set of static tables).
-     */
-    const Region &boundRegion() const { return region_; }
+    void attach(SimCore &core) { core_ = &core; }
 
     /** Reset per-invocation state. */
     virtual void beginInvocation(uint64_t inv) = 0;
@@ -224,7 +158,7 @@ class OrderingBackend
 
     /**
      * Typed event deliveries: fire when a token/value scheduled via
-     * BackendCore::scheduleOrderToken / scheduleForwardValue arrives.
+     * SimCore::scheduleOrderToken / scheduleForwardValue arrives.
      * Backends that schedule them must override; the defaults panic.
      */
     virtual void onOrderToken(OpId op, uint64_t cycle);
@@ -232,14 +166,14 @@ class OrderingBackend
 
   protected:
     const Region &region_;
-    BackendCore *core_ = nullptr;
+    SimCore *core_ = nullptr;
 };
 
 /**
- * The sequential dataflow execution engine. The BackendCore overrides
- * are the API ordering backends build on.
+ * The dataflow execution engine. Its backend-services section is the
+ * API ordering backends build on.
  */
-class SimCore final : public BackendCore
+class SimCore
 {
   public:
     SimCore(const Region &region, const MdeSet &mdes,
@@ -247,11 +181,11 @@ class SimCore final : public BackendCore
 
     /**
      * Pooled-hierarchy variant: acquire the memory hierarchy from
-     * `pool` (slot 0) instead of constructing one. Hierarchy
-     * construction is dominated by filling the LLC way array (~100 µs,
+     * `pool` instead of constructing one. Hierarchy construction is
+     * dominated by filling the LLC way array (~100 µs,
      * mem/hierarchy_pool) — more than a small region's entire
-     * simulation — so reset-heavy sequential drivers (the fuzzer, the
-     * suite runner, benches) keep a pool alive across simulate()
+     * simulation — so reset-heavy drivers (the fuzzer, the suite
+     * runner, nachosd shards) keep a pool alive across simulate()
      * calls. A pooled acquire is observably identical to fresh
      * construction (tested); at most one SimCore may use a pool at a
      * time, and the pool must outlive the core.
@@ -263,25 +197,42 @@ class SimCore final : public BackendCore
     /** Run all invocations; returns the aggregated result. */
     SimResult run();
 
-    // ---- backend services (BackendCore) ------------------------------
+    // ---- backend services ---------------------------------------------
 
-    void scheduleOrderToken(uint64_t cycle, OpId to) override;
-    void scheduleForwardValue(uint64_t cycle, OpId to,
-                              int64_t value) override;
-    void performMemAccess(OpId op, uint64_t cycle) override;
-    void completeLoadForwarded(OpId op, uint64_t cycle,
-                               int64_t value) override;
-    uint64_t netLatency(OpId from, OpId to) const override;
-    void countOrderToken(OpId from, OpId to) override;
-    void countForward(OpId from, OpId to) override;
-    int64_t storeData(OpId op) const override;
+    /** Deliver a 1-bit ORDER token to backend.onOrderToken at `cycle`. */
+    void scheduleOrderToken(uint64_t cycle, OpId to);
+
+    /** Deliver a FORWARD value to backend.onForwardValue at `cycle`. */
+    void scheduleForwardValue(uint64_t cycle, OpId to, int64_t value);
+
+    /**
+     * Perform op's memory access at `cycle`: functional data motion
+     * now, timed completion later; backend sees memCompleted().
+     */
+    void performMemAccess(OpId op, uint64_t cycle);
+
+    /** Complete a load without touching memory (forwarded value). */
+    void completeLoadForwarded(OpId op, uint64_t cycle, int64_t value);
+
+    /** Operand-network latency between two mapped ops. */
+    uint64_t netLatency(OpId from, OpId to) const;
+
+    /** Count a 1-bit ORDER token traversal (energy). */
+    void countOrderToken(OpId from, OpId to);
+
+    /** Count a FORWARD value traversal (energy). */
+    void countForward(OpId from, OpId to);
+
+    /** Data value a store will write (valid once fully ready). */
+    int64_t storeData(OpId op) const;
 
     /** Concrete address of a mem op in the current invocation. */
     uint64_t memAddr(OpId op) const;
 
     const Region &region() const { return region_; }
     const MdeSet &mdes() const { return mdes_; }
-    StatSet &stats() override { return stats_; }
+    /** Counter registry of the run. */
+    StatSet &stats() { return stats_; }
     uint64_t invocation() const { return invocation_; }
 
   private:
@@ -347,8 +298,6 @@ class SimCore final : public BackendCore
     uint64_t now_ = 0;
     /** Current wave's events (drained, then canonically sorted). */
     std::vector<SimEvent> waveBuf_;
-    /** cfg_.fusion, with tracing folded in (tracing disables fusion). */
-    bool fusionOn_ = false;
 
     std::vector<OpState> states_;
     /** Operand-value arena: op's slots at tables_.inputOffset[op]. */
@@ -384,8 +333,6 @@ class SimCore final : public BackendCore
     // Firing-plan observability (SimResult::plan* fields).
     uint64_t planEventsDispatched_ = 0;
     uint64_t planEventsElided_ = 0;
-    uint64_t planMacroOps_ = 0;
-    uint64_t planFusedOps_ = 0;
 
     int64_t *inputs(OpId op)
     {
@@ -401,8 +348,6 @@ class SimCore final : public BackendCore
     void dispatch(const SimEvent &ev);
     uint64_t runInvocation(uint64_t inv, uint64_t start_cycle);
     void seedInvocation(uint64_t start_cycle);
-    bool chainSuffixReady(OpId head, uint64_t fireCycle) const;
-    void fireChain(OpId head, uint64_t fireCycle);
     int64_t evalFireValue(OpId op);
     void fireOp(OpId op, uint64_t cycle);
     void deliverOperand(OpId op, uint32_t slot, uint64_t arrival,

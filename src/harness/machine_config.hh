@@ -53,11 +53,6 @@ struct MachineOverrides
 /**
  * Order-stable FNV-1a hash over the override fields. Equal overrides
  * hash equal; the all-default overrides hash to the FNV offset basis.
- * The bulk-coalescing group key (service/job_queue) uses this so two
- * jobs that differ only in machine config are never batched into one
- * multi-lane walk (the batch engine requires lanes to agree on the
- * network config, and pooled hierarchies must not be shared across
- * differing cache geometries).
  */
 uint64_t machineConfigHash(const MachineOverrides &m);
 

@@ -19,23 +19,20 @@ RegionCache::makeKey(const BenchmarkInfo &info, const RunRequest &request)
 }
 
 std::shared_ptr<const RegionCacheEntry>
-RegionCache::build(const BenchmarkInfo &info, const RunRequest &request)
+RegionCache::build(const BenchmarkInfo &info, const RunRequest &request,
+                   StageTimes *times)
 {
-    SynthesisOptions synth;
-    synth.pathIndex = request.pathIndex;
-    synth.seed = request.seed;
-
+    StageTimes unused;
     auto entry = std::make_shared<RegionCacheEntry>();
-    entry->region = synthesizeRegion(info, synth);
-    entry->analysis = runAliasPipeline(entry->region, request.pipeline);
-    entry->mdes = insertMdes(entry->region, entry->analysis.matrix);
+    static_cast<FrontEnd &>(*entry) =
+        buildFrontEnd(info, request, times ? *times : unused);
     entry->digest = regionDigest(entry->region);
     return entry;
 }
 
 std::shared_ptr<const RegionCacheEntry>
 RegionCache::acquire(const BenchmarkInfo &info, const RunRequest &request,
-                     bool *hit)
+                     bool *hit, StageTimes *times)
 {
     const Key key = makeKey(info, request);
     {
@@ -64,7 +61,8 @@ RegionCache::acquire(const BenchmarkInfo &info, const RunRequest &request,
     if (hit)
         *hit = false;
 
-    std::shared_ptr<const RegionCacheEntry> entry = build(info, request);
+    std::shared_ptr<const RegionCacheEntry> entry =
+        build(info, request, times);
     if (capacity_ == 0)
         return entry;
 

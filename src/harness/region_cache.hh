@@ -26,12 +26,9 @@
 
 namespace nachos {
 
-/** One fully prepared front end: region + alias labels + MDEs. */
-struct RegionCacheEntry
+/** One fully prepared front end plus its insert-time digest. */
+struct RegionCacheEntry : FrontEnd
 {
-    Region region{"empty"};
-    AliasAnalysisResult analysis;
-    MdeSet mdes;
     /** FNV-1a over the serialized region, taken at insert time. */
     uint64_t digest = 0;
 };
@@ -52,11 +49,12 @@ class RegionCache
      * is counted per call, so hits + misses equals the number of
      * front-end lookups the daemon reports. Thread-safe; the build on
      * a miss runs outside the lock (two threads may race to build the
-     * same key — the first insert wins, both count a miss).
+     * same key — the first insert wins, both count a miss). A miss
+     * adds its stage times to `*times` (a hit leaves them alone).
      */
     std::shared_ptr<const RegionCacheEntry>
     acquire(const BenchmarkInfo &info, const RunRequest &request,
-            bool *hit = nullptr);
+            bool *hit = nullptr, StageTimes *times = nullptr);
 
     struct Counters
     {
@@ -77,9 +75,11 @@ class RegionCache
     static bool entryIntact(const RegionCacheEntry &entry);
 
     /** Build an entry without any cache involved (the miss path, and
-     *  the direct path benches compare against). */
+     *  the direct path benches compare against), adding the synth,
+     *  analysis and MDE seconds to `*times` when given. */
     static std::shared_ptr<const RegionCacheEntry>
-    build(const BenchmarkInfo &info, const RunRequest &request);
+    build(const BenchmarkInfo &info, const RunRequest &request,
+          StageTimes *times = nullptr);
 
   private:
     /**

@@ -216,8 +216,8 @@ decodeRunRequest(const JsonValue &v, JobSpec &spec, CodecError &err)
                          "run request must be an object");
     if (!checkMembers(v,
                       {"workload", "pathIndex", "seed", "backends",
-                       "pipeline", "invocations", "machine", "batchSim",
-                       "fusion", "timeoutMillis", "sleepMillis", "class"},
+                       "pipeline", "invocations", "machine",
+                       "timeoutMillis", "sleepMillis", "class"},
                       err))
         return false;
 
@@ -314,20 +314,6 @@ decodeRunRequest(const JsonValue &v, JobSpec &spec, CodecError &err)
             return false;
     }
 
-    if (const JsonValue *m = v.find("batchSim")) {
-        if (!m->isBool())
-            return failCodec(err, "bad_request",
-                             "'batchSim' must be a bool");
-        spec.request.batchSim = m->boolean();
-    }
-
-    if (const JsonValue *m = v.find("fusion")) {
-        if (!m->isBool())
-            return failCodec(err, "bad_request",
-                             "'fusion' must be a bool");
-        spec.request.fusion = m->boolean();
-    }
-
     if (!getU64Member(v, "timeoutMillis", spec.timeoutMillis, err))
         return false;
     if (!getU64Member(v, "sleepMillis", spec.sleepMillis, err))
@@ -375,10 +361,6 @@ encodeRunRequest(const JobSpec &spec)
     v.set("invocations", spec.request.invocationsOverride);
     if (spec.request.machine.any())
         v.set("machine", encodeMachineOverrides(spec.request.machine));
-    if (spec.request.batchSim)
-        v.set("batchSim", true);
-    if (!spec.request.fusion)
-        v.set("fusion", false);
     if (spec.timeoutMillis)
         v.set("timeoutMillis", spec.timeoutMillis);
     if (spec.sleepMillis)
@@ -392,18 +374,12 @@ OutcomeSummary
 summarizeOutcome(const BenchmarkInfo &info, const RunRequest &request,
                  const RunOutcome &outcome)
 {
-    return summarizeOutcome(info, request, outcome.analysis,
-                            outcome.mdes,
-                            outcome.lsq ? &*outcome.lsq : nullptr,
-                            outcome.sw ? &*outcome.sw : nullptr,
-                            outcome.nachos ? &*outcome.nachos : nullptr);
+    return summarizeOutcome(info, request, outcome, outcome);
 }
 
 OutcomeSummary
 summarizeOutcome(const BenchmarkInfo &info, const RunRequest &request,
-                 const AliasAnalysisResult &analysis, const MdeSet &mdes,
-                 const SimResult *lsq, const SimResult *sw,
-                 const SimResult *nachos)
+                 const FrontEnd &front, const BackendResults &sims)
 {
     OutcomeSummary s;
     s.workload = info.name;
@@ -412,21 +388,21 @@ summarizeOutcome(const BenchmarkInfo &info, const RunRequest &request,
     s.invocations = request.invocationsOverride
                         ? request.invocationsOverride
                         : info.invocations;
-    s.labels = analysis.final().all;
-    s.enforced = analysis.final().enforced;
-    for (const Mde &edge : mdes.edges()) {
+    s.labels = front.analysis.final().all;
+    s.enforced = front.analysis.final().enforced;
+    for (const Mde &edge : front.mdes.edges()) {
         switch (edge.kind) {
           case MdeKind::Order: ++s.mdeOrder; break;
           case MdeKind::Forward: ++s.mdeForward; break;
           case MdeKind::May: ++s.mdeMay; break;
         }
     }
-    if (lsq)
-        s.lsq = summarizeSim(*lsq);
-    if (sw)
-        s.sw = summarizeSim(*sw);
-    if (nachos)
-        s.nachos = summarizeSim(*nachos);
+    if (sims.lsq)
+        s.lsq = summarizeSim(*sims.lsq);
+    if (sims.sw)
+        s.sw = summarizeSim(*sims.sw);
+    if (sims.nachos)
+        s.nachos = summarizeSim(*sims.nachos);
     return s;
 }
 

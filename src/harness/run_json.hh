@@ -38,10 +38,9 @@ constexpr uint64_t kMaxInvocationsOverride = 10'000'000;
 
 /**
  * Admission class of a run request. Interactive jobs (the default)
- * get their own bounded ring per shard and are never coalesced; bulk
- * jobs accept higher queueing delay in exchange for throughput — the
- * daemon may batch same-region bulk requests into one multi-lane
- * simulate call.
+ * get their own bounded ring per shard and are claimed first; bulk
+ * jobs accept higher queueing delay, so a bulk sweep cannot starve
+ * interactive admission.
  */
 enum class AdmitClass : uint8_t { Interactive, Bulk };
 
@@ -141,17 +140,14 @@ OutcomeSummary summarizeOutcome(const BenchmarkInfo &info,
                                 const RunOutcome &outcome);
 
 /**
- * As above but over the outcome's parts — the daemon's batched path
- * holds analysis/mdes in a shared cache entry and per-lane SimResults
- * that never live inside one RunOutcome. Null backend pointers mean
- * "not run".
+ * As above but over the outcome's parts — the daemon and the sweeps
+ * hold the front end in a shared cache entry and the SimResults of
+ * simulateRequest, which never live inside one RunOutcome.
  */
 OutcomeSummary summarizeOutcome(const BenchmarkInfo &info,
                                 const RunRequest &request,
-                                const AliasAnalysisResult &analysis,
-                                const MdeSet &mdes, const SimResult *lsq,
-                                const SimResult *sw,
-                                const SimResult *nachos);
+                                const FrontEnd &front,
+                                const BackendResults &sims);
 
 /** Encode a summary; member order is fixed, so encoding is canonical. */
 JsonValue encodeOutcome(const OutcomeSummary &summary);

@@ -2,72 +2,76 @@
 
 #include <chrono>
 
-#include "cgra/batch_sim.hh"
-
 namespace nachos {
 
-RunOutcome
-runWorkload(const BenchmarkInfo &info, const RunRequest &request,
-            StageTimes &times)
-{
-    using clock = std::chrono::steady_clock;
-    clock::time_point mark = clock::now();
-    auto lap = [&mark] {
-        const clock::time_point prev = mark;
-        mark = clock::now();
-        return std::chrono::duration<double>(mark - prev).count();
-    };
+namespace {
 
+using Clock = std::chrono::steady_clock;
+
+double
+secondsSince(Clock::time_point start)
+{
+    return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+} // namespace
+
+FrontEnd
+buildFrontEnd(const BenchmarkInfo &info, const RunRequest &request,
+              StageTimes &times)
+{
+    Clock::time_point start = Clock::now();
     SynthesisOptions synth;
     synth.pathIndex = request.pathIndex;
     synth.seed = request.seed;
 
-    RunOutcome out;
-    out.region = synthesizeRegion(info, synth);
-    times.synthSeconds = lap();
-    out.analysis = runAliasPipeline(out.region, request.pipeline);
-    times.analysisSeconds = lap();
-    out.mdes = insertMdes(out.region, out.analysis.matrix);
-    times.mdeSeconds = lap();
+    FrontEnd front;
+    front.region = synthesizeRegion(info, synth);
+    times.synthSeconds += secondsSince(start);
+    start = Clock::now();
+    front.analysis = runAliasPipeline(front.region, request.pipeline);
+    times.analysisSeconds += secondsSince(start);
+    start = Clock::now();
+    front.mdes = insertMdes(front.region, front.analysis.matrix);
+    times.mdeSeconds += secondsSince(start);
+    return front;
+}
 
+BackendResults
+simulateRequest(const BenchmarkInfo &info, const RunRequest &request,
+                const FrontEnd &front, HierarchyPool &pool)
+{
     SimConfig sim;
     sim.invocations = request.invocationsOverride
                           ? request.invocationsOverride
                           : info.invocations;
     request.machine.applyTo(sim);
-    sim.fusion = request.fusion;
-    if (request.batchSim) {
-        std::vector<BatchLane> lanes;
-        if (request.runLsq)
-            lanes.push_back({BackendKind::OptLsq, sim});
-        if (request.runSw)
-            lanes.push_back({BackendKind::NachosSw, sim});
-        if (request.runNachos)
-            lanes.push_back({BackendKind::Nachos, sim});
-        std::vector<SimResult> results =
-            simulateBatch(out.region, out.mdes, lanes);
-        size_t next = 0;
-        if (request.runLsq)
-            out.lsq = std::move(results[next++]);
-        if (request.runSw)
-            out.sw = std::move(results[next++]);
-        if (request.runNachos)
-            out.nachos = std::move(results[next++]);
-    } else {
-        // Worker-thread-local hierarchy pool: sequential-mode suite
-        // runs otherwise pay an LLC-array construction per backend.
-        thread_local HierarchyPool pool;
-        if (request.runLsq)
-            out.lsq = simulate(out.region, out.mdes,
-                               BackendKind::OptLsq, sim, pool);
-        if (request.runSw)
-            out.sw = simulate(out.region, out.mdes,
-                              BackendKind::NachosSw, sim, pool);
-        if (request.runNachos)
-            out.nachos = simulate(out.region, out.mdes,
-                                  BackendKind::Nachos, sim, pool);
-    }
-    times.simSeconds = lap();
+    const Region &r = front.region;
+    const MdeSet &m = front.mdes;
+    BackendResults out;
+    if (request.runLsq)
+        out.lsq = simulate(r, m, BackendKind::OptLsq, sim, pool);
+    if (request.runSw)
+        out.sw = simulate(r, m, BackendKind::NachosSw, sim, pool);
+    if (request.runNachos)
+        out.nachos = simulate(r, m, BackendKind::Nachos, sim, pool);
+    return out;
+}
+
+RunOutcome
+runWorkload(const BenchmarkInfo &info, const RunRequest &request,
+            StageTimes &times)
+{
+    times = StageTimes{};
+    RunOutcome out;
+    static_cast<FrontEnd &>(out) = buildFrontEnd(info, request, times);
+    // Worker-thread-local hierarchy pool: suite runs otherwise pay an
+    // LLC-array construction per backend.
+    thread_local HierarchyPool pool;
+    const Clock::time_point start = Clock::now();
+    static_cast<BackendResults &>(out) =
+        simulateRequest(info, request, out, pool);
+    times.simSeconds = secondsSince(start);
     return out;
 }
 

@@ -2,7 +2,8 @@
  * @file
  * Experiment runner: synthesize a workload's region, run the alias
  * pipeline, insert MDEs, and simulate under the requested backends —
- * the shared engine behind every bench binary and the examples.
+ * the shared engine behind every bench binary, the examples, nachosd
+ * and the sweeps.
  */
 
 #ifndef NACHOS_HARNESS_RUNNER_HH
@@ -36,26 +37,31 @@ struct RunRequest
      * analysis + MDEs) is machine-independent by construction.
      */
     MachineOverrides machine;
-    /** Simulate the requested backends as one batched walk
-     *  (cgra/batch_sim) instead of sequential simulate() calls.
-     *  Results are byte-identical either way; batching shares the
-     *  firing tables and one calendar-queue pass across backends. */
-    bool batchSim = false;
-    /** Fuse single-consumer fixed-latency chains into macro-ops
-     *  (SimConfig::fusion). Results are byte-identical either way;
-     *  `--no-fusion` is the escape hatch, mirroring `--no-batch`. */
-    bool fusion = true;
 };
 
-/** Everything produced for one workload run. */
-struct RunOutcome
+/**
+ * The front half of a run: the synthesized region, its alias labels
+ * and its MDEs. A pure function of (workload, pathIndex, seed,
+ * pipeline flags) — the machine never reaches it.
+ */
+struct FrontEnd
 {
     Region region{"empty"};
     AliasAnalysisResult analysis;
     MdeSet mdes;
+};
+
+/** The simulated half of a run: one result per requested backend. */
+struct BackendResults
+{
     std::optional<SimResult> lsq;
     std::optional<SimResult> sw;
     std::optional<SimResult> nachos;
+};
+
+/** Everything produced for one workload run. */
+struct RunOutcome : FrontEnd, BackendResults
+{
 };
 
 /** Per-stage wall-clock seconds of one runWorkload call. */
@@ -66,6 +72,23 @@ struct StageTimes
     double mdeSeconds = 0;
     double simSeconds = 0; ///< all requested backends together
 };
+
+/**
+ * Synthesize, analyze and insert MDEs for `request` on `info`, adding
+ * each stage's wall-clock seconds to `times`.
+ */
+FrontEnd buildFrontEnd(const BenchmarkInfo &info, const RunRequest &request,
+                       StageTimes &times);
+
+/**
+ * Simulate `front` (built for `info` and `request`) under every
+ * backend `request` asks for, on the request's machine, reusing
+ * `pool`'s memory hierarchy. The one simulation path behind
+ * runWorkload, nachosd and the sweeps.
+ */
+BackendResults simulateRequest(const BenchmarkInfo &info,
+                               const RunRequest &request,
+                               const FrontEnd &front, HierarchyPool &pool);
 
 /** Synthesize + analyze + simulate one workload. */
 RunOutcome runWorkload(const BenchmarkInfo &info,

@@ -72,26 +72,6 @@ runSuite(const std::vector<BenchmarkInfo> &suite,
     run.timing.counter("stage.simMicros").inc(sim);
     run.timing.counter("suite.workloads").inc(run.outcomes.size());
     run.timing.counter("suite.threads").inc(pool.size());
-
-    // Firing-plan observability, aggregated over every backend run:
-    // how much event traffic the sim stage dispatched and how much
-    // macro-op fusion elided. Diagnostic only — never part of the
-    // deterministic stdout surfaces.
-    uint64_t dispatched = 0, elided = 0, macroOps = 0, fusedOps = 0;
-    for (const RunOutcome &o : run.outcomes) {
-        for (const auto *r : {&o.lsq, &o.sw, &o.nachos}) {
-            if (!r->has_value())
-                continue;
-            dispatched += (*r)->planEventsDispatched;
-            elided += (*r)->planEventsElided;
-            macroOps += (*r)->planMacroOps;
-            fusedOps += (*r)->planFusedOps;
-        }
-    }
-    run.timing.counter("plan.eventsDispatched").inc(dispatched);
-    run.timing.counter("plan.eventsElided").inc(elided);
-    run.timing.counter("plan.macroOps").inc(macroOps);
-    run.timing.counter("plan.fusedOps").inc(fusedOps);
     return run;
 }
 
@@ -101,9 +81,11 @@ suiteThreads(int argc, char *const argv[])
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         std::string value;
-        if (arg == "--threads" && i + 1 < argc)
+        if (arg == "--threads") {
+            if (i + 1 >= argc)
+                NACHOS_FATAL("--threads requires a value");
             value = argv[i + 1];
-        else if (arg.rfind("--threads=", 0) == 0)
+        } else if (arg.rfind("--threads=", 0) == 0)
             value = arg.substr(10);
         else
             continue;
@@ -116,41 +98,16 @@ suiteThreads(int argc, char *const argv[])
     return ThreadPool::defaultThreadCount();
 }
 
-bool
-suiteBatch(int argc, char *const argv[], bool fallback)
-{
-    bool batch = fallback;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--batch")
-            batch = true;
-        else if (arg == "--no-batch")
-            batch = false;
-    }
-    return batch;
-}
-
-bool
-suiteFusion(int argc, char *const argv[], bool fallback)
-{
-    bool fusion = fallback;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--fusion")
-            fusion = true;
-        else if (arg == "--no-fusion")
-            fusion = false;
-    }
-    return fusion;
-}
-
 std::string
 suiteJsonPath(int argc, char *const argv[])
 {
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--json" && i + 1 < argc)
+        if (arg == "--json") {
+            if (i + 1 >= argc)
+                NACHOS_FATAL("--json requires a value");
             return argv[i + 1];
+        }
         if (arg.rfind("--json=", 0) == 0)
             return arg.substr(7);
     }
@@ -237,22 +194,6 @@ maybeWriteSuiteTimingJson(const std::string &path,
     jsonRecord(os, first, "suite", "wall",
                static_cast<double>(agg.get("suite.wallMicros")) * micro,
                threads, sha);
-    // Firing-plan observability row: event counts, not seconds, so it
-    // gets its own workload key ("fusion") and perf_report.py renders
-    // it in a dedicated section instead of the stage table.
-    {
-        JsonValue v = JsonValue::makeObject();
-        v.set("workload", std::string("fusion"));
-        v.set("stage", std::string("plan"));
-        v.set("eventsDispatched", agg.get("plan.eventsDispatched"));
-        v.set("eventsElided", agg.get("plan.eventsElided"));
-        v.set("macroOps", agg.get("plan.macroOps"));
-        v.set("fusedOps", agg.get("plan.fusedOps"));
-        v.set("threads", threads);
-        v.set("git_sha", sha);
-        os << (first ? "" : ",") << "\n  " << dumpJson(v);
-        first = false;
-    }
     os << "\n]\n";
 }
 
@@ -271,23 +212,6 @@ printSuiteTiming(std::ostream &os, const SuiteRun &run)
        << ms("stage.analysisMicros") << ", mde "
        << ms("stage.mdeMicros") << ", sim " << ms("stage.simMicros")
        << ")\n";
-    const uint64_t dispatched = t.get("plan.eventsDispatched");
-    const uint64_t elided = t.get("plan.eventsElided");
-    const uint64_t macroOps = t.get("plan.macroOps");
-    const uint64_t fusedOps = t.get("plan.fusedOps");
-    if (dispatched == 0 && elided == 0)
-        return;
-    const double pct =
-        100.0 * static_cast<double>(elided) /
-        static_cast<double>(dispatched + elided);
-    os << "plan: " << dispatched << " events dispatched, " << elided
-       << " elided by fusion (" << fmtDouble(pct, 1) << "%), "
-       << macroOps << " macro-ops, mean fused-chain length "
-       << fmtDouble(macroOps ? static_cast<double>(fusedOps) /
-                                   static_cast<double>(macroOps)
-                             : 0.0,
-                    2)
-       << "\n";
 }
 
 } // namespace nachos

@@ -61,25 +61,10 @@ SuiteRun runSuite(const std::vector<BenchmarkInfo> &suite,
 /**
  * Worker count for a bench binary: `--threads N` / `--threads=N` from
  * argv if present, else ThreadPool::defaultThreadCount() (which
- * honors NACHOS_THREADS). Exits via fatal() on a malformed value.
+ * honors NACHOS_THREADS). Exits via fatal() on a missing or malformed
+ * value.
  */
 unsigned suiteThreads(int argc, char *const argv[]);
-
-/**
- * `--batch` / `--no-batch` from argv if present, else `fallback`.
- * Benches feed the result into RunRequest::batchSim; stdout stays
- * byte-identical either way (the batched engine's identity guarantee),
- * so this only moves the sim-stage timing.
- */
-bool suiteBatch(int argc, char *const argv[], bool fallback = false);
-
-/**
- * `--fusion` / `--no-fusion` from argv if present, else `fallback`
- * (on by default). Benches feed the result into RunRequest::fusion;
- * stdout stays byte-identical either way (the firing plan's identity
- * guarantee), so this only moves the sim-stage timing.
- */
-bool suiteFusion(int argc, char *const argv[], bool fallback = true);
 
 /**
  * One-line timing summary of a SuiteRun. Benches print this to
@@ -90,7 +75,8 @@ void printSuiteTiming(std::ostream &os, const SuiteRun &run);
 
 /**
  * `--json <path>` / `--json=<path>` from argv if present, else "".
- * Benches pass the result to maybeWriteSuiteTimingJson.
+ * Exits via fatal() when `--json` is the last argument. Benches pass
+ * the result to maybeWriteSuiteTimingJson.
  */
 std::string suiteJsonPath(int argc, char *const argv[]);
 

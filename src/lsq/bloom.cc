@@ -4,13 +4,6 @@
 
 namespace nachos {
 
-bool
-BloomConfig::sameAs(const BloomConfig &o) const
-{
-    return counters == o.counters && hashes == o.hashes &&
-           granule == o.granule;
-}
-
 BloomFilter::BloomFilter(const BloomConfig &cfg)
     : cfg_(cfg), counters_(cfg.counters, 0)
 {

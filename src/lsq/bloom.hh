@@ -20,9 +20,6 @@ struct BloomConfig
     uint32_t hashes = 2;     ///< hash functions per key
     /** Keys are addresses quantized to this granule (bytes). */
     uint32_t granule = 8;
-
-    /** Field-wise equality — part of LsqConfig::sameAs. */
-    bool sameAs(const BloomConfig &o) const;
 };
 
 /** A small counting Bloom filter keyed on address granules. */

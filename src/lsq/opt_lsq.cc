@@ -10,15 +10,6 @@ namespace nachos {
 
 namespace ev = energy_events;
 
-bool
-LsqConfig::sameAs(const LsqConfig &o) const
-{
-    return banks == o.banks && portsPerBank == o.portsPerBank &&
-           entriesPerBank == o.entriesPerBank &&
-           allocLatency == o.allocLatency &&
-           searchLatency == o.searchLatency && bloom.sameAs(o.bloom);
-}
-
 OptLsq::OptLsq(const LsqConfig &cfg, uint32_t num_mem_ops, StatSet &stats)
     : cfg_(cfg), allocs_(&stats.counter(ev::kLsqAlloc)),
       bloomProbes_(&stats.counter(ev::kLsqBloom)),

@@ -56,9 +56,6 @@ struct LsqConfig
     uint32_t allocLatency = 1;
     uint32_t searchLatency = 1;
     BloomConfig bloom;
-
-    /** Field-wise equality — pooled-reuse / coalescing check. */
-    bool sameAs(const LsqConfig &o) const;
 };
 
 /** What a load should do after its LSQ search. */

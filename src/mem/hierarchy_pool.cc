@@ -3,17 +3,13 @@
 namespace nachos {
 
 MemoryHierarchy &
-HierarchyPool::acquire(size_t slot, const HierarchyConfig &cfg,
-                       StatSet &stats)
+HierarchyPool::acquire(const HierarchyConfig &cfg, StatSet &stats)
 {
-    if (slot >= slots_.size())
-        slots_.resize(slot + 1);
-    std::unique_ptr<MemoryHierarchy> &h = slots_[slot];
-    if (h && h->config().sameAs(cfg))
-        h->rebindStats(stats);
+    if (slot_ && slot_->config().sameAs(cfg))
+        slot_->rebindStats(stats);
     else
-        h = std::make_unique<MemoryHierarchy>(cfg, stats);
-    return *h;
+        slot_ = std::make_unique<MemoryHierarchy>(cfg, stats);
+    return *slot_;
 }
 
 } // namespace nachos

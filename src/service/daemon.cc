@@ -87,10 +87,6 @@ Daemon::Daemon(DaemonConfig config)
 {
     if (config_.workers < 1)
         config_.workers = 1;
-    if (config_.maxBatchLanes < 1)
-        config_.maxBatchLanes = 1;
-    if (config_.maxBatchLanes > BatchSimEngine::kMaxLanes)
-        config_.maxBatchLanes = BatchSimEngine::kMaxLanes;
     shards_.reserve(config_.workers);
     for (unsigned i = 0; i < config_.workers; ++i)
         shards_.push_back(std::make_unique<Shard>(
@@ -100,15 +96,6 @@ Daemon::Daemon(DaemonConfig config)
 Daemon::~Daemon()
 {
     drain();
-}
-
-bool
-Daemon::legacyExecution() const
-{
-    // With coalescing and the cache both switched off, run jobs
-    // through the exact pre-shard code path (sequential simulate via
-    // runWorkload) — the A/B baseline the SLO bench compares against.
-    return config_.maxBatchLanes <= 1 && config_.regionCacheEntries == 0;
 }
 
 bool
@@ -519,14 +506,11 @@ void
 Daemon::shardLoop(uint32_t index)
 {
     Shard &self = *shards_[index];
-    std::vector<std::shared_ptr<Job>> &group = self.claimBuf;
+    using std::chrono::milliseconds;
     while (true) {
-        using std::chrono::milliseconds;
-        size_t n =
-            self.queue.claim(group, config_.maxBatchLanes,
-                             milliseconds(0));
-        if (n == 0 && shards_.size() > 1) {
-            // Idle: steal a group from the deepest sibling ring.
+        std::shared_ptr<Job> job = self.queue.claim(milliseconds(0));
+        if (!job && shards_.size() > 1) {
+            // Idle: steal a job from the deepest sibling ring.
             uint32_t victim = index;
             size_t best = 0;
             for (uint32_t i = 0; i < shards_.size(); ++i) {
@@ -539,27 +523,24 @@ Daemon::shardLoop(uint32_t index)
                 }
             }
             if (best > 0) {
-                n = shards_[victim]->queue.claim(
-                    group, config_.maxBatchLanes, milliseconds(0));
-                if (n) {
+                job = shards_[victim]->queue.claim(milliseconds(0));
+                if (job) {
                     std::lock_guard<std::mutex> lock(self.statsMutex);
                     self.stats.counter("shard.steals").inc();
                 }
             }
         }
-        if (n == 0) {
-            n = self.queue.claim(group, config_.maxBatchLanes,
-                                 milliseconds(2));
-            if (n == 0) {
+        if (!job) {
+            job = self.queue.claim(milliseconds(2));
+            if (!job) {
                 if (self.queue.closed())
                     break;
                 continue;
             }
         }
-        executeGroup(self, group);
-        for (size_t i = 0; i < group.size(); ++i)
-            finishJob();
-        group.clear(); // drop job references promptly
+        executeJob(self, job);
+        job.reset(); // drop the job reference promptly
+        finishJob();
     }
 }
 
@@ -579,46 +560,35 @@ Daemon::respondResult(Shard &shard, const std::shared_ptr<Job> &job,
 }
 
 void
-Daemon::executeGroup(Shard &shard,
-                     std::vector<std::shared_ptr<Job>> &group)
+Daemon::executeJob(Shard &shard, const std::shared_ptr<Job> &job)
 {
     const clock_t_::time_point started = clock_t_::now();
     {
         std::lock_guard<std::mutex> lock(shard.statsMutex);
-        for (const std::shared_ptr<Job> &job : group)
-            shard.stats.histogram("latency.queueMicros")
-                .sample(microsBetween(job->enqueued, started));
+        shard.stats.histogram("latency.queueMicros")
+            .sample(microsBetween(job->enqueued, started));
     }
-    // Test delay: claim() never coalesces sleepers, so a sleeping job
-    // is always a singleton group.
-    if (group.size() == 1 && group[0]->spec.sleepMillis) {
+    if (job->spec.sleepMillis) {
         std::this_thread::sleep_for(
-            std::chrono::milliseconds(group[0]->spec.sleepMillis));
+            std::chrono::milliseconds(job->spec.sleepMillis));
     }
 
+    // One region-cache lookup per executed job: cache.hits +
+    // cache.misses == jobs.completed + jobs.failed + jobs.lateResults.
     bool failed = false;
     std::string failMessage;
-    std::vector<BatchRunResult> results;
-    RunOutcome legacyOutcome;
-    StageTimes legacyTimes;
-    const bool legacy = legacyExecution();
+    std::shared_ptr<const RegionCacheEntry> entry;
+    BackendResults sims;
+    StageTimes times;
     try {
-        if (legacy) {
-            // Lanes are capped at 1 in legacy mode, so claim() never
-            // builds a multi-job group.
-            NACHOS_ASSERT(group.size() == 1,
-                          "legacy execution got a coalesced group");
-            const Job &job = *group[0];
-            legacyOutcome =
-                runWorkload(*job.spec.info, job.spec.request,
-                            legacyTimes);
-        } else {
-            std::vector<BatchRunItem> &items = shard.itemBuf;
-            items.clear();
-            for (const std::shared_ptr<Job> &job : group)
-                items.push_back({job->spec.info, &job->spec.request});
-            results = runBatchedGroup(items, cache_, shard.engine);
-        }
+        entry = cache_.acquire(*job->spec.info, job->spec.request,
+                               nullptr, &times);
+        const clock_t_::time_point simStart = clock_t_::now();
+        sims = simulateRequest(*job->spec.info, job->spec.request,
+                               *entry, shard.pool);
+        times.simSeconds = std::chrono::duration<double>(
+                               clock_t_::now() - simStart)
+                               .count();
     } catch (const std::exception &e) {
         failed = true;
         failMessage = e.what();
@@ -627,104 +597,52 @@ Daemon::executeGroup(Shard &shard,
         failMessage = "unknown exception";
     }
 
-    for (size_t i = 0; i < group.size(); ++i) {
-        const std::shared_ptr<Job> &job = group[i];
-        if (!job->tryTransition(JobState::Running, JobState::Done)) {
-            // The watchdog answered `timeout` while we were
-            // computing; the result is discarded but still counted.
-            std::lock_guard<std::mutex> lock(shard.statsMutex);
-            shard.stats.counter("jobs.lateResults").inc();
-            continue;
-        }
-        if (failed) {
-            job->respond(errorResponse(job->requestId, "internal",
-                                       "job execution failed: " +
-                                           failMessage));
-            std::lock_guard<std::mutex> lock(shard.statsMutex);
-            shard.stats.counter("jobs.failed").inc();
-            continue;
-        }
-        const StageTimes &times =
-            legacy ? legacyTimes : results[i].times;
-        OutcomeSummary summary;
-        if (legacy) {
-            summary = summarizeOutcome(*job->spec.info,
-                                       job->spec.request, legacyOutcome);
-        } else {
-            const BatchRunResult &r = results[i];
-            summary = summarizeOutcome(
-                *job->spec.info, job->spec.request, r.entry->analysis,
-                r.entry->mdes, r.lsq ? &*r.lsq : nullptr,
-                r.sw ? &*r.sw : nullptr,
-                r.nachos ? &*r.nachos : nullptr);
-        }
-        respondResult(shard, job, summary);
-        const clock_t_::time_point finished = clock_t_::now();
-        const uint64_t totalMicros =
-            microsBetween(job->enqueued, finished);
-        const bool bulk = job->spec.klass == AdmitClass::Bulk;
+    if (!job->tryTransition(JobState::Running, JobState::Done)) {
+        // The watchdog answered `timeout` while we were computing; the
+        // result is discarded but still counted.
         std::lock_guard<std::mutex> lock(shard.statsMutex);
-        shard.stats.counter("jobs.completed").inc();
-        // Firing-plan observability: fold each backend run's plan
-        // counters into the shard stats so metricsSnapshot() exposes
-        // suite-wide fusion coverage (mirrors the suite --json
-        // "fusion" record). Cache-served sims report their cached
-        // counters — per-job visibility, not unique-sim accounting.
-        {
-            const SimResult *sims[3];
-            if (legacy) {
-                sims[0] = legacyOutcome.lsq ? &*legacyOutcome.lsq
-                                            : nullptr;
-                sims[1] = legacyOutcome.sw ? &*legacyOutcome.sw
-                                           : nullptr;
-                sims[2] = legacyOutcome.nachos ? &*legacyOutcome.nachos
-                                               : nullptr;
-            } else {
-                const BatchRunResult &r = results[i];
-                sims[0] = r.lsq ? &*r.lsq : nullptr;
-                sims[1] = r.sw ? &*r.sw : nullptr;
-                sims[2] = r.nachos ? &*r.nachos : nullptr;
-            }
-            for (const SimResult *sim : sims) {
-                if (!sim)
-                    continue;
-                shard.stats.counter("plan.eventsDispatched")
-                    .inc(sim->planEventsDispatched);
-                shard.stats.counter("plan.eventsElided")
-                    .inc(sim->planEventsElided);
-                shard.stats.counter("plan.macroOps")
-                    .inc(sim->planMacroOps);
-                shard.stats.counter("plan.fusedOps")
-                    .inc(sim->planFusedOps);
-            }
-        }
-        shard.stats.histogram("latency.synthMicros")
-            .sample(secondsToMicros(times.synthSeconds));
-        shard.stats.histogram("latency.analysisMicros")
-            .sample(secondsToMicros(times.analysisSeconds));
-        shard.stats.histogram("latency.mdeMicros")
-            .sample(secondsToMicros(times.mdeSeconds));
-        shard.stats.histogram("latency.simMicros")
-            .sample(secondsToMicros(times.simSeconds));
-        shard.stats.histogram("latency.totalMicros").sample(totalMicros);
-        shard.stats
-            .histogram(bulk ? "latency.bulk.totalMicros"
-                            : "latency.interactive.totalMicros")
-            .sample(totalMicros);
+        shard.stats.counter("jobs.lateResults").inc();
+        return;
     }
-
-    if (!legacy && !failed) {
-        uint32_t lanes = 0;
-        for (const std::shared_ptr<Job> &job : group)
-            lanes += backendLanes(job->spec.request);
+    if (failed) {
+        job->respond(errorResponse(job->requestId, "internal",
+                                   "job execution failed: " +
+                                       failMessage));
         std::lock_guard<std::mutex> lock(shard.statsMutex);
-        shard.stats.counter("batch.groups").inc();
-        shard.stats.counter("batch.lanes").inc(lanes);
-        shard.stats.histogram("batch.lanesPerGroup").sample(lanes);
-        if (group.size() > 1)
-            shard.stats.counter("batch.coalescedJobs")
-                .inc(group.size() - 1);
+        shard.stats.counter("jobs.failed").inc();
+        return;
     }
+    respondResult(shard, job,
+                  summarizeOutcome(*job->spec.info, job->spec.request,
+                                   *entry, sims));
+    const uint64_t totalMicros =
+        microsBetween(job->enqueued, clock_t_::now());
+    const bool bulk = job->spec.klass == AdmitClass::Bulk;
+    std::lock_guard<std::mutex> lock(shard.statsMutex);
+    shard.stats.counter("jobs.completed").inc();
+    // Firing-plan observability: the engine's event traffic summed
+    // over every backend run the daemon served.
+    for (const auto *sim : {&sims.lsq, &sims.sw, &sims.nachos}) {
+        if (!sim->has_value())
+            continue;
+        shard.stats.counter("plan.eventsDispatched")
+            .inc((*sim)->planEventsDispatched);
+        shard.stats.counter("plan.eventsElided")
+            .inc((*sim)->planEventsElided);
+    }
+    shard.stats.histogram("latency.synthMicros")
+        .sample(secondsToMicros(times.synthSeconds));
+    shard.stats.histogram("latency.analysisMicros")
+        .sample(secondsToMicros(times.analysisSeconds));
+    shard.stats.histogram("latency.mdeMicros")
+        .sample(secondsToMicros(times.mdeSeconds));
+    shard.stats.histogram("latency.simMicros")
+        .sample(secondsToMicros(times.simSeconds));
+    shard.stats.histogram("latency.totalMicros").sample(totalMicros);
+    shard.stats
+        .histogram(bulk ? "latency.bulk.totalMicros"
+                        : "latency.interactive.totalMicros")
+        .sample(totalMicros);
 }
 
 void

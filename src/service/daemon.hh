@@ -21,12 +21,12 @@
  *            response per request no matter who wins the race.
  *
  * Each shard owns a dual-class JobQueue (interactive and bulk rings
- * with separate bounds), a BatchSimEngine whose HierarchyPool
- * persists across jobs, and a reusable encode buffer. Bulk jobs that
- * agree on region work are claimed as one group and executed as a
- * single multi-lane batched simulate; the front end (synthesis +
- * alias pipeline + MDEs) is served from a daemon-wide LRU
- * RegionCache. Results are encoded straight into the shard's buffer
+ * with separate bounds), a HierarchyPool that persists across jobs,
+ * and a reusable encode buffer. A shard claims one job at a time and
+ * runs it to completion: the front end (synthesis + alias pipeline +
+ * MDEs) comes from a daemon-wide LRU RegionCache (capacity 0 builds
+ * it fresh per job), then harness simulateRequest runs the requested
+ * backends. Results are encoded straight into the shard's buffer
  * (protocol appendResultResponse), so the steady-state request path
  * performs no per-request heap allocation.
  *
@@ -50,8 +50,7 @@
 #include <thread>
 #include <vector>
 
-#include "cgra/batch_sim.hh"
-#include "harness/batch_run.hh"
+#include "harness/region_cache.hh"
 #include "service/job_queue.hh"
 #include "service/protocol.hh"
 #include "support/stats.hh"
@@ -72,9 +71,6 @@ struct DaemonConfig
     size_t bulkQueueCapacity = 256;
     /** Resident (region, analysis, mdes) cache entries; 0 disables. */
     size_t regionCacheEntries = 64;
-    /** Max total backend lanes per coalesced bulk group (1 disables
-     *  coalescing). Hard cap: BatchSimEngine::kMaxLanes. */
-    uint32_t maxBatchLanes = BatchSimEngine::kMaxLanes;
     /** Deadline applied to jobs that do not set one; 0 = none. */
     uint64_t defaultTimeoutMillis = 0;
 };
@@ -145,7 +141,7 @@ class Daemon
         std::map<uint64_t, std::weak_ptr<Job>> jobs;
     };
 
-    /** One slice of the serving plane: ring + worker + engine. */
+    /** One slice of the serving plane: ring + worker + pool. */
     struct Shard
     {
         Shard(size_t interactiveCapacity, size_t bulkCapacity)
@@ -153,13 +149,11 @@ class Daemon
         {}
 
         JobQueue queue;
-        BatchSimEngine engine; ///< pools hierarchies across jobs
+        HierarchyPool pool;    ///< reused by every job the shard runs
         std::string encodeBuf; ///< reused response-line buffer
-        std::vector<std::shared_ptr<Job>> claimBuf; ///< reused group
-        std::vector<BatchRunItem> itemBuf;          ///< reused group
         std::jthread worker;
         mutable std::mutex statsMutex;
-        StatSet stats; ///< completed/latency/batch counters
+        StatSet stats; ///< completed/latency counters
     };
 
     void acceptLoop();
@@ -171,16 +165,12 @@ class Daemon
     void handleCancel(const std::shared_ptr<Connection> &conn,
                       const Request &req);
     void shardLoop(uint32_t index);
-    void executeGroup(Shard &shard,
-                      std::vector<std::shared_ptr<Job>> &group);
+    void executeJob(Shard &shard, const std::shared_ptr<Job> &job);
     void respondResult(Shard &shard, const std::shared_ptr<Job> &job,
                        const OutcomeSummary &summary);
     void watchdogLoop(std::stop_token st);
     void registerDeadline(std::shared_ptr<Job> job);
     void finishJob(); ///< outstanding-- and wake drain()
-
-    /** Legacy single-lane execution (PR3-faithful A/B baseline)? */
-    bool legacyExecution() const;
 
     void sendTo(const std::shared_ptr<Connection> &conn,
                 const JsonValue &v);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "harness/batch_run.hh"
 #include "support/logging.hh"
 
 namespace nachos {
@@ -38,86 +37,34 @@ JobQueue::tryPush(std::shared_ptr<Job> job,
     return true;
 }
 
-size_t
-JobQueue::claim(std::vector<std::shared_ptr<Job>> &out, uint32_t maxLanes,
-                std::chrono::milliseconds wait)
+std::shared_ptr<Job>
+JobQueue::claim(std::chrono::milliseconds wait)
 {
-    out.clear();
     std::unique_lock<std::mutex> lock(mutex_);
     const auto deadline = std::chrono::steady_clock::now() + wait;
     while (true) {
-        // Interactive first: claimed singly, never coalesced.
-        while (!interactive_.empty()) {
-            std::shared_ptr<Job> job = std::move(interactive_.front());
-            interactive_.pop_front();
-            // The CAS happens while we still hold the ring lock, so a
-            // claimed job can never be seen as Queued by the watchdog.
-            if (job->tryTransition(JobState::Queued, JobState::Running)) {
-                out.push_back(std::move(job));
-                return 1;
-            }
-            // Corpse (cancelled/timed out while queued): drop it.
-        }
-
-        while (!bulk_.empty()) {
-            std::shared_ptr<Job> leader = std::move(bulk_.front());
-            bulk_.pop_front();
-            if (!leader->tryTransition(JobState::Queued,
+        // Interactive first, then bulk; FIFO within a class.
+        for (auto *ring : {&interactive_, &bulk_}) {
+            while (!ring->empty()) {
+                std::shared_ptr<Job> job = std::move(ring->front());
+                ring->pop_front();
+                // The CAS happens while we still hold the ring lock, so
+                // a claimed job can never be seen as Queued by the
+                // watchdog.
+                if (job->tryTransition(JobState::Queued,
                                        JobState::Running))
-                continue; // corpse
-            out.push_back(std::move(leader));
-            const Job &lead = *out.front();
-            if (!lead.coalescible())
-                return 1;
-
-            uint32_t lanes = backendLanes(lead.spec.request);
-            for (auto it = bulk_.begin();
-                 it != bulk_.end() && lanes < maxLanes;) {
-                Job &cand = **it;
-                if (cand.state.load() != JobState::Queued) {
-                    it = bulk_.erase(it); // corpse
-                    continue;
-                }
-                // sameRegionWork is deliberately machine-independent
-                // (front-end results are shared across machine sweeps),
-                // so coalescing must separately require an identical
-                // machine config: the batch engine shares one operand
-                // network across lanes, and a group's pooled hierarchy
-                // slots may only be reused under sameAs geometry.
-                if (!cand.coalescible() ||
-                    !sameRegionWork(*lead.spec.info, lead.spec.request,
-                                    *cand.spec.info, cand.spec.request) ||
-                    !(cand.spec.request.machine ==
-                      lead.spec.request.machine)) {
-                    ++it; // keeps its place for a later group
-                    continue;
-                }
-                const uint32_t candLanes = backendLanes(cand.spec.request);
-                if (lanes + candLanes > maxLanes) {
-                    ++it;
-                    continue;
-                }
-                if (!cand.tryTransition(JobState::Queued,
-                                        JobState::Running)) {
-                    it = bulk_.erase(it); // raced into a final state
-                    continue;
-                }
-                lanes += candLanes;
-                out.push_back(std::move(*it));
-                it = bulk_.erase(it);
+                    return job;
+                // Corpse (cancelled/timed out while queued): drop it.
             }
-            return out.size();
         }
 
-        if (closed_)
-            return 0;
-        if (wait.count() <= 0)
-            return 0;
+        if (closed_ || wait.count() <= 0)
+            return nullptr;
         if (!cv_.wait_until(lock, deadline, [this] {
                 return closed_ || !interactive_.empty() ||
                        !bulk_.empty();
             }))
-            return 0; // timed out still empty
+            return nullptr; // timed out still empty
     }
 }
 

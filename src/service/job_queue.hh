@@ -17,14 +17,6 @@
  * for a job a worker was about to run, and the worker's real result
  * became a late discard even though it started well before the
  * deadline).
- *
- * claim() also performs bulk coalescing: consecutive-enough bulk jobs
- * that agree on their region work (harness sameRegionWork) AND their
- * machine overrides are claimed as one group, which the shard then
- * executes as a single multi-lane batched simulate. Region work and
- * machine config are separate axes on purpose: the region cache spans
- * machine configs, but one batched simulate cannot (shared network,
- * pooled hierarchies).
  */
 
 #ifndef NACHOS_SERVICE_JOB_QUEUE_HH
@@ -38,7 +30,6 @@
 #include <memory>
 #include <mutex>
 #include <string_view>
-#include <vector>
 
 #include "harness/run_json.hh"
 #include "support/json.hh"
@@ -82,13 +73,6 @@ struct Job
     {
         return state.compare_exchange_strong(from, to);
     }
-
-    /** Eligible for cross-request batching? (Bulk, no test delay.) */
-    bool
-    coalescible() const
-    {
-        return spec.klass == AdmitClass::Bulk && spec.sleepMillis == 0;
-    }
 };
 
 /** Bounded dual-class ring of shared Jobs (one per shard). */
@@ -109,24 +93,17 @@ class JobQueue
                  const std::function<void()> &onAdmit = {});
 
     /**
-     * Claim the next unit of work into `out` (cleared first). Every
-     * returned job has already made the Queued -> Running transition
-     * under the ring lock — the caller owns its execution and its
-     * response unless the watchdog later times it out.
+     * Claim the next job: the oldest interactive job, else the oldest
+     * bulk job. The returned job has already made the Queued ->
+     * Running transition under the ring lock — the caller owns its
+     * execution and its response unless the watchdog later times it
+     * out.
      *
-     * Interactive jobs have priority and are claimed one at a time.
-     * Otherwise the oldest bulk job leads a group: while the group's
-     * total backend-lane count stays <= `maxLanes`, younger
-     * coalescible bulk jobs with the same region work and the same
-     * machine overrides join it (jobs that don't match are skipped in
-     * place and keep their turn).
-     *
-     * Blocks up to `wait` for work (0 = try only). Returns the number
-     * of jobs claimed; 0 on timeout or once the queue is closed and
-     * drained. Cancelled/timed-out corpses are dropped here.
+     * Blocks up to `wait` for work (0 = try only). Returns null on
+     * timeout or once the queue is closed and drained.
+     * Cancelled/timed-out corpses are dropped here.
      */
-    size_t claim(std::vector<std::shared_ptr<Job>> &out,
-                 uint32_t maxLanes, std::chrono::milliseconds wait);
+    std::shared_ptr<Job> claim(std::chrono::milliseconds wait);
 
     /**
      * Cancel a still-queued job (matched by pointer identity).

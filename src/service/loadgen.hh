@@ -8,9 +8,8 @@
  * coordinate-omit: a slow server slows the arrival rate and hides its
  * own queueing delay).
  *
- * Shared by the nachos_loadgen CLI, bench_service_slo, and
- * bench_service_throughput, so every serving measurement in the repo
- * drives the daemon the same way.
+ * Shared by the nachos_loadgen CLI and bench_service_slo, so every
+ * serving measurement in the repo drives the daemon the same way.
  */
 
 #ifndef NACHOS_SERVICE_LOADGEN_HH

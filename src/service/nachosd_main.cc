@@ -7,11 +7,11 @@
  *   nachosd --socket /tmp/nachos.sock [--tcp-port 9377]
  *           [--workers N] [--queue-capacity N]
  *           [--bulk-queue-capacity N] [--region-cache N]
- *           [--max-batch-lanes N] [--default-timeout-ms N] [--quiet]
+ *           [--default-timeout-ms N] [--quiet]
  *
  * --workers is the shard count: each worker owns its own job rings
- * and batch engine. --region-cache 0 --max-batch-lanes 1 reverts to
- * the pre-shard single-lane execution path (the A/B baseline).
+ * and hierarchy pool. --region-cache 0 builds every job's front end
+ * fresh (the cache-off A/B baseline).
  */
 
 #include <csignal>
@@ -30,8 +30,8 @@ usage(std::ostream &os)
 {
     os << "usage: nachosd --socket PATH [--tcp-port N] [--workers N]\n"
           "               [--queue-capacity N] [--bulk-queue-capacity N]\n"
-          "               [--region-cache N] [--max-batch-lanes N]\n"
-          "               [--default-timeout-ms N] [--quiet]\n";
+          "               [--region-cache N] [--default-timeout-ms N]\n"
+          "               [--quiet]\n";
 }
 
 uint64_t
@@ -79,10 +79,6 @@ main(int argc, char *argv[])
         } else if (arg == "--region-cache") {
             config.regionCacheEntries = parseCount(
                 "--region-cache", value("--region-cache"), 0, 1 << 20);
-        } else if (arg == "--max-batch-lanes") {
-            config.maxBatchLanes = static_cast<uint32_t>(parseCount(
-                "--max-batch-lanes", value("--max-batch-lanes"), 1,
-                nachos::BatchSimEngine::kMaxLanes));
         } else if (arg == "--default-timeout-ms") {
             config.defaultTimeoutMillis =
                 parseCount("--default-timeout-ms",
@@ -119,8 +115,7 @@ main(int argc, char *argv[])
                                   : std::string(),
                    " (", config.workers, " shards, rings ",
                    config.queueCapacity, "/", config.bulkQueueCapacity,
-                   ", cache ", config.regionCacheEntries, ", lanes ",
-                   config.maxBatchLanes, ")");
+                   ", cache ", config.regionCacheEntries, ")");
 
     // Detached on purpose: sigwait has no cancellation point, and the
     // process is exiting when this thread still blocks.

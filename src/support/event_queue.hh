@@ -75,9 +75,7 @@ class CalendarQueue
      * Move the clock back to `cycle` (<= now()). Only legal while the
      * queue is empty: pop() leaves the just-drained bucket's storage,
      * occupancy bit and cursor in place, so they are cleared here
-     * before the slot can be reused for a different cycle. Used by the
-     * batch engine, whose lanes begin their next invocation below the
-     * global clock reached by slower lanes in the previous one.
+     * before the slot can be reused for a different cycle.
      */
     void
     rewind(uint64_t cycle)

@@ -256,6 +256,7 @@ cmdVerify(const Options &opt)
 {
     const std::vector<SweepRecord> records = loadRecords(opt.storePath);
     RegionCache cache(16);
+    HierarchyPool pool;
     size_t checked = 0, mismatched = 0;
     for (size_t i = 0; i < records.size(); i += opt.sample) {
         const SweepRecord &r = records[i];
@@ -269,6 +270,11 @@ cmdVerify(const Options &opt)
         request.runLsq = r.backend == "lsq";
         request.runSw = r.backend == "sw";
         request.runNachos = r.backend == "nachos";
+        if (!request.runLsq && !request.runSw && !request.runNachos) {
+            std::cerr << "  unknown backend '" << r.backend << "'\n";
+            ++mismatched;
+            continue;
+        }
         request.pathIndex = r.pathIndex;
         request.seed = r.seed;
         request.invocationsOverride = r.invocations;
@@ -276,16 +282,10 @@ cmdVerify(const Options &opt)
 
         std::shared_ptr<const RegionCacheEntry> entry =
             cache.acquire(*info, request);
-        SimConfig sim;
-        sim.invocations = r.invocations;
-        r.machine.applyTo(sim);
-        const BackendKind kind = r.backend == "lsq"
-                                     ? BackendKind::OptLsq
-                                     : r.backend == "sw"
-                                           ? BackendKind::NachosSw
-                                           : BackendKind::Nachos;
-        const SimResult result =
-            simulate(entry->region, entry->mdes, kind, sim);
+        const BackendResults sims =
+            simulateRequest(*info, request, *entry, pool);
+        const SimResult &result =
+            sims.lsq ? *sims.lsq : sims.sw ? *sims.sw : *sims.nachos;
         ++checked;
         const bool match = result.cycles == r.cycles &&
                            result.loadValueDigest == r.loadValueDigest &&

@@ -85,6 +85,7 @@ runSweepInProcess(const std::vector<SweepPoint> &points,
         pendingPoints(points, loaded.records, options.limit, stats);
 
     RegionCache cache(options.cacheEntries);
+    HierarchyPool pool;
     using clock = std::chrono::steady_clock;
     for (size_t i = 0; i < todo.size(); ++i) {
         const SweepPoint &p = *todo[i];
@@ -95,24 +96,10 @@ runSweepInProcess(const std::vector<SweepPoint> &points,
         const RunRequest request = p.toRequest();
         std::shared_ptr<const RegionCacheEntry> entry =
             cache.acquire(*p.info, request);
-
-        SimConfig sim;
-        sim.invocations = p.invocations ? p.invocations
-                                        : p.info->invocations;
-        p.machine.applyTo(sim);
-        const BackendKind kind = p.backend == "lsq"
-                                     ? BackendKind::OptLsq
-                                     : p.backend == "sw"
-                                           ? BackendKind::NachosSw
-                                           : BackendKind::Nachos;
-        const SimResult result =
-            simulate(entry->region, entry->mdes, kind, sim);
-
-        const OutcomeSummary summary = summarizeOutcome(
-            *p.info, request, entry->analysis, entry->mdes,
-            kind == BackendKind::OptLsq ? &result : nullptr,
-            kind == BackendKind::NachosSw ? &result : nullptr,
-            kind == BackendKind::Nachos ? &result : nullptr);
+        const BackendResults sims =
+            simulateRequest(*p.info, request, *entry, pool);
+        const OutcomeSummary summary =
+            summarizeOutcome(*p.info, request, *entry, sims);
 
         SweepRecord record = makeSweepRecord(p, summary);
         record.seconds =

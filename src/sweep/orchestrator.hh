@@ -8,16 +8,16 @@
  *  - In-process: the front end runs through a RegionCache (one entry
  *    serves every machine point of a workload/path/seed — the cache
  *    key is machine-independent by design) and each point simulates
- *    under its own overridden SimConfig.
+ *    under its own machine through harness simulateRequest, the same
+ *    call nachosd makes.
  *
  *  - Daemon: each point becomes a bulk-class run request pipelined
- *    over one nachosd connection with a bounded in-flight window. The
- *    daemon coalesces same-machine points into multi-lane batched
- *    walks; points differing only in machine config share its region
- *    cache but never a batch group. Responses are matched by id, so
- *    out-of-order completion is fine; records are appended in point
- *    order (a kill mid-run therefore loses only trailing work, which
- *    resume recomputes).
+ *    over one nachosd connection with a bounded in-flight window.
+ *    Points differing only in machine config share the daemon's
+ *    region cache. Responses are matched by id, so out-of-order
+ *    completion is fine; records are appended in point order (a kill
+ *    mid-run therefore loses only trailing work, which resume
+ *    recomputes).
  *
  * Resume: points whose hash already has a store record are skipped
  * before any work is issued. Running the same spec against the same

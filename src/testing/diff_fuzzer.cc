@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "analysis/pipeline.hh"
-#include "cgra/batch_sim.hh"
 #include "cgra/simulator.hh"
 #include "ir/serialize.hh"
 #include "mde/inserter.hh"
@@ -191,44 +190,6 @@ checkRun(const Region &region, const ReferenceResult &ref,
     }
 }
 
-/**
- * Byte-identity comparison of a fused and an unfused run of the same
- * lane. Returns an empty string when identical, else a description of
- * the first divergence. The plan observability counters are excluded:
- * they describe engine work and legitimately differ across modes.
- */
-std::string
-fusionDiff(const SimResult &a, const SimResult &b)
-{
-    if (a.cycles != b.cycles)
-        return "cycles " + std::to_string(a.cycles) + " != " +
-               std::to_string(b.cycles);
-    if (a.loadValueDigest != b.loadValueDigest)
-        return "load-value digest " + hex(a.loadValueDigest) + " != " +
-               hex(b.loadValueDigest);
-    if (a.criticalOp != b.criticalOp)
-        return "critical op " + std::to_string(a.criticalOp) + " != " +
-               std::to_string(b.criticalOp);
-    if (a.stats.dump() != b.stats.dump())
-        return "stat counters differ";
-    if (a.energy.total() != b.energy.total())
-        return "energy totals differ";
-    if (a.memImage != b.memImage)
-        return "final memory images differ";
-    if (a.memCommits.size() != b.memCommits.size())
-        return "commit counts " + std::to_string(a.memCommits.size()) +
-               " != " + std::to_string(b.memCommits.size());
-    for (size_t i = 0; i < a.memCommits.size(); ++i) {
-        const MemCommit &x = a.memCommits[i];
-        const MemCommit &y = b.memCommits[i];
-        if (x.op != y.op || x.invocation != y.invocation ||
-            x.cycle != y.cycle || x.addr != y.addr ||
-            x.forwarded != y.forwarded)
-            return "commit trace diverges at entry " + std::to_string(i);
-    }
-    return "";
-}
-
 } // namespace
 
 std::vector<FuzzMismatch>
@@ -257,69 +218,26 @@ checkRegion(const Region &region, const FuzzOptions &opts)
     SimConfig cfg;
     cfg.invocations = opts.invocations;
     cfg.recordMemTrace = true;
-    cfg.fusion = opts.fusion;
 
-    // One lane per backend run, in the historical check order: the
-    // OPT-LSQ bank sweep, then NACHOS-SW, then NACHOS.
-    std::vector<BatchLane> lanes;
-    std::vector<std::string> labels;
+    // Worker-thread-local hierarchy pool: it survives across runs and
+    // cases, so hierarchy construction does not dominate every run.
+    thread_local HierarchyPool pool;
+    const auto run = [&](BackendKind kind, const SimConfig &c,
+                         const std::string &label) {
+        SimResult result = simulate(region, mdes, kind, c, pool);
+        checkRun(region, ref, result, label, opts.invocations, must, out);
+        return result;
+    };
+    // The historical check order: the OPT-LSQ bank sweep, then
+    // NACHOS-SW, then NACHOS.
     for (uint32_t banks : opts.lsqBankSweep) {
         SimConfig lsq_cfg = cfg;
         lsq_cfg.lsq.banks = banks;
-        lanes.push_back({BackendKind::OptLsq, lsq_cfg});
-        labels.push_back("lsq[banks=" + std::to_string(banks) + "]");
+        run(BackendKind::OptLsq, lsq_cfg,
+            "lsq[banks=" + std::to_string(banks) + "]");
     }
-    lanes.push_back({BackendKind::NachosSw, cfg});
-    labels.push_back("nachos-sw");
-    lanes.push_back({BackendKind::Nachos, cfg});
-    labels.push_back("nachos");
-
-    std::vector<SimResult> results;
-    if (opts.batchedSim) {
-        // Worker-thread-local engine: the hierarchy pool survives
-        // across cases, so steady-state fuzzing reconstructs nothing.
-        thread_local BatchSimEngine engine;
-        results = engine.run(region, mdes, lanes);
-    } else {
-        // Same pooling for the sequential mode: hierarchy
-        // construction would otherwise dominate every lane.
-        thread_local HierarchyPool pool;
-        results.reserve(lanes.size());
-        for (const BatchLane &lane : lanes)
-            results.push_back(
-                simulate(region, mdes, lane.kind, lane.cfg, pool));
-    }
-    for (size_t i = 0; i < lanes.size(); ++i)
-        checkRun(region, ref, results[i], labels[i], opts.invocations,
-                 must, out);
-
-    if (opts.fusionDifferential) {
-        // Same lanes with fusion inverted: the firing plan's identity
-        // contract says every result surface is byte-identical.
-        std::vector<BatchLane> alt = lanes;
-        for (BatchLane &lane : alt)
-            lane.cfg.fusion = !opts.fusion;
-        std::vector<SimResult> altResults;
-        if (opts.batchedSim) {
-            thread_local BatchSimEngine engine;
-            altResults = engine.run(region, mdes, alt);
-        } else {
-            thread_local HierarchyPool pool;
-            altResults.reserve(alt.size());
-            for (const BatchLane &lane : alt)
-                altResults.push_back(
-                    simulate(region, mdes, lane.kind, lane.cfg, pool));
-        }
-        for (size_t i = 0; i < lanes.size(); ++i) {
-            std::string diff = fusionDiff(results[i], altResults[i]);
-            if (!diff.empty())
-                out.push_back({"fusion-differential", labels[i],
-                               std::move(diff)});
-        }
-    }
-
-    const SimResult &sw = results[results.size() - 2];
-    const SimResult &hw = results[results.size() - 1];
+    const SimResult sw = run(BackendKind::NachosSw, cfg, "nachos-sw");
+    const SimResult hw = run(BackendKind::Nachos, cfg, "nachos");
 
     // A comparator station with F MAY parents performs F serialized
     // address checks after its own (possibly data-dependent) address
@@ -385,9 +303,9 @@ runFuzz(uint64_t start_seed, uint64_t num_seeds, const FuzzOptions &opts,
     ThreadPool pool(std::max(1u, threads));
     // Seeds are handed to workers in groups, not one job per seed:
     // a group amortizes ThreadPool dispatch and keeps each worker's
-    // thread-local batch engine (and its hierarchy pool) hot across
-    // consecutive cases. Groups preserve seed order within a chunk,
-    // so results are deterministic at any thread count.
+    // thread-local hierarchy pool hot across consecutive cases. Groups
+    // preserve seed order within a chunk, so results are deterministic
+    // at any thread count.
     const uint64_t group = 8;
     const uint64_t chunk =
         std::max<uint64_t>(32, uint64_t{threads} * 8) * group;

@@ -78,25 +78,6 @@ struct FuzzOptions
     uint64_t metamorphicSlackPerInvocation = 4;
     /** Shrink failing regions before reporting. */
     bool shrinkFailures = true;
-    /**
-     * Run the backend sweep as ONE batched simulation (cgra/batch_sim)
-     * instead of sequential simulate() calls. Verdicts are identical
-     * either way (the batch engine's byte-identity guarantee, itself
-     * fuzzed via the sequential path); batching shares the firing
-     * tables, one calendar walk, and a per-thread hierarchy pool
-     * across the six lanes, which dominates fuzzer throughput.
-     */
-    bool batchedSim = true;
-    /** Macro-op fusion (SimConfig::fusion) on the primary runs. */
-    bool fusion = true;
-    /**
-     * Re-run every lane with fusion inverted and require the two
-     * results byte-identical (cycles, stats, energy, digest, memory
-     * image, commit trace, critical op). This is the firing plan's
-     * identity guarantee under adversarial regions; roughly doubles
-     * the cost per seed, so it is off by default.
-     */
-    bool fusionDifferential = false;
 };
 
 /** One failed check. */

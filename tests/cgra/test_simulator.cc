@@ -4,6 +4,7 @@
 #include "cgra/simulator.hh"
 #include "ir/builder.hh"
 #include "mde/inserter.hh"
+#include "workloads/suite.hh"
 
 namespace nachos {
 namespace {
@@ -46,6 +47,41 @@ TEST(Simulator, ComputeOnlyRunsUnderEveryBackend)
         EXPECT_EQ(res.stats.get("fu.intOps"), 2u * 4) // 2 ops x 4 inv
             << backendName(kind);
         EXPECT_EQ(res.maxMlp, 0u);
+    }
+}
+
+// A pooled simulate() reuses one hierarchy across backends, regions
+// and machine changes; every run must be observably identical to a
+// fresh, unpooled simulate() of the same configuration.
+TEST(Simulator, PooledSimulateMatchesFresh)
+{
+    HierarchyPool pool;
+    for (const uint64_t l1Bytes : {64u * 1024, 16u * 1024}) {
+        for (const char *name : {"art", "gzip"}) {
+            const Region r = synthesizeRegion(benchmarkByName(name));
+            const AliasAnalysisResult analysis = runAliasPipeline(r);
+            const MdeSet mdes = insertMdes(r, analysis.matrix);
+            SimConfig cfg = smallConfig(3);
+            cfg.mem.l1.sizeBytes = l1Bytes;
+            for (BackendKind kind :
+                 {BackendKind::OptLsq, BackendKind::NachosSw,
+                  BackendKind::Nachos}) {
+                const SimResult fresh = simulate(r, mdes, kind, cfg);
+                const SimResult pooled =
+                    simulate(r, mdes, kind, cfg, pool);
+                const std::string what = std::string(name) + "/" +
+                                         backendName(kind) + "/l1=" +
+                                         std::to_string(l1Bytes);
+                EXPECT_EQ(pooled.cycles, fresh.cycles) << what;
+                EXPECT_EQ(pooled.stats.dump(), fresh.stats.dump())
+                    << what;
+                EXPECT_EQ(pooled.energy.total(), fresh.energy.total())
+                    << what;
+                EXPECT_EQ(pooled.loadValueDigest, fresh.loadValueDigest)
+                    << what;
+                EXPECT_EQ(pooled.memImage, fresh.memImage) << what;
+            }
+        }
     }
 }
 

@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "cgra/simulator.hh"
-#include "harness/batch_run.hh"
 #include "harness/region_cache.hh"
+#include "harness/run_json.hh"
 #include "harness/runner.hh"
 #include "ir/serialize.hh"
 #include "workloads/benchmark_info.hh"
@@ -124,15 +124,15 @@ TEST(RegionCache, SimulationDoesNotMutateCachedEntries)
     ASSERT_TRUE(RegionCache::entryIntact(*entry));
 
     // Simulate every backend against the cached front end, twice,
-    // through the same batched path the daemon uses.
-    BatchSimEngine engine;
+    // through the same path the daemon uses.
+    HierarchyPool pool;
     for (int round = 0; round < 2; ++round) {
         RunRequest req = request(3);
         req.invocationsOverride = 2;
-        const std::vector<BatchRunItem> items{{&info, &req}};
-        const auto results = runBatchedGroup(items, cache, engine);
-        ASSERT_EQ(results.size(), 1u);
-        EXPECT_TRUE(results[0].cacheHit);
+        bool hit = false;
+        const auto served = cache.acquire(info, req, &hit);
+        EXPECT_TRUE(hit);
+        simulateRequest(info, req, *served, pool);
         EXPECT_TRUE(RegionCache::entryIntact(*entry)) << round;
     }
     EXPECT_EQ(regionToString(entry->region), before);
@@ -178,6 +178,39 @@ TEST(RegionCache, MachineOverridesShareOneEntry)
     EXPECT_NE(a.cycles, b.cycles);
     EXPECT_EQ(a.loadValueDigest, b.loadValueDigest);
     EXPECT_TRUE(RegionCache::entryIntact(*first));
+}
+
+/** The daemon-visible bytes of a run served from `cache`. */
+std::string
+servedOutcomeJson(RegionCache &cache, HierarchyPool &pool,
+                  const BenchmarkInfo &info, const RunRequest &req,
+                  bool &hit)
+{
+    const auto entry = cache.acquire(info, req, &hit);
+    const BackendResults sims = simulateRequest(info, req, *entry, pool);
+    return dumpJson(
+        encodeOutcome(summarizeOutcome(info, req, *entry, sims)));
+}
+
+TEST(RegionCache, CacheHitRunMatchesCacheMissRun)
+{
+    const BenchmarkInfo &info = *findBenchmark("179.art");
+    RegionCache cache(4);
+    HierarchyPool pool;
+    RunRequest req = request(5);
+    req.runLsq = false;
+    req.invocationsOverride = 2;
+    bool missHit = true;
+    bool hitHit = false;
+    const std::string miss =
+        servedOutcomeJson(cache, pool, info, req, missHit);
+    const std::string hit = servedOutcomeJson(cache, pool, info, req, hitHit);
+    EXPECT_FALSE(missHit);
+    EXPECT_TRUE(hitHit);
+    EXPECT_EQ(hit, miss);
+    // Both equal the direct, uncached path.
+    EXPECT_EQ(miss, dumpJson(encodeRunOutcome(info, req,
+                                              runWorkload(info, req))));
 }
 
 TEST(RegionCache, HitsPlusMissesEqualsLookups)

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "harness/region_cache.hh"
 #include "harness/run_json.hh"
 #include "harness/runner.hh"
 #include "support/json.hh"
@@ -111,7 +112,6 @@ TEST(RunRequest, EncodeDecodeRoundTrip)
     spec.request.runLsq = false;
     spec.request.pipeline.stage4 = false;
     spec.request.invocationsOverride = 17;
-    spec.request.batchSim = true;
     spec.timeoutMillis = 250;
 
     JobSpec decoded;
@@ -125,7 +125,6 @@ TEST(RunRequest, EncodeDecodeRoundTrip)
     EXPECT_TRUE(decoded.request.runSw);
     EXPECT_FALSE(decoded.request.pipeline.stage4);
     EXPECT_EQ(decoded.request.invocationsOverride, 17u);
-    EXPECT_TRUE(decoded.request.batchSim);
     EXPECT_EQ(decoded.timeoutMillis, 250u);
     // Round-trips to identical bytes as well.
     EXPECT_EQ(dumpJson(encodeRunRequest(decoded)),
@@ -210,9 +209,9 @@ TEST(RunRequest, AdmissionClassRoundTrips)
 
 TEST(Outcome, PartsSummaryMatchesWholeOutcome)
 {
-    // The daemon's batched path summarizes from cache-entry parts and
-    // per-lane SimResults; it must agree with the whole-outcome
-    // overload byte for byte.
+    // The daemon and the sweeps summarize a cache entry's front end
+    // and simulateRequest's results; that must agree with the
+    // whole-outcome overload over runWorkload byte for byte.
     const BenchmarkInfo *info = findBenchmark("179.art");
     ASSERT_NE(info, nullptr);
     RunRequest request;
@@ -221,11 +220,12 @@ TEST(Outcome, PartsSummaryMatchesWholeOutcome)
     const RunOutcome outcome = runWorkload(*info, request);
     const OutcomeSummary whole =
         summarizeOutcome(*info, request, outcome);
+    const std::shared_ptr<const RegionCacheEntry> front =
+        RegionCache::build(*info, request);
+    HierarchyPool pool;
     const OutcomeSummary parts = summarizeOutcome(
-        *info, request, outcome.analysis, outcome.mdes,
-        outcome.lsq ? &*outcome.lsq : nullptr,
-        outcome.sw ? &*outcome.sw : nullptr,
-        outcome.nachos ? &*outcome.nachos : nullptr);
+        *info, request, *front,
+        simulateRequest(*info, request, *front, pool));
     EXPECT_EQ(dumpJson(encodeOutcome(parts)),
               dumpJson(encodeOutcome(whole)));
 }

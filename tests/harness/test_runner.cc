@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "harness/region_cache.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
 
@@ -45,38 +46,55 @@ TEST(Runner, SelectiveBackends)
     EXPECT_TRUE(out.nachos.has_value());
 }
 
-TEST(Runner, BatchedSimMatchesSequential)
+void
+expectSameSim(const SimResult &a, const SimResult &b, const char *what)
 {
+    EXPECT_EQ(a.cycles, b.cycles) << what;
+    EXPECT_EQ(a.loadValueDigest, b.loadValueDigest) << what;
+    EXPECT_EQ(a.memImage, b.memImage) << what;
+    EXPECT_EQ(a.stats.dump(), b.stats.dump()) << what;
+    EXPECT_EQ(a.energy.total(), b.energy.total()) << what;
+}
+
+TEST(Runner, SimulateRequestMatchesRunWorkload)
+{
+    // One pool across workloads and backends, as a daemon shard keeps
+    // it: the shared front end plus simulateRequest must reproduce
+    // runWorkload exactly.
+    HierarchyPool pool;
     for (const char *name : {"parser", "gzip"}) {
+        const BenchmarkInfo &info = benchmarkByName(name);
         RunRequest req;
         req.invocationsOverride = 4;
-        RunOutcome seq = runWorkload(benchmarkByName(name), req);
-        req.batchSim = true;
-        RunOutcome batched = runWorkload(benchmarkByName(name), req);
-        ASSERT_TRUE(batched.lsq && batched.sw && batched.nachos)
-            << name;
-        for (auto pick : {&RunOutcome::lsq, &RunOutcome::sw,
-                          &RunOutcome::nachos}) {
-            const SimResult &a = *((batched.*pick));
-            const SimResult &b = *((seq.*pick));
-            EXPECT_EQ(a.cycles, b.cycles) << name;
-            EXPECT_EQ(a.loadValueDigest, b.loadValueDigest) << name;
-            EXPECT_EQ(a.memImage, b.memImage) << name;
-            EXPECT_EQ(a.stats.dump(), b.stats.dump()) << name;
-        }
+        const RunOutcome direct = runWorkload(info, req);
+        const std::shared_ptr<const RegionCacheEntry> front =
+            RegionCache::build(info, req);
+        const BackendResults sims =
+            simulateRequest(info, req, *front, pool);
+        ASSERT_TRUE(sims.lsq && sims.sw && sims.nachos) << name;
+        expectSameSim(*sims.lsq, *direct.lsq, name);
+        expectSameSim(*sims.sw, *direct.sw, name);
+        expectSameSim(*sims.nachos, *direct.nachos, name);
     }
 }
 
-TEST(Runner, BatchedSelectiveBackends)
+TEST(Runner, SimulateRequestSelectiveBackendsAndMachine)
 {
+    const BenchmarkInfo &info = benchmarkByName("art");
     RunRequest req;
     req.runLsq = false;
-    req.batchSim = true;
-    req.invocationsOverride = 2;
-    RunOutcome out = runWorkload(benchmarkByName("gzip"), req);
-    EXPECT_FALSE(out.lsq.has_value());
-    EXPECT_TRUE(out.sw.has_value());
-    EXPECT_TRUE(out.nachos.has_value());
+    req.invocationsOverride = 3;
+    req.machine.l1SizeBytes = 16 * 1024;
+    req.machine.dramLatency = 400;
+    const RunOutcome direct = runWorkload(info, req);
+    const std::shared_ptr<const RegionCacheEntry> front =
+        RegionCache::build(info, req);
+    HierarchyPool pool;
+    const BackendResults sims = simulateRequest(info, req, *front, pool);
+    EXPECT_FALSE(sims.lsq.has_value());
+    ASSERT_TRUE(sims.sw && sims.nachos);
+    expectSameSim(*sims.sw, *direct.sw, "sw");
+    expectSameSim(*sims.nachos, *direct.nachos, "nachos");
 }
 
 TEST(Runner, MachineOverridesChangeTiming)

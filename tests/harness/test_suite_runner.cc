@@ -118,5 +118,51 @@ TEST(SuiteRunner, SuiteThreadsParsesArgv)
     }
 }
 
+TEST(SuiteRunner, SuiteJsonPathParsesArgv)
+{
+    {
+        const char *argv[] = {"bench", "--json", "out.json"};
+        EXPECT_EQ(suiteJsonPath(3, const_cast<char *const *>(argv)),
+                  "out.json");
+    }
+    {
+        const char *argv[] = {"bench", "--json=t.json"};
+        EXPECT_EQ(suiteJsonPath(2, const_cast<char *const *>(argv)),
+                  "t.json");
+    }
+    {
+        const char *argv[] = {"bench", "--threads", "2"};
+        EXPECT_EQ(suiteJsonPath(3, const_cast<char *const *>(argv)), "");
+    }
+}
+
+// A trailing flag with no value must fail loudly, not silently fall
+// back to the default thread count or skip the JSON file.
+TEST(SuiteRunnerDeathTest, ThreadsWithoutValueIsFatal)
+{
+    const char *argv[] = {"bench", "--threads"};
+    EXPECT_EXIT(suiteThreads(2, const_cast<char *const *>(argv)),
+                ::testing::ExitedWithCode(1),
+                "--threads requires a value");
+}
+
+TEST(SuiteRunnerDeathTest, BadThreadsValueIsFatal)
+{
+    for (const char *bad : {"0", "abc", "4097", "3x"}) {
+        const char *argv[] = {"bench", "--threads", bad};
+        EXPECT_EXIT(suiteThreads(3, const_cast<char *const *>(argv)),
+                    ::testing::ExitedWithCode(1),
+                    "invalid --threads value")
+            << bad;
+    }
+}
+
+TEST(SuiteRunnerDeathTest, JsonWithoutValueIsFatal)
+{
+    const char *argv[] = {"bench", "--threads", "1", "--json"};
+    EXPECT_EXIT(suiteJsonPath(4, const_cast<char *const *>(argv)),
+                ::testing::ExitedWithCode(1), "--json requires a value");
+}
+
 } // namespace
 } // namespace nachos

@@ -162,6 +162,16 @@ class DaemonTest : public ::testing::Test
         }
     }
 
+    /** One region-cache lookup per executed job (settled daemon). */
+    void
+    expectOneLookupPerExecutedJob()
+    {
+        EXPECT_EQ(counterValue("cache.hits") + counterValue("cache.misses"),
+                  counterValue("jobs.completed") +
+                      counterValue("jobs.failed") +
+                      counterValue("jobs.lateResults"));
+    }
+
     std::string path_;
     std::unique_ptr<Daemon> daemon_;
 };
@@ -311,11 +321,9 @@ TEST_F(DaemonTest, SixteenConcurrentConnections)
     // Firing-plan observability rides along in the same snapshot:
     // every completed sim folds its plan counters into the shard
     // stats, so 16 real workload runs must have dispatched events and
-    // fired macro-ops (fusion is on by default).
+    // elided operand deliveries.
     EXPECT_GT(counter("plan.eventsDispatched"), 0u);
     EXPECT_GT(counter("plan.eventsElided"), 0u);
-    EXPECT_GT(counter("plan.macroOps"), 0u);
-    EXPECT_GE(counter("plan.fusedOps"), counter("plan.macroOps"));
 }
 
 // Satellite (c): malformed input of every shape gets a typed error
@@ -474,6 +482,10 @@ TEST_F(DaemonTest, WatchdogTimesOutQueuedAndRunningJobs)
               "the late result to be discarded");
     EXPECT_EQ(counterValue("jobs.expired"), 2u);
     EXPECT_EQ(counterValue("jobs.completed"), 1u);
+    // The expired-while-queued job never ran; the late one did.
+    expectOneLookupPerExecutedJob();
+    EXPECT_EQ(counterValue("cache.hits") + counterValue("cache.misses"),
+              2u);
 }
 
 TEST_F(DaemonTest, CancelQueuedJobOnly)
@@ -616,16 +628,15 @@ TEST_F(DaemonTest, DefaultTimeoutAppliesWhenJobSetsNone)
     EXPECT_EQ(errorCode(*response), "timeout");
 }
 
-// ---- serving-plane rework: batching, cache, classes, legacy mode ----
+// ---- serving plane: region cache, classes, cache-off mode ----
 
-// A coalesced bulk burst returns per-request-correct, byte-identical
-// results, and the cache/batch metrics add up:
-// cache.hits + cache.misses == batch.groups (one front-end lookup per
-// executed group).
-TEST_F(DaemonTest, BulkBurstCoalescesAndStaysByteIdentical)
+// A pipelined bulk burst of one region returns per-request-correct,
+// byte-identical results, and the cache metrics add up: one front-end
+// lookup per executed job, all but the first a hit.
+TEST_F(DaemonTest, BulkBurstStaysByteIdentical)
 {
     DaemonConfig config;
-    config.workers = 1; // one shard: the burst must coalesce
+    config.workers = 1;
     startWith(config);
     auto client = connect();
     ASSERT_NE(client, nullptr);
@@ -648,13 +659,9 @@ TEST_F(DaemonTest, BulkBurstCoalescesAndStaysByteIdentical)
               "the accounting to settle");
     EXPECT_EQ(counterValue("jobs.accepted"), kJobs);
     EXPECT_EQ(counterValue("jobs.acceptedBulk"), kJobs);
-    const uint64_t groups = counterValue("batch.groups");
-    EXPECT_GE(groups, 1u);
-    EXPECT_LE(groups, kJobs);
-    EXPECT_EQ(counterValue("batch.lanes"), kJobs); // 1 backend each
-    EXPECT_EQ(counterValue("cache.hits") + counterValue("cache.misses"),
-              groups);
-    EXPECT_GE(counterValue("cache.hits"), groups - 1); // one key
+    expectOneLookupPerExecutedJob();
+    EXPECT_EQ(counterValue("cache.misses"), 1u); // one key
+    EXPECT_EQ(counterValue("cache.hits"), kJobs - 1);
     EXPECT_EQ(counterValue("cache.size"), 1u);
 }
 
@@ -706,36 +713,41 @@ TEST_F(DaemonTest, PerClassQueueBounds)
     EXPECT_EQ(counterValue("jobs.rejected"), 1u);
 }
 
-// Legacy mode (--max-batch-lanes 1 --region-cache 0) serves the same
-// bytes through the PR3-faithful runWorkload path.
-TEST_F(DaemonTest, LegacyModeMatchesDirectRunner)
+// Cache off (--region-cache 0) is just a cache that stores nothing:
+// every job builds its front end afresh on the same execution path
+// and serves the same bytes as runWorkload, for every backend mix.
+TEST_F(DaemonTest, CacheOffMatchesDirectRunner)
 {
     DaemonConfig config;
     config.workers = 1;
-    config.maxBatchLanes = 1;
     config.regionCacheEntries = 0;
     startWith(config);
     auto client = connect();
     ASSERT_NE(client, nullptr);
 
-    RunOpts opts{.seed = 9, .invocations = 2, .backends = {"nachos"}};
-    opts.klass = "bulk";
+    RunOpts all{.seed = 9, .invocations = 2, .backends = {}};
+    all.klass = "bulk";
+    RunOpts nachosOnly = all;
+    nachosOnly.backends = {"nachos"};
+    const RunOpts *opts[] = {&all, &nachosOnly, &all, &nachosOnly};
     for (uint64_t id = 1; id <= 4; ++id)
-        ASSERT_TRUE(
-            client->sendRequest(runRequest(id, "179.art", opts)));
-    const std::string want = directOutcomeJson("179.art", opts);
+        ASSERT_TRUE(client->sendRequest(
+            runRequest(id, "179.art", *opts[id - 1])));
     for (uint64_t id = 1; id <= 4; ++id) {
         std::optional<JsonValue> response = client->waitFor(id);
         ASSERT_TRUE(response.has_value()) << id;
         ASSERT_STREQ(responseType(*response), "result") << id;
-        EXPECT_EQ(dumpJson(*response->find("outcome")), want) << id;
+        EXPECT_EQ(dumpJson(*response->find("outcome")),
+                  directOutcomeJson("179.art", *opts[id - 1]))
+            << id;
     }
     waitUntil([&] { return counterValue("jobs.completed") == 4; },
               "the accounting to settle");
-    // No batching, no cache in legacy mode.
-    EXPECT_EQ(counterValue("batch.groups"), 0u);
-    EXPECT_EQ(counterValue("cache.hits") + counterValue("cache.misses"),
-              0u);
+    // Every job looked the cache up and missed; nothing stayed.
+    expectOneLookupPerExecutedJob();
+    EXPECT_EQ(counterValue("cache.misses"), 4u);
+    EXPECT_EQ(counterValue("cache.hits"), 0u);
+    EXPECT_EQ(counterValue("cache.size"), 0u);
 }
 
 // The global admission invariant the metrics endpoint promises:
@@ -794,9 +806,8 @@ TEST_F(DaemonTest, AdmissionAccountingBalances)
     EXPECT_EQ(counterValue("jobs.acceptedBulk") +
                   counterValue("jobs.acceptedInteractive"),
               kTotal);
-    // Every executed group did exactly one front-end lookup.
-    EXPECT_EQ(counterValue("cache.hits") + counterValue("cache.misses"),
-              counterValue("batch.groups"));
+    // Every executed job did exactly one front-end lookup.
+    expectOneLookupPerExecutedJob();
 }
 
 } // namespace

@@ -26,12 +26,11 @@ makeJob(uint64_t id, AdmitClass klass = AdmitClass::Interactive,
     return job;
 }
 
-/** claim() with try-only semantics; returns the single claimed job. */
+/** claim() with try-only semantics. */
 std::shared_ptr<Job>
-claimOne(JobQueue &q, uint32_t maxLanes = 1)
+claimOne(JobQueue &q)
 {
-    std::vector<std::shared_ptr<Job>> out;
-    return q.claim(out, maxLanes, 0ms) ? out.front() : nullptr;
+    return q.claim(0ms);
 }
 
 TEST(JobQueue, FifoOrderWithinAClass)
@@ -93,110 +92,33 @@ TEST(JobQueue, OnAdmitRunsOnlyOnAdmission)
     EXPECT_EQ(admitted, 1);
 }
 
-TEST(JobQueue, InteractiveJobsNeverCoalesce)
+TEST(JobQueue, BulkJobsAreClaimedOneAtATime)
 {
     JobQueue q(8, 8);
-    ASSERT_TRUE(q.tryPush(makeJob(1, AdmitClass::Interactive)));
-    ASSERT_TRUE(q.tryPush(makeJob(2, AdmitClass::Interactive)));
-    std::vector<std::shared_ptr<Job>> out;
-    EXPECT_EQ(q.claim(out, 64, 0ms), 1u);
-    EXPECT_EQ(out.front()->requestId, 1u);
-}
-
-TEST(JobQueue, BulkJobsWithSameRegionWorkCoalesce)
-{
-    JobQueue q(8, 8);
+    // Identical bulk jobs (same region, same machine) are still
+    // separate claims: every claim hands out exactly one job.
     for (uint64_t id = 1; id <= 3; ++id)
         ASSERT_TRUE(q.tryPush(makeJob(id, AdmitClass::Bulk)));
-    std::vector<std::shared_ptr<Job>> out;
-    ASSERT_EQ(q.claim(out, 64, 0ms), 3u);
-    for (size_t i = 0; i < 3; ++i) {
-        EXPECT_EQ(out[i]->requestId, i + 1);
-        EXPECT_EQ(out[i]->state.load(), JobState::Running);
+    for (uint64_t id = 1; id <= 3; ++id) {
+        std::shared_ptr<Job> job = claimOne(q);
+        ASSERT_NE(job, nullptr);
+        EXPECT_EQ(job->requestId, id);
+        EXPECT_EQ(job->state.load(), JobState::Running);
+        EXPECT_EQ(q.depth(), 3 - id);
     }
-    EXPECT_EQ(q.depth(), 0u);
 }
 
 TEST(JobQueue, MismatchedBulkJobsKeepTheirTurn)
 {
     JobQueue q(8, 8);
-    // Jobs 1 and 3 agree on region work; job 2 (different seed) does
-    // not, and must neither join the group nor lose its place.
+    // Region work and machine config never reorder the bulk ring.
+    auto other = makeJob(2, AdmitClass::Bulk, "164.gzip", 9);
+    other->spec.request.machine.lsqBanks = 1;
     ASSERT_TRUE(q.tryPush(makeJob(1, AdmitClass::Bulk, "164.gzip", 1)));
-    ASSERT_TRUE(q.tryPush(makeJob(2, AdmitClass::Bulk, "164.gzip", 9)));
+    ASSERT_TRUE(q.tryPush(other));
     ASSERT_TRUE(q.tryPush(makeJob(3, AdmitClass::Bulk, "164.gzip", 1)));
-    std::vector<std::shared_ptr<Job>> out;
-    ASSERT_EQ(q.claim(out, 64, 0ms), 2u);
-    EXPECT_EQ(out[0]->requestId, 1u);
-    EXPECT_EQ(out[1]->requestId, 3u);
-    ASSERT_EQ(q.claim(out, 64, 0ms), 1u);
-    EXPECT_EQ(out[0]->requestId, 2u);
-}
-
-TEST(JobQueue, DivergentMachineConfigsDoNotCoalesce)
-{
-    JobQueue q(8, 8);
-    // Jobs 1 and 3 want the same machine; job 2 shares their region
-    // work but overrides the LSQ geometry, so batching it into their
-    // group would simulate it on the wrong hardware.
-    auto small = makeJob(2, AdmitClass::Bulk);
-    small->spec.request.machine.lsqBanks = 1;
-    auto twin = makeJob(3, AdmitClass::Bulk);
-    twin->spec.request.machine = MachineOverrides{};
-    ASSERT_TRUE(q.tryPush(makeJob(1, AdmitClass::Bulk)));
-    ASSERT_TRUE(q.tryPush(small));
-    ASSERT_TRUE(q.tryPush(twin));
-    std::vector<std::shared_ptr<Job>> out;
-    ASSERT_EQ(q.claim(out, 64, 0ms), 2u);
-    EXPECT_EQ(out[0]->requestId, 1u);
-    EXPECT_EQ(out[1]->requestId, 3u);
-    ASSERT_EQ(q.claim(out, 64, 0ms), 1u);
-    EXPECT_EQ(out[0]->requestId, 2u);
-}
-
-TEST(JobQueue, MatchingMachineConfigsStillCoalesce)
-{
-    JobQueue q(8, 8);
-    // Identical non-default machines are homogeneous: one group.
-    for (uint64_t id = 1; id <= 3; ++id) {
-        auto job = makeJob(id, AdmitClass::Bulk);
-        job->spec.request.machine.dramLatency = 400;
-        job->spec.request.machine.lsqBanks = 2;
-        ASSERT_TRUE(q.tryPush(job));
-    }
-    std::vector<std::shared_ptr<Job>> out;
-    ASSERT_EQ(q.claim(out, 64, 0ms), 3u);
-    EXPECT_EQ(q.depth(), 0u);
-}
-
-TEST(JobQueue, LaneBudgetBoundsTheGroup)
-{
-    JobQueue q(8, 8);
-    // One backend lane per job (the default request costs three).
-    for (uint64_t id = 1; id <= 4; ++id) {
-        auto job = makeJob(id, AdmitClass::Bulk);
-        job->spec.request.runLsq = false;
-        job->spec.request.runSw = false;
-        job->spec.request.runNachos = true;
-        ASSERT_TRUE(q.tryPush(job));
-    }
-    std::vector<std::shared_ptr<Job>> out;
-    ASSERT_EQ(q.claim(out, 2, 0ms), 2u); // budget 2 lanes -> 2 jobs
-    ASSERT_EQ(q.claim(out, 2, 0ms), 2u);
-    EXPECT_EQ(q.depth(), 0u);
-}
-
-TEST(JobQueue, SleepingBulkJobsDoNotCoalesce)
-{
-    JobQueue q(8, 8);
-    auto sleeper = makeJob(1, AdmitClass::Bulk);
-    sleeper->spec.sleepMillis = 5;
-    ASSERT_TRUE(q.tryPush(sleeper));
-    ASSERT_TRUE(q.tryPush(makeJob(2, AdmitClass::Bulk)));
-    std::vector<std::shared_ptr<Job>> out;
-    // The sleeper leads but is not coalescible -> singleton group.
-    ASSERT_EQ(q.claim(out, 64, 0ms), 1u);
-    EXPECT_EQ(out.front()->requestId, 1u);
+    for (uint64_t id = 1; id <= 3; ++id)
+        EXPECT_EQ(claimOne(q)->requestId, id);
 }
 
 TEST(JobQueue, CloseRejectsPushesAndDrainsClaimers)
@@ -208,23 +130,19 @@ TEST(JobQueue, CloseRejectsPushesAndDrainsClaimers)
     EXPECT_FALSE(q.tryPush(makeJob(2)));
     // Already-admitted work still drains...
     EXPECT_NE(claimOne(q), nullptr);
-    // ...then claimers get 0 instead of blocking.
-    std::vector<std::shared_ptr<Job>> out;
-    EXPECT_EQ(q.claim(out, 1, 1000ms), 0u);
+    // ...then claimers get null instead of blocking.
+    EXPECT_EQ(q.claim(1000ms), nullptr);
 }
 
 TEST(JobQueue, CloseWakesBlockedClaimer)
 {
     JobQueue q(4, 4);
-    std::atomic<bool> gotZero{false};
-    std::thread claimer([&] {
-        std::vector<std::shared_ptr<Job>> out;
-        gotZero = q.claim(out, 1, 30000ms) == 0;
-    });
+    std::atomic<bool> gotNull{false};
+    std::thread claimer([&] { gotNull = q.claim(30000ms) == nullptr; });
     std::this_thread::sleep_for(20ms);
     q.close();
     claimer.join();
-    EXPECT_TRUE(gotZero);
+    EXPECT_TRUE(gotNull);
 }
 
 TEST(JobQueue, CancelOnlyWhileQueued)
@@ -291,8 +209,8 @@ TEST(JobQueue, ClaimCancelTimeoutStress)
     std::vector<std::shared_ptr<Job>> jobs;
     jobs.reserve(kJobs);
     for (uint64_t id = 1; id <= kJobs; ++id) {
-        // Half interactive, half coalescible bulk, so both claim
-        // paths (singleton and group) participate in the race.
+        // Half interactive, half bulk, so both rings participate in
+        // the race.
         auto job = makeJob(id, id % 2 ? AdmitClass::Interactive
                                       : AdmitClass::Bulk);
         jobs.push_back(job);
@@ -303,9 +221,8 @@ TEST(JobQueue, ClaimCancelTimeoutStress)
     std::vector<std::thread> threads;
     for (int w = 0; w < 2; ++w) { // claiming workers
         threads.emplace_back([&] {
-            std::vector<std::shared_ptr<Job>> out;
-            while (q.claim(out, 8, 20ms))
-                claimed += static_cast<int>(out.size());
+            while (q.claim(20ms))
+                ++claimed;
         });
     }
     std::atomic<int> cancelled{0};
@@ -359,12 +276,9 @@ TEST(JobQueue, ConcurrentProducersConsumers)
     std::vector<std::thread> consumers;
     for (int c = 0; c < 2; ++c) {
         consumers.emplace_back([&] {
-            std::vector<std::shared_ptr<Job>> out;
-            while (q.claim(out, 4, 50ms)) {
-                for (const auto &job : out) {
-                    idSum += job->requestId;
-                    ++consumed;
-                }
+            while (std::shared_ptr<Job> job = q.claim(50ms)) {
+                idSum += job->requestId;
+                ++consumed;
             }
         });
     }

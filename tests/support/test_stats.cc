@@ -221,13 +221,13 @@ TEST(StatSet, MergeFoldsCountersAndHistograms)
     b.counter("jobs.completed").inc(2);
     b.counter("shard.steals").inc(); // only in b
     b.histogram("latency.totalMicros").sample(900);
-    b.histogram("batch.lanesPerGroup").sample(4); // only in b
+    b.histogram("latency.simMicros").sample(4); // only in b
     a.merge(b);
     EXPECT_EQ(a.get("jobs.completed"), 5u);
     EXPECT_EQ(a.get("shard.steals"), 1u);
     EXPECT_EQ(a.histogram("latency.totalMicros").count(), 2u);
     EXPECT_EQ(a.histogram("latency.totalMicros").sum(), 1000u);
-    EXPECT_EQ(a.histogram("batch.lanesPerGroup").count(), 1u);
+    EXPECT_EQ(a.histogram("latency.simMicros").count(), 1u);
     // b is untouched.
     EXPECT_EQ(b.get("jobs.completed"), 2u);
 }

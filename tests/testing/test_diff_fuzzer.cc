@@ -98,39 +98,6 @@ expectFaultCaught(FaultInjection fault)
         << faultName(fault) << " reproducer does not reproduce";
 }
 
-/**
- * The batched engine must be verdict-transparent: the same seeds run
- * with batched and sequential simulation produce identical mismatch
- * lists — including under fault injection, where the checker is
- * supposed to fire.
- */
-TEST(DiffFuzzer, BatchedAndSequentialSimAgree)
-{
-    for (FaultInjection fault :
-         {FaultInjection::None, FaultInjection::DropOrderEdge}) {
-        FuzzOptions batched;
-        batched.fault = fault;
-        batched.shrinkFailures = false;
-        FuzzOptions sequential = batched;
-        sequential.batchedSim = false;
-
-        for (uint64_t seed = 0; seed < 25; ++seed) {
-            const Region r = generateRegion(seed, batched.gen);
-            const std::vector<FuzzMismatch> a = checkRegion(r, batched);
-            const std::vector<FuzzMismatch> b =
-                checkRegion(r, sequential);
-            ASSERT_EQ(a.size(), b.size())
-                << faultName(fault) << " seed " << seed;
-            for (size_t i = 0; i < a.size(); ++i) {
-                EXPECT_EQ(a[i].check, b[i].check) << "seed " << seed;
-                EXPECT_EQ(a[i].backend, b[i].backend)
-                    << "seed " << seed;
-                EXPECT_EQ(a[i].detail, b[i].detail) << "seed " << seed;
-            }
-        }
-    }
-}
-
 TEST(DiffFuzzerSelfTest, DroppedOrderEdgeIsCaught)
 {
     expectFaultCaught(FaultInjection::DropOrderEdge);

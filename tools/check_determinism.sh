@@ -1,25 +1,19 @@
 #!/usr/bin/env bash
 # Determinism check over the full bench suite: every suite bench must
-# print byte-identical stdout no matter how many workers carry it, and
-# the batch-capable benches must also print byte-identical stdout when
-# the sim stage runs through the batched engine (--batch) instead of
-# sequential simulate() calls, and when macro-op fusion is disabled
-# (--no-fusion) instead of the default fused firing plan.
+# print byte-identical stdout no matter how many workers carry it.
 #
 # usage: check_determinism.sh <bench-dir>
 #
 # Timing lines go to stderr by design (printSuiteTiming), so stdout is
 # the deterministic surface. Excluded: bench_micro (google-benchmark,
-# timing-only output), bench_service_throughput / bench_service_slo
-# (throughput numbers), bench_batch_sim (no --threads; its
-# batched-vs-sequential identity is checked internally and by
-# tests/cgra/test_batch_sim).
+# timing-only output), bench_service_slo and bench_sweep (throughput
+# numbers).
 #
 # The final pass checks the serving plane: result lines served by a
-# sharded nachosd (region cache + batched sim enabled) must be
-# byte-identical to nachos_client --direct, which runs the same
-# decode/run/encode path in-process — across the cache-miss, the
-# cache-hit, and the coalesced-batch serving paths.
+# sharded nachosd (region cache enabled) must be byte-identical to
+# nachos_client --direct, which runs the same decode/run/encode path
+# in-process — on a cache miss, on a cache hit, and under a parallel
+# burst of identical requests.
 
 set -u
 
@@ -44,16 +38,6 @@ bench_appendix_model
 bench_ablation_comparator
 bench_ablation_lsq
 bench_ablation_stages
-"
-
-# Full-suite benches whose sim stage honors --batch/--no-batch.
-BATCH_BENCHES="
-bench_table2
-bench_fig11_sw_vs_lsq
-bench_fig12_baseline_compiler
-bench_fig15_nachos_vs_lsq
-bench_fig17_nachos_energy
-bench_fig18_lsq_energy
 "
 
 TMP=$(mktemp -d)
@@ -92,40 +76,12 @@ for bench in $THREADED_BENCHES; do
     check "$bench" "$TMP/$bench.t1" "$TMP/$bench.t2" "1 vs 2 threads"
 done
 
-for bench in $BATCH_BENCHES; do
-    bin="$BENCH_DIR/$bench"
-    [ -x "$bin" ] || continue # missing binary already reported above
-    [ -f "$TMP/$bench.t1" ] || continue
-    "$bin" --threads 2 --batch > "$TMP/$bench.batch" 2>/dev/null || {
-        echo "FAIL: $bench --batch exited non-zero" >&2
-        failures=$((failures + 1))
-        continue
-    }
-    check "$bench" "$TMP/$bench.t1" "$TMP/$bench.batch" \
-        "sequential vs batched sim"
-done
-
-# Fusion identity: the firing plan's macro-op fusion must not change a
-# single stdout byte — the default fused run must match --no-fusion.
-for bench in $BATCH_BENCHES; do
-    bin="$BENCH_DIR/$bench"
-    [ -x "$bin" ] || continue # missing binary already reported above
-    [ -f "$TMP/$bench.t1" ] || continue
-    "$bin" --threads 2 --no-fusion > "$TMP/$bench.nofuse" 2>/dev/null || {
-        echo "FAIL: $bench --no-fusion exited non-zero" >&2
-        failures=$((failures + 1))
-        continue
-    }
-    check "$bench" "$TMP/$bench.t1" "$TMP/$bench.nofuse" \
-        "fused vs unfused sim"
-done
-
 # Daemon vs direct: every result line a sharded daemon serves must be
 # byte-identical to the in-process reference. Each client connection
 # numbers requests from 1, matching --direct's fixed id, so whole raw
 # lines compare with cmp. The first daemon run per workload misses the
 # region cache, the second hits it, and the parallel burst at the end
-# exercises the coalesced multi-request batch path.
+# drives both shards at once.
 BIN_DIR="$BENCH_DIR/../bin"
 NACHOSD_PID=
 stop_daemon() {
@@ -143,7 +99,7 @@ if [ ! -x "$BIN_DIR/nachosd" ] || [ ! -x "$BIN_DIR/nachos_client" ]; then
 else
     SOCK="$TMP/nachosd.sock"
     "$BIN_DIR/nachosd" --socket "$SOCK" --workers 2 \
-        --max-batch-lanes 8 --region-cache 16 --quiet &
+        --region-cache 16 --quiet &
     NACHOSD_PID=$!
     for _ in $(seq 1 100); do
         [ -S "$SOCK" ] && break
@@ -182,15 +138,15 @@ else
             done
         done
 
-        # Coalesced path: identical bulk requests arriving together get
-        # batched into one group; every response must still match.
+        # Parallel burst: identical bulk requests arriving together are
+        # served concurrently; every response must still match.
         ref="$TMP/direct.179.art.nachos"
         pids=""
         for i in 1 2 3 4; do
             "$BIN_DIR/nachos_client" --socket "$SOCK" --raw run \
                 --workload 179.art --seed 3 --backend nachos \
                 --invocations 2 --class bulk \
-                > "$TMP/coalesce.$i" &
+                > "$TMP/burst.$i" &
             pids="$pids $!"
         done
         burst_ok=1
@@ -198,12 +154,12 @@ else
             wait "$pid" || burst_ok=0
         done
         if [ "$burst_ok" -ne 1 ]; then
-            echo "FAIL: coalesced burst client exited non-zero" >&2
+            echo "FAIL: burst client exited non-zero" >&2
             failures=$((failures + 1))
         else
             for i in 1 2 3 4; do
-                check "179.art/nachos" "$ref" "$TMP/coalesce.$i" \
-                    "daemon vs direct, coalesced burst $i/4"
+                check "179.art/nachos" "$ref" "$TMP/burst.$i" \
+                    "daemon vs direct, burst $i/4"
             done
         fi
 
@@ -239,6 +195,5 @@ if [ "$failures" -ne 0 ]; then
     echo "$failures determinism failure(s)" >&2
     exit 1
 fi
-echo "all benches deterministic across thread counts, sim engines and" \
-     "fusion modes, and the daemon serves byte-identical results to" \
-     "--direct"
+echo "all benches deterministic across thread counts, and the daemon" \
+     "serves byte-identical results to --direct"

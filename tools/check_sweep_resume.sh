@@ -51,8 +51,8 @@ cat > "$SPEC" <<'EOF'
 EOF
 
 SOCK="$TMP/nachosd.sock"
-"$BIN_DIR/nachosd" --socket "$SOCK" --workers 2 --max-batch-lanes 8 \
-    --region-cache 16 --quiet &
+"$BIN_DIR/nachosd" --socket "$SOCK" --workers 2 --region-cache 16 \
+    --quiet &
 NACHOSD_PID=$!
 for _ in $(seq 1 100); do
     [ -S "$SOCK" ] && break

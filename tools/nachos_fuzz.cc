@@ -51,14 +51,6 @@ usage()
         "  --expect-failure   exit 0 iff at least one case fails\n"
         "                     (mutation self-test mode)\n"
         "  --no-shrink        keep failing regions unshrunk\n"
-        "  --sequential-sim   one simulate() per backend instead of the\n"
-        "                     batched engine (identical verdicts; for\n"
-        "                     timing comparisons and engine bring-up)\n"
-        "  --no-fusion        disable macro-op fusion on the primary\n"
-        "                     runs (identical verdicts; escape hatch)\n"
-        "  --fusion-differential\n"
-        "                     run every lane fused AND unfused and\n"
-        "                     require byte-identical results\n"
         "  --corpus-out DIR   write reproducers to DIR/seed-N.region\n"
         "  --dump-regions DIR write EVERY case's region to DIR (corpus\n"
         "                     curation; independent of pass/fail)\n");
@@ -118,12 +110,6 @@ main(int argc, char **argv)
             expect_failure = true;
         } else if (arg == "--no-shrink") {
             opts.shrinkFailures = false;
-        } else if (arg == "--sequential-sim") {
-            opts.batchedSim = false;
-        } else if (arg == "--no-fusion") {
-            opts.fusion = false;
-        } else if (arg == "--fusion-differential") {
-            opts.fusionDifferential = true;
         } else if (arg == "--corpus-out") {
             if (next == nullptr)
                 NACHOS_FATAL("--corpus-out requires a value");

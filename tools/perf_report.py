@@ -18,49 +18,34 @@ from collections import defaultdict
 
 STAGES = ("synth", "analysis", "mde", "sim")
 
-# Microbench row families: plain seconds rows, but their stages are
-# bench-specific phases rather than pipeline stages, so they get their
-# own table instead of joining the per-workload stage math.
-MICROBENCHES = ("sim_plan", "batch_sim")
-
 
 def load(path):
     """-> ({workload: {stage: seconds}}, {slo stage: row},
-           {sweep stage: row}, {(bench, stage): seconds},
-           {fusion stage: row}, git_sha set).
+           {sweep stage: row}, git_sha set).
 
     Service SLO rows (workload == "service", emitted by
-    bench_service_slo and the loadgen) carry req/s-at-p99 fields,
+    bench_service_slo and the loadgen) carry req/s-at-p99 fields and
     sweep rows (workload == "sweep", emitted by bench_sweep) carry
-    points/s, and firing-plan rows (workload == "fusion", emitted by
-    the suite benches) carry event counts — none is pipeline-stage
-    seconds, so each gets its own table and stays out of the
-    per-workload stage math. Microbench rows (sim_plan, batch_sim) ARE
-    seconds but use bench-specific stage names, so they too render
-    separately.
+    points/s — neither is pipeline-stage seconds, so each gets its own
+    table and stays out of the per-workload stage math. Rows without
+    `seconds` (event-count rows of older baselines) are skipped.
     """
     with open(path, "r", encoding="utf-8") as fh:
         rows = json.load(fh)
     table = defaultdict(dict)
     service = {}
     sweep = {}
-    micro = {}
-    fusion = {}
     shas = set()
     for row in rows:
         if row["workload"] == "service":
             service[row["stage"]] = row
         elif row["workload"] == "sweep":
             sweep[row["stage"]] = row
-        elif row["workload"] == "fusion":
-            fusion[row["stage"]] = row
-        elif row["workload"] in MICROBENCHES:
-            micro[(row["workload"], row["stage"])] = row["seconds"]
-        else:
+        elif "seconds" in row:
             table[row["workload"]][row["stage"]] = row["seconds"]
         if "git_sha" in row:
             shas.add(row["git_sha"])
-    return table, service, sweep, micro, fusion, shas
+    return table, service, sweep, shas
 
 
 def warn_if_stale_baseline(base_shas):
@@ -110,10 +95,8 @@ def main(argv):
         print(__doc__, file=sys.stderr)
         return 2
     try:
-        (base, base_svc, base_sweep, base_micro, base_fusion,
-         base_shas) = load(argv[1])
-        (cur, cur_svc, cur_sweep, cur_micro, cur_fusion,
-         cur_shas) = load(argv[2])
+        base, base_svc, base_sweep, base_shas = load(argv[1])
+        cur, cur_svc, cur_sweep, cur_shas = load(argv[2])
     except (OSError, ValueError, KeyError) as err:
         print(f"perf_report: cannot read inputs: {err}", file=sys.stderr)
         return 2
@@ -147,8 +130,6 @@ def main(argv):
               f"{fmt_ratio(b_total, c_total):>8}")
     print_service_slo(base_svc, cur_svc)
     print_sweep_throughput(base_sweep, cur_sweep)
-    print_microbenches(base_micro, cur_micro)
-    print_fusion_plan(base_fusion, cur_fusion)
 
     print()
     print("report-only: timing never fails CI; byte-identical output does.")
@@ -216,54 +197,6 @@ def print_sweep_throughput(base_sweep, cur_sweep):
               f"{points:>8}")
     print("-" * 68)
     print("ratio is current/base points per second (higher is better).")
-
-
-def print_microbenches(base_micro, cur_micro):
-    """Render sim_plan / batch_sim phase seconds, if either input has
-    any."""
-    if not base_micro and not cur_micro:
-        return
-    print()
-    print("Microbenches (phase seconds)")
-    print(f"{'bench/stage':<30} {'base':>10} {'cur':>10} {'speedup':>8}")
-    print("-" * 62)
-    for key in sorted(set(base_micro) | set(cur_micro)):
-        label = "/".join(key)
-        b = base_micro.get(key)
-        c = cur_micro.get(key)
-        if b is None or c is None:
-            print(f"{label:<30} {'(only in one input)':>30}")
-            continue
-        print(f"{label:<30} {b:>9.4f}s {c:>9.4f}s "
-              f"{fmt_ratio(b, c):>8}")
-    print("-" * 62)
-
-
-def print_fusion_plan(base_fusion, cur_fusion):
-    """Render firing-plan event counts (workload == "fusion"), if
-    either input carries them. These are exact counts, not timings:
-    fused and unfused runs must dispatch identical event totals, and
-    "elided" counts the per-edge events the static chains never
-    schedule."""
-    if not base_fusion and not cur_fusion:
-        return
-    print()
-    print("Firing plan (suite-aggregate event counts)")
-    fields = ("eventsDispatched", "eventsElided", "macroOps",
-              "fusedOps")
-    print(f"{'counter':<22} {'base':>14} {'cur':>14}")
-    print("-" * 52)
-    for field in fields:
-        def cell(table):
-            row = table.get("plan")
-            if row is None or field not in row:
-                return "-"
-            return f"{int(row[field]):,}"
-        print(f"{field:<22} {cell(base_fusion):>14} "
-              f"{cell(cur_fusion):>14}")
-    print("-" * 52)
-    print("counts are deterministic; a base/cur difference means the "
-          "plan changed.")
 
 
 if __name__ == "__main__":

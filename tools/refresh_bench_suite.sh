@@ -6,18 +6,17 @@
 #   tools/refresh_bench_suite.sh
 #
 # Builds the Release benchmark binaries and rewrites BENCH_suite.json
-# with --threads 1 stage timings (including the firing-plan event-count
-# row), the serving plane's SLO curve (bench_service_slo req/s-at-p99
-# rows), sweep throughput, and the sim_plan / batch_sim microbench
-# phases, stamped with the current git SHA. Commit the refreshed file
-# together with the change that moved the numbers.
+# with --threads 1 stage timings, the serving plane's SLO curve
+# (bench_service_slo req/s-at-p99 rows) and sweep throughput, stamped
+# with the current git SHA. Commit the refreshed file together with
+# the change that moved the numbers.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build -j"$(nproc)" --target bench_fig15_nachos_vs_lsq \
-    bench_service_slo bench_sweep bench_sim_plan bench_batch_sim
+    bench_service_slo bench_sweep
 
 ./build/bench/bench_fig15_nachos_vs_lsq --threads 1 \
     --json BENCH_suite.json > /dev/null
@@ -26,12 +25,6 @@ cmake --build build -j"$(nproc)" --target bench_fig15_nachos_vs_lsq \
     > /dev/null
 
 ./build/bench/bench_sweep --json build/sweep_timing.json > /dev/null
-
-./build/bench/bench_sim_plan --json build/sim_plan_timing.json \
-    > /dev/null
-
-./build/bench/bench_batch_sim --json build/batch_sim_timing.json \
-    > /dev/null
 
 echo "refreshed BENCH_suite.json:"
 python3 - <<'EOF'
@@ -43,8 +36,6 @@ import json
 rows = json.load(open("BENCH_suite.json"))
 rows += json.load(open("build/service_slo.json"))
 rows += json.load(open("build/sweep_timing.json"))
-rows += json.load(open("build/sim_plan_timing.json"))
-rows += json.load(open("build/batch_sim_timing.json"))
 with open("BENCH_suite.json", "w") as fh:
     fh.write("[\n")
     fh.write(",\n".join(
@@ -54,15 +45,10 @@ with open("BENCH_suite.json", "w") as fh:
 sim = sum(r["seconds"] for r in rows if r["stage"] == "sim")
 slo = [r for r in rows if r["workload"] == "service"]
 sweep = [r for r in rows if r["workload"] == "sweep"]
-micro = [r for r in rows
-         if r["workload"] in ("sim_plan", "batch_sim")]
-plan = [r for r in rows if r["workload"] == "fusion"]
-benches = {r["workload"] for r in rows} \
-    - {"service", "sweep", "sim_plan", "batch_sim", "fusion"}
+benches = {r["workload"] for r in rows} - {"service", "sweep"}
 shas = {r.get("git_sha", "?") for r in rows}
 print(f"  git_sha {','.join(sorted(shas))}, "
       f"{len(benches)} workloads, "
       f"sim total {sim:.3f}s at --threads 1, "
-      f"{len(slo)} service SLO rows, {len(sweep)} sweep rows, "
-      f"{len(micro)} microbench rows, {len(plan)} plan row(s)")
+      f"{len(slo)} service SLO rows, {len(sweep)} sweep rows")
 EOF
