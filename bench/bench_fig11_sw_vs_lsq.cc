@@ -52,7 +52,5 @@ main(int argc, char **argv)
                  "18-100% (bzip2, art, fft, povray, histogram, "
                  "soplex)\n";
     printSuiteTiming(std::cerr, run);
-    maybeWriteSuiteTimingJson(suiteJsonPath(argc, argv),
-                              benchmarkSuite(), run);
     return 0;
 }

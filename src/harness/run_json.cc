@@ -1,6 +1,5 @@
 #include "harness/run_json.hh"
 
-#include <cmath>
 #include <initializer_list>
 #include <limits>
 #include <string_view>
@@ -573,20 +572,6 @@ decodeOutcome(const JsonValue &v, OutcomeSummary &summary,
     };
     return backend("lsq", summary.lsq) && backend("sw", summary.sw) &&
            backend("nachos", summary.nachos);
-}
-
-JsonValue
-encodeTimingRecord(const std::string &workload, const std::string &stage,
-                   double seconds, uint64_t threads,
-                   const std::string &sha)
-{
-    JsonValue v = JsonValue::makeObject();
-    v.set("workload", workload);
-    v.set("stage", stage);
-    v.set("seconds", std::round(seconds * 1e6) / 1e6);
-    v.set("threads", threads);
-    v.set("git_sha", sha);
-    return v;
 }
 
 } // namespace nachos

@@ -73,24 +73,6 @@ unsigned suiteThreads(int argc, char *const argv[]);
  */
 void printSuiteTiming(std::ostream &os, const SuiteRun &run);
 
-/**
- * `--json <path>` / `--json=<path>` from argv if present, else "".
- * Exits via fatal() when `--json` is the last argument. Benches pass
- * the result to maybeWriteSuiteTimingJson.
- */
-std::string suiteJsonPath(int argc, char *const argv[]);
-
-/**
- * Write machine-readable per-stage + wall-clock timing as a JSON array
- * of records {workload, stage, seconds, threads, git_sha} — one record
- * per (workload, stage), plus aggregate records under workload
- * "suite" (per-stage sums and end-to-end "wall"). No-op if `path` is
- * empty. `suite` must be the suite `run` was produced from.
- */
-void maybeWriteSuiteTimingJson(const std::string &path,
-                               const std::vector<BenchmarkInfo> &suite,
-                               const SuiteRun &run);
-
 } // namespace nachos
 
 #endif // NACHOS_HARNESS_SUITE_RUNNER_HH

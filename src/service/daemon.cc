@@ -33,6 +33,15 @@ secondsToMicros(double seconds)
     return static_cast<uint64_t>(seconds * 1e6);
 }
 
+/** Answer `job` with an error line (the job owns its response). */
+void
+respondError(const Job &job, const std::string &code,
+             const std::string &message)
+{
+    job.respond(dumpJson(errorResponse(job.requestId, code, message)) +
+                "\n");
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -43,12 +52,6 @@ Daemon::Connection::~Connection()
 {
     if (fd >= 0)
         ::close(fd);
-}
-
-void
-Daemon::Connection::sendLine(const std::string &line)
-{
-    sendBytes(line);
 }
 
 void
@@ -438,9 +441,8 @@ Daemon::handleRun(const std::shared_ptr<Connection> &conn, Request &req)
         job->deadline =
             job->enqueued + std::chrono::milliseconds(millis);
     }
-    job->respond = [this, conn](const JsonValue &v) { sendTo(conn, v); };
-    job->respondBytes = [conn](std::string_view bytes) {
-        conn->sendBytes(bytes);
+    job->respond = [conn](std::string_view line) {
+        conn->sendBytes(line);
     };
 
     {
@@ -485,8 +487,7 @@ Daemon::handleCancel(const std::shared_ptr<Connection> &conn,
     }
     if (target && shards_[target->shard]->queue.cancel(target)) {
         // We own the job's response now (Queued -> Cancelled).
-        target->respond(errorResponse(target->requestId, "cancelled",
-                                      "job cancelled by request"));
+        respondError(*target, "cancelled", "job cancelled by request");
         finishJob();
         bump("jobs.cancelled");
         sendTo(conn, okResponse(req.id));
@@ -552,11 +553,7 @@ Daemon::respondResult(Shard &shard, const std::shared_ptr<Job> &job,
     buf.clear(); // keeps capacity: steady state reuses the arena
     appendResultResponse(buf, job->requestId, summary);
     buf += '\n';
-    if (job->respondBytes)
-        job->respondBytes(buf);
-    else
-        job->respond(resultResponse(job->requestId,
-                                    encodeOutcome(summary)));
+    job->respond(buf);
 }
 
 void
@@ -605,9 +602,8 @@ Daemon::executeJob(Shard &shard, const std::shared_ptr<Job> &job)
         return;
     }
     if (failed) {
-        job->respond(errorResponse(job->requestId, "internal",
-                                   "job execution failed: " +
-                                       failMessage));
+        respondError(*job, "internal",
+                     "job execution failed: " + failMessage);
         std::lock_guard<std::mutex> lock(shard.statsMutex);
         shard.stats.counter("jobs.failed").inc();
         return;
@@ -715,18 +711,16 @@ Daemon::watchdogLoop(std::stop_token st)
                                    JobState::TimedOut)) {
                 // Never started: we own both the response and the
                 // outstanding count.
-                job->respond(errorResponse(
-                    job->requestId, "timeout",
-                    "job timed out before starting"));
+                respondError(*job, "timeout",
+                             "job timed out before starting");
                 bump("jobs.expired");
                 finishJob();
             } else if (job->tryTransition(JobState::Running,
                                           JobState::TimedOut)) {
                 // Still computing: answer now; the worker discards
                 // the late result and settles the accounting.
-                job->respond(errorResponse(
-                    job->requestId, "timeout",
-                    "job exceeded its deadline while running"));
+                respondError(*job, "timeout",
+                             "job exceeded its deadline while running");
                 bump("jobs.expired");
             }
         }
@@ -741,7 +735,7 @@ void
 Daemon::sendTo(const std::shared_ptr<Connection> &conn,
                const JsonValue &v)
 {
-    conn->sendLine(dumpJson(v) + "\n");
+    conn->sendBytes(dumpJson(v) + "\n");
 }
 
 void

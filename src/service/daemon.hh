@@ -124,10 +124,10 @@ class Daemon
         {}
         ~Connection();
 
-        /** Serialized, best-effort line write (MSG_NOSIGNAL). */
-        void sendLine(const std::string &line);
-
-        /** As above for a prebuilt buffer that already ends in \n. */
+        /**
+         * Serialized, best-effort write (MSG_NOSIGNAL) of a prebuilt
+         * buffer that already ends in \n.
+         */
         void sendBytes(std::string_view bytes);
 
         /** Wake a reader blocked in recv (drain path). */

@@ -32,7 +32,6 @@
 #include <string_view>
 
 #include "harness/run_json.hh"
-#include "support/json.hh"
 
 namespace nachos {
 
@@ -56,15 +55,11 @@ struct Job
     std::chrono::steady_clock::time_point deadline;
     bool hasDeadline = false;
 
-    /** Sends one response line to the job's connection (thread-safe). */
-    std::function<void(const JsonValue &)> respond;
-
     /**
-     * Raw-bytes variant for the steady-state result path: `bytes` is
-     * one complete response line WITHOUT the trailing newline. May be
-     * empty (tests); fall back to respond then.
+     * Sends one complete response line, trailing newline included, to
+     * the job's connection (thread-safe).
      */
-    std::function<void(std::string_view)> respondBytes;
+    std::function<void(std::string_view line)> respond;
 
     std::atomic<JobState> state{JobState::Queued};
 

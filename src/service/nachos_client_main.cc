@@ -25,6 +25,9 @@
  * answered with an error response.
  */
 
+#include <cctype>
+#include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -81,12 +84,19 @@ usageError(const std::string &message)
     std::exit(1);
 }
 
+/**
+ * Parse a decimal in [min, max]. A sign, trailing junk or overflow is
+ * a usage error, never a silent wrap.
+ */
 uint64_t
-parseU64(const std::string &flag, const char *value)
+parseU64(const std::string &flag, const char *value, uint64_t min = 0,
+         uint64_t max = UINT64_MAX)
 {
     char *end = nullptr;
+    errno = 0;
     const unsigned long long n = std::strtoull(value, &end, 10);
-    if (end == value || *end != '\0')
+    if (!std::isdigit(static_cast<unsigned char>(value[0])) ||
+        *end != '\0' || errno == ERANGE || n < min || n > max)
         usageError("invalid " + flag + " value '" + value + "'");
     return n;
 }
@@ -111,8 +121,9 @@ parseArgs(int argc, char *argv[])
             if (colon == std::string::npos)
                 usageError("--tcp wants HOST:PORT");
             opt.tcpHost = spec.substr(0, colon);
-            opt.tcpPort = static_cast<uint16_t>(parseU64(
-                "--tcp port", spec.substr(colon + 1).c_str()));
+            opt.tcpPort = static_cast<uint16_t>(
+                parseU64("--tcp port", spec.substr(colon + 1).c_str(),
+                         1, UINT16_MAX));
         } else if (arg == "--raw") {
             opt.raw = true;
         } else if (arg == "--workload") {

@@ -118,26 +118,8 @@ TEST(SuiteRunner, SuiteThreadsParsesArgv)
     }
 }
 
-TEST(SuiteRunner, SuiteJsonPathParsesArgv)
-{
-    {
-        const char *argv[] = {"bench", "--json", "out.json"};
-        EXPECT_EQ(suiteJsonPath(3, const_cast<char *const *>(argv)),
-                  "out.json");
-    }
-    {
-        const char *argv[] = {"bench", "--json=t.json"};
-        EXPECT_EQ(suiteJsonPath(2, const_cast<char *const *>(argv)),
-                  "t.json");
-    }
-    {
-        const char *argv[] = {"bench", "--threads", "2"};
-        EXPECT_EQ(suiteJsonPath(3, const_cast<char *const *>(argv)), "");
-    }
-}
-
 // A trailing flag with no value must fail loudly, not silently fall
-// back to the default thread count or skip the JSON file.
+// back to the default thread count.
 TEST(SuiteRunnerDeathTest, ThreadsWithoutValueIsFatal)
 {
     const char *argv[] = {"bench", "--threads"};
@@ -155,13 +137,6 @@ TEST(SuiteRunnerDeathTest, BadThreadsValueIsFatal)
                     "invalid --threads value")
             << bad;
     }
-}
-
-TEST(SuiteRunnerDeathTest, JsonWithoutValueIsFatal)
-{
-    const char *argv[] = {"bench", "--threads", "1", "--json"};
-    EXPECT_EXIT(suiteJsonPath(4, const_cast<char *const *>(argv)),
-                ::testing::ExitedWithCode(1), "--json requires a value");
 }
 
 } // namespace

@@ -2,15 +2,20 @@
  * Design-space sweep subsystem: spec decoding and deterministic
  * expansion (constraint and geometry filtering, coordinate-derived
  * point ids), the append-only store's resume semantics (torn-tail
- * truncation, duplicate detection), Pareto/report determinism, and
- * the in-process orchestrator's skip-completed resume loop.
+ * truncation, duplicate detection), Pareto/report determinism, the
+ * in-process orchestrator's skip-completed resume loop, and the
+ * daemon orchestrator's equivalence with it.
  */
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 
+#include "service/client.hh"
+#include "service/daemon.hh"
 #include "sweep/orchestrator.hh"
 #include "sweep/report.hh"
 
@@ -517,6 +522,74 @@ TEST(SweepRun, InProcessRunSkipResumeMatchesStraightThrough)
     }
     // The overridden DRAM latency reached the simulator.
     EXPECT_NE(a.records[0].cycles, a.records[1].cycles);
+}
+
+// ---- daemon orchestrator -----------------------------------------
+
+TEST(SweepRun, OverDaemonMatchesInProcess)
+{
+    const SweepSpec spec = mustDecode(
+        R"({"name":"mini","workloads":["164.gzip"],
+            "backends":["sw","nachos"],"invocations":2,
+            "axes":{"dramLatency":[100,400]}})");
+    const std::vector<SweepPoint> points = expandSweep(spec);
+    ASSERT_EQ(points.size(), 4u);
+
+    const std::string socketPath = "/tmp/nachos-test-sweep-" +
+                                   std::to_string(::getpid()) + ".sock";
+    DaemonConfig config;
+    config.socketPath = socketPath;
+    config.workers = 2;
+    Daemon daemon(config);
+    std::string error;
+    ASSERT_TRUE(daemon.start(&error)) << error;
+    std::unique_ptr<ServiceClient> client =
+        ServiceClient::connectUnix(socketPath, &error);
+    ASSERT_NE(client, nullptr) << error;
+
+    SweepRunOptions options;
+    options.window = 3;
+    SweepRunStats stats;
+    SweepStore overDaemon(tempStore("over_daemon"));
+    ASSERT_TRUE(runSweepOverDaemon(points, overDaemon, *client, options,
+                                   stats, &error))
+        << error;
+    EXPECT_EQ(stats.failed, 0u);
+    EXPECT_EQ(stats.ran, 4u);
+    overDaemon.close();
+
+    SweepStore inProcess(tempStore("in_process"));
+    ASSERT_TRUE(
+        runSweepInProcess(points, inProcess, options, stats, &error))
+        << error;
+    inProcess.close();
+
+    SweepLoadResult a, b;
+    ASSERT_TRUE(overDaemon.load(a, &error)) << error;
+    ASSERT_TRUE(inProcess.load(b, &error)) << error;
+    ASSERT_EQ(a.records.size(), 4u);
+    ASSERT_EQ(b.records.size(), 4u);
+    for (size_t i = 0; i < a.records.size(); ++i) {
+        SweepRecord x = a.records[i];
+        SweepRecord y = b.records[i];
+        x.seconds = y.seconds = 0;
+        EXPECT_EQ(dumpJson(encodeSweepRecord(x)),
+                  dumpJson(encodeSweepRecord(y)))
+            << "point " << i;
+    }
+    EXPECT_EQ(renderSweepReport(a.records),
+              renderSweepReport(b.records));
+
+    // Resume over the daemon: every point is already in the store.
+    ASSERT_TRUE(runSweepOverDaemon(points, overDaemon, *client, options,
+                                   stats, &error))
+        << error;
+    EXPECT_EQ(stats.skipped, 4u);
+    EXPECT_EQ(stats.ran, 0u);
+    overDaemon.close();
+
+    client.reset();
+    ::unlink(socketPath.c_str()); // ~Daemon drains
 }
 
 } // namespace

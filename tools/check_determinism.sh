@@ -6,8 +6,7 @@
 #
 # Timing lines go to stderr by design (printSuiteTiming), so stdout is
 # the deterministic surface. Excluded: bench_micro (google-benchmark,
-# timing-only output), bench_service_slo and bench_sweep (throughput
-# numbers).
+# timing-only output).
 #
 # The final pass checks the serving plane: result lines served by a
 # sharded nachosd (region cache enabled) must be byte-identical to
