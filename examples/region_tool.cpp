@@ -14,10 +14,10 @@
 #include <iostream>
 
 #include "analysis/pipeline.hh"
-#include "harness/golden.hh"
 #include "ir/serialize.hh"
 #include "mde/inserter.hh"
 #include "support/logging.hh"
+#include "testing/reference.hh"
 #include "workloads/suite.hh"
 
 using namespace nachos;
@@ -69,7 +69,7 @@ main(int argc, char **argv)
         AliasAnalysisResult res = runAliasPipeline(r);
         const uint64_t violations =
             countSoundnessViolations(r, res.matrix, 32);
-        GoldenResult golden = goldenExecute(r, 4);
+        testing::ReferenceResult golden = testing::referenceExecute(r, 4);
         std::cout << "region " << r.name() << ": " << r.numOps()
                   << " ops, " << r.numMemOps() << " mem ops, "
                   << res.final().all.may << " MAY pairs, "

@@ -16,9 +16,9 @@
 
 #include "analysis/pipeline.hh"
 #include "cgra/simulator.hh"
-#include "harness/golden.hh"
 #include "mde/inserter.hh"
 #include "support/logging.hh"
+#include "testing/reference.hh"
 #include "workloads/suite.hh"
 
 using namespace nachos;
@@ -45,7 +45,7 @@ verify(const BenchmarkInfo &info)
         }
 
         MdeSet mdes = insertMdes(r, res.matrix);
-        GoldenResult golden = goldenExecute(r, 6);
+        testing::ReferenceResult golden = testing::referenceExecute(r, 6);
         SimConfig cfg;
         cfg.invocations = 6;
         for (BackendKind kind :

@@ -39,20 +39,6 @@ OrderingBackend::onForwardValue(OpId op, uint64_t cycle, int64_t value)
 }
 
 SimCore::SimCore(const Region &region, const MdeSet &mdes,
-                 OrderingBackend &backend, const SimConfig &cfg)
-    : region_(region), mdes_(mdes), backend_(backend), cfg_(cfg),
-      placement_(region, cfg.grid), network_(placement_, cfg.net, stats_),
-      ownedHierarchy_(
-          std::make_unique<MemoryHierarchy>(cfg.mem, stats_)),
-      hierarchy_(*ownedHierarchy_), energyModel_(cfg.energy),
-      trace_(!cfg.traceFile.empty())
-{
-    NACHOS_ASSERT(region_.finalized(), "simulate a finalized region");
-    backend_.attach(*this);
-    buildStaticTables();
-}
-
-SimCore::SimCore(const Region &region, const MdeSet &mdes,
                  OrderingBackend &backend, const SimConfig &cfg,
                  HierarchyPool &pool)
     : region_(region), mdes_(mdes), backend_(backend), cfg_(cfg),
@@ -569,19 +555,21 @@ SimCore::run()
     return result;
 }
 
-namespace {
-
-/** Dispatch on backend kind; `pool` selects the pooled SimCore ctor. */
 SimResult
-simulateImpl(const Region &region, const MdeSet &mdes, BackendKind kind,
-             const SimConfig &cfg, HierarchyPool *pool)
+simulate(const Region &region, const MdeSet &mdes, BackendKind kind,
+         const SimConfig &cfg)
+{
+    // A new pool's first acquire() is a fresh construction.
+    HierarchyPool pool;
+    return simulate(region, mdes, kind, cfg, pool);
+}
+
+SimResult
+simulate(const Region &region, const MdeSet &mdes, BackendKind kind,
+         const SimConfig &cfg, HierarchyPool &pool)
 {
     const auto run = [&](OrderingBackend &backend) {
-        if (pool != nullptr) {
-            SimCore core(region, mdes, backend, cfg, *pool);
-            return core.run();
-        }
-        SimCore core(region, mdes, backend, cfg);
+        SimCore core(region, mdes, backend, cfg, pool);
         return core.run();
     };
     switch (kind) {
@@ -600,22 +588,6 @@ simulateImpl(const Region &region, const MdeSet &mdes, BackendKind kind,
       }
     }
     NACHOS_PANIC("unknown backend kind");
-}
-
-} // namespace
-
-SimResult
-simulate(const Region &region, const MdeSet &mdes, BackendKind kind,
-         const SimConfig &cfg)
-{
-    return simulateImpl(region, mdes, kind, cfg, nullptr);
-}
-
-SimResult
-simulate(const Region &region, const MdeSet &mdes, BackendKind kind,
-         const SimConfig &cfg, HierarchyPool &pool)
-{
-    return simulateImpl(region, mdes, kind, cfg, &pool);
 }
 
 } // namespace nachos

@@ -41,7 +41,6 @@
 #define NACHOS_CGRA_SIMULATOR_HH
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -176,16 +175,12 @@ class OrderingBackend
 class SimCore
 {
   public:
-    SimCore(const Region &region, const MdeSet &mdes,
-            OrderingBackend &backend, const SimConfig &cfg);
-
     /**
-     * Pooled-hierarchy variant: acquire the memory hierarchy from
-     * `pool` instead of constructing one. Hierarchy construction is
-     * dominated by filling the LLC way array (~100 µs,
+     * The memory hierarchy comes from `pool`. Hierarchy construction
+     * is dominated by filling the LLC way array (~100 µs,
      * mem/hierarchy_pool) — more than a small region's entire
      * simulation — so reset-heavy drivers (the fuzzer, the suite
-     * runner, nachosd shards) keep a pool alive across simulate()
+     * runner, nachosd workers) keep a pool alive across simulate()
      * calls. A pooled acquire is observably identical to fresh
      * construction (tested); at most one SimCore may use a pool at a
      * time, and the pool must outlive the core.
@@ -288,9 +283,7 @@ class SimCore
     StatSet stats_;
     Placement placement_;
     OperandNetwork network_;
-    /** Owned hierarchy (unpooled construction); null when pooled. */
-    std::unique_ptr<MemoryHierarchy> ownedHierarchy_;
-    /** The run's memory hierarchy — owned or a pool slot. */
+    /** The run's memory hierarchy: the pool's slot. */
     MemoryHierarchy &hierarchy_;
     EnergyModel energyModel_;
 
@@ -361,14 +354,17 @@ class SimCore
     int64_t liveInValue(OpId op) const;
 };
 
-/** Build the backend for `kind` and simulate the region under it. */
+/**
+ * Build the backend for `kind` and simulate the region under it, on a
+ * freshly constructed memory hierarchy.
+ */
 SimResult simulate(const Region &region, const MdeSet &mdes,
                    BackendKind kind, const SimConfig &cfg);
 
 /**
  * Pooled variant: reuse `pool`'s memory hierarchy (see the SimCore
- * pooled constructor). Results are identical to the unpooled
- * overload; only the construction cost differs.
+ * constructor). Results are identical to the unpooled overload; only
+ * the construction cost differs.
  */
 SimResult simulate(const Region &region, const MdeSet &mdes,
                    BackendKind kind, const SimConfig &cfg,

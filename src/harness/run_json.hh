@@ -37,9 +37,9 @@ constexpr uint64_t kMaxInvocationsOverride = 10'000'000;
 
 /**
  * Admission class of a run request. Interactive jobs (the default)
- * get their own bounded ring per shard and are claimed first; bulk
- * jobs accept higher queueing delay, so a bulk sweep cannot starve
- * interactive admission.
+ * get their own bounded ring in the daemon's queue and are claimed
+ * first; bulk jobs accept higher queueing delay, so a bulk sweep
+ * cannot starve interactive admission.
  */
 enum class AdmitClass : uint8_t { Interactive, Bulk };
 

@@ -13,8 +13,7 @@
  * path is a short inlineable function that falls through to an
  * out-of-line miss path, and the level is a template over its concrete
  * next-level type so the fixed L1→LLC→DRAM chain compiles to direct
- * (devirtualized) calls. `Cache` — an alias for `CacheT<MemLevel>` —
- * keeps the virtual seam for tests and ad-hoc stacks.
+ * (non-virtual) calls.
  */
 
 #ifndef NACHOS_MEM_CACHE_HH
@@ -30,22 +29,6 @@
 
 namespace nachos {
 
-/** Timing sink under a cache (next level or DRAM). */
-class MemLevel
-{
-  public:
-    virtual ~MemLevel() = default;
-
-    /**
-     * Issue a request at `cycle`; returns completion cycle.
-     * @param addr   byte address
-     * @param write  true for writes/writebacks
-     * @param cycle  requested issue cycle
-     */
-    virtual uint64_t access(uint64_t addr, bool write, uint64_t cycle)
-        = 0;
-};
-
 /** Configuration of one cache level. */
 struct CacheConfig
 {
@@ -57,16 +40,16 @@ struct CacheConfig
     /** Requests accepted per cycle. */
     uint32_t ports = 2;
     const char *name = "cache";
-    /** Fetch line L+1 on a demand miss to line L (off the critical
-     * path; counted as <name>.prefetches). */
-    bool nextLinePrefetch = false;
 
     /** Field-wise equality (names by content) — pooled-reuse check. */
     bool sameAs(const CacheConfig &o) const;
 };
 
-/** Fixed-latency DRAM with a simple per-request issue bandwidth. */
-class MainMemory final : public MemLevel
+/**
+ * Fixed-latency DRAM with a simple per-request issue bandwidth: the
+ * timing sink under the last cache level.
+ */
+class MainMemory final
 {
   public:
     explicit MainMemory(uint32_t latency = 200,
@@ -74,8 +57,9 @@ class MainMemory final : public MemLevel
         : latency_(latency), bw_(requests_per_cycle)
     {}
 
+    /** Issue a request at `cycle`; returns its completion cycle. */
     uint64_t
-    access(uint64_t addr, bool write, uint64_t cycle) override
+    access(uint64_t addr, bool write, uint64_t cycle)
     {
         (void)addr;
         (void)write;
@@ -101,8 +85,7 @@ class MainMemory final : public MemLevel
 /**
  * One set-associative, write-back, write-allocate cache level,
  * parameterized on the concrete type of the level below it so that
- * `next_.access(...)` is a direct call (both MainMemory and CacheT are
- * `final`, so the compiler devirtualizes even through the reference).
+ * `next_.access(...)` is a direct call.
  *
  * In-flight line fills are tracked in the ways themselves (`fillDone`)
  * instead of a side hash map: a fill is installed into its way within
@@ -113,7 +96,7 @@ class MainMemory final : public MemLevel
  * therefore behaves exactly like an already-expired fill.
  */
 template <class Next>
-class CacheT final : public MemLevel
+class CacheT final
 {
   public:
     CacheT(const CacheConfig &cfg, Next &next, StatSet &stats)
@@ -136,12 +119,14 @@ class CacheT final : public MemLevel
         writebacks_ = &stats.counter(prefix + ".writebacks");
         mshrMerges_ = &stats.counter(prefix + ".mshrMerges");
         mshrStalls_ = &stats.counter(prefix + ".mshrStalls");
-        prefetches_ = &stats.counter(prefix + ".prefetches");
     }
 
-    /** Hit fast path; misses fall through to accessMiss(). */
+    /**
+     * Issue a request at `cycle`; returns its completion cycle. Hit
+     * fast path; misses fall through to accessMiss().
+     */
     uint64_t
-    access(uint64_t addr, bool write, uint64_t cycle) override
+    access(uint64_t addr, bool write, uint64_t cycle)
     {
         cycle = bw_.admit(cycle);
         ++useClock_;
@@ -210,7 +195,6 @@ class CacheT final : public MemLevel
         writebacks_ = &stats.counter(prefix + ".writebacks");
         mshrMerges_ = &stats.counter(prefix + ".mshrMerges");
         mshrStalls_ = &stats.counter(prefix + ".mshrStalls");
-        prefetches_ = &stats.counter(prefix + ".prefetches");
     }
 
     const CacheConfig &config() const { return cfg_; }
@@ -236,7 +220,6 @@ class CacheT final : public MemLevel
     Counter *writebacks_;
     Counter *mshrMerges_;
     Counter *mshrStalls_;
-    Counter *prefetches_;
     std::vector<Way> ways_; // sets * assoc, row-major
     uint32_t numSets_ = 0;
     uint32_t epoch_ = 1;
@@ -314,25 +297,6 @@ CacheT<Next>::accessMiss(uint64_t line, bool write, uint64_t cycle)
                      issue + cfg_.hitLatency);
     *earliest = fill_done;
 
-    // Optional next-line prefetch: issued at fill time, off the
-    // demand path, skipped when the next line is resident (which, per
-    // the class invariant, also covers "fill pending").
-    if (cfg_.nextLinePrefetch) {
-        const uint64_t next_line = line + 1;
-        if (findWay(next_line) == nullptr) {
-            prefetches_->inc();
-            const uint64_t pf_done = next_.access(
-                next_line * cfg_.lineBytes, false, fill_done);
-            Way &pf_victim = victimWay(next_line);
-            if (pf_victim.epoch == epoch_ && pf_victim.dirty) {
-                writebacks_->inc();
-                next_.access(pf_victim.tag * cfg_.lineBytes, true,
-                             pf_done);
-            }
-            install(pf_victim, next_line, false, pf_done);
-        }
-    }
-
     // Install the line now; timing-wise it becomes usable at
     // fill_done (enforced for merging requests via the way's
     // fillDone).
@@ -348,16 +312,12 @@ CacheT<Next>::accessMiss(uint64_t line, bool write, uint64_t cycle)
     return fill_done;
 }
 
-/** The fixed hierarchy chain, devirtualized bottom-up. */
+/** The fixed hierarchy chain, bottom-up. */
 using LlcCache = CacheT<MainMemory>;
 using L1Cache = CacheT<LlcCache>;
 
-/** Virtual-seam cache for tests and ad-hoc level stacks. */
-using Cache = CacheT<MemLevel>;
-
-// The three chain instantiations live in cache.cc; this keeps the
-// miss path out of line at call sites in other translation units.
-extern template class CacheT<MemLevel>;
+// The two chain instantiations live in cache.cc; this keeps the miss
+// path out of line at call sites in other translation units.
 extern template class CacheT<MainMemory>;
 extern template class CacheT<CacheT<MainMemory>>;
 

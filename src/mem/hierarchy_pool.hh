@@ -4,7 +4,7 @@
  * by filling the LLC way array (~2 MiB for the paper's 4 MiB LLC —
  * around 100 µs), which dwarfs a small region's entire simulation.
  * Reset-heavy drivers (the suite runner, the differential fuzzer, the
- * daemon's shards) instead acquire() the pooled instance: when the
+ * daemon's workers) instead acquire() the pooled instance: when the
  * previous hierarchy has the same configuration it is rebound to the
  * new run's StatSet and reset in O(state touched), observably
  * identical to a fresh construction (tested).

@@ -86,14 +86,15 @@ Daemon::Connection::shutdownSocket()
 // ---------------------------------------------------------------------
 
 Daemon::Daemon(DaemonConfig config)
-    : config_(std::move(config)), cache_(config_.regionCacheEntries)
+    : config_(std::move(config)),
+      queue_(config_.queueCapacity, config_.bulkQueueCapacity),
+      cache_(config_.regionCacheEntries)
 {
     if (config_.workers < 1)
         config_.workers = 1;
-    shards_.reserve(config_.workers);
+    workers_.reserve(config_.workers);
     for (unsigned i = 0; i < config_.workers; ++i)
-        shards_.push_back(std::make_unique<Shard>(
-            config_.queueCapacity, config_.bulkQueueCapacity));
+        workers_.push_back(std::make_unique<Worker>());
 }
 
 Daemon::~Daemon()
@@ -166,8 +167,9 @@ Daemon::start(std::string *error)
                         std::strerror(errno));
     }
 
-    for (uint32_t i = 0; i < shards_.size(); ++i)
-        shards_[i]->worker = std::jthread([this, i] { shardLoop(i); });
+    for (const std::unique_ptr<Worker> &worker : workers_)
+        worker->thread = std::jthread(
+            [this, &self = *worker] { workerLoop(self); });
     watchdogThread_ =
         std::jthread([this](std::stop_token st) { watchdogLoop(st); });
     acceptThread_ = std::jthread([this] { acceptLoop(); });
@@ -226,12 +228,11 @@ Daemon::drain()
         idleCv_.wait(lock, [this] { return outstanding_.load() == 0; });
     }
 
-    // 3. Retire shard workers and the watchdog.
-    for (const std::unique_ptr<Shard> &shard : shards_)
-        shard->queue.close();
-    for (const std::unique_ptr<Shard> &shard : shards_)
-        if (shard->worker.joinable())
-            shard->worker.join();
+    // 3. Retire the workers and the watchdog.
+    queue_.close();
+    for (const std::unique_ptr<Worker> &worker : workers_)
+        if (worker->thread.joinable())
+            worker->thread.join();
     watchdogThread_.request_stop();
     watchdogCv_.notify_all();
     if (watchdogThread_.joinable())
@@ -290,12 +291,7 @@ Daemon::acceptLoop()
             const int fd = ::accept(fds[i].fd, nullptr, nullptr);
             if (fd < 0)
                 continue;
-            // Connections hash to shards round-robin; every job of a
-            // connection lands in its shard's rings (work stealing
-            // rebalances execution, not admission).
-            const uint32_t shard = static_cast<uint32_t>(
-                connCounter_.fetch_add(1) % shards_.size());
-            auto conn = std::make_shared<Connection>(fd, shard);
+            auto conn = std::make_shared<Connection>(fd);
             bump("conns.accepted");
             std::lock_guard<std::mutex> lock(connsMutex_);
             conns_.push_back(conn);
@@ -431,7 +427,6 @@ Daemon::handleRun(const std::shared_ptr<Connection> &conn, Request &req)
     auto job = std::make_shared<Job>();
     job->requestId = req.id;
     job->spec = req.job;
-    job->shard = conn->shard;
     job->enqueued = clock_t_::now();
     const uint64_t millis = job->spec.timeoutMillis
                                 ? job->spec.timeoutMillis
@@ -451,11 +446,10 @@ Daemon::handleRun(const std::shared_ptr<Connection> &conn, Request &req)
     }
     const bool bulk = job->spec.klass == AdmitClass::Bulk;
     ++outstanding_;
-    // jobs.accepted is bumped under the ring lock, before any worker
+    // jobs.accepted is bumped under the queue lock, before any worker
     // can claim the job: a fast worker must never bump jobs.completed
     // for a job whose acceptance is not yet visible to metrics.
-    JobQueue &ring = shards_[conn->shard]->queue;
-    if (!ring.tryPush(job, [this, bulk] {
+    if (!queue_.tryPush(job, [this, bulk] {
             bump("jobs.accepted");
             bump(bulk ? "jobs.acceptedBulk" : "jobs.acceptedInteractive");
         })) {
@@ -485,7 +479,7 @@ Daemon::handleCancel(const std::shared_ptr<Connection> &conn,
         if (it != conn->jobs.end())
             target = it->second.lock();
     }
-    if (target && shards_[target->shard]->queue.cancel(target)) {
+    if (target && queue_.cancel(target)) {
         // We own the job's response now (Queued -> Cancelled).
         respondError(*target, "cancelled", "job cancelled by request");
         finishJob();
@@ -500,45 +494,13 @@ Daemon::handleCancel(const std::shared_ptr<Connection> &conn,
 }
 
 // ---------------------------------------------------------------------
-// Execution (one run-to-completion worker per shard)
+// Execution (run-to-completion workers claiming from the one queue)
 // ---------------------------------------------------------------------
 
 void
-Daemon::shardLoop(uint32_t index)
+Daemon::workerLoop(Worker &self)
 {
-    Shard &self = *shards_[index];
-    using std::chrono::milliseconds;
-    while (true) {
-        std::shared_ptr<Job> job = self.queue.claim(milliseconds(0));
-        if (!job && shards_.size() > 1) {
-            // Idle: steal a job from the deepest sibling ring.
-            uint32_t victim = index;
-            size_t best = 0;
-            for (uint32_t i = 0; i < shards_.size(); ++i) {
-                if (i == index)
-                    continue;
-                const size_t d = shards_[i]->queue.depth();
-                if (d > best) {
-                    best = d;
-                    victim = i;
-                }
-            }
-            if (best > 0) {
-                job = shards_[victim]->queue.claim(milliseconds(0));
-                if (job) {
-                    std::lock_guard<std::mutex> lock(self.statsMutex);
-                    self.stats.counter("shard.steals").inc();
-                }
-            }
-        }
-        if (!job) {
-            job = self.queue.claim(milliseconds(2));
-            if (!job) {
-                if (self.queue.closed())
-                    break;
-                continue;
-            }
-        }
+    while (std::shared_ptr<Job> job = queue_.claim()) {
         executeJob(self, job);
         job.reset(); // drop the job reference promptly
         finishJob();
@@ -546,10 +508,10 @@ Daemon::shardLoop(uint32_t index)
 }
 
 void
-Daemon::respondResult(Shard &shard, const std::shared_ptr<Job> &job,
+Daemon::respondResult(Worker &self, const std::shared_ptr<Job> &job,
                       const OutcomeSummary &summary)
 {
-    std::string &buf = shard.encodeBuf;
+    std::string &buf = self.encodeBuf;
     buf.clear(); // keeps capacity: steady state reuses the arena
     appendResultResponse(buf, job->requestId, summary);
     buf += '\n';
@@ -557,12 +519,12 @@ Daemon::respondResult(Shard &shard, const std::shared_ptr<Job> &job,
 }
 
 void
-Daemon::executeJob(Shard &shard, const std::shared_ptr<Job> &job)
+Daemon::executeJob(Worker &self, const std::shared_ptr<Job> &job)
 {
     const clock_t_::time_point started = clock_t_::now();
     {
-        std::lock_guard<std::mutex> lock(shard.statsMutex);
-        shard.stats.histogram("latency.queueMicros")
+        std::lock_guard<std::mutex> lock(statsMutex_);
+        stats_.histogram("latency.queueMicros")
             .sample(microsBetween(job->enqueued, started));
     }
     if (job->spec.sleepMillis) {
@@ -582,7 +544,7 @@ Daemon::executeJob(Shard &shard, const std::shared_ptr<Job> &job)
                                nullptr, &times);
         const clock_t_::time_point simStart = clock_t_::now();
         sims = simulateRequest(*job->spec.info, job->spec.request,
-                               *entry, shard.pool);
+                               *entry, self.pool);
         times.simSeconds = std::chrono::duration<double>(
                                clock_t_::now() - simStart)
                                .count();
@@ -597,47 +559,44 @@ Daemon::executeJob(Shard &shard, const std::shared_ptr<Job> &job)
     if (!job->tryTransition(JobState::Running, JobState::Done)) {
         // The watchdog answered `timeout` while we were computing; the
         // result is discarded but still counted.
-        std::lock_guard<std::mutex> lock(shard.statsMutex);
-        shard.stats.counter("jobs.lateResults").inc();
+        bump("jobs.lateResults");
         return;
     }
     if (failed) {
         respondError(*job, "internal",
                      "job execution failed: " + failMessage);
-        std::lock_guard<std::mutex> lock(shard.statsMutex);
-        shard.stats.counter("jobs.failed").inc();
+        bump("jobs.failed");
         return;
     }
-    respondResult(shard, job,
+    respondResult(self, job,
                   summarizeOutcome(*job->spec.info, job->spec.request,
                                    *entry, sims));
     const uint64_t totalMicros =
         microsBetween(job->enqueued, clock_t_::now());
     const bool bulk = job->spec.klass == AdmitClass::Bulk;
-    std::lock_guard<std::mutex> lock(shard.statsMutex);
-    shard.stats.counter("jobs.completed").inc();
+    std::lock_guard<std::mutex> lock(statsMutex_);
+    stats_.counter("jobs.completed").inc();
     // Firing-plan observability: the engine's event traffic summed
     // over every backend run the daemon served.
     for (const auto *sim : {&sims.lsq, &sims.sw, &sims.nachos}) {
         if (!sim->has_value())
             continue;
-        shard.stats.counter("plan.eventsDispatched")
+        stats_.counter("plan.eventsDispatched")
             .inc((*sim)->planEventsDispatched);
-        shard.stats.counter("plan.eventsElided")
+        stats_.counter("plan.eventsElided")
             .inc((*sim)->planEventsElided);
     }
-    shard.stats.histogram("latency.synthMicros")
+    stats_.histogram("latency.synthMicros")
         .sample(secondsToMicros(times.synthSeconds));
-    shard.stats.histogram("latency.analysisMicros")
+    stats_.histogram("latency.analysisMicros")
         .sample(secondsToMicros(times.analysisSeconds));
-    shard.stats.histogram("latency.mdeMicros")
+    stats_.histogram("latency.mdeMicros")
         .sample(secondsToMicros(times.mdeSeconds));
-    shard.stats.histogram("latency.simMicros")
+    stats_.histogram("latency.simMicros")
         .sample(secondsToMicros(times.simSeconds));
-    shard.stats.histogram("latency.totalMicros").sample(totalMicros);
-    shard.stats
-        .histogram(bulk ? "latency.bulk.totalMicros"
-                        : "latency.interactive.totalMicros")
+    stats_.histogram("latency.totalMicros").sample(totalMicros);
+    stats_.histogram(bulk ? "latency.bulk.totalMicros"
+                          : "latency.interactive.totalMicros")
         .sample(totalMicros);
 }
 
@@ -702,11 +661,11 @@ Daemon::watchdogLoop(std::stop_token st)
         for (const std::shared_ptr<Job> &job : deadlineJobs_) {
             if (job->deadline > now)
                 continue;
-            // claim() performs Queued -> Running inside the ring
+            // claim() performs Queued -> Running inside the queue
             // lock, so this CAS can only win while the job truly
             // still sits in a ring (where it stays as a corpse that
-            // claim() drops) — a claimed-but-unstarted job can no
-            // longer be stolen here.
+            // claim() drops) — a claimed-but-unstarted job can never
+            // be timed out as "never started" here.
             if (job->tryTransition(JobState::Queued,
                                    JobState::TimedOut)) {
                 // Never started: we own both the response and the
@@ -749,32 +708,21 @@ JsonValue
 Daemon::metricsSnapshot() const
 {
     StatSet copy;
-    // Merge shard (completion-side) stats BEFORE the global
-    // (admission-side) set: jobs.accepted must be copied no earlier
-    // than jobs.completed or a metrics reader could observe
-    // completed > accepted.
-    for (const std::unique_ptr<Shard> &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard->statsMutex);
-        copy.merge(shard->stats);
-    }
     {
         std::lock_guard<std::mutex> lock(statsMutex_);
         copy.merge(stats_);
     }
     // Point-in-time gauges ride along as counters of the snapshot.
-    size_t interactiveDepth = 0;
-    size_t bulkDepth = 0;
-    for (const std::unique_ptr<Shard> &shard : shards_) {
-        interactiveDepth += shard->queue.depth(AdmitClass::Interactive);
-        bulkDepth += shard->queue.depth(AdmitClass::Bulk);
-    }
+    const size_t interactiveDepth =
+        queue_.depth(AdmitClass::Interactive);
+    const size_t bulkDepth = queue_.depth(AdmitClass::Bulk);
     copy.counter("queue.depth").inc(interactiveDepth + bulkDepth);
     copy.counter("queue.interactiveDepth").inc(interactiveDepth);
     copy.counter("queue.bulkDepth").inc(bulkDepth);
     copy.counter("jobs.outstanding").inc(outstanding_.load());
     copy.counter("conns.active").inc(activeConns_.load());
     copy.counter("daemon.draining").inc(draining_.load() ? 1 : 0);
-    copy.counter("daemon.shards").inc(shards_.size());
+    copy.counter("daemon.workers").inc(workers_.size());
     const RegionCache::Counters cc = cache_.counters();
     copy.counter("cache.hits").inc(cc.hits);
     copy.counter("cache.misses").inc(cc.misses);

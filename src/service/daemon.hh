@@ -3,38 +3,40 @@
  * nachosd: a long-running experiment server around the harness. It
  * listens on a Unix-domain socket (plus an optional loopback TCP
  * port), speaks the JSON-lines protocol of service/protocol.hh, and
- * executes admitted run requests on a sharded, run-to-completion
- * serving plane — amortizing process setup across many requests
- * instead of paying it per bench invocation.
+ * executes admitted run requests on a pool of run-to-completion
+ * workers — amortizing process setup across many requests instead of
+ * paying it per bench invocation.
  *
  * Architecture (one box per thread kind):
  *
- *   accept loop ──> connection readers (1/conn) ──┬─> shard 0 ring
- *                        (conn hashed to a shard) ├─> shard 1 ring
- *                                                 └─> ...
- *   timeout watchdog <── deadline registry         one worker/shard
- *        │                                         (steals from the
- *        │                                          deepest sibling
- *        │                                          when idle)
+ *   accept loop ──> connection readers (1/conn) ──> one JobQueue
+ *                                                   (interactive +
+ *                                                    bulk rings)
+ *                                                        │
+ *   timeout watchdog <── deadline registry      N workers claim from it
+ *        │
  *        └── answers `timeout`, workers answer `result`/`error`;
  *            an atomic per-job state machine guarantees exactly one
  *            response per request no matter who wins the race.
  *
- * Each shard owns a dual-class JobQueue (interactive and bulk rings
- * with separate bounds), a HierarchyPool that persists across jobs,
- * and a reusable encode buffer. A shard claims one job at a time and
- * runs it to completion: the front end (synthesis + alias pipeline +
- * MDEs) comes from a daemon-wide LRU RegionCache (capacity 0 builds
- * it fresh per job), then harness simulateRequest runs the requested
- * backends. Results are encoded straight into the shard's buffer
- * (protocol appendResultResponse), so the steady-state request path
- * performs no per-request heap allocation.
+ * Every connection pushes into the daemon's one dual-class JobQueue
+ * (interactive and bulk rings with separate bounds), and every worker
+ * claims from it, interactive first, so a request takes the first
+ * worker that frees up whichever connection sent it. Each worker owns
+ * a HierarchyPool that persists across jobs and a reusable encode
+ * buffer. A worker claims one job at a time and runs it to
+ * completion: the front end (synthesis + alias pipeline + MDEs) comes
+ * from a daemon-wide LRU RegionCache (capacity 0 builds it fresh per
+ * job), then harness simulateRequest runs the requested backends.
+ * Results are encoded straight into the worker's buffer (protocol
+ * appendResultResponse), so the steady-state request path performs no
+ * per-request heap allocation.
  *
- * Backpressure: per-class ring capacity bounds admission; a full ring
- * answers `queue_full` immediately. Shutdown: drain() stops the
- * accept loop, lets every admitted job finish and flush its response,
- * then closes connections — SIGTERM/SIGINT in the nachosd binary and
- * the `shutdown` request both route here.
+ * Backpressure: per-class ring capacity bounds admission daemon-wide;
+ * a full ring answers `queue_full` immediately. Shutdown: drain()
+ * stops the accept loop, lets every admitted job finish and flush its
+ * response, then closes connections — SIGTERM/SIGINT in the nachosd
+ * binary and the `shutdown` request both route here.
  */
 
 #ifndef NACHOS_SERVICE_DAEMON_HH
@@ -63,11 +65,11 @@ struct DaemonConfig
     std::string socketPath;
     /** Also listen on loopback TCP when nonzero. */
     uint16_t tcpPort = 0;
-    /** Worker threads = shards (one run-to-completion worker each). */
+    /** Run-to-completion worker threads claiming from the queue. */
     unsigned workers = 2;
-    /** Per-shard interactive ring capacity (admission control). */
+    /** Daemon-wide interactive ring capacity (admission control). */
     size_t queueCapacity = 64;
-    /** Per-shard bulk ring capacity. */
+    /** Daemon-wide bulk ring capacity. */
     size_t bulkQueueCapacity = 256;
     /** Resident (region, analysis, mdes) cache entries; 0 disables. */
     size_t regionCacheEntries = 64;
@@ -87,7 +89,7 @@ class Daemon
     Daemon &operator=(const Daemon &) = delete;
 
     /**
-     * Bind sockets and spawn the accept loop, shard workers, and
+     * Bind sockets and spawn the accept loop, workers, and
      * watchdog. False (with *error filled) on socket setup failure.
      */
     bool start(std::string *error = nullptr);
@@ -119,9 +121,7 @@ class Daemon
     /** Per-connection shared state; the last owner closes the fd. */
     struct Connection
     {
-        explicit Connection(int connFd, uint32_t shardIndex)
-            : fd(connFd), shard(shardIndex)
-        {}
+        explicit Connection(int connFd) : fd(connFd) {}
         ~Connection();
 
         /**
@@ -134,26 +134,25 @@ class Daemon
         void shutdownSocket();
 
         int fd;
-        uint32_t shard; ///< ring this connection's jobs land in
         std::mutex writeMutex;
         std::mutex jobsMutex;
         /** Live jobs by client request id (for cancel/duplicate). */
         std::map<uint64_t, std::weak_ptr<Job>> jobs;
     };
 
-    /** One slice of the serving plane: ring + worker + pool. */
-    struct Shard
+    /**
+     * One run-to-completion worker and the state it reuses. Its thread
+     * holds its address, so it is neither copied nor moved.
+     */
+    struct Worker
     {
-        Shard(size_t interactiveCapacity, size_t bulkCapacity)
-            : queue(interactiveCapacity, bulkCapacity)
-        {}
+        Worker() = default;
+        Worker(const Worker &) = delete;
+        Worker &operator=(const Worker &) = delete;
 
-        JobQueue queue;
-        HierarchyPool pool;    ///< reused by every job the shard runs
+        HierarchyPool pool;    ///< reused by every job the worker runs
         std::string encodeBuf; ///< reused response-line buffer
-        std::jthread worker;
-        mutable std::mutex statsMutex;
-        StatSet stats; ///< completed/latency counters
+        std::jthread thread;
     };
 
     void acceptLoop();
@@ -164,9 +163,9 @@ class Daemon
                    Request &req);
     void handleCancel(const std::shared_ptr<Connection> &conn,
                       const Request &req);
-    void shardLoop(uint32_t index);
-    void executeJob(Shard &shard, const std::shared_ptr<Job> &job);
-    void respondResult(Shard &shard, const std::shared_ptr<Job> &job,
+    void workerLoop(Worker &self);
+    void executeJob(Worker &self, const std::shared_ptr<Job> &job);
+    void respondResult(Worker &self, const std::shared_ptr<Job> &job,
                        const OutcomeSummary &summary);
     void watchdogLoop(std::stop_token st);
     void registerDeadline(std::shared_ptr<Job> job);
@@ -177,7 +176,8 @@ class Daemon
     void bump(const char *name, uint64_t n = 1);
 
     DaemonConfig config_;
-    std::vector<std::unique_ptr<Shard>> shards_;
+    JobQueue queue_;
+    std::vector<std::unique_ptr<Worker>> workers_;
     RegionCache cache_;
 
     int listenUnixFd_ = -1;
@@ -194,7 +194,6 @@ class Daemon
     std::atomic<bool> draining_{false};
     std::atomic<bool> drained_{false};
     std::atomic<uint64_t> activeConns_{0};
-    std::atomic<uint64_t> connCounter_{0}; ///< shard assignment
     /** Jobs admitted but not yet finally disposed of. */
     std::atomic<uint64_t> outstanding_{0};
 
@@ -210,7 +209,7 @@ class Daemon
     std::vector<std::shared_ptr<Job>> deadlineJobs_;
 
     mutable std::mutex statsMutex_;
-    StatSet stats_; ///< admission-side counters (accepted, conns, ...)
+    StatSet stats_; ///< every daemon counter and latency histogram
 };
 
 } // namespace nachos

@@ -38,10 +38,9 @@ JobQueue::tryPush(std::shared_ptr<Job> job,
 }
 
 std::shared_ptr<Job>
-JobQueue::claim(std::chrono::milliseconds wait)
+JobQueue::claim()
 {
     std::unique_lock<std::mutex> lock(mutex_);
-    const auto deadline = std::chrono::steady_clock::now() + wait;
     while (true) {
         // Interactive first, then bulk; FIFO within a class.
         for (auto *ring : {&interactive_, &bulk_}) {
@@ -58,13 +57,11 @@ JobQueue::claim(std::chrono::milliseconds wait)
             }
         }
 
-        if (closed_ || wait.count() <= 0)
+        if (closed_)
             return nullptr;
-        if (!cv_.wait_until(lock, deadline, [this] {
-                return closed_ || !interactive_.empty() ||
-                       !bulk_.empty();
-            }))
-            return nullptr; // timed out still empty
+        cv_.wait(lock, [this] {
+            return closed_ || !interactive_.empty() || !bulk_.empty();
+        });
     }
 }
 
@@ -94,25 +91,11 @@ JobQueue::close()
 }
 
 size_t
-JobQueue::depth() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return interactive_.size() + bulk_.size();
-}
-
-size_t
 JobQueue::depth(AdmitClass klass) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return klass == AdmitClass::Bulk ? bulk_.size()
                                      : interactive_.size();
-}
-
-bool
-JobQueue::closed() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return closed_;
 }
 
 } // namespace nachos

@@ -1,22 +1,20 @@
 /**
  * @file
- * Bounded dual-class admission ring between a shard's connections and
- * its worker. Capacity is the backpressure mechanism: when a class's
- * ring is full, tryPush fails and the daemon answers `queue_full`
- * instead of buffering unboundedly (the JSON-lines equivalent of an
- * HTTP 503). Interactive jobs and bulk jobs have separate bounds so a
- * bulk sweep can never starve interactive admission.
+ * The daemon's one bounded dual-class admission queue, between every
+ * connection and every worker. Capacity is the backpressure mechanism:
+ * when a class's ring is full, tryPush fails and the daemon answers
+ * `queue_full` instead of buffering unboundedly (the JSON-lines
+ * equivalent of an HTTP 503). Interactive jobs and bulk jobs have
+ * separate bounds so a bulk sweep can never starve interactive
+ * admission, and claim() always serves interactive work first.
  *
  * Jobs carry an atomic state machine so three parties — the claiming
  * worker, the timeout watchdog, and a cancel request — can race for a
- * job and exactly one wins the right to answer it. Unlike the earlier
- * single-FIFO queue, the Queued -> Running transition happens INSIDE
- * the ring lock at claim time: there is no window where a job has
- * left the ring but is still Queued, which is the window the watchdog
- * used to be able to steal a popped job in (it would answer `timeout`
- * for a job a worker was about to run, and the worker's real result
- * became a late discard even though it started well before the
- * deadline).
+ * job and exactly one wins the right to answer it. The Queued ->
+ * Running transition happens INSIDE the queue lock at claim time:
+ * there is no window where a job has left the ring but is still
+ * Queued, so the watchdog can never answer `timeout` for a job a
+ * worker has already popped and is about to run.
  */
 
 #ifndef NACHOS_SERVICE_JOB_QUEUE_HH
@@ -50,7 +48,6 @@ struct Job
 {
     uint64_t requestId = 0; ///< client-visible id (per connection)
     JobSpec spec;
-    uint32_t shard = 0; ///< shard the job was admitted to
     std::chrono::steady_clock::time_point enqueued;
     std::chrono::steady_clock::time_point deadline;
     bool hasDeadline = false;
@@ -70,7 +67,7 @@ struct Job
     }
 };
 
-/** Bounded dual-class ring of shared Jobs (one per shard). */
+/** Bounded dual-class ring of shared Jobs (one per daemon). */
 class JobQueue
 {
   public:
@@ -90,15 +87,15 @@ class JobQueue
     /**
      * Claim the next job: the oldest interactive job, else the oldest
      * bulk job. The returned job has already made the Queued ->
-     * Running transition under the ring lock — the caller owns its
+     * Running transition under the queue lock — the caller owns its
      * execution and its response unless the watchdog later times it
      * out.
      *
-     * Blocks up to `wait` for work (0 = try only). Returns null on
-     * timeout or once the queue is closed and drained.
-     * Cancelled/timed-out corpses are dropped here.
+     * Blocks until work arrives; returns null once the queue is
+     * closed and drained. Cancelled/timed-out corpses are dropped
+     * here.
      */
-    std::shared_ptr<Job> claim(std::chrono::milliseconds wait);
+    std::shared_ptr<Job> claim();
 
     /**
      * Cancel a still-queued job (matched by pointer identity).
@@ -110,9 +107,7 @@ class JobQueue
     /** Close the queue: pushes fail, claimers drain then get 0. */
     void close();
 
-    size_t depth() const; ///< both classes
     size_t depth(AdmitClass klass) const;
-    bool closed() const;
 
   private:
     mutable std::mutex mutex_;

@@ -9,19 +9,20 @@
  *           [--bulk-queue-capacity N] [--region-cache N]
  *           [--default-timeout-ms N] [--quiet]
  *
- * --workers is the shard count: each worker owns its own job rings
- * and hierarchy pool. --region-cache 0 builds every job's front end
- * fresh (the cache-off A/B baseline).
+ * --workers is the number of run-to-completion workers; all of them
+ * claim from the daemon's one job queue, and each owns a hierarchy
+ * pool. --queue-capacity and --bulk-queue-capacity bound that queue's
+ * interactive and bulk rings daemon-wide. --region-cache 0 builds
+ * every job's front end fresh (the cache-off A/B baseline).
  */
 
 #include <csignal>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <thread>
 
 #include "service/daemon.hh"
 #include "support/logging.hh"
+#include "support/parse.hh"
 
 namespace {
 
@@ -38,11 +39,10 @@ uint64_t
 parseCount(const char *flag, const char *value, uint64_t min,
            uint64_t max)
 {
-    char *end = nullptr;
-    const unsigned long long n = std::strtoull(value, &end, 10);
-    if (end == value || *end != '\0' || n < min || n > max)
+    const std::optional<uint64_t> n = nachos::parseDecimal(value, min, max);
+    if (!n)
         NACHOS_FATAL("invalid ", flag, " value '", value, "'");
-    return n;
+    return *n;
 }
 
 } // namespace
@@ -113,7 +113,7 @@ main(int argc, char *argv[])
                    config.tcpPort ? " and tcp port " : "",
                    config.tcpPort ? std::to_string(config.tcpPort)
                                   : std::string(),
-                   " (", config.workers, " shards, rings ",
+                   " (", config.workers, " workers, rings ",
                    config.queueCapacity, "/", config.bulkQueueCapacity,
                    ", cache ", config.regionCacheEntries, ")");
 

@@ -69,9 +69,7 @@ class LatencyHistogram
 
     /**
      * Fold another histogram's samples into this one (buckets add,
-     * min/max widen) — how the daemon combines per-shard latency
-     * distributions into one metrics snapshot without sharing a lock
-     * on the sampling path.
+     * min/max widen).
      */
     void merge(const LatencyHistogram &other);
 
@@ -108,7 +106,7 @@ class StatSet
 
     /**
      * Fold another set into this one: counters add, histograms merge,
-     * names absent here are created. Used to combine per-shard stats.
+     * names absent here are created.
      */
     void merge(const StatSet &other);
 

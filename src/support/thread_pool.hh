@@ -2,7 +2,7 @@
  * @file
  * Fixed-size worker pool for the embarrassingly parallel parts of the
  * evaluation (one task per workload run). Deliberately minimal: a
- * single locked deque, no work stealing — suite tasks are coarse
+ * single locked deque every worker takes from — suite tasks are coarse
  * (milliseconds to seconds each), so queue contention is noise. Tasks
  * return futures; an exception thrown inside a task is captured and
  * rethrown from future::get(), so callers see failures exactly as the

@@ -2,7 +2,7 @@
  * @file
  * Shared deterministic value functions: live-in value streams and the
  * order-insensitive load-value digest. Both the cycle simulator and
- * the golden program-order executor use these, so their results are
+ * the reference program-order oracle use these, so their results are
  * comparable bit-for-bit.
  */
 

@@ -27,8 +27,6 @@
  * failed points or verify found a mismatch.
  */
 
-#include <cctype>
-#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -38,6 +36,7 @@
 
 #include "harness/region_cache.hh"
 #include "service/client.hh"
+#include "support/parse.hh"
 #include "support/table.hh"
 #include "sweep/orchestrator.hh"
 #include "sweep/report.hh"
@@ -75,21 +74,15 @@ usageError(const std::string &message)
     std::exit(1);
 }
 
-/**
- * Parse a decimal in [min, max]. A sign, trailing junk or overflow is
- * a usage error, never a silent wrap.
- */
+/** parseDecimal, with a usage error for a bad value. */
 uint64_t
 parseU64(const std::string &flag, const char *value, uint64_t min = 0,
          uint64_t max = UINT64_MAX)
 {
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long n = std::strtoull(value, &end, 10);
-    if (!std::isdigit(static_cast<unsigned char>(value[0])) ||
-        *end != '\0' || errno == ERANGE || n < min || n > max)
+    const std::optional<uint64_t> n = parseDecimal(value, min, max);
+    if (!n)
         usageError("invalid " + flag + " value '" + value + "'");
-    return n;
+    return *n;
 }
 
 Options

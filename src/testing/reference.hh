@@ -6,8 +6,8 @@
  * compares against — every disambiguated load's ground-truth value,
  * the committed memory-op count, and the final memory image. Any
  * ordering scheme that is correct must reproduce this execution
- * bit-for-bit (same digest, same image); the harness golden executor
- * is a thin wrapper over this interpreter.
+ * bit-for-bit (same digest, same image); the golden-equivalence tests
+ * anchor to it directly.
  */
 
 #ifndef NACHOS_TESTING_REFERENCE_HH

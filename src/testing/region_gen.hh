@@ -113,18 +113,6 @@ RegionGenOptions opaqueOnlyProfile();
  *  an unknown name. Used by the nachos_fuzz CLI. */
 RegionGenOptions profileByName(const std::string &name);
 
-// ---------------------------------------------------------------------
-// Back-compat shim for the retired tests/testing/random_region.hh API.
-// ---------------------------------------------------------------------
-
-using RandomRegionOptions = RegionGenOptions;
-
-inline Region
-randomRegion(uint64_t seed, const RandomRegionOptions &opts = {})
-{
-    return generateRegion(seed, opts);
-}
-
 } // namespace testing
 } // namespace nachos
 

@@ -53,23 +53,23 @@ expectEquivalent(const Region &r, const PipelineConfig &cfg,
 
 TEST_P(BackendEquivalence, FullPipeline)
 {
-    Region r = testing::randomRegion(GetParam());
+    Region r = testing::generateRegion(GetParam());
     expectEquivalent(r, PipelineConfig{}, 6);
 }
 
 TEST_P(BackendEquivalence, BaselineCompilerPipeline)
 {
-    Region r = testing::randomRegion(GetParam());
+    Region r = testing::generateRegion(GetParam());
     expectEquivalent(r, PipelineConfig::baselineCompiler(), 6);
 }
 
 TEST_P(BackendEquivalence, StoreHeavyRegions)
 {
-    testing::RandomRegionOptions opts;
+    testing::RegionGenOptions opts;
     opts.storeFraction = 0.75;
     opts.minMemOps = 6;
     opts.maxMemOps = 20;
-    Region r = testing::randomRegion(GetParam() + 1000, opts);
+    Region r = testing::generateRegion(GetParam() + 1000, opts);
     expectEquivalent(r, PipelineConfig{}, 5);
 }
 

@@ -8,8 +8,8 @@
 
 #include "analysis/pipeline.hh"
 #include "cgra/simulator.hh"
-#include "harness/golden.hh"
 #include "mde/inserter.hh"
+#include "testing/reference.hh"
 #include "testing/region_gen.hh"
 #include "workloads/suite.hh"
 
@@ -19,7 +19,7 @@ namespace {
 void
 expectGoldenMatch(const Region &region, uint64_t invocations)
 {
-    GoldenResult golden = goldenExecute(region, invocations);
+    testing::ReferenceResult golden = testing::referenceExecute(region, invocations);
     AliasAnalysisResult analysis = runAliasPipeline(region);
     MdeSet mdes = insertMdes(region, analysis.matrix);
     SimConfig cfg;
@@ -66,9 +66,9 @@ class GoldenRandom : public ::testing::TestWithParam<uint64_t>
 
 TEST_P(GoldenRandom, BackendsMatchGolden)
 {
-    testing::RandomRegionOptions opts;
+    testing::RegionGenOptions opts;
     opts.storeFraction = 0.6;
-    Region r = testing::randomRegion(GetParam() + 5000, opts);
+    Region r = testing::generateRegion(GetParam() + 5000, opts);
     expectGoldenMatch(r, 5);
 }
 
@@ -100,7 +100,7 @@ TEST(Golden, DigestSensitiveToOrderingViolation)
     b.store(b.at(a, 0), v2);
     Region r = b.build();
 
-    GoldenResult golden = goldenExecute(r, 1);
+    testing::ReferenceResult golden = testing::referenceExecute(r, 1);
     FunctionalMemory wrong;
     wrong.write(r.object(a).baseAddr, 8, 2);
     wrong.write(r.object(a).baseAddr, 8, 1); // reversed commit order

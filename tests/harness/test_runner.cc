@@ -58,7 +58,7 @@ expectSameSim(const SimResult &a, const SimResult &b, const char *what)
 
 TEST(Runner, SimulateRequestMatchesRunWorkload)
 {
-    // One pool across workloads and backends, as a daemon shard keeps
+    // One pool across workloads and backends, as a daemon worker keeps
     // it: the shared front end plus simulateRequest must reproduce
     // runWorkload exactly.
     HierarchyPool pool;

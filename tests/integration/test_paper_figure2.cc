@@ -18,9 +18,9 @@
 
 #include "analysis/pipeline.hh"
 #include "cgra/simulator.hh"
-#include "harness/golden.hh"
 #include "ir/builder.hh"
 #include "mde/inserter.hh"
+#include "testing/reference.hh"
 
 namespace nachos {
 namespace {
@@ -135,7 +135,7 @@ TEST(PaperFigure2, NachosChecksFindTheOneRealConflict)
 
     // And the figure's bottom line: all three schemes agree with
     // program order.
-    GoldenResult golden = goldenExecute(r, 4);
+    testing::ReferenceResult golden = testing::referenceExecute(r, 4);
     for (BackendKind kind : {BackendKind::OptLsq, BackendKind::NachosSw,
                              BackendKind::Nachos}) {
         SimResult sim = simulate(r, mdes, kind, cfg);

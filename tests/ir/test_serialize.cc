@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
-#include "harness/golden.hh"
 #include "ir/builder.hh"
 #include "ir/serialize.hh"
+#include "testing/reference.hh"
 #include "testing/region_gen.hh"
 #include "workloads/suite.hh"
 
@@ -44,8 +44,8 @@ TEST(Serialize, ParsedRegionHasIdenticalGroundTruth)
                       parsed.evalAddr(op, inv));
     }
     // ...and bit-identical golden execution.
-    GoldenResult a = goldenExecute(original, 6);
-    GoldenResult b = goldenExecute(parsed, 6);
+    testing::ReferenceResult a = testing::referenceExecute(original, 6);
+    testing::ReferenceResult b = testing::referenceExecute(parsed, 6);
     EXPECT_EQ(a.loadValueDigest, b.loadValueDigest);
     EXPECT_EQ(a.memImage, b.memImage);
 }
@@ -68,7 +68,7 @@ INSTANTIATE_TEST_SUITE_P(All27, SerializeSuite,
 TEST(Serialize, RandomRegionsRoundTrip)
 {
     for (uint64_t seed = 0; seed < 10; ++seed) {
-        Region original = testing::randomRegion(seed + 9000);
+        Region original = testing::generateRegion(seed + 9000);
         Region parsed = regionFromString(regionToString(original));
         EXPECT_TRUE(regionsEquivalent(original, parsed))
             << "seed " << seed;
@@ -83,7 +83,7 @@ TEST(SerializeDeathTest, RejectsWrongMagic)
 
 TEST(SerializeDeathTest, RejectsTruncation)
 {
-    Region r = testing::randomRegion(1);
+    Region r = testing::generateRegion(1);
     std::string text = regionToString(r);
     text.resize(text.size() / 2);
     EXPECT_EXIT(regionFromString(text),

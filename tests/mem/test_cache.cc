@@ -31,7 +31,7 @@ class CacheTest : public ::testing::Test
     StatSet stats;
     MainMemory dram{100, 8};
     CacheConfig cfg{1024, 2, 64, 3, 4, 2, "l1"};
-    Cache cache{cfg, dram, stats};
+    LlcCache cache{cfg, dram, stats};
 };
 
 TEST_F(CacheTest, MissThenHit)
@@ -147,7 +147,7 @@ TEST_F(CacheTest, ResetClearsAllObservableState)
     // freshly constructed cache over the same next level.
     StatSet fresh_stats;
     MainMemory fresh_dram{100, 8};
-    Cache fresh{cfg, fresh_dram, fresh_stats};
+    LlcCache fresh{cfg, fresh_dram, fresh_stats};
     EXPECT_EQ(cache.access(0x80, false, 50), fresh.access(0x80, false, 50));
     // The old dirty line must not write back after reset.
     EXPECT_EQ(stats.get("l1.writebacks"), 0u);

@@ -439,6 +439,73 @@ TEST_F(DaemonTest, BackpressureRejectsWhenQueueFull)
               "the job accounting to settle");
 }
 
+// Capacity bounds the daemon's one queue, not a per-connection slice
+// of it: a second connection shares the slot the first one filled.
+TEST_F(DaemonTest, QueueCapacityIsDaemonWide)
+{
+    start(/*workers=*/2, /*queueCapacity=*/1);
+    auto first = connect();
+    auto second = connect();
+    ASSERT_NE(first, nullptr);
+    ASSERT_NE(second, nullptr);
+
+    const RunOpts fast{.invocations = 1, .backends = {"nachos"}};
+    RunOpts slow = fast;
+    slow.sleepMillis = 300;
+
+    // Jobs 1 and 2 occupy both workers (one at a time: the queue has
+    // a single slot)...
+    for (const uint64_t id : {1u, 2u}) {
+        ASSERT_TRUE(first->sendRequest(runRequest(id, "164.gzip", slow)));
+        waitUntil(
+            [&] {
+                return counterValue("jobs.accepted") == id &&
+                       counterValue("queue.depth") == 0;
+            },
+            "the sleeper to start running");
+    }
+    // ...job 3 fills the queue's only interactive slot...
+    ASSERT_TRUE(first->sendRequest(runRequest(3, "164.gzip", fast)));
+    waitUntil([&] { return counterValue("queue.depth") == 1; },
+              "job 3 to be queued");
+    // ...so job 4 bounces even though it arrives on another connection.
+    ASSERT_TRUE(second->sendRequest(runRequest(4, "164.gzip", fast)));
+    std::optional<JsonValue> rejected = second->waitFor(4);
+    ASSERT_TRUE(rejected.has_value());
+    EXPECT_EQ(errorCode(*rejected), "queue_full");
+
+    for (const uint64_t id : {1u, 2u, 3u}) {
+        std::optional<JsonValue> response = first->waitFor(id);
+        ASSERT_TRUE(response.has_value()) << id;
+        EXPECT_STREQ(responseType(*response), "result") << id;
+    }
+    EXPECT_EQ(counterValue("jobs.rejected"), 1u);
+    EXPECT_EQ(counterValue("daemon.workers"), 2u);
+}
+
+// Every worker claims from the one queue, so two sleeps pipelined on a
+// single connection run side by side on the two workers.
+TEST_F(DaemonTest, AnyWorkerServesAnyConnection)
+{
+    start(/*workers=*/2);
+    auto client = connect();
+    ASSERT_NE(client, nullptr);
+
+    RunOpts slow{.invocations = 1, .backends = {"nachos"}};
+    slow.sleepMillis = 300;
+    const auto sent = std::chrono::steady_clock::now();
+    for (const uint64_t id : {1u, 2u})
+        ASSERT_TRUE(client->sendRequest(runRequest(id, "164.gzip", slow)));
+    for (const uint64_t id : {1u, 2u}) {
+        std::optional<JsonValue> response = client->waitFor(id);
+        ASSERT_TRUE(response.has_value()) << id;
+        EXPECT_STREQ(responseType(*response), "result") << id;
+    }
+    // Back to back on one worker would take at least 600 ms.
+    EXPECT_LT(std::chrono::steady_clock::now() - sent,
+              std::chrono::milliseconds(550));
+}
+
 TEST_F(DaemonTest, WatchdogTimesOutQueuedAndRunningJobs)
 {
     start(/*workers=*/1);

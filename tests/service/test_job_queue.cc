@@ -26,24 +26,17 @@ makeJob(uint64_t id, AdmitClass klass = AdmitClass::Interactive,
     return job;
 }
 
-/** claim() with try-only semantics. */
-std::shared_ptr<Job>
-claimOne(JobQueue &q)
-{
-    return q.claim(0ms);
-}
-
 TEST(JobQueue, FifoOrderWithinAClass)
 {
     JobQueue q(4, 4);
     EXPECT_TRUE(q.tryPush(makeJob(1)));
     EXPECT_TRUE(q.tryPush(makeJob(2)));
     EXPECT_TRUE(q.tryPush(makeJob(3)));
-    EXPECT_EQ(q.depth(), 3u);
-    EXPECT_EQ(claimOne(q)->requestId, 1u);
-    EXPECT_EQ(claimOne(q)->requestId, 2u);
-    EXPECT_EQ(claimOne(q)->requestId, 3u);
-    EXPECT_EQ(q.depth(), 0u);
+    EXPECT_EQ(q.depth(AdmitClass::Interactive), 3u);
+    EXPECT_EQ(q.claim()->requestId, 1u);
+    EXPECT_EQ(q.claim()->requestId, 2u);
+    EXPECT_EQ(q.claim()->requestId, 3u);
+    EXPECT_EQ(q.depth(AdmitClass::Interactive), 0u);
 }
 
 TEST(JobQueue, ClaimMakesTheJobRunning)
@@ -52,7 +45,7 @@ TEST(JobQueue, ClaimMakesTheJobRunning)
     auto job = makeJob(1);
     ASSERT_TRUE(q.tryPush(job));
     EXPECT_EQ(job->state.load(), JobState::Queued);
-    ASSERT_EQ(claimOne(q), job);
+    ASSERT_EQ(q.claim(), job);
     // The Queued -> Running transition happened inside the ring lock;
     // there is no popped-but-still-Queued window for the watchdog.
     EXPECT_EQ(job->state.load(), JobState::Running);
@@ -65,8 +58,8 @@ TEST(JobQueue, InteractiveHasPriorityOverBulk)
     ASSERT_TRUE(q.tryPush(makeJob(2, AdmitClass::Interactive)));
     EXPECT_EQ(q.depth(AdmitClass::Interactive), 1u);
     EXPECT_EQ(q.depth(AdmitClass::Bulk), 1u);
-    EXPECT_EQ(claimOne(q)->requestId, 2u); // interactive first
-    EXPECT_EQ(claimOne(q)->requestId, 1u);
+    EXPECT_EQ(q.claim()->requestId, 2u); // interactive first
+    EXPECT_EQ(q.claim()->requestId, 1u);
 }
 
 TEST(JobQueue, PerClassCapacityBoundsAdmission)
@@ -78,7 +71,7 @@ TEST(JobQueue, PerClassCapacityBoundsAdmission)
     EXPECT_TRUE(q.tryPush(makeJob(3, AdmitClass::Bulk)));
     EXPECT_TRUE(q.tryPush(makeJob(4, AdmitClass::Bulk)));
     EXPECT_FALSE(q.tryPush(makeJob(5, AdmitClass::Bulk)));
-    claimOne(q);
+    q.claim();
     EXPECT_TRUE(q.tryPush(makeJob(6))); // slot freed
 }
 
@@ -100,11 +93,11 @@ TEST(JobQueue, BulkJobsAreClaimedOneAtATime)
     for (uint64_t id = 1; id <= 3; ++id)
         ASSERT_TRUE(q.tryPush(makeJob(id, AdmitClass::Bulk)));
     for (uint64_t id = 1; id <= 3; ++id) {
-        std::shared_ptr<Job> job = claimOne(q);
+        std::shared_ptr<Job> job = q.claim();
         ASSERT_NE(job, nullptr);
         EXPECT_EQ(job->requestId, id);
         EXPECT_EQ(job->state.load(), JobState::Running);
-        EXPECT_EQ(q.depth(), 3 - id);
+        EXPECT_EQ(q.depth(AdmitClass::Bulk), 3 - id);
     }
 }
 
@@ -118,7 +111,7 @@ TEST(JobQueue, MismatchedBulkJobsKeepTheirTurn)
     ASSERT_TRUE(q.tryPush(other));
     ASSERT_TRUE(q.tryPush(makeJob(3, AdmitClass::Bulk, "164.gzip", 1)));
     for (uint64_t id = 1; id <= 3; ++id)
-        EXPECT_EQ(claimOne(q)->requestId, id);
+        EXPECT_EQ(q.claim()->requestId, id);
 }
 
 TEST(JobQueue, CloseRejectsPushesAndDrainsClaimers)
@@ -126,19 +119,18 @@ TEST(JobQueue, CloseRejectsPushesAndDrainsClaimers)
     JobQueue q(4, 4);
     ASSERT_TRUE(q.tryPush(makeJob(1)));
     q.close();
-    EXPECT_TRUE(q.closed());
     EXPECT_FALSE(q.tryPush(makeJob(2)));
     // Already-admitted work still drains...
-    EXPECT_NE(claimOne(q), nullptr);
+    EXPECT_NE(q.claim(), nullptr);
     // ...then claimers get null instead of blocking.
-    EXPECT_EQ(q.claim(1000ms), nullptr);
+    EXPECT_EQ(q.claim(), nullptr);
 }
 
 TEST(JobQueue, CloseWakesBlockedClaimer)
 {
     JobQueue q(4, 4);
     std::atomic<bool> gotNull{false};
-    std::thread claimer([&] { gotNull = q.claim(30000ms) == nullptr; });
+    std::thread claimer([&] { gotNull = q.claim() == nullptr; });
     std::this_thread::sleep_for(20ms);
     q.close();
     claimer.join();
@@ -158,7 +150,7 @@ TEST(JobQueue, CancelOnlyWhileQueued)
     auto claimed = makeJob(2);
     ASSERT_TRUE(q.tryPush(claimed));
     // The cancelled corpse is skipped; claim returns the live job.
-    std::shared_ptr<Job> next = claimOne(q);
+    std::shared_ptr<Job> next = q.claim();
     ASSERT_NE(next, nullptr);
     EXPECT_EQ(next->requestId, 2u);
     EXPECT_FALSE(q.cancel(claimed));
@@ -174,7 +166,7 @@ TEST(JobQueue, ClaimSkipsTimedOutCorpses)
     // Watchdog expired the queued job before any worker claimed it.
     ASSERT_TRUE(dead->tryTransition(JobState::Queued,
                                     JobState::TimedOut));
-    EXPECT_EQ(claimOne(q)->requestId, 2u);
+    EXPECT_EQ(q.claim()->requestId, 2u);
 }
 
 TEST(Job, TransitionIsExactlyOnce)
@@ -221,7 +213,7 @@ TEST(JobQueue, ClaimCancelTimeoutStress)
     std::vector<std::thread> threads;
     for (int w = 0; w < 2; ++w) { // claiming workers
         threads.emplace_back([&] {
-            while (q.claim(20ms))
+            while (q.claim())
                 ++claimed;
         });
     }
@@ -262,7 +254,8 @@ TEST(JobQueue, ClaimCancelTimeoutStress)
     }
     EXPECT_EQ(running, claimed.load());
     EXPECT_EQ(dead, cancelled.load() + timedOut.load());
-    EXPECT_EQ(q.depth(), 0u);
+    EXPECT_EQ(q.depth(AdmitClass::Interactive), 0u);
+    EXPECT_EQ(q.depth(AdmitClass::Bulk), 0u);
 }
 
 TEST(JobQueue, ConcurrentProducersConsumers)
@@ -276,7 +269,7 @@ TEST(JobQueue, ConcurrentProducersConsumers)
     std::vector<std::thread> consumers;
     for (int c = 0; c < 2; ++c) {
         consumers.emplace_back([&] {
-            while (std::shared_ptr<Job> job = q.claim(50ms)) {
+            while (std::shared_ptr<Job> job = q.claim()) {
                 idSum += job->requestId;
                 ++consumed;
             }

@@ -198,8 +198,8 @@ TEST(LatencyHistogram, MergeAddsBucketsAndBounds)
 TEST(LatencyHistogram, MergeMatchesCombinedSampling)
 {
     // Percentiles after a merge equal those of one histogram that saw
-    // every sample directly — the property the per-shard metrics rely
-    // on when the daemon folds shard stats into one snapshot.
+    // every sample directly — the property StatSet::merge relies on
+    // when it folds one set's histograms into another.
     LatencyHistogram combined, left, right;
     for (uint64_t v = 1; v <= 200; ++v) {
         combined.sample(v * 7);
@@ -219,12 +219,12 @@ TEST(StatSet, MergeFoldsCountersAndHistograms)
     a.counter("jobs.completed").inc(3);
     a.histogram("latency.totalMicros").sample(100);
     b.counter("jobs.completed").inc(2);
-    b.counter("shard.steals").inc(); // only in b
+    b.counter("jobs.failed").inc(); // only in b
     b.histogram("latency.totalMicros").sample(900);
     b.histogram("latency.simMicros").sample(4); // only in b
     a.merge(b);
     EXPECT_EQ(a.get("jobs.completed"), 5u);
-    EXPECT_EQ(a.get("shard.steals"), 1u);
+    EXPECT_EQ(a.get("jobs.failed"), 1u);
     EXPECT_EQ(a.histogram("latency.totalMicros").count(), 2u);
     EXPECT_EQ(a.histogram("latency.totalMicros").sum(), 1000u);
     EXPECT_EQ(a.histogram("latency.simMicros").count(), 1u);

@@ -54,17 +54,6 @@ TEST(RegionGen, SerializationRoundTripsByteIdentically)
     }
 }
 
-TEST(RegionGen, BackCompatShimMatchesGenerateRegion)
-{
-    RandomRegionOptions opts;
-    opts.minMemOps = 5;
-    opts.maxMemOps = 9;
-    opts.storeFraction = 0.7;
-    const Region a = randomRegion(11, opts);
-    const Region b = generateRegion(11, opts);
-    EXPECT_TRUE(regionsEquivalent(a, b));
-}
-
 TEST(RegionGen, GeneratedRegionsAreSoundForTheFullHorizon)
 {
     const RegionGenOptions opts;

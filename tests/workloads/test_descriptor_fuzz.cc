@@ -11,9 +11,9 @@
 
 #include "analysis/pipeline.hh"
 #include "cgra/simulator.hh"
-#include "harness/golden.hh"
 #include "mde/inserter.hh"
 #include "support/random.hh"
+#include "testing/reference.hh"
 #include "workloads/synthesizer.hh"
 
 namespace nachos {
@@ -85,7 +85,7 @@ TEST_P(DescriptorFuzz, SynthesisSoundAndGoldenEquivalent)
     }
 
     // Golden equivalence across all backends.
-    GoldenResult golden = goldenExecute(r, 5);
+    testing::ReferenceResult golden = testing::referenceExecute(r, 5);
     AliasAnalysisResult res = runAliasPipeline(r);
     MdeSet mdes = insertMdes(r, res.matrix);
     SimConfig cfg;

@@ -9,7 +9,7 @@
 # timing-only output).
 #
 # The final pass checks the serving plane: result lines served by a
-# sharded nachosd (region cache enabled) must be byte-identical to
+# two-worker nachosd (region cache enabled) must be byte-identical to
 # nachos_client --direct, which runs the same decode/run/encode path
 # in-process — on a cache miss, on a cache hit, and under a parallel
 # burst of identical requests.
@@ -75,12 +75,12 @@ for bench in $THREADED_BENCHES; do
     check "$bench" "$TMP/$bench.t1" "$TMP/$bench.t2" "1 vs 2 threads"
 done
 
-# Daemon vs direct: every result line a sharded daemon serves must be
+# Daemon vs direct: every result line a two-worker daemon serves must be
 # byte-identical to the in-process reference. Each client connection
 # numbers requests from 1, matching --direct's fixed id, so whole raw
 # lines compare with cmp. The first daemon run per workload misses the
 # region cache, the second hits it, and the parallel burst at the end
-# drives both shards at once.
+# drives both workers at once.
 BIN_DIR="$BENCH_DIR/../bin"
 NACHOSD_PID=
 stop_daemon() {
