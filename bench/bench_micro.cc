@@ -70,11 +70,11 @@ BM_MdeInsertion(benchmark::State &state)
 BENCHMARK(BM_MdeInsertion);
 
 /**
- * Per-simulation set-up of the firing plan: placement, operand network
- * and SimTables::build, which every SimCore pays before its first
- * event. Arg 0 = a suite region (183.equake, long address spines),
- * arg 1 = a small generated region (the fuzzer's typical case).
- * Items = plan builds.
+ * Building a region's firing plan (SimPlan: placement, operand network
+ * and SimTables::build), paid once per region and shared by every
+ * backend run of it. Arg 0 = a suite region (183.equake, long address
+ * spines), arg 1 = a small generated region (the fuzzer's typical
+ * case). Items = plan builds.
  */
 void
 BM_SimTablesBuild(benchmark::State &state)
@@ -86,12 +86,8 @@ BM_SimTablesBuild(benchmark::State &state)
             : testing::generateRegion(7, testing::RegionGenOptions{});
     const SimConfig cfg;
     for (auto _ : state) {
-        StatSet stats;
-        Placement placement(r, cfg.grid);
-        OperandNetwork net(placement, cfg.net, stats);
-        SimTables tables;
-        tables.build(r, placement, net);
-        benchmark::DoNotOptimize(tables.arenaSize());
+        const SimPlan plan(r, cfg.grid, cfg.net);
+        benchmark::DoNotOptimize(plan.tables().arenaSize());
     }
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
     state.SetLabel(std::to_string(r.numOps()) + " ops");

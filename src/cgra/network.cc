@@ -1,14 +1,12 @@
 #include "cgra/network.hh"
 
-#include "energy/model.hh"
+#include <algorithm>
 
 namespace nachos {
 
 OperandNetwork::OperandNetwork(const Placement &placement,
-                               const NetworkConfig &cfg, StatSet &stats)
-    : placement_(placement), cfg_(cfg),
-      transfers_(&stats.counter(energy_events::kNetworkTransfers)),
-      hops_(&stats.counter("net.hops"))
+                               const NetworkConfig &cfg)
+    : placement_(placement), cfg_(cfg)
 {}
 
 uint64_t
@@ -18,16 +16,6 @@ OperandNetwork::latency(OpId from, OpId to) const
     const uint64_t cycles =
         (hops + cfg_.hopsPerCycle - 1) / cfg_.hopsPerCycle;
     return std::max<uint64_t>(cycles, cfg_.minLatency);
-}
-
-void
-OperandNetwork::countTransfer(OpId from, OpId to)
-{
-    // Energy: the paper charges 600 fJ per *link* — one configured
-    // static-network route per dataflow edge (per-edge activation).
-    // Raw hop counts are kept as a separate diagnostic.
-    transfers_->inc();
-    hops_->inc(placement_.hops(from, to));
 }
 
 } // namespace nachos

@@ -1,8 +1,9 @@
 /**
  * @file
  * Static mesh operand network: values travel between function units
- * over pre-routed links; latency scales with Manhattan distance and
- * each traversed link costs energy (600 fJ/link, paper Figure 3).
+ * over pre-routed links; latency scales with Manhattan distance. Each
+ * traversed link costs energy (600 fJ/link, paper Figure 3); SimCore
+ * counts the transfers as it delivers operands.
  */
 
 #ifndef NACHOS_CGRA_NETWORK_HH
@@ -11,7 +12,6 @@
 #include <cstdint>
 
 #include "cgra/placement.hh"
-#include "support/stats.hh"
 
 namespace nachos {
 
@@ -22,28 +22,24 @@ struct NetworkConfig
     uint32_t hopsPerCycle = 4;
     /** Minimum transfer latency in cycles. */
     uint32_t minLatency = 1;
+
+    bool operator==(const NetworkConfig &) const = default;
 };
 
-/** Latency + energy model of the static operand network. */
+/** Latency model of the static operand network. */
 class OperandNetwork
 {
   public:
-    OperandNetwork(const Placement &placement, const NetworkConfig &cfg,
-                   StatSet &stats);
+    OperandNetwork(const Placement &placement, const NetworkConfig &cfg);
 
     /** Cycles for a value/token to travel from `from` to `to`. */
     uint64_t latency(OpId from, OpId to) const;
 
-    /** Account one value transfer (energy: hops * per-link cost). */
-    void countTransfer(OpId from, OpId to);
+    const NetworkConfig &config() const { return cfg_; }
 
   private:
     const Placement &placement_;
     NetworkConfig cfg_;
-    /** Handles resolved once at construction (hot path: no string
-     * building per transfer). */
-    Counter *transfers_;
-    Counter *hops_;
 };
 
 } // namespace nachos

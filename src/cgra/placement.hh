@@ -25,6 +25,8 @@ struct GridConfig
 {
     uint32_t rows = 32;
     uint32_t cols = 32;
+
+    bool operator==(const GridConfig &) const = default;
 };
 
 /** Grid coordinate of a mapped operation. */

@@ -60,4 +60,12 @@ SimTables::build(const Region &region, const Placement &placement,
         fanoutOffset[i + 1] += fanoutOffset[i];
 }
 
+SimPlan::SimPlan(const Region &region, const GridConfig &grid,
+                 const NetworkConfig &net)
+    : region_(region), placement_(region, grid),
+      network_(placement_, net)
+{
+    tables_.build(region, placement_, network_);
+}
+
 } // namespace nachos

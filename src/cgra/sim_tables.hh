@@ -1,11 +1,12 @@
 /**
  * @file
- * Static per-region simulation tables of SimCore's firing plan.
- * Everything here is a pure function of (region, placement, network
- * config): operand-arena prefix sums, initial pending-operand counts,
- * invocation-start seed events in program order, and the CSR operand
- * fan-out with cached route hop counts and latencies that eager
- * operand delivery walks (see DESIGN.md §15).
+ * SimCore's firing plan: the static per-region simulation tables.
+ * Everything here is a pure function of (region, grid, network
+ * config): placement, operand-arena prefix sums, initial
+ * pending-operand counts, invocation-start seed events in program
+ * order, and the CSR operand fan-out with cached route hop counts and
+ * latencies that eager operand delivery walks (see DESIGN.md §15).
+ * One SimPlan serves every backend run of its region.
  */
 
 #ifndef NACHOS_CGRA_SIM_TABLES_HH
@@ -64,6 +65,34 @@ struct SimTables
 
     /** Total operand slots (size of the operand-value arena). */
     uint32_t arenaSize() const { return inputOffset.back(); }
+};
+
+/**
+ * The firing plan of one (region, grid, network config): placement,
+ * operand network and SimTables, built once and borrowed read-only by
+ * every SimCore that simulates the region on that grid and network —
+ * whatever its backend, LSQ or memory configuration. The region must
+ * outlive the plan. Not copyable: the network refers to the plan's
+ * own placement.
+ */
+class SimPlan
+{
+  public:
+    SimPlan(const Region &region, const GridConfig &grid,
+            const NetworkConfig &net);
+    SimPlan(const SimPlan &) = delete;
+    SimPlan &operator=(const SimPlan &) = delete;
+
+    const Region &region() const { return region_; }
+    const Placement &placement() const { return placement_; }
+    const OperandNetwork &network() const { return network_; }
+    const SimTables &tables() const { return tables_; }
+
+  private:
+    const Region &region_;
+    Placement placement_;
+    OperandNetwork network_;
+    SimTables tables_;
 };
 
 } // namespace nachos

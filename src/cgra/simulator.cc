@@ -38,24 +38,21 @@ OrderingBackend::onForwardValue(OpId op, uint64_t cycle, int64_t value)
                  " but does not override onForwardValue");
 }
 
-SimCore::SimCore(const Region &region, const MdeSet &mdes,
+SimCore::SimCore(const SimPlan &plan, const MdeSet &mdes,
                  OrderingBackend &backend, const SimConfig &cfg,
                  HierarchyPool &pool)
-    : region_(region), mdes_(mdes), backend_(backend), cfg_(cfg),
-      placement_(region, cfg.grid), network_(placement_, cfg.net, stats_),
+    : plan_(plan), tables_(plan.tables()), region_(plan.region()),
+      mdes_(mdes), backend_(backend), cfg_(cfg),
       hierarchy_(pool.acquire(cfg.mem, stats_)),
       energyModel_(cfg.energy), trace_(!cfg.traceFile.empty())
 {
     NACHOS_ASSERT(region_.finalized(), "simulate a finalized region");
+    NACHOS_ASSERT(plan.placement().grid() == cfg.grid,
+                  "firing plan built for a different grid");
+    NACHOS_ASSERT(plan.network().config() == cfg.net,
+                  "firing plan built for a different operand network");
     backend_.attach(*this);
-    buildStaticTables();
-}
-
-void
-SimCore::buildStaticTables()
-{
     states_.resize(region_.numOps());
-    tables_.build(region_, placement_, network_);
     inputArena_.assign(tables_.arenaSize(), 0);
 
     netTransfers_ =
@@ -83,7 +80,7 @@ SimCore::scheduleForwardValue(uint64_t cycle, OpId to, int64_t value)
 uint64_t
 SimCore::netLatency(OpId from, OpId to) const
 {
-    return network_.latency(from, to);
+    return plan_.network().latency(from, to);
 }
 
 void
@@ -184,7 +181,7 @@ SimCore::performMemAccess(OpId op, uint64_t cycle)
         trace_.record({std::string(opKindName(o.kind)) + "#" +
                            std::to_string(op),
                        "memory", cycle, done - cycle,
-                       placement_.coordOf(op).row});
+                       plan_.placement().coordOf(op).row});
     }
     mlpChange(+1, cycle);
     events_.schedule(done, SimEvent{value, op, 0, EvKind::MemDone});
@@ -222,7 +219,7 @@ SimCore::completeLoadForwarded(OpId op, uint64_t cycle, int64_t value)
     }
     if (trace_.enabled()) {
         trace_.record({"forward#" + std::to_string(op), "forward",
-                       cycle, 1, placement_.coordOf(op).row});
+                       cycle, 1, plan_.placement().coordOf(op).row});
     }
     completeOp(op, cycle, value);
 }
@@ -310,7 +307,7 @@ SimCore::fireOp(OpId op, uint64_t cycle)
         trace_.record({std::string(opKindName(o.kind)) + "#" +
                            std::to_string(op),
                        "compute", cycle, fuLatency(o.kind),
-                       placement_.coordOf(op).row});
+                       plan_.placement().coordOf(op).row});
     }
     ++planEventsElided_; // the CompleteOp the event engine never sees
     completeAt(op, cycle + fuLatency(o.kind), evalFireValue(op));
@@ -568,8 +565,17 @@ SimResult
 simulate(const Region &region, const MdeSet &mdes, BackendKind kind,
          const SimConfig &cfg, HierarchyPool &pool)
 {
+    const SimPlan plan(region, cfg.grid, cfg.net);
+    return simulate(plan, mdes, kind, cfg, pool);
+}
+
+SimResult
+simulate(const SimPlan &plan, const MdeSet &mdes, BackendKind kind,
+         const SimConfig &cfg, HierarchyPool &pool)
+{
+    const Region &region = plan.region();
     const auto run = [&](OrderingBackend &backend) {
-        SimCore core(region, mdes, backend, cfg, pool);
+        SimCore core(plan, mdes, backend, cfg, pool);
         return core.run();
     };
     switch (kind) {

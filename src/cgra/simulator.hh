@@ -29,7 +29,7 @@
  * straight-line cascade at completion cycle = max arrival + FU
  * latency (cgra/sim_tables, DESIGN.md §15).
  *
- * Events are small typed records dispatched from a cycle-bucketed
+ * Events are small typed records dispatched from a cycle-indexed
  * CalendarQueue with no per-event allocation. Same-cycle events drain
  * a wave at a time and dispatch in a canonical content order
  * (kind, op, slot, value) — a pure function of event contents, so the
@@ -184,8 +184,12 @@ class SimCore
      * calls. A pooled acquire is observably identical to fresh
      * construction (tested); at most one SimCore may use a pool at a
      * time, and the pool must outlive the core.
+     *
+     * The core borrows `plan` (the region's placement and firing
+     * tables), whose grid and network must match `cfg`; the plan must
+     * outlive the core.
      */
-    SimCore(const Region &region, const MdeSet &mdes,
+    SimCore(const SimPlan &plan, const MdeSet &mdes,
             OrderingBackend &backend, const SimConfig &cfg,
             HierarchyPool &pool);
 
@@ -232,7 +236,7 @@ class SimCore
 
   private:
     /**
-     * Typed event record (16 bytes); cycle lives in the queue bucket.
+     * Typed event record (16 bytes); cycle lives in the queue ring.
      * The enum order IS the canonical intra-wave dispatch order: a
      * wave sorts on (kind, op, slot, value), a pure function of event
      * contents (nothing provenance- or sequence-derived), so the
@@ -276,13 +280,14 @@ class SimCore
         uint64_t addr = 0;
     };
 
+    const SimPlan &plan_;
+    /** Static firing tables: the plan's (cgra/sim_tables). */
+    const SimTables &tables_;
     const Region &region_;
     const MdeSet &mdes_;
     OrderingBackend &backend_;
     SimConfig cfg_;
     StatSet stats_;
-    Placement placement_;
-    OperandNetwork network_;
     /** The run's memory hierarchy: the pool's slot. */
     MemoryHierarchy &hierarchy_;
     EnergyModel energyModel_;
@@ -295,8 +300,6 @@ class SimCore
     std::vector<OpState> states_;
     /** Operand-value arena: op's slots at tables_.inputOffset[op]. */
     std::vector<int64_t> inputArena_;
-    /** Static firing tables (cgra/sim_tables). */
-    SimTables tables_;
     Counter *netTransfers_ = nullptr;
     Counter *netHops_ = nullptr;
     Counter *mdeMust_ = nullptr;
@@ -337,7 +340,6 @@ class SimCore
     }
     uint32_t numInputs(OpId op) const { return tables_.numInputs(op); }
 
-    void buildStaticTables();
     void dispatch(const SimEvent &ev);
     uint64_t runInvocation(uint64_t inv, uint64_t start_cycle);
     void seedInvocation(uint64_t start_cycle);
@@ -367,6 +369,17 @@ SimResult simulate(const Region &region, const MdeSet &mdes,
  * the construction cost differs.
  */
 SimResult simulate(const Region &region, const MdeSet &mdes,
+                   BackendKind kind, const SimConfig &cfg,
+                   HierarchyPool &pool);
+
+/**
+ * Plan variant: simulate `plan`'s region on a plan built once for it.
+ * Callers that run several backends or configurations of one region
+ * (the fuzzer, simulateRequest) share one plan across those runs;
+ * results are identical to the overloads above, which build a plan
+ * per call.
+ */
+SimResult simulate(const SimPlan &plan, const MdeSet &mdes,
                    BackendKind kind, const SimConfig &cfg,
                    HierarchyPool &pool);
 

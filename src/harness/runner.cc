@@ -46,15 +46,16 @@ simulateRequest(const BenchmarkInfo &info, const RunRequest &request,
                           ? request.invocationsOverride
                           : info.invocations;
     request.machine.applyTo(sim);
-    const Region &r = front.region;
+    // One firing plan serves all three backend runs.
+    const SimPlan plan(front.region, sim.grid, sim.net);
     const MdeSet &m = front.mdes;
     BackendResults out;
     if (request.runLsq)
-        out.lsq = simulate(r, m, BackendKind::OptLsq, sim, pool);
+        out.lsq = simulate(plan, m, BackendKind::OptLsq, sim, pool);
     if (request.runSw)
-        out.sw = simulate(r, m, BackendKind::NachosSw, sim, pool);
+        out.sw = simulate(plan, m, BackendKind::NachosSw, sim, pool);
     if (request.runNachos)
-        out.nachos = simulate(r, m, BackendKind::Nachos, sim, pool);
+        out.nachos = simulate(plan, m, BackendKind::Nachos, sim, pool);
     return out;
 }
 

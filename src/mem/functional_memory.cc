@@ -42,18 +42,25 @@ FunctionalMemory::findPage(uint64_t page_index) const
 FunctionalMemory::Page &
 FunctionalMemory::touchPage(uint64_t page_index)
 {
-    if (page_index == cachedIndex_)
-        return *cachedPage_;
-    std::unique_ptr<Page> &slot = pages_[page_index];
-    if (!slot) {
-        slot = std::make_unique<Page>();
-        std::memset(slot->written, 0, sizeof(slot->written));
-        // data[] is left uninitialized on purpose: the bitmap guards
-        // every read, and 4 KiB of memset per cold page would be the
-        // dominant cost for scattered footprints.
+    if (page_index != cachedIndex_) {
+        std::unique_ptr<Page> &slot = pages_[page_index];
+        if (!slot) {
+            slot = std::make_unique_for_overwrite<Page>();
+            std::memset(slot->written, 0, sizeof(slot->written));
+            slot->listed = false;
+            // data[] is left uninitialized on purpose: the bitmap
+            // guards every read, and 4 KiB of memset per cold page
+            // would be the dominant cost for scattered footprints.
+        }
+        cachedIndex_ = page_index;
+        cachedPage_ = slot.get();
     }
-    cachedIndex_ = page_index;
-    cachedPage_ = slot.get();
+    // The cached page may have been cached by a read (findPage), so
+    // it is not necessarily listed yet.
+    if (!cachedPage_->listed) {
+        cachedPage_->listed = true;
+        writtenPages_.push_back({page_index, cachedPage_});
+    }
     return *cachedPage_;
 }
 
@@ -156,25 +163,28 @@ FunctionalMemory::write(uint64_t addr, uint32_t size, int64_t value)
 void
 FunctionalMemory::reset()
 {
-    for (auto &[index, page] : pages_)
-        std::memset(page->written, 0, sizeof(page->written));
+    for (const ListedPage &p : writtenPages_) {
+        std::memset(p.page->written, 0, sizeof(p.page->written));
+        p.page->listed = false;
+    }
+    writtenPages_.clear();
     writtenBytes_ = 0;
 }
 
 std::vector<std::pair<uint64_t, uint8_t>>
 FunctionalMemory::image() const
 {
-    std::vector<uint64_t> indices;
-    indices.reserve(pages_.size());
-    for (const auto &[index, page] : pages_)
-        indices.push_back(index);
-    std::sort(indices.begin(), indices.end());
+    // The list's order is not observable elsewhere, so sort in place.
+    std::sort(writtenPages_.begin(), writtenPages_.end(),
+              [](const ListedPage &a, const ListedPage &b) {
+                  return a.index < b.index;
+              });
 
     std::vector<std::pair<uint64_t, uint8_t>> out;
     out.reserve(writtenBytes_);
-    for (const uint64_t index : indices) {
-        const Page &page = *pages_.at(index);
-        const uint64_t base = index * kPageBytes;
+    for (const ListedPage &p : writtenPages_) {
+        const Page &page = *p.page;
+        const uint64_t base = p.index * kPageBytes;
         for (uint32_t w = 0; w < kBitmapWords; ++w) {
             uint64_t bits = page.written[w];
             while (bits != 0) {

@@ -45,9 +45,9 @@ class FunctionalMemory
 
     /**
      * Forget all written state. Cost is proportional to the pages
-     * touched since construction, not to any address-space capacity;
-     * page storage is retained for reuse so reset-heavy callers do
-     * not churn the allocator.
+     * written since the last reset, not to every page ever touched or
+     * to any address-space capacity; page storage is retained for
+     * reuse so reset-heavy callers do not churn the allocator.
      */
     void reset();
 
@@ -56,7 +56,8 @@ class FunctionalMemory
 
     /**
      * Snapshot of all written bytes, sorted by address — used to
-     * compare final memory images across backends.
+     * compare final memory images across backends. Visits only the
+     * pages written since the last reset.
      */
     std::vector<std::pair<uint64_t, uint8_t>> image() const;
 
@@ -71,11 +72,23 @@ class FunctionalMemory
         uint8_t data[kPageBytes];
         /** Bit i set iff data[i] has been written. */
         uint64_t written[kBitmapWords];
+        /** True iff the page is on writtenPages_. */
+        bool listed;
+    };
+
+    /** A page written since the last reset. */
+    struct ListedPage
+    {
+        uint64_t index;
+        Page *page;
     };
 
     /** Page lookup through the last-page cache; nullptr if absent. */
     Page *findPage(uint64_t page_index) const;
-    /** Page lookup, creating (zero-bitmap) on first touch. */
+    /**
+     * Page lookup for a write, creating (zero-bitmap) on first touch
+     * and listing the page on writtenPages_.
+     */
     Page &touchPage(uint64_t page_index);
 
     uint8_t readByte(uint64_t addr) const;
@@ -84,6 +97,8 @@ class FunctionalMemory
     std::unordered_map<uint64_t, std::unique_ptr<Page>> pages_;
     mutable uint64_t cachedIndex_ = ~uint64_t{0};
     mutable Page *cachedPage_ = nullptr;
+    /** Pages written since the last reset; image() sorts it by index. */
+    mutable std::vector<ListedPage> writtenPages_;
     size_t writtenBytes_ = 0;
 };
 

@@ -1,8 +1,9 @@
 /**
  * @file
  * Calendar queue for discrete-event simulation: a ring of per-cycle
- * FIFO buckets (one vector per upcoming cycle, capacity reused across
- * cycles) plus an overflow min-heap for events beyond the ring window.
+ * FIFO lists threaded through one node slab (with a free list of node
+ * indices) plus an overflow min-heap for events beyond the ring
+ * window.
  *
  * Ordering contract — identical to a priority queue keyed on
  * (cycle, insertion sequence): events pop in non-decreasing cycle
@@ -10,11 +11,13 @@
  * scheduled (FIFO), including events scheduled *for the current cycle*
  * from within a handler while that cycle is draining.
  *
- * Why it is fast: schedule() and pop() are O(1) appends/reads into a
- * reused vector for any event within `BucketCount` cycles of now (the
- * common case: operand-network and cache latencies are tens of
- * cycles), with no per-event allocation; the heap is touched only by
- * far-future events (DRAM-miss completions when BucketCount is small).
+ * Why it is fast: schedule() and pop() are O(1) list appends/unlinks
+ * for any event within `BucketCount` cycles of now (the common case:
+ * operand-network and cache latencies are tens of cycles); nodes come
+ * from the free list, so storage is bounded by the peak number of
+ * pending events and a warm queue allocates nothing. The heap is
+ * touched only by far-future events (DRAM-miss completions when
+ * BucketCount is small).
  */
 
 #ifndef NACHOS_SUPPORT_EVENT_QUEUE_HH
@@ -60,10 +63,7 @@ class CalendarQueue
         ++size_;
         ++seq_;
         if (cycle - now_ < BucketCount) {
-            const size_t slot = cycle & (BucketCount - 1);
-            if (ring_[slot].empty())
-                markOccupied(slot);
-            ring_[slot].push_back(ev);
+            append(cycle & (BucketCount - 1), ev);
         } else {
             overflow_.push_back(OverflowEntry{cycle, seq_, ev});
             std::push_heap(overflow_.begin(), overflow_.end(),
@@ -73,9 +73,7 @@ class CalendarQueue
 
     /**
      * Move the clock back to `cycle` (<= now()). Only legal while the
-     * queue is empty: pop() leaves the just-drained bucket's storage,
-     * occupancy bit and cursor in place, so they are cleared here
-     * before the slot can be reused for a different cycle.
+     * queue is empty, when every ring list is empty too.
      */
     void
     rewind(uint64_t cycle)
@@ -84,10 +82,6 @@ class CalendarQueue
                       size_, " events pending)");
         NACHOS_ASSERT(cycle <= now_, "rewind forwards: cycle ", cycle,
                       " now ", now_);
-        const size_t slot = now_ & (BucketCount - 1);
-        ring_[slot].clear();
-        clearOccupied(slot);
-        cursor_ = 0;
         now_ = cycle;
     }
 
@@ -99,48 +93,44 @@ class CalendarQueue
     pop(Event &ev)
     {
         NACHOS_ASSERT(size_ > 0, "pop from empty event queue");
-        for (;;) {
-            std::vector<Event> &bucket = ring_[now_ & (BucketCount - 1)];
-            if (cursor_ < bucket.size()) {
-                ev = bucket[cursor_++];
-                --size_;
-                return now_;
-            }
-            bucket.clear();
-            clearOccupied(now_ & (BucketCount - 1));
-            cursor_ = 0;
-            advance();
-        }
+        const size_t slot = frontSlot();
+        const uint32_t node = head_[slot];
+        ev = nodes_[node].ev;
+        if (node == tail_[slot])
+            clearOccupied(slot);
+        else
+            head_[slot] = nodes_[node].next;
+        free_.push_back(node);
+        --size_;
+        return now_;
     }
 
     /**
-     * Drain every event currently enqueued for the earliest pending
-     * cycle into `out` (which must be empty) in FIFO order, and
-     * advance now() to that cycle. The bucket's storage is swapped
-     * into `out` — no per-event copy — leaving the slot empty, so
-     * events the caller schedules for that same cycle while
-     * processing the wave start a fresh bucket and the next drainWave
-     * at the same now() returns exactly the new batch. The caller's
-     * buffer and the ring slot ping-pong their capacity, so steady
-     * state allocates nothing. Must not be mixed with pop() within
-     * one drain (pop leaves a partially-consumed bucket behind) and
-     * must not be called on an empty queue.
+     * Append every event currently enqueued for the earliest pending
+     * cycle to `out` in FIFO order, and advance now() to that cycle.
+     * The cycle's nodes return to the free list, so events the caller
+     * schedules for that same cycle while processing the wave start a
+     * fresh list and the next drainWave at the same now() returns
+     * exactly the new batch. Mixing with pop() is fine: after a pop,
+     * drainWave returns the rest of that cycle. Must not be called on
+     * an empty queue.
      */
     uint64_t
     drainWave(std::vector<Event> &out)
     {
         NACHOS_ASSERT(size_ > 0, "drainWave from empty event queue");
-        NACHOS_ASSERT(cursor_ == 0, "drainWave after partial pop");
-        for (;;) {
-            std::vector<Event> &bucket = ring_[now_ & (BucketCount - 1)];
-            if (!bucket.empty()) {
-                bucket.swap(out);
-                size_ -= out.size();
-                clearOccupied(now_ & (BucketCount - 1));
-                return now_;
-            }
-            advance();
+        const size_t slot = frontSlot();
+        const uint32_t first = head_[slot];
+        const uint32_t last = tail_[slot];
+        for (uint32_t n = first;; n = nodes_[n].next) {
+            out.push_back(nodes_[n].ev);
+            free_.push_back(n);
+            --size_;
+            if (n == last)
+                break;
         }
+        clearOccupied(slot);
+        return now_;
     }
 
   private:
@@ -162,6 +152,45 @@ class CalendarQueue
         }
     };
 
+    /** List terminator for Node::next. */
+    static constexpr uint32_t kNil = ~uint32_t{0};
+
+    /** One pending ring event: a slab node linked into its cycle's
+     * FIFO list. */
+    struct Node
+    {
+        Event ev;
+        uint32_t next;
+    };
+
+    /** Append `ev` to ring slot `slot`'s FIFO list. */
+    void
+    append(size_t slot, const Event &ev)
+    {
+        uint32_t node;
+        if (!free_.empty()) {
+            node = free_.back();
+            free_.pop_back();
+            nodes_[node] = Node{ev, kNil};
+        } else {
+            node = static_cast<uint32_t>(nodes_.size());
+            nodes_.push_back(Node{ev, kNil});
+        }
+        if (isOccupied(slot)) {
+            nodes_[tail_[slot]].next = node;
+        } else {
+            markOccupied(slot);
+            head_[slot] = node;
+        }
+        tail_[slot] = node;
+    }
+
+    bool
+    isOccupied(size_t slot) const
+    {
+        return (occupied_[slot / 64] >> (slot % 64)) & 1;
+    }
+
     void
     markOccupied(size_t slot)
     {
@@ -177,7 +206,7 @@ class CalendarQueue
     /**
      * Cyclic distance from `from` to the next occupied ring slot
      * (searching slots from+1, from+2, ...), or 0 if the ring holds no
-     * events. `from`'s own bit has already been cleared by pop().
+     * events. `from`'s own list is empty when this is called.
      */
     size_t
     nextOccupiedDistance(size_t from) const
@@ -199,6 +228,18 @@ class CalendarQueue
             }
         }
         return 0;
+    }
+
+    /**
+     * Ring slot of the earliest pending cycle, advancing now() to it.
+     * The queue must not be empty.
+     */
+    size_t
+    frontSlot()
+    {
+        while (!isOccupied(now_ & (BucketCount - 1)))
+            advance();
+        return now_ & (BucketCount - 1);
     }
 
     /** Move the clock to the next cycle holding an event. */
@@ -228,21 +269,29 @@ class CalendarQueue
             std::pop_heap(overflow_.begin(), overflow_.end(),
                           OverflowLater{});
             const OverflowEntry &e = overflow_.back();
-            const size_t s = e.cycle & (BucketCount - 1);
-            if (ring_[s].empty())
-                markOccupied(s);
-            ring_[s].push_back(e.ev);
+            append(e.cycle & (BucketCount - 1), e.ev);
             overflow_.pop_back();
         }
     }
 
-    std::array<std::vector<Event>, BucketCount> ring_;
+    /** Node slab: the ring lists thread through it. */
+    std::vector<Node> nodes_;
+    /**
+     * Free node indices, used as a stack. A stack rather than a list
+     * threaded through Node::next: taking a node then needs no load
+     * from the node itself, which keeps back-to-back schedule() calls
+     * from serializing on each other (BM_EventQueuePushPop).
+     */
+    std::vector<uint32_t> free_;
+    /** Per-slot FIFO list ends; meaningful only while the slot's
+     * occupancy bit is set. */
+    std::array<uint32_t, BucketCount> head_{};
+    std::array<uint32_t, BucketCount> tail_{};
     std::array<uint64_t, BucketCount / 64> occupied_{};
     std::vector<OverflowEntry> overflow_;
     uint64_t now_ = 0;
     uint64_t seq_ = 0;
     size_t size_ = 0;
-    size_t cursor_ = 0;
 };
 
 } // namespace nachos

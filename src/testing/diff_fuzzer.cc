@@ -1,9 +1,10 @@
 #include "testing/diff_fuzzer.hh"
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "analysis/pipeline.hh"
 #include "cgra/simulator.hh"
@@ -158,26 +159,30 @@ checkRun(const Region &region, const ReferenceResult &ref,
 
     if (must.empty())
         return;
-    // Commit sequence per (invocation, op). Key fits 64 bits: op ids
-    // are dense and small.
-    std::unordered_map<uint64_t, std::pair<size_t, bool>> seq;
-    seq.reserve(res.memCommits.size());
+    // Commit sequence per (invocation, op), indexed by
+    // invocation * numOps + op: both are dense and small.
+    struct CommitSlot
+    {
+        size_t seq = SIZE_MAX; ///< SIZE_MAX: never committed
+        bool forwarded = false;
+    };
     const uint64_t num_ops = region.numOps();
+    std::vector<CommitSlot> seq(invocations * num_ops);
     for (size_t k = 0; k < res.memCommits.size(); ++k) {
         const MemCommit &c = res.memCommits[k];
         seq[c.invocation * num_ops + c.op] = {k, c.forwarded};
     }
     for (const auto &[older, younger] : must) {
         for (uint64_t inv = 0; inv < invocations; ++inv) {
-            auto o = seq.find(inv * num_ops + older);
-            auto y = seq.find(inv * num_ops + younger);
-            if (o == seq.end() || y == seq.end())
+            const CommitSlot &o = seq[inv * num_ops + older];
+            const CommitSlot &y = seq[inv * num_ops + younger];
+            if (o.seq == SIZE_MAX || y.seq == SIZE_MAX)
                 continue; // commit-count check already fired
             // A forwarded load never touched memory; the forward edge
             // itself is the ordering.
-            if (o->second.second || y->second.second)
+            if (o.forwarded || y.forwarded)
                 continue;
-            if (o->second.first > y->second.first) {
+            if (o.seq > y.seq) {
                 out.push_back(
                     {"must-order", backend,
                      "MUST pair op" + std::to_string(older) + " -> op" +
@@ -218,13 +223,16 @@ checkRegion(const Region &region, const FuzzOptions &opts)
     SimConfig cfg;
     cfg.invocations = opts.invocations;
     cfg.recordMemTrace = true;
+    // Every run below shares the grid and network, so one firing plan
+    // serves them all.
+    const SimPlan plan(region, cfg.grid, cfg.net);
 
     // Worker-thread-local hierarchy pool: it survives across runs and
     // cases, so hierarchy construction does not dominate every run.
     thread_local HierarchyPool pool;
     const auto run = [&](BackendKind kind, const SimConfig &c,
                          const std::string &label) {
-        SimResult result = simulate(region, mdes, kind, c, pool);
+        SimResult result = simulate(plan, mdes, kind, c, pool);
         checkRun(region, ref, result, label, opts.invocations, must, out);
         return result;
     };

@@ -2,6 +2,7 @@
 
 #include "cgra/network.hh"
 #include "cgra/placement.hh"
+#include "cgra/simulator.hh"
 #include "ir/builder.hh"
 
 namespace nachos {
@@ -66,9 +67,8 @@ TEST(Network, LatencyScalesWithDistance)
 {
     Region r = chainRegion(40);
     Placement p(r);
-    StatSet stats;
     NetworkConfig cfg;
-    OperandNetwork net(p, cfg, stats);
+    OperandNetwork net(p, cfg);
     // Adjacent ops: minimum latency.
     EXPECT_EQ(net.latency(1, 2), cfg.minLatency);
     // Distant ops: more cycles.
@@ -78,12 +78,30 @@ TEST(Network, LatencyScalesWithDistance)
 
 TEST(Network, TransferCountsHops)
 {
+    // Every operand transfer SimCore delivers counts one
+    // net.transfers and its route's hops into net.hops.
     Region r = chainRegion(4);
-    Placement p(r);
-    StatSet stats;
-    OperandNetwork net(p, {4, 1}, stats);
-    net.countTransfer(0, 1);
-    EXPECT_EQ(stats.get("net.hops"), p.hops(0, 1));
+    SimConfig cfg;
+    cfg.invocations = 3;
+    const SimPlan plan(r, cfg.grid, cfg.net);
+    uint64_t edges = 0;
+    uint64_t hops = 0;
+    for (const Operation &o : r.ops()) {
+        for (OpId user : r.users(o.id)) {
+            for (OpId operand : r.op(user).operands) {
+                if (operand != o.id)
+                    continue;
+                ++edges;
+                hops += plan.placement().hops(o.id, user);
+            }
+        }
+    }
+    ASSERT_GT(hops, 0u);
+    HierarchyPool pool;
+    const SimResult res =
+        simulate(plan, MdeSet(r), BackendKind::NachosSw, cfg, pool);
+    EXPECT_EQ(res.stats.get("net.transfers"), cfg.invocations * edges);
+    EXPECT_EQ(res.stats.get("net.hops"), cfg.invocations * hops);
 }
 
 } // namespace

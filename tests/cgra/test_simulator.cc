@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "analysis/pipeline.hh"
 #include "cgra/simulator.hh"
 #include "ir/builder.hh"
 #include "mde/inserter.hh"
+#include "testing/region_gen.hh"
 #include "workloads/suite.hh"
 
 namespace nachos {
@@ -83,6 +86,65 @@ TEST(Simulator, PooledSimulateMatchesFresh)
             }
         }
     }
+}
+
+/** Field-by-field equality of two runs' observable results. */
+void
+expectSameResult(const SimResult &a, const SimResult &b,
+                 const std::string &what)
+{
+    EXPECT_EQ(a.cycles, b.cycles) << what;
+    EXPECT_EQ(a.stats.dump(), b.stats.dump()) << what;
+    EXPECT_EQ(a.energy.compute, b.energy.compute) << what;
+    EXPECT_EQ(a.energy.mde, b.energy.mde) << what;
+    EXPECT_EQ(a.energy.lsqBloom, b.energy.lsqBloom) << what;
+    EXPECT_EQ(a.energy.lsqCam, b.energy.lsqCam) << what;
+    EXPECT_EQ(a.energy.l1, b.energy.l1) << what;
+    EXPECT_EQ(a.loadValueDigest, b.loadValueDigest) << what;
+    EXPECT_EQ(a.memImage, b.memImage) << what;
+    ASSERT_EQ(a.memCommits.size(), b.memCommits.size()) << what;
+    for (size_t i = 0; i < a.memCommits.size(); ++i) {
+        const MemCommit &x = a.memCommits[i];
+        const MemCommit &y = b.memCommits[i];
+        EXPECT_TRUE(x.op == y.op && x.invocation == y.invocation &&
+                    x.cycle == y.cycle && x.addr == y.addr &&
+                    x.forwarded == y.forwarded)
+            << what << " commit " << i;
+    }
+}
+
+// One SimPlan shared across the fuzzer's six backend runs (OPT-LSQ at
+// 1/2/4/8 banks, NACHOS-SW, NACHOS) must give exactly the results of
+// building a plan per run.
+TEST(Simulator, SharedPlanMatchesPerRunPlans)
+{
+    HierarchyPool pool;
+    SimConfig cfg = smallConfig(6);
+    cfg.recordMemTrace = true;
+    const auto check = [&](const Region &r, const std::string &name) {
+        const AliasAnalysisResult analysis = runAliasPipeline(r);
+        const MdeSet mdes = insertMdes(r, analysis.matrix);
+        const SimPlan plan(r, cfg.grid, cfg.net);
+        const auto both = [&](BackendKind kind, const SimConfig &c,
+                              const std::string &label) {
+            const SimResult shared = simulate(plan, mdes, kind, c, pool);
+            const SimResult own = simulate(r, mdes, kind, c, pool);
+            expectSameResult(shared, own, name + "/" + label);
+        };
+        for (uint32_t banks : {1u, 2u, 4u, 8u}) {
+            SimConfig lsq = cfg;
+            lsq.lsq.banks = banks;
+            both(BackendKind::OptLsq, lsq,
+                 "lsq" + std::to_string(banks));
+        }
+        both(BackendKind::NachosSw, cfg, "sw");
+        both(BackendKind::Nachos, cfg, "nachos");
+    };
+    for (uint64_t seed = 1; seed <= 200; ++seed) {
+        check(testing::generateRegion(seed, testing::RegionGenOptions{}),
+              "seed" + std::to_string(seed));
+    }
+    check(synthesizeRegion(benchmarkByName("art")), "art");
 }
 
 TEST(Simulator, DeterministicAcrossRuns)

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "mem/functional_memory.hh"
 
 namespace nachos {
@@ -57,6 +60,35 @@ TEST(FunctionalMemory, ImageSortedByAddress)
     ASSERT_EQ(img.size(), 2u);
     EXPECT_EQ(img[0].first, 0x100u);
     EXPECT_EQ(img[1].first, 0x9000u);
+}
+
+TEST(FunctionalMemory, ImageAfterResetHoldsOnlyThisRunsWrites)
+{
+    // reset() and image() visit only the pages written since the last
+    // reset. Page B is re-cached by a read before it is written again,
+    // so the write must still list it.
+    constexpr uint64_t kA = 0x1000, kB = 0x2000, kC = 0x3000,
+                       kD = 0x4000;
+    FunctionalMemory mem;
+    mem.write(kA + 8, 8, 1);
+    mem.write(kB + 8, 8, 2);
+    mem.write(kC + 8, 8, 3);
+    mem.reset();
+
+    (void)mem.read(kB + 8, 8);
+    mem.write(kB + 16, 8, 0x0807060504030201);
+    mem.write(kD + 32, 4, 0x0c0b0a09);
+    std::vector<std::pair<uint64_t, uint8_t>> want;
+    for (uint8_t i = 0; i < 8; ++i)
+        want.emplace_back(kB + 16 + i, static_cast<uint8_t>(1 + i));
+    for (uint8_t i = 0; i < 4; ++i)
+        want.emplace_back(kD + 32 + i, static_cast<uint8_t>(9 + i));
+    EXPECT_EQ(mem.image(), want);
+    EXPECT_EQ(mem.footprint(), want.size());
+
+    mem.reset();
+    EXPECT_TRUE(mem.image().empty());
+    EXPECT_EQ(mem.footprint(), 0u);
 }
 
 TEST(FunctionalMemoryDeathTest, BadSizePanics)
