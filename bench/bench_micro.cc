@@ -8,8 +8,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include <functional>
-#include <queue>
+#include <vector>
 
 #include "analysis/pipeline.hh"
 #include "cgra/sim_tables.hh"
@@ -120,9 +119,11 @@ BENCHMARK(BM_SimulatorInvocation)
     ->Arg(2); // NACHOS
 
 /**
- * Event-queue push/pop throughput: the typed-record CalendarQueue the
- * simulator dispatches from. The schedule pattern mimics the hot path
- * (mixed near-future latencies, occasional DRAM-distance completions).
+ * Event-queue schedule/drain throughput: the typed-record CalendarQueue
+ * the simulator dispatches from. The schedule pattern mimics the hot
+ * path (mixed near-future latencies, occasional DRAM-distance
+ * completions); ops arrive out of order, so same-cycle events take the
+ * ordered-insert paths as well as the tail append.
  */
 void
 BM_EventQueuePushPop(benchmark::State &state)
@@ -131,73 +132,36 @@ BM_EventQueuePushPop(benchmark::State &state)
     {
         int64_t value;
         uint32_t op;
-        uint32_t slot;
     };
-    constexpr int kBatch = 64;
-    CalendarQueue<Ev> queue;
+    struct EvBefore
+    {
+        bool
+        operator()(const Ev &a, const Ev &b) const
+        {
+            return a.op != b.op ? a.op < b.op : a.value < b.value;
+        }
+    };
+    constexpr uint32_t kBatch = 64;
+    CalendarQueue<Ev, EvBefore> queue;
+    std::vector<Ev> wave;
     uint64_t scheduled = 0;
     for (auto _ : state) {
-        Ev ev;
         for (uint32_t i = 0; i < kBatch; ++i) {
             // Latency mix: mesh hops (1-16), L1 (3), DRAM-ish (228).
             const uint64_t lat = (i % 8 == 0) ? 228 : 1 + (i % 16);
             queue.schedule(queue.now() + lat,
-                           {static_cast<int64_t>(i), i, 0});
+                           {static_cast<int64_t>(i), (i * 37) % kBatch});
             ++scheduled;
         }
-        for (int i = 0; i < kBatch; ++i)
-            benchmark::DoNotOptimize(queue.pop(ev));
+        while (!queue.empty()) {
+            wave.clear();
+            benchmark::DoNotOptimize(queue.drainWave(wave));
+            benchmark::DoNotOptimize(wave.data());
+        }
     }
     state.SetItemsProcessed(static_cast<int64_t>(scheduled));
 }
 BENCHMARK(BM_EventQueuePushPop);
-
-/**
- * The engine the CalendarQueue replaced: heap-allocated std::function
- * events through a std::priority_queue ordered by (cycle, seq) — kept
- * as the before/after yardstick for the event-engine overhaul.
- */
-void
-BM_LegacyFunctionQueue(benchmark::State &state)
-{
-    struct Event
-    {
-        uint64_t cycle;
-        uint64_t seq;
-        std::function<void()> fn;
-        bool
-        operator>(const Event &other) const
-        {
-            return cycle != other.cycle ? cycle > other.cycle
-                                        : seq > other.seq;
-        }
-    };
-    constexpr int kBatch = 64;
-    std::priority_queue<Event, std::vector<Event>, std::greater<Event>>
-        queue;
-    uint64_t seq = 0;
-    uint64_t now = 0;
-    uint64_t sink = 0;
-    uint64_t scheduled = 0;
-    for (auto _ : state) {
-        for (uint32_t i = 0; i < kBatch; ++i) {
-            const uint64_t lat = (i % 8 == 0) ? 228 : 1 + (i % 16);
-            const uint64_t value = i;
-            queue.push(Event{now + lat, seq++,
-                             [&sink, value] { sink += value; }});
-            ++scheduled;
-        }
-        for (int i = 0; i < kBatch; ++i) {
-            const Event &top = queue.top();
-            now = top.cycle;
-            top.fn();
-            queue.pop();
-        }
-    }
-    benchmark::DoNotOptimize(sink);
-    state.SetItemsProcessed(static_cast<int64_t>(scheduled));
-}
-BENCHMARK(BM_LegacyFunctionQueue);
 
 /**
  * Operand fan-out delivery: one producer feeding `range(0)` consumers

@@ -33,7 +33,11 @@ LsqBackend::beginInvocation(uint64_t inv)
         lsq_->reset();
     }
     dyn_.assign(n, {});
-    parked_.assign(n, {});
+    // Clear in place: each store's parked-load buffer survives into the
+    // next invocation instead of being freed and grown again.
+    parked_.resize(n);
+    for (std::vector<ParkedLoad> &parked : parked_)
+        parked.clear();
 }
 
 void

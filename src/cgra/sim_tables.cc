@@ -1,5 +1,8 @@
 #include "cgra/sim_tables.hh"
 
+#include "cgra/function_unit.hh"
+#include "support/logging.hh"
+
 namespace nachos {
 
 void
@@ -12,7 +15,14 @@ SimTables::build(const Region &region, const Placement &placement,
     inputOffset.assign(n + 1, 0);
     initialPendingAll.assign(n, 0);
     initialPendingAddr.assign(n, 0);
+    opInfo.assign(n, {});
     for (const auto &o : region.ops()) {
+        NACHOS_ASSERT(o.operands.size() < kNoAddrSlot,
+                      "op ", o.id, " has too many operands");
+        opInfo[o.id] = {o.kind, static_cast<uint8_t>(fuLatency(o.kind)),
+                        o.isMem() ? static_cast<uint16_t>(
+                                        o.firstAddrOperand())
+                                  : kNoAddrSlot};
         inputOffset[o.id + 1] = static_cast<uint32_t>(o.operands.size());
         initialPendingAll[o.id] =
             static_cast<uint32_t>(o.operands.size());
@@ -24,13 +34,17 @@ SimTables::build(const Region &region, const Placement &placement,
     for (size_t i = 0; i < n; ++i)
         inputOffset[i + 1] += inputOffset[i];
 
-    // Invocation-start events, in program order: a mem op whose address
-    // needs no operands fires noteAddrReady, a source op (no operands)
-    // fires opInputsComplete — the same op can fire both, in that order.
+    // Invocation-start events: a mem op whose address needs no
+    // operands fires noteAddrReady, a source op (no operands) fires
+    // opInputsComplete — the same op can fire both. All land in one
+    // wave, so list them in its canonical order: AddrReady events by
+    // op, then InputsReady events by op.
     seedEvents.clear();
     for (const auto &o : region.ops()) {
         if (o.isMem() && initialPendingAddr[o.id] == 0)
             seedEvents.push_back({o.id, /*addrSeed=*/true});
+    }
+    for (const auto &o : region.ops()) {
         if (initialPendingAll[o.id] == 0)
             seedEvents.push_back({o.id, /*addrSeed=*/false});
     }

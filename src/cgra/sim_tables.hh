@@ -3,7 +3,7 @@
  * SimCore's firing plan: the static per-region simulation tables.
  * Everything here is a pure function of (region, grid, network
  * config): placement, operand-arena prefix sums, initial
- * pending-operand counts, invocation-start seed events in program
+ * pending-operand counts, invocation-start seed events in wave
  * order, and the CSR operand fan-out with cached route hop counts and
  * latencies that eager operand delivery walks (see DESIGN.md §15).
  * One SimPlan serves every backend run of its region.
@@ -34,10 +34,12 @@ struct SimTables
     };
 
     /**
-     * Invocation-start event, in program order: `addrSeed` fires
-     * noteAddrReady (mem op with no address operands), otherwise
-     * opInputsComplete (source op with no operands at all). The same
-     * op can appear twice, addr seed first.
+     * Invocation-start event: `addrSeed` fires noteAddrReady (mem op
+     * with no address operands), otherwise opInputsComplete (source op
+     * with no operands at all). The same op can appear twice. Listed
+     * in the order the first wave dispatches them (every addr seed,
+     * then every inputs seed, each by op id), so seeding an invocation
+     * appends to the event queue's list in order.
      */
     struct SeedEvent
     {
@@ -45,6 +47,24 @@ struct SimTables
         bool addrSeed = false;
     };
 
+    /** firstAddrSlot of an op without address operands: no operand
+     * slot reaches it. */
+    static constexpr uint16_t kNoAddrSlot = 0xffff;
+
+    /**
+     * Dense per-op record of what operand delivery and pure-op firing
+     * read for every delivered operand and fired op, so the hot path
+     * loads neither the wide Operation nor calls fuLatency.
+     */
+    struct OpInfo
+    {
+        OpKind kind = OpKind::Const;
+        uint8_t fuLatency = 0;
+        /** Mem ops: the first address operand slot; else kNoAddrSlot. */
+        uint16_t firstAddrSlot = kNoAddrSlot;
+    };
+
+    std::vector<OpInfo> opInfo;
     /** Operand-value arena offsets: op's slots at inputOffset[op]. */
     std::vector<uint32_t> inputOffset; ///< numOps + 1 prefix sums
     std::vector<uint32_t> initialPendingAll;

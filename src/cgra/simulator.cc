@@ -67,14 +67,14 @@ SimCore::SimCore(const SimPlan &plan, const MdeSet &mdes,
 void
 SimCore::scheduleOrderToken(uint64_t cycle, OpId to)
 {
-    events_.schedule(cycle, SimEvent{0, to, 0, EvKind::OrderToken});
+    events_.schedule(cycle, SimEvent{0, to, EvKind::OrderToken});
 }
 
 void
 SimCore::scheduleForwardValue(uint64_t cycle, OpId to, int64_t value)
 {
     events_.schedule(cycle,
-                     SimEvent{value, to, 0, EvKind::ForwardValue});
+                     SimEvent{value, to, EvKind::ForwardValue});
 }
 
 uint64_t
@@ -147,7 +147,7 @@ SimCore::performMemAccess(OpId op, uint64_t cycle)
     // Functional ordering correctness requires the access to happen
     // while the event clock is at `cycle`; defer if called early.
     if (cycle > now_) {
-        events_.schedule(cycle, SimEvent{0, op, 0, EvKind::MemPerform});
+        events_.schedule(cycle, SimEvent{0, op, EvKind::MemPerform});
         return;
     }
     NACHOS_ASSERT(cycle == now_, "performMemAccess in the past: op ",
@@ -184,7 +184,7 @@ SimCore::performMemAccess(OpId op, uint64_t cycle)
                        plan_.placement().coordOf(op).row});
     }
     mlpChange(+1, cycle);
-    events_.schedule(done, SimEvent{value, op, 0, EvKind::MemDone});
+    events_.schedule(done, SimEvent{value, op, EvKind::MemDone});
 }
 
 void
@@ -192,7 +192,7 @@ SimCore::completeLoadForwarded(OpId op, uint64_t cycle, int64_t value)
 {
     if (cycle > now_) {
         events_.schedule(cycle,
-                         SimEvent{value, op, 0, EvKind::LoadForward});
+                         SimEvent{value, op, EvKind::LoadForward});
         return;
     }
     NACHOS_ASSERT(cycle == now_, "completeLoadForwarded in the past: ",
@@ -260,7 +260,7 @@ SimCore::opInputsComplete(OpId op, uint64_t cycle)
             const uint64_t done = hierarchy_.scratchpadAccess(
                 st.addr, o.isStore(), ready);
             events_.schedule(done,
-                             SimEvent{value, op, 0, EvKind::CompleteOp});
+                             SimEvent{value, op, EvKind::CompleteOp});
         } else {
             backend_.memFullyReady(op, ready);
         }
@@ -301,16 +301,16 @@ SimCore::evalFireValue(OpId op)
 void
 SimCore::fireOp(OpId op, uint64_t cycle)
 {
-    const Operation &o = region_.op(op);
-    countFuExecution(o.kind, *intOps_, *fpOps_);
-    if (trace_.enabled() && fuLatency(o.kind) > 0) {
-        trace_.record({std::string(opKindName(o.kind)) + "#" +
+    const SimTables::OpInfo &info = tables_.opInfo[op];
+    countFuExecution(info.kind, *intOps_, *fpOps_);
+    if (trace_.enabled() && info.fuLatency > 0) {
+        trace_.record({std::string(opKindName(info.kind)) + "#" +
                            std::to_string(op),
-                       "compute", cycle, fuLatency(o.kind),
+                       "compute", cycle, info.fuLatency,
                        plan_.placement().coordOf(op).row});
     }
     ++planEventsElided_; // the CompleteOp the event engine never sees
-    completeAt(op, cycle + fuLatency(o.kind), evalFireValue(op));
+    completeAt(op, cycle + info.fuLatency, evalFireValue(op));
 }
 
 /**
@@ -326,8 +326,6 @@ SimCore::completeAt(OpId op, uint64_t cycle, int64_t value)
     OpState &st = states_[op];
     NACHOS_ASSERT(!st.completed, "op ", op, " completed twice");
     st.completed = true;
-    st.completeCycle = cycle;
-    st.value = value;
     if (!criticalSeen_ || cycle > invocationEnd_) {
         criticalOp_ = op;
         criticalSeen_ = true;
@@ -380,7 +378,7 @@ void
 SimCore::deliverOperand(OpId op, uint32_t slot, uint64_t arrival,
                         int64_t value)
 {
-    const Operation &o = region_.op(op);
+    const SimTables::OpInfo &info = tables_.opInfo[op];
     OpState &st = states_[op];
     NACHOS_ASSERT(slot < numInputs(op), "operand slot range");
     inputs(op)[slot] = value;
@@ -388,21 +386,21 @@ SimCore::deliverOperand(OpId op, uint32_t slot, uint64_t arrival,
     NACHOS_ASSERT(st.pendingAllInputs > 0, "operand delivery underflow");
     --st.pendingAllInputs;
 
-    if (o.isMem() && slot >= o.firstAddrOperand()) {
+    if (slot >= info.firstAddrSlot) {
         NACHOS_ASSERT(st.pendingAddrInputs > 0,
                       "addr delivery underflow");
         --st.pendingAddrInputs;
         st.addrReadyCycle = std::max(st.addrReadyCycle, arrival);
         if (st.pendingAddrInputs == 0) {
             events_.schedule(st.addrReadyCycle,
-                             SimEvent{0, op, 0, EvKind::AddrReady});
+                             SimEvent{0, op, EvKind::AddrReady});
         }
     }
     if (st.pendingAllInputs != 0)
         return;
-    if (o.isMem()) {
+    if (isMemKind(info.kind)) {
         events_.schedule(st.readyCycle,
-                         SimEvent{0, op, 0, EvKind::InputsReady});
+                         SimEvent{0, op, EvKind::InputsReady});
     } else {
         fireOp(op, st.readyCycle);
     }
@@ -428,7 +426,7 @@ SimCore::seedInvocation(uint64_t start_cycle)
 
     for (const SimTables::SeedEvent &s : tables_.seedEvents) {
         events_.schedule(start_cycle,
-                         SimEvent{0, s.op, 0,
+                         SimEvent{0, s.op,
                                   s.addrSeed ? EvKind::AddrReady
                                              : EvKind::InputsReady});
     }
@@ -466,24 +464,6 @@ SimCore::dispatch(const SimEvent &ev)
     }
 }
 
-namespace {
-
-/** Canonical intra-wave order: a pure function of event contents. */
-template <typename Ev>
-bool
-eventBefore(const Ev &a, const Ev &b)
-{
-    if (a.kind != b.kind)
-        return a.kind < b.kind;
-    if (a.op != b.op)
-        return a.op < b.op;
-    if (a.slot != b.slot)
-        return a.slot < b.slot;
-    return a.value < b.value;
-}
-
-} // namespace
-
 uint64_t
 SimCore::runInvocation(uint64_t inv, uint64_t start_cycle)
 {
@@ -493,14 +473,11 @@ SimCore::runInvocation(uint64_t inv, uint64_t start_cycle)
     seedInvocation(start_cycle);
 
     // Wave dispatch: drain everything pending for the earliest cycle,
-    // sort it into the canonical content order, dispatch; same-cycle
-    // events scheduled by those handlers form the next wave. Ties are
-    // byte-identical events, so plain sort is deterministic.
+    // already in canonical order, and dispatch it; same-cycle events
+    // scheduled by those handlers form the next wave.
     while (!events_.empty()) {
         waveBuf_.clear();
         now_ = events_.drainWave(waveBuf_);
-        std::sort(waveBuf_.begin(), waveBuf_.end(),
-                  eventBefore<SimEvent>);
         planEventsDispatched_ += waveBuf_.size();
         for (const SimEvent &ev : waveBuf_)
             dispatch(ev);

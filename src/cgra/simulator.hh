@@ -31,8 +31,8 @@
  *
  * Events are small typed records dispatched from a cycle-indexed
  * CalendarQueue with no per-event allocation. Same-cycle events drain
- * a wave at a time and dispatch in a canonical content order
- * (kind, op, slot, value) — a pure function of event contents, so the
+ * a wave at a time, already in a canonical content order
+ * (kind, op, value) — a pure function of event contents, so the
  * dispatch schedule cannot depend on the order handlers scheduled
  * them.
  */
@@ -237,13 +237,13 @@ class SimCore
   private:
     /**
      * Typed event record (16 bytes); cycle lives in the queue ring.
-     * The enum order IS the canonical intra-wave dispatch order: a
-     * wave sorts on (kind, op, slot, value), a pure function of event
-     * contents (nothing provenance- or sequence-derived), so the
-     * dispatch schedule cannot depend on which handler scheduled an
-     * event first. AddrReady sorting before InputsReady is load-
-     * bearing: when both land in one wave the address must resolve
-     * before the op is declared fully ready.
+     * The enum order IS the canonical intra-wave dispatch order: the
+     * queue keeps each cycle's events ordered on (kind, op, value), a
+     * pure function of event contents (nothing provenance- or
+     * sequence-derived), so the dispatch schedule cannot depend on
+     * which handler scheduled an event first. AddrReady ordering
+     * before InputsReady is load-bearing: when both land in one wave
+     * the address must resolve before the op is declared fully ready.
      */
     enum class EvKind : uint8_t
     {
@@ -261,8 +261,22 @@ class SimCore
     {
         int64_t value = 0;
         uint32_t op = 0;
-        uint16_t slot = 0;
         EvKind kind = EvKind::InputsReady;
+    };
+
+    /** Canonical intra-wave order: (kind, op, value). Equivalent
+     * events are byte-identical, so the order is total in effect. */
+    struct EventBefore
+    {
+        bool
+        operator()(const SimEvent &a, const SimEvent &b) const
+        {
+            if (a.kind != b.kind)
+                return a.kind < b.kind;
+            if (a.op != b.op)
+                return a.op < b.op;
+            return a.value < b.value;
+        }
     };
 
     /** Per-invocation dynamic op state (POD; reset by assignment). */
@@ -275,8 +289,6 @@ class SimCore
         bool addrNotified = false;
         bool completed = false;
         bool performed = false;
-        int64_t value = 0;
-        uint64_t completeCycle = 0;
         uint64_t addr = 0;
     };
 
@@ -292,9 +304,9 @@ class SimCore
     MemoryHierarchy &hierarchy_;
     EnergyModel energyModel_;
 
-    CalendarQueue<SimEvent> events_;
+    CalendarQueue<SimEvent, EventBefore> events_;
     uint64_t now_ = 0;
-    /** Current wave's events (drained, then canonically sorted). */
+    /** Current wave's events, in canonical order. */
     std::vector<SimEvent> waveBuf_;
 
     std::vector<OpState> states_;

@@ -1,23 +1,24 @@
 /**
  * @file
  * Calendar queue for discrete-event simulation: a ring of per-cycle
- * FIFO lists threaded through one node slab (with a free list of node
+ * lists threaded through one node slab (with a free list of node
  * indices) plus an overflow min-heap for events beyond the ring
  * window.
  *
- * Ordering contract — identical to a priority queue keyed on
- * (cycle, insertion sequence): events pop in non-decreasing cycle
- * order, and events for the same cycle pop in the order they were
- * scheduled (FIFO), including events scheduled *for the current cycle*
- * from within a handler while that cycle is draining.
+ * Ordering contract: drainWave() hands back every event pending for
+ * the earliest cycle, ordered by `Before` — the order is a pure
+ * function of event contents, whatever order they were scheduled in.
+ * Events a handler schedules for the current cycle while a wave is
+ * being processed form the next wave at the same cycle.
  *
- * Why it is fast: schedule() and pop() are O(1) list appends/unlinks
- * for any event within `BucketCount` cycles of now (the common case:
- * operand-network and cache latencies are tens of cycles); nodes come
- * from the free list, so storage is bounded by the peak number of
- * pending events and a warm queue allocates nothing. The heap is
- * touched only by far-future events (DRAM-miss completions when
- * BucketCount is small).
+ * Why it is fast: each ring slot's list is kept in `Before` order as
+ * events arrive. schedule() checks the list tail first, so an
+ * in-order schedule is an O(1) append; otherwise the node goes to the
+ * head or walks to its place (waves are short). Nodes come from the
+ * free list, so storage is bounded by the peak number of pending
+ * events and a warm queue allocates nothing. The heap is touched only
+ * by far-future events (DRAM-miss completions when BucketCount is
+ * small); they migrate into the ring through the same ordered insert.
  */
 
 #ifndef NACHOS_SUPPORT_EVENT_QUEUE_HH
@@ -35,11 +36,14 @@ namespace nachos {
 
 /**
  * @tparam Event   small trivially-copyable record stored by value
+ * @tparam Before  stateless strict weak order on events: the
+ *         within-cycle order drainWave() returns (equivalent events
+ *         keep their scheduling order)
  * @tparam BucketCount ring size in cycles; must be a power of two and
  *         a multiple of 64. Events scheduled further ahead than this
  *         overflow into a heap and migrate back as the clock advances.
  */
-template <typename Event, size_t BucketCount = 1024>
+template <typename Event, typename Before, size_t BucketCount = 1024>
 class CalendarQueue
 {
     static_assert((BucketCount & (BucketCount - 1)) == 0,
@@ -48,7 +52,7 @@ class CalendarQueue
                   "BucketCount must be a multiple of 64");
 
   public:
-    /** Current simulation cycle (the cycle of the last pop). */
+    /** Current simulation cycle (the cycle of the last drained wave). */
     uint64_t now() const { return now_; }
 
     bool empty() const { return size_ == 0; }
@@ -61,68 +65,31 @@ class CalendarQueue
         NACHOS_ASSERT(cycle >= now_, "scheduled into the past: cycle ",
                       cycle, " now ", now_);
         ++size_;
-        ++seq_;
         if (cycle - now_ < BucketCount) {
-            append(cycle & (BucketCount - 1), ev);
+            insert(cycle & (BucketCount - 1), ev);
         } else {
-            overflow_.push_back(OverflowEntry{cycle, seq_, ev});
+            overflow_.push_back(OverflowEntry{cycle, ev});
             std::push_heap(overflow_.begin(), overflow_.end(),
                            OverflowLater{});
         }
     }
 
     /**
-     * Move the clock back to `cycle` (<= now()). Only legal while the
-     * queue is empty, when every ring list is empty too.
-     */
-    void
-    rewind(uint64_t cycle)
-    {
-        NACHOS_ASSERT(size_ == 0, "rewind of a non-empty event queue (",
-                      size_, " events pending)");
-        NACHOS_ASSERT(cycle <= now_, "rewind forwards: cycle ", cycle,
-                      " now ", now_);
-        now_ = cycle;
-    }
-
-    /**
-     * Remove and return the earliest event, advancing now() to its
-     * cycle. Must not be called on an empty queue.
-     */
-    uint64_t
-    pop(Event &ev)
-    {
-        NACHOS_ASSERT(size_ > 0, "pop from empty event queue");
-        const size_t slot = frontSlot();
-        const uint32_t node = head_[slot];
-        ev = nodes_[node].ev;
-        if (node == tail_[slot])
-            clearOccupied(slot);
-        else
-            head_[slot] = nodes_[node].next;
-        free_.push_back(node);
-        --size_;
-        return now_;
-    }
-
-    /**
      * Append every event currently enqueued for the earliest pending
-     * cycle to `out` in FIFO order, and advance now() to that cycle.
-     * The cycle's nodes return to the free list, so events the caller
-     * schedules for that same cycle while processing the wave start a
-     * fresh list and the next drainWave at the same now() returns
-     * exactly the new batch. Mixing with pop() is fine: after a pop,
-     * drainWave returns the rest of that cycle. Must not be called on
-     * an empty queue.
+     * cycle to `out` in `Before` order, and advance now() to that
+     * cycle. The cycle's nodes return to the free list, so events the
+     * caller schedules for that same cycle while processing the wave
+     * start a fresh list and the next drainWave at the same now()
+     * returns exactly the new batch. Must not be called on an empty
+     * queue.
      */
     uint64_t
     drainWave(std::vector<Event> &out)
     {
         NACHOS_ASSERT(size_ > 0, "drainWave from empty event queue");
         const size_t slot = frontSlot();
-        const uint32_t first = head_[slot];
         const uint32_t last = tail_[slot];
-        for (uint32_t n = first;; n = nodes_[n].next) {
+        for (uint32_t n = head_[slot];; n = nodes_[n].next) {
             out.push_back(nodes_[n].ev);
             free_.push_back(n);
             --size_;
@@ -137,18 +104,16 @@ class CalendarQueue
     struct OverflowEntry
     {
         uint64_t cycle;
-        uint64_t seq;
         Event ev;
     };
 
-    /** Min-heap comparator on (cycle, seq). */
+    /** Min-heap comparator on cycle; migration restores `Before`. */
     struct OverflowLater
     {
         bool
         operator()(const OverflowEntry &a, const OverflowEntry &b) const
         {
-            return a.cycle != b.cycle ? a.cycle > b.cycle
-                                      : a.seq > b.seq;
+            return a.cycle > b.cycle;
         }
     };
 
@@ -156,16 +121,17 @@ class CalendarQueue
     static constexpr uint32_t kNil = ~uint32_t{0};
 
     /** One pending ring event: a slab node linked into its cycle's
-     * FIFO list. */
+     * ordered list. */
     struct Node
     {
         Event ev;
         uint32_t next;
     };
 
-    /** Append `ev` to ring slot `slot`'s FIFO list. */
+    /** Link `ev` into ring slot `slot`'s list at its `Before` place,
+     * after any equivalent events already there. */
     void
-    append(size_t slot, const Event &ev)
+    insert(size_t slot, const Event &ev)
     {
         uint32_t node;
         if (!free_.empty()) {
@@ -176,13 +142,29 @@ class CalendarQueue
             node = static_cast<uint32_t>(nodes_.size());
             nodes_.push_back(Node{ev, kNil});
         }
-        if (isOccupied(slot)) {
-            nodes_[tail_[slot]].next = node;
-        } else {
+        if (!isOccupied(slot)) {
             markOccupied(slot);
             head_[slot] = node;
+            tail_[slot] = node;
+            return;
         }
-        tail_[slot] = node;
+        const Before before;
+        if (!before(ev, nodes_[tail_[slot]].ev)) {
+            nodes_[tail_[slot]].next = node;
+            tail_[slot] = node;
+            return;
+        }
+        uint32_t prev = head_[slot];
+        if (before(ev, nodes_[prev].ev)) {
+            nodes_[node].next = prev;
+            head_[slot] = node;
+            return;
+        }
+        // ev sorts before the tail, so the walk stops before it.
+        while (!before(ev, nodes_[nodes_[prev].next].ev))
+            prev = nodes_[prev].next;
+        nodes_[node].next = nodes_[prev].next;
+        nodes_[prev].next = node;
     }
 
     bool
@@ -261,15 +243,14 @@ class CalendarQueue
         }
         now_ = next;
         // Far-future events whose cycle just entered the ring window
-        // migrate now, before any direct append for those cycles can
-        // happen — heap order is (cycle, seq), so per-cycle FIFO order
-        // is preserved.
+        // migrate now, before any direct schedule for those cycles, so
+        // a cycle's events never split between the ring and the heap.
         while (!overflow_.empty() &&
                overflow_.front().cycle - now_ < BucketCount) {
             std::pop_heap(overflow_.begin(), overflow_.end(),
                           OverflowLater{});
             const OverflowEntry &e = overflow_.back();
-            append(e.cycle & (BucketCount - 1), e.ev);
+            insert(e.cycle & (BucketCount - 1), e.ev);
             overflow_.pop_back();
         }
     }
@@ -283,14 +264,13 @@ class CalendarQueue
      * from serializing on each other (BM_EventQueuePushPop).
      */
     std::vector<uint32_t> free_;
-    /** Per-slot FIFO list ends; meaningful only while the slot's
-     * occupancy bit is set. */
+    /** Per-slot list ends; meaningful only while the slot's occupancy
+     * bit is set. */
     std::array<uint32_t, BucketCount> head_{};
     std::array<uint32_t, BucketCount> tail_{};
     std::array<uint64_t, BucketCount / 64> occupied_{};
     std::vector<OverflowEntry> overflow_;
     uint64_t now_ = 0;
-    uint64_t seq_ = 0;
     size_t size_ = 0;
 };
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/pipeline.hh"
+#include "analysis/stage1_basic.hh"
 #include "harness/suite_runner.hh"
 #include "mde/inserter.hh"
 
@@ -26,6 +27,43 @@ runNamed(const std::vector<std::string> &names,
     for (const std::string &name : names)
         subset.push_back(benchmarkByName(name));
     return runSuite(subset, req, 2).outcomes;
+}
+
+TEST(PaperShape, Fig06_NineWorkloadsFullyResolvedByStage1)
+{
+    // EXPERIMENTS.md F6 (paper: 7 of 27): Stage 1 alone leaves no MAY
+    // pair over the top-5 paths of 9 workloads.
+    int resolved = 0;
+    for (const BenchmarkInfo &info : benchmarkSuite()) {
+        uint64_t may = 0;
+        for (uint32_t path = 0; path < 5; ++path) {
+            SynthesisOptions opts;
+            opts.pathIndex = path;
+            may += runStage1(synthesizeRegion(info, opts)).counts().may;
+        }
+        resolved += may == 0 ? 1 : 0;
+    }
+    EXPECT_EQ(resolved, 9);
+}
+
+TEST(PaperShape, Fig07_TenWorkloadsRefinedByStage2)
+{
+    // EXPERIMENTS.md F7 (paper: 10): Stage 2 converts at least one
+    // MAY pair to NO over the top-5 paths of 10 workloads.
+    int refined = 0;
+    for (const BenchmarkInfo &info : benchmarkSuite()) {
+        uint64_t converted = 0;
+        for (uint32_t path = 0; path < 5; ++path) {
+            SynthesisOptions opts;
+            opts.pathIndex = path;
+            const AliasAnalysisResult res =
+                runAliasPipeline(synthesizeRegion(info, opts));
+            converted +=
+                res.afterStage1.all.may - res.afterStage2.all.may;
+        }
+        refined += converted > 0 ? 1 : 0;
+    }
+    EXPECT_EQ(refined, 10);
 }
 
 TEST(PaperShape, Fig11_SwSerializationCripplesIrregularWorkloads)
@@ -89,6 +127,29 @@ TEST(PaperShape, Fig15_CertainWorkloadsMatchAcrossSchemes)
         EXPECT_EQ(outs[i].nachos->stats.get("mde.mayChecks"), 0u)
             << names[i];
     }
+}
+
+TEST(PaperShape, Fig15_HeadlineCounts)
+{
+    // EXPERIMENTS.md F15 (paper: 19 within 2.5%, 6 faster, bzip2 and
+    // sar-pfa ~8% slower): NACHOS vs OPT-LSQ cycles over all 27
+    // workloads, bucketed as bench_fig15_nachos_vs_lsq does.
+    const SuiteRun run = runSuite(benchmarkSuite(), RunRequest{}, 2);
+    int close = 0, faster = 0, slower = 0;
+    for (const RunOutcome &out : run.outcomes) {
+        const double delta =
+            pctDelta(static_cast<double>(out.lsq->cycles),
+                     static_cast<double>(out.nachos->cycles));
+        if (delta < -2.5)
+            ++faster;
+        else if (delta > 2.5)
+            ++slower;
+        else
+            ++close;
+    }
+    EXPECT_EQ(close, 21);
+    EXPECT_EQ(faster, 6);
+    EXPECT_EQ(slower, 0);
 }
 
 TEST(PaperShape, Fig17_NachosSavesEnergyOnEveryWorkload)

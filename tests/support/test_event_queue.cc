@@ -1,11 +1,12 @@
 /**
  * @file
- * CalendarQueue ordering contract: pops come in non-decreasing cycle
- * order with FIFO ordering among same-cycle events — bit-identical to
- * the (cycle, seq) priority queue the simulator used previously. The
- * property test replays random schedules (including schedules issued
- * from within handlers, for the current cycle and far beyond the ring
- * window) against a reference model of the old contract.
+ * CalendarQueue ordering contract: drainWave() returns the earliest
+ * pending cycle's events ordered by the queue's `Before`, whatever
+ * order they were scheduled in; events scheduled for the current cycle
+ * while a wave is being processed form the next wave. The property
+ * test replays random schedules (including schedules issued from
+ * within handlers, for the current cycle and far beyond the ring
+ * window) against a reference model ordered by (cycle, Before).
  */
 
 #include <gtest/gtest.h>
@@ -25,26 +26,49 @@ struct Ev
     uint32_t tag = 0;
 };
 
-using Queue = CalendarQueue<Ev, 64>;
+struct TagBefore
+{
+    bool
+    operator()(const Ev &a, const Ev &b) const
+    {
+        return a.tag < b.tag;
+    }
+};
 
-std::vector<std::pair<uint64_t, uint32_t>>
+using Queue = CalendarQueue<Ev, TagBefore, 64>;
+using Trace = std::vector<std::pair<uint64_t, uint32_t>>;
+
+/** Drain the queue wave by wave into (cycle, tag) pairs. */
+Trace
 drain(Queue &q)
 {
-    std::vector<std::pair<uint64_t, uint32_t>> out;
-    Ev ev;
+    Trace out;
+    std::vector<Ev> wave;
     while (!q.empty()) {
-        const uint64_t cycle = q.pop(ev);
-        out.push_back({cycle, ev.tag});
+        wave.clear();
+        const uint64_t cycle = q.drainWave(wave);
+        for (const Ev &ev : wave)
+            out.push_back({cycle, ev.tag});
     }
     return out;
 }
 
-TEST(CalendarQueue, SameCycleEventsPopFifo)
+std::vector<uint32_t>
+tagsOf(const std::vector<Ev> &wave)
+{
+    std::vector<uint32_t> tags;
+    for (const Ev &ev : wave)
+        tags.push_back(ev.tag);
+    return tags;
+}
+
+TEST(CalendarQueue, SameCycleEventsDrainInCanonicalOrder)
 {
     Queue q;
+    // A scrambled permutation of 0..99 (37 is coprime to 100).
     for (uint32_t i = 0; i < 100; ++i)
-        q.schedule(7, {i});
-    const auto out = drain(q);
+        q.schedule(7, {(i * 37) % 100});
+    const Trace out = drain(q);
     ASSERT_EQ(out.size(), 100u);
     for (uint32_t i = 0; i < 100; ++i) {
         EXPECT_EQ(out[i].first, 7u);
@@ -57,49 +81,44 @@ TEST(CalendarQueue, CyclesPopInOrderAcrossRingAndOverflow)
     Queue q;
     // Far beyond the 64-cycle ring, interleaved with near events.
     q.schedule(1000, {0});
-    q.schedule(3, {1});
-    q.schedule(500, {2});
     q.schedule(3, {3});
+    q.schedule(500, {2});
+    q.schedule(3, {1});
     q.schedule(65, {4}); // outside the initial window
-    const auto out = drain(q);
-    const std::vector<std::pair<uint64_t, uint32_t>> want = {
-        {3, 1}, {3, 3}, {65, 4}, {500, 2}, {1000, 0}};
-    EXPECT_EQ(out, want);
+    const Trace want = {{3, 1}, {3, 3}, {65, 4}, {500, 2}, {1000, 0}};
+    EXPECT_EQ(drain(q), want);
 }
 
 TEST(CalendarQueue, HandlerMaySchedForCurrentCycle)
 {
-    // Events scheduled *for the current cycle* from within a handler
-    // must run in this cycle, after everything already queued for it —
-    // exactly what the old seq tiebreaker guaranteed.
+    // Events a handler schedules *for the current cycle* run in this
+    // cycle, as a later wave — even when they order before events of
+    // the wave being processed.
     Queue q;
-    q.schedule(5, {0});
+    q.schedule(5, {4});
     q.schedule(5, {1});
-    std::vector<uint32_t> order;
-    Ev ev;
-    while (!q.empty()) {
-        const uint64_t cycle = q.pop(ev);
-        EXPECT_EQ(cycle, 5u);
-        order.push_back(ev.tag);
-        if (ev.tag == 0)
-            q.schedule(5, {2}); // from "inside" handler 0
-        if (ev.tag == 2)
-            q.schedule(5, {3});
-    }
-    const std::vector<uint32_t> want = {0, 1, 2, 3};
-    EXPECT_EQ(order, want);
+    std::vector<Ev> wave;
+    EXPECT_EQ(q.drainWave(wave), 5u);
+    EXPECT_EQ(tagsOf(wave), (std::vector<uint32_t>{1, 4}));
+
+    q.schedule(5, {3}); // from "inside" the handlers of wave {1, 4}
+    q.schedule(5, {0});
+    wave.clear();
+    EXPECT_EQ(q.drainWave(wave), 5u);
+    EXPECT_EQ(tagsOf(wave), (std::vector<uint32_t>{0, 3}));
+    EXPECT_TRUE(q.empty());
 }
 
 TEST(CalendarQueue, ClockNeverRunsBackwards)
 {
     Queue q;
     q.schedule(10, {0});
-    Ev ev;
-    EXPECT_EQ(q.pop(ev), 10u);
+    std::vector<Ev> wave;
+    EXPECT_EQ(q.drainWave(wave), 10u);
     EXPECT_EQ(q.now(), 10u);
     // Scheduling at now() is allowed; the past would assert.
     q.schedule(10, {1});
-    EXPECT_EQ(q.pop(ev), 10u);
+    EXPECT_EQ(q.drainWave(wave), 10u);
 }
 
 TEST(CalendarQueue, ReschedulingKeepsWindowInvariantAfterLongJump)
@@ -107,129 +126,141 @@ TEST(CalendarQueue, ReschedulingKeepsWindowInvariantAfterLongJump)
     Queue q;
     q.schedule(0, {0});
     q.schedule(100000, {1}); // deep overflow
-    Ev ev;
-    EXPECT_EQ(q.pop(ev), 0u);
-    EXPECT_EQ(q.pop(ev), 100000u);
-    EXPECT_EQ(ev.tag, 1u);
+    std::vector<Ev> wave;
+    EXPECT_EQ(q.drainWave(wave), 0u);
+    EXPECT_EQ(q.drainWave(wave), 100000u);
+    EXPECT_EQ(wave.back().tag, 1u);
     // After the jump the ring must accept nearby cycles again.
     q.schedule(100001, {2});
     q.schedule(100063, {3});
-    EXPECT_EQ(q.pop(ev), 100001u);
-    EXPECT_EQ(q.pop(ev), 100063u);
+    EXPECT_EQ(q.drainWave(wave), 100001u);
+    EXPECT_EQ(q.drainWave(wave), 100063u);
     EXPECT_TRUE(q.empty());
 }
 
 /**
- * Reference model of the previous engine's contract: a list stably
- * sorted by cycle (stable sort preserves insertion order, i.e. the
- * old seq tiebreaker).
+ * Reference model: the pending set as a flat list. A wave is every
+ * pending event at the minimum cycle, sorted by tag; handlers add to
+ * the set after the wave leaves it, so same-cycle follow-ups form the
+ * next wave.
  */
 TEST(CalendarQueue, PropertyMatchesPriorityQueueContract)
 {
     Rng rng(12345);
     for (int round = 0; round < 50; ++round) {
         Queue q;
-        std::vector<std::pair<uint64_t, uint32_t>> model;
-        uint32_t tag = 0;
+        std::vector<std::pair<uint64_t, uint32_t>> pending;
+        Trace want;
+        Trace got;
+        const auto schedule = [&](uint64_t cycle) {
+            // Random tags, duplicates included: order must come from
+            // the tag, never from the scheduling sequence.
+            const uint32_t tag = static_cast<uint32_t>(rng.below(64));
+            q.schedule(cycle, {tag});
+            pending.push_back({cycle, tag});
+        };
 
         // Initial burst.
-        for (int i = 0; i < 40; ++i) {
-            const uint64_t cycle = rng.below(300);
-            q.schedule(cycle, {tag});
-            model.push_back({cycle, tag});
-            ++tag;
-        }
+        for (int i = 0; i < 40; ++i)
+            schedule(rng.below(300));
 
-        std::vector<std::pair<uint64_t, uint32_t>> got;
-        Ev ev;
+        std::vector<Ev> wave;
+        size_t scheduled = 40;
         while (!q.empty()) {
-            const uint64_t cycle = q.pop(ev);
-            got.push_back({cycle, ev.tag});
-            // Handlers occasionally schedule follow-ups: same cycle,
-            // near future, or deep into overflow territory.
-            if (rng.below(100) < 30 && tag < 2000) {
-                const uint64_t delta =
-                    rng.below(100) < 20 ? 0 : 1 + rng.below(400);
-                q.schedule(cycle + delta, {tag});
-                model.push_back({cycle + delta, tag});
-                ++tag;
+            // Model wave: the minimum cycle's events, tag-ordered.
+            const uint64_t first =
+                std::min_element(pending.begin(), pending.end())->first;
+            std::vector<std::pair<uint64_t, uint32_t>> modelWave;
+            std::erase_if(pending, [&](const auto &p) {
+                if (p.first != first)
+                    return false;
+                modelWave.push_back(p);
+                return true;
+            });
+            std::sort(modelWave.begin(), modelWave.end());
+            want.insert(want.end(), modelWave.begin(), modelWave.end());
+
+            wave.clear();
+            const uint64_t cycle = q.drainWave(wave);
+            for (const Ev &ev : wave) {
+                got.push_back({cycle, ev.tag});
+                // Handlers occasionally schedule follow-ups: same
+                // cycle, near future, or deep into overflow territory.
+                if (rng.below(100) < 30 && scheduled < 2000) {
+                    const uint64_t delta =
+                        rng.below(100) < 20 ? 0 : 1 + rng.below(400);
+                    schedule(cycle + delta);
+                    ++scheduled;
+                }
             }
         }
-
-        std::stable_sort(model.begin(), model.end(),
-                         [](const auto &a, const auto &b) {
-                             return a.first < b.first;
-                         });
-        ASSERT_EQ(got, model) << "round " << round;
+        EXPECT_TRUE(pending.empty()) << "round " << round;
+        ASSERT_EQ(got, want) << "round " << round;
     }
 }
 
-TEST(CalendarQueue, RewindRestartsBelowTheClock)
+TEST(CalendarQueue, InsertPathsTailHeadAndMidList)
 {
     Queue q;
-    q.schedule(100, {0});
-    const auto first = drain(q);
-    ASSERT_EQ(first.size(), 1u);
-    EXPECT_EQ(q.now(), 100u);
-
-    // An empty queue may rewind; scheduling below the old clock and
-    // draining again behaves exactly like a fresh queue.
-    q.rewind(5);
-    EXPECT_EQ(q.now(), 5u);
-    q.schedule(5, {1});
-    q.schedule(7, {2});
-    q.schedule(5, {3});
-    const auto out = drain(q);
-    const std::vector<std::pair<uint64_t, uint32_t>> want{
-        {5, 1}, {5, 3}, {7, 2}};
-    EXPECT_EQ(out, want);
+    q.schedule(2, {10}); // empty slot
+    q.schedule(2, {20}); // tail append
+    q.schedule(2, {20}); // tail append of an equal event
+    q.schedule(2, {5});  // head insert
+    q.schedule(2, {15}); // mid-list: between 10 and 20
+    q.schedule(2, {7});  // mid-list: right after the head
+    q.schedule(2, {19}); // mid-list: right before the tail run
+    q.schedule(2, {30}); // tail append after mid inserts
+    std::vector<Ev> wave;
+    EXPECT_EQ(q.drainWave(wave), 2u);
+    EXPECT_EQ(tagsOf(wave),
+              (std::vector<uint32_t>{5, 7, 10, 15, 19, 20, 20, 30}));
+    EXPECT_TRUE(q.empty());
 }
 
-TEST(CalendarQueue, RewindClearsTheFinalRingBucket)
-{
-    // A rewind that lands a multiple of BucketCount below now() maps
-    // to the SAME ring slot as the last drained cycle and must not
-    // resurrect stale entries.
-    Queue q;
-    q.schedule(64, {0});
-    q.schedule(64, {1});
-    Ev ev;
-    (void)q.pop(ev);
-    (void)q.pop(ev);
-    ASSERT_TRUE(q.empty());
-
-    q.rewind(0); // slot 64 % 64 == slot 0
-    q.schedule(0, {2});
-    const auto out = drain(q);
-    const std::vector<std::pair<uint64_t, uint32_t>> want{{0, 2}};
-    EXPECT_EQ(out, want);
-}
-
-TEST(CalendarQueue, DrainWaveReturnsOneCycleInFifoOrder)
+TEST(CalendarQueue, DrainWaveReturnsOneCycleInCanonicalOrder)
 {
     Queue q;
     q.schedule(9, {0});
-    q.schedule(5, {1});
     q.schedule(5, {2});
+    q.schedule(5, {1});
     q.schedule(500, {3}); // overflow, beyond the 64-cycle ring
 
     std::vector<Ev> wave;
     EXPECT_EQ(q.drainWave(wave), 5u);
-    ASSERT_EQ(wave.size(), 2u); // cycle 9 stays queued
-    EXPECT_EQ(wave[0].tag, 1u);
-    EXPECT_EQ(wave[1].tag, 2u);
-    EXPECT_EQ(q.size(), 2u);
+    EXPECT_EQ(tagsOf(wave), (std::vector<uint32_t>{1, 2}));
+    EXPECT_EQ(q.size(), 2u); // cycle 9 stays queued
 
     wave.clear();
     EXPECT_EQ(q.drainWave(wave), 9u);
-    ASSERT_EQ(wave.size(), 1u);
-    EXPECT_EQ(wave[0].tag, 0u);
+    EXPECT_EQ(tagsOf(wave), (std::vector<uint32_t>{0}));
 
     // The overflow event migrates into the ring as the clock advances.
     wave.clear();
     EXPECT_EQ(q.drainWave(wave), 500u);
-    ASSERT_EQ(wave.size(), 1u);
-    EXPECT_EQ(wave[0].tag, 3u);
+    EXPECT_EQ(tagsOf(wave), (std::vector<uint32_t>{3}));
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(CalendarQueue, OverflowMigratesIntoAnOccupiedSlotInOrder)
+{
+    // Five events for cycle 200 wait in the overflow heap (beyond the
+    // ring at now = 0). The clock stop at 140 brings 200 into the
+    // window: the first migrant takes the empty ring slot and the rest
+    // migrate into the occupied slot, in heap order, through the same
+    // ordered insert. Direct schedules then join the slot.
+    Queue q;
+    for (const uint32_t tag : {50u, 10u, 30u, 40u, 20u})
+        q.schedule(200, {tag});
+    q.schedule(140, {99});
+    std::vector<Ev> wave;
+    EXPECT_EQ(q.drainWave(wave), 140u);
+    q.schedule(200, {60}); // tail
+    q.schedule(200, {5});  // head
+    q.schedule(200, {25}); // mid-list
+    wave.clear();
+    EXPECT_EQ(q.drainWave(wave), 200u);
+    EXPECT_EQ(tagsOf(wave),
+              (std::vector<uint32_t>{5, 10, 20, 25, 30, 40, 50, 60}));
     EXPECT_TRUE(q.empty());
 }
 
@@ -244,13 +275,11 @@ TEST(CalendarQueue, DrainWaveSameCycleReschedulesFormTheNextWave)
     EXPECT_EQ(q.drainWave(wave), 5u);
     ASSERT_EQ(wave.size(), 1u);
 
-    q.schedule(5, {1});
     q.schedule(5, {2});
+    q.schedule(5, {1});
     wave.clear();
     EXPECT_EQ(q.drainWave(wave), 5u);
-    ASSERT_EQ(wave.size(), 2u);
-    EXPECT_EQ(wave[0].tag, 1u);
-    EXPECT_EQ(wave[1].tag, 2u);
+    EXPECT_EQ(tagsOf(wave), (std::vector<uint32_t>{1, 2}));
 }
 
 TEST(CalendarQueue, WarmDrainWaveReplayAllocatesNothing)
@@ -282,72 +311,6 @@ TEST(CalendarQueue, WarmDrainWaveReplayAllocatesNothing)
     pass();
     pass();
     EXPECT_EQ(threadAllocCount() - before, 0u);
-}
-
-TEST(CalendarQueue, DrainWaveAfterPopReturnsRestOfCycle)
-{
-    // pop() unlinks one node at a time, so a drainWave after it
-    // returns the rest of that cycle, still in FIFO order.
-    Queue q;
-    for (uint32_t i = 0; i < 4; ++i)
-        q.schedule(3, {i});
-    q.schedule(4, {9});
-    Ev ev;
-    EXPECT_EQ(q.pop(ev), 3u);
-    EXPECT_EQ(ev.tag, 0u);
-    std::vector<Ev> wave;
-    EXPECT_EQ(q.drainWave(wave), 3u);
-    ASSERT_EQ(wave.size(), 3u);
-    EXPECT_EQ(wave[0].tag, 1u);
-    EXPECT_EQ(wave[1].tag, 2u);
-    EXPECT_EQ(wave[2].tag, 3u);
-    EXPECT_EQ(q.size(), 1u);
-}
-
-TEST(CalendarQueue, DrainWaveMatchesPopOnRandomSchedules)
-{
-    // Property: grouping drainWave output by cycle must equal what a
-    // pop() loop yields on an identically-scheduled queue, including
-    // in-wave follow-up schedules for future cycles.
-    Rng rng(999);
-    for (int round = 0; round < 20; ++round) {
-        Queue byPop;
-        Queue byWave;
-        uint32_t tag = 0;
-        for (int i = 0; i < 60; ++i) {
-            const uint64_t cycle = rng.below(200);
-            byPop.schedule(cycle, {tag});
-            byWave.schedule(cycle, {tag});
-            ++tag;
-        }
-        const auto popped = drain(byPop);
-
-        std::vector<std::pair<uint64_t, uint32_t>> waved;
-        std::vector<Ev> wave;
-        while (!byWave.empty()) {
-            wave.clear();
-            const uint64_t cycle = byWave.drainWave(wave);
-            for (const Ev &ev : wave)
-                waved.push_back({cycle, ev.tag});
-        }
-        ASSERT_EQ(waved, popped) << "round " << round;
-    }
-}
-
-TEST(CalendarQueueDeathTest, RewindOfNonEmptyQueueIsFatal)
-{
-    Queue q;
-    q.schedule(10, {0});
-    EXPECT_DEATH(q.rewind(0), "non-empty");
-}
-
-TEST(CalendarQueueDeathTest, RewindForwardsIsFatal)
-{
-    Queue q;
-    q.schedule(10, {0});
-    Ev ev;
-    (void)q.pop(ev);
-    EXPECT_DEATH(q.rewind(11), "forwards");
 }
 
 } // namespace
