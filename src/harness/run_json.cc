@@ -49,14 +49,14 @@ getU64Member(const JsonValue &v, const char *name, uint64_t &out,
     return true;
 }
 
-JsonValue
-encodePairCounts(const PairCounts &counts)
+void
+writePairCounts(JsonWriter &w, const PairCounts &counts)
 {
-    JsonValue v = JsonValue::makeObject();
-    v.set("no", counts.no);
-    v.set("may", counts.may);
-    v.set("must", counts.must);
-    return v;
+    w.beginObject();
+    w.member("no", counts.no);
+    w.member("may", counts.may);
+    w.member("must", counts.must);
+    w.endObject();
 }
 
 bool
@@ -73,17 +73,17 @@ decodePairCounts(const JsonValue *v, PairCounts &counts,
            getU64Member(*v, "must", counts.must, err);
 }
 
-JsonValue
-encodeSimSummary(const SimSummary &s)
+void
+writeSimSummary(JsonWriter &w, const SimSummary &s)
 {
-    JsonValue v = JsonValue::makeObject();
-    v.set("cycles", s.cycles);
-    v.set("cyclesPerInvocation", s.cyclesPerInvocation);
-    v.set("maxMlp", s.maxMlp);
-    v.set("avgMlp", s.avgMlp);
-    v.set("loadValueDigest", s.loadValueDigest);
-    v.set("energyTotal", s.energyTotal);
-    return v;
+    w.beginObject();
+    w.member("cycles", s.cycles);
+    w.member("cyclesPerInvocation", s.cyclesPerInvocation);
+    w.member("maxMlp", s.maxMlp);
+    w.member("avgMlp", s.avgMlp);
+    w.member("loadValueDigest", s.loadValueDigest);
+    w.member("energyTotal", s.energyTotal);
+    w.endObject();
 }
 
 bool
@@ -185,14 +185,14 @@ decodeMachineOverrides(const JsonValue &v, MachineOverrides &out,
     return true;
 }
 
-JsonValue
-encodeMachineOverrides(const MachineOverrides &m)
+void
+writeMachineOverrides(JsonWriter &w, const MachineOverrides &m)
 {
-    JsonValue v = JsonValue::makeObject();
-    auto emit = [&v](const char *name, uint64_t value) {
+    auto emit = [&w](const char *name, uint64_t value) {
         if (value)
-            v.set(name, value);
+            w.member(name, value);
     };
+    w.beginObject();
     emit("lsqBanks", m.lsqBanks);
     emit("lsqPortsPerBank", m.lsqPortsPerBank);
     emit("l1SizeBytes", m.l1SizeBytes);
@@ -204,7 +204,7 @@ encodeMachineOverrides(const MachineOverrides &m)
     emit("dramRequestsPerCycle", m.dramRequestsPerCycle);
     emit("netHopsPerCycle", m.netHopsPerCycle);
     emit("nachosComparesPerCycle", m.nachosComparesPerCycle);
-    return v;
+    w.endObject();
 }
 
 bool
@@ -337,36 +337,41 @@ decodeRunRequest(const JsonValue &v, JobSpec &spec, CodecError &err)
     return true;
 }
 
-JsonValue
-encodeRunRequest(const JobSpec &spec)
+void
+writeRunRequest(JsonWriter &w, const JobSpec &spec)
 {
-    JsonValue v = JsonValue::makeObject();
-    v.set("workload", spec.info ? spec.info->name : "");
-    v.set("pathIndex", static_cast<uint64_t>(spec.request.pathIndex));
-    v.set("seed", spec.request.seed);
-    JsonValue backends = JsonValue::makeArray();
+    w.beginObject();
+    w.member("workload",
+             spec.info ? std::string_view(spec.info->name) : "");
+    w.member("pathIndex", spec.request.pathIndex);
+    w.member("seed", spec.request.seed);
+    w.key("backends");
+    w.beginArray();
     if (spec.request.runLsq)
-        backends.push("lsq");
+        w.value("lsq");
     if (spec.request.runSw)
-        backends.push("sw");
+        w.value("sw");
     if (spec.request.runNachos)
-        backends.push("nachos");
-    v.set("backends", std::move(backends));
-    JsonValue pipeline = JsonValue::makeObject();
-    pipeline.set("stage2", spec.request.pipeline.stage2);
-    pipeline.set("stage3", spec.request.pipeline.stage3);
-    pipeline.set("stage4", spec.request.pipeline.stage4);
-    v.set("pipeline", std::move(pipeline));
-    v.set("invocations", spec.request.invocationsOverride);
-    if (spec.request.machine.any())
-        v.set("machine", encodeMachineOverrides(spec.request.machine));
+        w.value("nachos");
+    w.endArray();
+    w.key("pipeline");
+    w.beginObject();
+    w.member("stage2", spec.request.pipeline.stage2);
+    w.member("stage3", spec.request.pipeline.stage3);
+    w.member("stage4", spec.request.pipeline.stage4);
+    w.endObject();
+    w.member("invocations", spec.request.invocationsOverride);
+    if (spec.request.machine.any()) {
+        w.key("machine");
+        writeMachineOverrides(w, spec.request.machine);
+    }
     if (spec.timeoutMillis)
-        v.set("timeoutMillis", spec.timeoutMillis);
+        w.member("timeoutMillis", spec.timeoutMillis);
     if (spec.sleepMillis)
-        v.set("sleepMillis", spec.sleepMillis);
+        w.member("sleepMillis", spec.sleepMillis);
     if (spec.klass == AdmitClass::Bulk)
-        v.set("class", "bulk");
-    return v;
+        w.member("class", "bulk");
+    w.endObject();
 }
 
 OutcomeSummary
@@ -405,118 +410,49 @@ summarizeOutcome(const BenchmarkInfo &info, const RunRequest &request,
     return s;
 }
 
-JsonValue
-encodeOutcome(const OutcomeSummary &summary)
-{
-    JsonValue v = JsonValue::makeObject();
-    v.set("workload", summary.workload);
-    v.set("pathIndex", static_cast<uint64_t>(summary.pathIndex));
-    v.set("seed", summary.seed);
-    v.set("invocations", summary.invocations);
-    v.set("labels", encodePairCounts(summary.labels));
-    v.set("enforced", encodePairCounts(summary.enforced));
-    JsonValue mdes = JsonValue::makeObject();
-    mdes.set("order", summary.mdeOrder);
-    mdes.set("forward", summary.mdeForward);
-    mdes.set("may", summary.mdeMay);
-    v.set("mdes", std::move(mdes));
-    JsonValue backends = JsonValue::makeObject();
-    if (summary.lsq)
-        backends.set("lsq", encodeSimSummary(*summary.lsq));
-    if (summary.sw)
-        backends.set("sw", encodeSimSummary(*summary.sw));
-    if (summary.nachos)
-        backends.set("nachos", encodeSimSummary(*summary.nachos));
-    v.set("backends", std::move(backends));
-    return v;
-}
-
-namespace {
-
 void
-encodePairCountsTo(JsonWriter &w, const PairCounts &counts)
+writeOutcome(JsonWriter &w, const OutcomeSummary &summary)
 {
     w.beginObject();
-    w.key("no");
-    w.value(counts.no);
-    w.key("may");
-    w.value(counts.may);
-    w.key("must");
-    w.value(counts.must);
-    w.endObject();
-}
-
-void
-encodeSimSummaryTo(JsonWriter &w, const SimSummary &s)
-{
-    w.beginObject();
-    w.key("cycles");
-    w.value(s.cycles);
-    w.key("cyclesPerInvocation");
-    w.value(s.cyclesPerInvocation);
-    w.key("maxMlp");
-    w.value(s.maxMlp);
-    w.key("avgMlp");
-    w.value(s.avgMlp);
-    w.key("loadValueDigest");
-    w.value(s.loadValueDigest);
-    w.key("energyTotal");
-    w.value(s.energyTotal);
-    w.endObject();
-}
-
-} // namespace
-
-void
-encodeOutcomeTo(JsonWriter &w, const OutcomeSummary &summary)
-{
-    // Member order mirrors encodeOutcome exactly: the daemon's golden
-    // tests compare these bytes against dumpJson(encodeOutcome(...)).
-    w.beginObject();
-    w.key("workload");
-    w.value(summary.workload);
-    w.key("pathIndex");
-    w.value(static_cast<uint64_t>(summary.pathIndex));
-    w.key("seed");
-    w.value(summary.seed);
-    w.key("invocations");
-    w.value(summary.invocations);
+    w.member("workload", summary.workload);
+    w.member("pathIndex", summary.pathIndex);
+    w.member("seed", summary.seed);
+    w.member("invocations", summary.invocations);
     w.key("labels");
-    encodePairCountsTo(w, summary.labels);
+    writePairCounts(w, summary.labels);
     w.key("enforced");
-    encodePairCountsTo(w, summary.enforced);
+    writePairCounts(w, summary.enforced);
     w.key("mdes");
     w.beginObject();
-    w.key("order");
-    w.value(summary.mdeOrder);
-    w.key("forward");
-    w.value(summary.mdeForward);
-    w.key("may");
-    w.value(summary.mdeMay);
+    w.member("order", summary.mdeOrder);
+    w.member("forward", summary.mdeForward);
+    w.member("may", summary.mdeMay);
     w.endObject();
     w.key("backends");
     w.beginObject();
     if (summary.lsq) {
         w.key("lsq");
-        encodeSimSummaryTo(w, *summary.lsq);
+        writeSimSummary(w, *summary.lsq);
     }
     if (summary.sw) {
         w.key("sw");
-        encodeSimSummaryTo(w, *summary.sw);
+        writeSimSummary(w, *summary.sw);
     }
     if (summary.nachos) {
         w.key("nachos");
-        encodeSimSummaryTo(w, *summary.nachos);
+        writeSimSummary(w, *summary.nachos);
     }
     w.endObject();
     w.endObject();
 }
 
 JsonValue
-encodeRunOutcome(const BenchmarkInfo &info, const RunRequest &request,
-                 const RunOutcome &outcome)
+encodeOutcome(const OutcomeSummary &summary)
 {
-    return encodeOutcome(summarizeOutcome(info, request, outcome));
+    std::string bytes;
+    JsonWriter w(bytes);
+    writeOutcome(w, summary);
+    return parseWritten(bytes);
 }
 
 bool
@@ -546,11 +482,10 @@ decodeOutcome(const JsonValue &v, OutcomeSummary &summary,
         !decodePairCounts(v.find("enforced"), summary.enforced, err))
         return false;
     const JsonValue *mdes = v.find("mdes");
-    if (!mdes || !mdes->isObject() ||
-        !checkMembers(*mdes, {"order", "forward", "may"}, err))
-        return failCodec(err, err.code.empty() ? "bad_request" : err.code,
-                         err.message.empty() ? "'mdes' object missing"
-                                             : err.message);
+    if (!mdes || !mdes->isObject())
+        return failCodec(err, "bad_request", "'mdes' object missing");
+    if (!checkMembers(*mdes, {"order", "forward", "may"}, err))
+        return false;
     if (!getU64Member(*mdes, "order", summary.mdeOrder, err) ||
         !getU64Member(*mdes, "forward", summary.mdeForward, err) ||
         !getU64Member(*mdes, "may", summary.mdeMay, err))

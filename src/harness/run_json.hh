@@ -3,6 +3,9 @@
  * JSON (de)serialization of the harness request/result types — the one
  * encoding path shared by the `nachosd` daemon, the `nachos_client`
  * CLI and the sweep store, so the JSON surfaces cannot drift apart.
+ * Each record has exactly one member list: its JsonWriter function
+ * (write*). Callers that want a tree parse those bytes back
+ * (encodeOutcome), so no second encoder exists to fall out of step.
  *
  * Decoding validates strictly and reports typed errors instead of
  * panicking: the daemon feeds it bytes straight off a socket, so an
@@ -78,9 +81,9 @@ struct JobSpec
 bool decodeMachineOverrides(const JsonValue &v, MachineOverrides &out,
                             CodecError &err);
 
-/** Inverse of decodeMachineOverrides: only set fields are emitted, in
+/** Inverse of decodeMachineOverrides: only set fields are written, in
  *  a fixed member order, so encoding is canonical and round-trips. */
-JsonValue encodeMachineOverrides(const MachineOverrides &m);
+void writeMachineOverrides(JsonWriter &w, const MachineOverrides &m);
 
 /**
  * Decode a run-request object:
@@ -93,7 +96,8 @@ JsonValue encodeMachineOverrides(const MachineOverrides &m);
  *    "invocations": 0,              // optional override, 0 = keep
  *    "machine": {...},              // optional machine overrides
  *    "timeoutMillis": 0,            // optional per-job deadline
- *    "sleepMillis": 0}              // optional test delay
+ *    "sleepMillis": 0,              // optional test delay
+ *    "class": "bulk"}               // optional, interactive|bulk
  *
  * Unknown members are rejected (strict: a typoed field should fail
  * loudly, not silently run defaults). Returns false and fills `err`
@@ -103,7 +107,7 @@ bool decodeRunRequest(const JsonValue &v, JobSpec &spec,
                       CodecError &err);
 
 /** Inverse of decodeRunRequest (always round-trips). */
-JsonValue encodeRunRequest(const JobSpec &spec);
+void writeRunRequest(JsonWriter &w, const JobSpec &spec);
 
 /** Per-backend scalar summary of a SimResult. */
 struct SimSummary
@@ -148,23 +152,17 @@ OutcomeSummary summarizeOutcome(const BenchmarkInfo &info,
                                 const FrontEnd &front,
                                 const BackendResults &sims);
 
-/** Encode a summary; member order is fixed, so encoding is canonical. */
+/**
+ * Write a summary; member order is fixed, so encoding is canonical.
+ * Into a warm buffer it allocates nothing — the daemon's result path
+ * (appendResultResponse).
+ */
+void writeOutcome(JsonWriter &w, const OutcomeSummary &summary);
+
+/** writeOutcome's bytes as a tree, for callers that want one. */
 JsonValue encodeOutcome(const OutcomeSummary &summary);
 
-/**
- * Append-encode a summary through a JsonWriter: byte-identical to
- * dumpJson(encodeOutcome(summary)) but with zero heap allocation —
- * the daemon's steady-state result path. Golden daemon-vs-direct
- * tests compare this encoding against the tree writer's.
- */
-void encodeOutcomeTo(JsonWriter &w, const OutcomeSummary &summary);
-
-/** One-call encode of a fresh RunOutcome. */
-JsonValue encodeRunOutcome(const BenchmarkInfo &info,
-                           const RunRequest &request,
-                           const RunOutcome &outcome);
-
-/** Strict inverse of encodeOutcome. */
+/** Strict inverse of writeOutcome. */
 bool decodeOutcome(const JsonValue &v, OutcomeSummary &summary,
                    CodecError &err);
 

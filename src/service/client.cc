@@ -130,10 +130,10 @@ ServiceClient::readResponse()
     std::optional<std::string> line = readLine();
     if (!line)
         return std::nullopt;
-    JsonParseResult parsed = parseJson(*line);
-    if (!parsed.ok)
+    JsonValue response;
+    if (!parseJson(*line, response).ok)
         return std::nullopt;
-    return std::move(parsed.value);
+    return response;
 }
 
 std::optional<JsonValue>

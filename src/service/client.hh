@@ -39,7 +39,10 @@ class ServiceClient
     ServiceClient(const ServiceClient &) = delete;
     ServiceClient &operator=(const ServiceClient &) = delete;
 
-    /** Send raw bytes verbatim (fuzz tests); false on socket error. */
+    /**
+     * Send bytes verbatim — framed request lines or fuzz input; false
+     * on socket error.
+     */
     bool sendRaw(const std::string &bytes);
 
     /** Send one request value as a JSON line. */

@@ -33,13 +33,21 @@ secondsToMicros(double seconds)
     return static_cast<uint64_t>(seconds * 1e6);
 }
 
+/** One error response line, unframed. */
+std::string
+errorLine(uint64_t id, std::string_view code, std::string_view message)
+{
+    std::string line;
+    appendErrorResponse(line, id, code, message);
+    return line;
+}
+
 /** Answer `job` with an error line (the job owns its response). */
 void
-respondError(const Job &job, const std::string &code,
-             const std::string &message)
+respondError(const Job &job, std::string_view code,
+             std::string_view message)
 {
-    job.respond(dumpJson(errorResponse(job.requestId, code, message)) +
-                "\n");
+    job.respond(errorLine(job.requestId, code, message) + '\n');
 }
 
 } // namespace
@@ -307,9 +315,9 @@ Daemon::connectionLoop(std::shared_ptr<Connection> conn)
     ++activeConns_;
     // All per-line state lives here and is reused across requests:
     // the rx buffer keeps its capacity through erase(), and the
-    // request tree is reparsed in place (support/json
-    // parseJsonInPlace), so a warmed-up connection reads, parses, and
-    // dispatches without touching the heap.
+    // request tree is reparsed in place (protocol parseRequestLine),
+    // so a warmed-up connection reads, parses, and dispatches without
+    // touching the heap.
     std::string buffer;
     JsonValue reqTree;
     char chunk[4096];
@@ -335,11 +343,11 @@ Daemon::connectionLoop(std::shared_ptr<Connection> conn)
         if (buffer.size() > kMaxRequestLineBytes) {
             // Framing is unrecoverable once a line exceeds the cap:
             // answer and drop the connection.
-            sendTo(conn, errorResponse(
-                             0, "oversized",
-                             "request line exceeds " +
-                                 std::to_string(kMaxRequestLineBytes) +
-                                 " bytes"));
+            sendTo(conn, errorLine(0, "oversized",
+                                   "request line exceeds " +
+                                       std::to_string(
+                                           kMaxRequestLineBytes) +
+                                       " bytes"));
             break;
         }
     }
@@ -357,35 +365,24 @@ Daemon::handleLine(const std::shared_ptr<Connection> &conn,
     bump("requests.total");
     Request req;
     CodecError err;
-    bool ok = false;
-    if (line.size() > kMaxRequestLineBytes) {
-        err.code = "oversized";
-        err.message = "request line exceeds " +
-                      std::to_string(kMaxRequestLineBytes) + " bytes";
-    } else {
-        const JsonParseStatus parsed = parseJsonInPlace(line, reqTree);
-        if (!parsed.ok) {
-            err.code = "bad_json";
-            err.message = std::string(parsed.error) + " at offset " +
-                          std::to_string(parsed.errorOffset);
-        } else {
-            ok = parseRequest(reqTree, req, err);
-        }
-    }
-    if (!ok) {
+    if (!parseRequestLine(line, reqTree, req, err)) {
         bump("requests.errors");
-        sendTo(conn, errorResponse(req.id, err.code, err.message));
+        sendTo(conn, errorLine(req.id, err.code, err.message));
         return;
     }
+    std::string reply;
     switch (req.type) {
       case Request::Type::Ping:
-        sendTo(conn, pongResponse(req.id));
+        appendPongResponse(reply, req.id);
+        sendTo(conn, std::move(reply));
         return;
       case Request::Type::Metrics:
-        sendTo(conn, metricsResponse(req.id, metricsSnapshot()));
+        appendMetricsResponse(reply, req.id, metricsSnapshot());
+        sendTo(conn, std::move(reply));
         return;
       case Request::Type::Shutdown:
-        sendTo(conn, okResponse(req.id));
+        appendOkResponse(reply, req.id);
+        sendTo(conn, std::move(reply));
         requestStop();
         return;
       case Request::Type::Cancel:
@@ -402,8 +399,8 @@ Daemon::handleRun(const std::shared_ptr<Connection> &conn, Request &req)
 {
     if (draining_.load()) {
         bump("jobs.rejectedDraining");
-        sendTo(conn, errorResponse(req.id, "shutting_down",
-                                   "daemon is draining"));
+        sendTo(conn, errorLine(req.id, "shutting_down",
+                               "daemon is draining"));
         return;
     }
     {
@@ -414,10 +411,9 @@ Daemon::handleRun(const std::shared_ptr<Connection> &conn, Request &req)
                 const JobState s = live->state.load();
                 if (s == JobState::Queued || s == JobState::Running) {
                     bump("requests.errors");
-                    sendTo(conn,
-                           errorResponse(req.id, "bad_request",
-                                         "id already names an active "
-                                         "job on this connection"));
+                    sendTo(conn, errorLine(req.id, "bad_request",
+                                           "id already names an active "
+                                           "job on this connection"));
                     return;
                 }
             }
@@ -458,10 +454,10 @@ Daemon::handleRun(const std::shared_ptr<Connection> &conn, Request &req)
         const size_t capacity =
             bulk ? config_.bulkQueueCapacity : config_.queueCapacity;
         sendTo(conn,
-               errorResponse(req.id, "queue_full",
-                             std::string(bulk ? "bulk" : "interactive") +
-                                 " ring is at capacity (" +
-                                 std::to_string(capacity) + ")"));
+               errorLine(req.id, "queue_full",
+                         std::string(bulk ? "bulk" : "interactive") +
+                             " ring is at capacity (" +
+                             std::to_string(capacity) + ")"));
         return;
     }
     if (job->hasDeadline)
@@ -484,13 +480,15 @@ Daemon::handleCancel(const std::shared_ptr<Connection> &conn,
         respondError(*target, "cancelled", "job cancelled by request");
         finishJob();
         bump("jobs.cancelled");
-        sendTo(conn, okResponse(req.id));
+        std::string reply;
+        appendOkResponse(reply, req.id);
+        sendTo(conn, std::move(reply));
         return;
     }
-    sendTo(conn, errorResponse(req.id, "not_cancellable",
-                               "no queued job with id " +
-                                   std::to_string(req.cancelTarget) +
-                                   " on this connection"));
+    sendTo(conn, errorLine(req.id, "not_cancellable",
+                           "no queued job with id " +
+                               std::to_string(req.cancelTarget) +
+                               " on this connection"));
 }
 
 // ---------------------------------------------------------------------
@@ -691,10 +689,10 @@ Daemon::watchdogLoop(std::stop_token st)
 // ---------------------------------------------------------------------
 
 void
-Daemon::sendTo(const std::shared_ptr<Connection> &conn,
-               const JsonValue &v)
+Daemon::sendTo(const std::shared_ptr<Connection> &conn, std::string line)
 {
-    conn->sendBytes(dumpJson(v) + "\n");
+    line += '\n';
+    conn->sendBytes(line);
 }
 
 void

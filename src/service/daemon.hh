@@ -171,8 +171,8 @@ class Daemon
     void registerDeadline(std::shared_ptr<Job> job);
     void finishJob(); ///< outstanding-- and wake drain()
 
-    void sendTo(const std::shared_ptr<Connection> &conn,
-                const JsonValue &v);
+    /** Send one response line; the framing newline is added here. */
+    void sendTo(const std::shared_ptr<Connection> &conn, std::string line);
     void bump(const char *name, uint64_t n = 1);
 
     DaemonConfig config_;

@@ -13,9 +13,10 @@
  *   metrics | ping | shutdown
  *
  * --direct (run only) executes the request in-process through the
- * same decode/run/encode path the daemon uses and prints the exact
- * response line a daemon would send — the reference side of the
- * daemon-vs-direct byte-equivalence check in tools/check_determinism.sh.
+ * daemon's own request parser and response writers and prints the
+ * exact response line a daemon would send — result or error — the
+ * reference side of the daemon-vs-direct byte-equivalence check in
+ * tools/check_determinism.sh.
  *
  * Field values are passed to the daemon verbatim — validation happens
  * server-side, so a typoed workload demonstrates the daemon's typed
@@ -294,28 +295,32 @@ main(int argc, char *argv[])
     const Options opt = parseArgs(argc, argv);
 
     if (opt.direct) {
-        // In-process reference execution: same decode, run, and
-        // encode code the daemon uses, no daemon required. The id is
-        // 1, matching the first id a connected run would get, so the
-        // raw output is byte-comparable with a daemon round trip.
+        // In-process reference execution: the daemon's parse entry,
+        // the same run, and the daemon's response writers, no daemon
+        // required. The id is 1, matching the first id a connected run
+        // would get, so the raw output is byte-comparable with a
+        // daemon round trip.
         if (opt.command != "run")
             usageError("--direct supports only the run command");
         if (opt.workload.empty())
             usageError("run requires --workload");
         JsonValue request = buildRunPayload(opt, opt.workload);
-        const JsonValue *run = request.find("run");
-        JobSpec spec;
+        request.set("id", uint64_t{1});
+        JsonValue tree;
+        Request req;
         CodecError err;
-        if (!run || !decodeRunRequest(*run, spec, err))
-            return printResponse(opt,
-                                 errorResponse(1, err.code,
-                                               err.message));
-        const RunOutcome outcome =
-            runWorkload(*spec.info, spec.request);
-        return printResponse(
-            opt, resultResponse(1, encodeRunOutcome(
-                                       *spec.info, spec.request,
-                                       outcome)));
+        std::string line;
+        if (!parseRequestLine(dumpJson(request), tree, req, err)) {
+            appendErrorResponse(line, req.id, err.code, err.message);
+        } else {
+            const JobSpec &spec = req.job;
+            const RunOutcome outcome =
+                runWorkload(*spec.info, spec.request);
+            appendResultResponse(
+                line, req.id,
+                summarizeOutcome(*spec.info, spec.request, outcome));
+        }
+        return printResponse(opt, parseWritten(line));
     }
 
     std::string error;

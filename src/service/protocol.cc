@@ -12,24 +12,7 @@ failProto(CodecError &err, std::string code, std::string message)
     return false;
 }
 
-} // namespace
-
-bool
-parseRequestLine(const std::string &line, Request &req, CodecError &err)
-{
-    if (line.size() > kMaxRequestLineBytes)
-        return failProto(err, "oversized",
-                         "request line exceeds " +
-                             std::to_string(kMaxRequestLineBytes) +
-                             " bytes");
-    JsonParseResult parsed = parseJson(line);
-    if (!parsed.ok)
-        return failProto(err, "bad_json",
-                         parsed.error + " at offset " +
-                             std::to_string(parsed.errorOffset));
-    return parseRequest(parsed.value, req, err);
-}
-
+/** Validate a parsed request tree. */
 bool
 parseRequest(const JsonValue &v, Request &req, CodecError &err)
 {
@@ -115,36 +98,37 @@ parseRequest(const JsonValue &v, Request &req, CodecError &err)
                      "unknown request type '" + name + "'");
 }
 
-namespace {
-
-JsonValue
-envelope(uint64_t id, const char *type)
+/**
+ * Open a protocol line with its envelope — `{"v":1,"id":N,"type":T` —
+ * the one place every request and response line starts. The caller
+ * writes the payload members and closes the object.
+ */
+void
+beginEnvelope(JsonWriter &w, uint64_t id, const char *type)
 {
-    JsonValue v = JsonValue::makeObject();
-    v.set("v", kProtocolVersion);
-    v.set("id", id);
-    v.set("type", type);
-    return v;
+    w.beginObject();
+    w.member("v", kProtocolVersion);
+    w.member("id", id);
+    w.member("type", type);
 }
 
 } // namespace
 
-JsonValue
-errorResponse(uint64_t id, const std::string &code,
-              const std::string &message)
+bool
+parseRequestLine(std::string_view line, JsonValue &tree, Request &req,
+                 CodecError &err)
 {
-    JsonValue v = envelope(id, "error");
-    v.set("code", code);
-    v.set("message", message);
-    return v;
-}
-
-JsonValue
-resultResponse(uint64_t id, JsonValue outcome)
-{
-    JsonValue v = envelope(id, "result");
-    v.set("outcome", std::move(outcome));
-    return v;
+    if (line.size() > kMaxRequestLineBytes)
+        return failProto(err, "oversized",
+                         "request line exceeds " +
+                             std::to_string(kMaxRequestLineBytes) +
+                             " bytes");
+    const JsonParseStatus parsed = parseJson(line, tree);
+    if (!parsed.ok)
+        return failProto(err, "bad_json",
+                         std::string(parsed.error) + " at offset " +
+                             std::to_string(parsed.errorOffset));
+    return parseRequest(tree, req, err);
 }
 
 void
@@ -152,50 +136,75 @@ appendResultResponse(std::string &out, uint64_t id,
                      const OutcomeSummary &summary)
 {
     JsonWriter w(out);
-    w.beginObject();
-    w.key("v");
-    w.value(kProtocolVersion);
-    w.key("id");
-    w.value(id);
-    w.key("type");
-    w.value("result");
+    beginEnvelope(w, id, "result");
     w.key("outcome");
-    encodeOutcomeTo(w, summary);
+    writeOutcome(w, summary);
     w.endObject();
 }
 
-JsonValue
-metricsResponse(uint64_t id, JsonValue stats)
+void
+appendErrorResponse(std::string &out, uint64_t id, std::string_view code,
+                    std::string_view message)
 {
-    JsonValue v = envelope(id, "metrics");
-    v.set("stats", std::move(stats));
-    return v;
+    JsonWriter w(out);
+    beginEnvelope(w, id, "error");
+    w.member("code", code);
+    w.member("message", message);
+    w.endObject();
 }
 
-JsonValue
-pongResponse(uint64_t id)
+void
+appendMetricsResponse(std::string &out, uint64_t id,
+                      const JsonValue &stats)
 {
-    return envelope(id, "pong");
+    JsonWriter w(out);
+    beginEnvelope(w, id, "metrics");
+    w.member("stats", stats);
+    w.endObject();
 }
 
-JsonValue
-okResponse(uint64_t id)
+void
+appendPongResponse(std::string &out, uint64_t id)
 {
-    return envelope(id, "ok");
+    JsonWriter w(out);
+    beginEnvelope(w, id, "pong");
+    w.endObject();
+}
+
+void
+appendOkResponse(std::string &out, uint64_t id)
+{
+    JsonWriter w(out);
+    beginEnvelope(w, id, "ok");
+    w.endObject();
+}
+
+void
+appendRunRequest(std::string &out, uint64_t id, const JobSpec &spec)
+{
+    JsonWriter w(out);
+    beginEnvelope(w, id, "run");
+    w.key("run");
+    writeRunRequest(w, spec);
+    w.endObject();
 }
 
 JsonValue
 requestEnvelope(uint64_t id, const char *type)
 {
-    return envelope(id, type);
+    std::string line;
+    JsonWriter w(line);
+    beginEnvelope(w, id, type);
+    w.endObject();
+    return parseWritten(line);
 }
 
 JsonValue
 runRequestEnvelope(uint64_t id, const JobSpec &spec)
 {
-    JsonValue v = envelope(id, "run");
-    v.set("run", encodeRunRequest(spec));
-    return v;
+    std::string line;
+    appendRunRequest(line, id, spec);
+    return parseWritten(line);
 }
 
 } // namespace nachos

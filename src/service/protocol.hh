@@ -21,19 +21,23 @@
  *   {"v":1,"id":10,"type":"ok"}                        (cancel/shutdown)
  *   {"v":1,"id":N,"type":"error","code":"...","message":"..."}
  *
- * Error codes: bad_json, oversized, unsupported_version, bad_request,
- * unknown_type, unknown_workload, bad_path_index, bad_seed,
- * queue_full, timeout, cancelled, not_cancellable, shutting_down,
- * internal. Malformed input of any shape gets an `error` response
- * (id 0 when the id itself was unreadable) — never a dropped
- * connection mid-protocol and never a crash.
+ * Error codes: kErrorCodes below. Malformed input of any shape gets
+ * an `error` response (id 0 when the id itself was unreadable) — never
+ * a dropped connection mid-protocol and never a crash.
+ *
+ * Every line this module writes, request or response, goes through
+ * JsonWriter and starts from one envelope writer; the tree-returning
+ * helpers parse those bytes back, so no second encoder exists to
+ * drift.
  */
 
 #ifndef NACHOS_SERVICE_PROTOCOL_HH
 #define NACHOS_SERVICE_PROTOCOL_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "harness/run_json.hh"
 #include "support/json.hh"
@@ -45,6 +49,19 @@ constexpr uint64_t kProtocolVersion = 1;
 
 /** Longest accepted request line (bytes, newline excluded). */
 constexpr size_t kMaxRequestLineBytes = 1 << 20;
+
+/**
+ * Every `code` an error response can carry. parseRequestLine (with the
+ * run-payload decoder) emits bad_json .. bad_machine; the daemon adds
+ * queue_full .. internal.
+ */
+constexpr std::array<std::string_view, 15> kErrorCodes = {
+    "bad_json",       "oversized",      "unsupported_version",
+    "bad_request",    "unknown_type",   "unknown_workload",
+    "bad_path_index", "bad_seed",       "bad_machine",
+    "queue_full",     "timeout",        "cancelled",
+    "not_cancellable", "shutting_down", "internal",
+};
 
 /** A parsed, validated request. */
 struct Request
@@ -58,43 +75,37 @@ struct Request
 };
 
 /**
- * Parse and validate one request line. On failure returns false and
+ * Parse and validate one request line — the daemon's only entry. The
+ * line is parsed into `tree`, which is reused in place: the daemon
+ * keeps one per connection, so a warm, same-shaped request parses and
+ * decodes without touching the heap. On failure returns false and
  * fills `err` with a typed error; `req.id` is still set when the id
  * was readable, so the error response can echo it.
  */
-bool parseRequestLine(const std::string &line, Request &req,
-                      CodecError &err);
+bool parseRequestLine(std::string_view line, JsonValue &tree,
+                      Request &req, CodecError &err);
 
-/**
- * Validate an already-parsed request tree. parseRequestLine is this
- * plus a parseJson; the daemon's steady-state path parses into a
- * reusable per-connection tree (parseJsonInPlace) and calls this, so
- * request handling allocates nothing once the tree has warmed up.
- */
-bool parseRequest(const JsonValue &v, Request &req, CodecError &err);
+// ---- responses: each appends one complete line (newline excluded) ---
 
-// ---- response builders (all include the envelope) -------------------
-
-JsonValue errorResponse(uint64_t id, const std::string &code,
-                        const std::string &message);
-JsonValue resultResponse(uint64_t id, JsonValue outcome);
-
-/**
- * Append one complete result line (newline excluded) to `out`:
- * byte-identical to dumpJson(resultResponse(id, encodeOutcome(s)))
- * but with zero heap allocation into a reused buffer — the serving
- * plane's hot response path.
- */
+/** Allocation-free into a warm buffer: the serving hot path. */
 void appendResultResponse(std::string &out, uint64_t id,
                           const OutcomeSummary &summary);
-JsonValue metricsResponse(uint64_t id, JsonValue stats);
-JsonValue pongResponse(uint64_t id);
-JsonValue okResponse(uint64_t id);
+void appendErrorResponse(std::string &out, uint64_t id,
+                         std::string_view code, std::string_view message);
+void appendMetricsResponse(std::string &out, uint64_t id,
+                           const JsonValue &stats);
+void appendPongResponse(std::string &out, uint64_t id);
+void appendOkResponse(std::string &out, uint64_t id);
 
-/** Build a request envelope of the given type (no payload members). */
+// ---- requests -------------------------------------------------------
+
+/** Append one run-request line (newline excluded). */
+void appendRunRequest(std::string &out, uint64_t id, const JobSpec &spec);
+
+/** A request envelope of the given type (no payload members). */
 JsonValue requestEnvelope(uint64_t id, const char *type);
 
-/** Wrap a JobSpec as a full run-request line value. */
+/** appendRunRequest's line as a tree. */
 JsonValue runRequestEnvelope(uint64_t id, const JobSpec &spec);
 
 } // namespace nachos

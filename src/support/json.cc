@@ -641,24 +641,19 @@ class Parser
 
 } // namespace
 
-JsonParseResult
-parseJson(std::string_view text, size_t maxDepth)
+JsonParseStatus
+parseJson(std::string_view text, JsonValue &out, size_t maxDepth)
 {
-    JsonParseResult result;
-    const JsonParseStatus status =
-        Parser(text, maxDepth).run(result.value);
-    result.ok = status.ok;
-    if (!status.ok) {
-        result.error = status.error;
-        result.errorOffset = status.errorOffset;
-    }
-    return result;
+    return Parser(text, maxDepth).run(out);
 }
 
-JsonParseStatus
-parseJsonInPlace(std::string_view text, JsonValue &reuse, size_t maxDepth)
+JsonValue
+parseWritten(std::string_view written)
 {
-    return Parser(text, maxDepth).run(reuse);
+    JsonValue tree;
+    const JsonParseStatus status = parseJson(written, tree);
+    NACHOS_ASSERT(status.ok, "JsonWriter output failed to parse");
+    return tree;
 }
 
 // ---------------------------------------------------------------------
@@ -819,12 +814,6 @@ dumpJson(const JsonValue &v, int indent)
     std::string out;
     writeValue(out, v, indent, 0);
     return out;
-}
-
-void
-dumpJsonTo(const JsonValue &v, std::string &out, int indent)
-{
-    writeValue(out, v, indent, 0);
 }
 
 // ---------------------------------------------------------------------

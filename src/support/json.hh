@@ -94,41 +94,9 @@ class JsonValue
     std::vector<std::pair<std::string, JsonValue>> members_;
 };
 
-/** Outcome of parseJson: a value or a position-tagged error. */
-struct JsonParseResult
-{
-    JsonValue value;
-    bool ok = false;
-    std::string error;  ///< empty when ok
-    size_t errorOffset = 0;
-};
-
 /**
- * Parse one JSON document. Never throws and never aborts: malformed
- * input, over-deep nesting (> maxDepth) and trailing garbage all come
- * back as errors. Input size is the caller's problem (the daemon caps
- * line length before parsing).
- */
-JsonParseResult parseJson(std::string_view text, size_t maxDepth = 64);
-
-/**
- * Serialize. indent < 0 gives the compact one-line wire form (the
- * canonical encoding: no spaces, members in insertion order);
- * indent >= 0 pretty-prints with that many spaces per level.
- */
-std::string dumpJson(const JsonValue &v, int indent = -1);
-
-/**
- * As dumpJson, but appending to a caller-owned buffer instead of
- * returning a fresh string — the serving hot path reuses one buffer
- * per connection so steady-state encoding allocates nothing once the
- * buffer has reached its high-water mark.
- */
-void dumpJsonTo(const JsonValue &v, std::string &out, int indent = -1);
-
-/**
- * Result of parseJsonInPlace. The error message is a static string
- * (never owned), so reporting a parse failure allocates nothing.
+ * Result of parseJson. The error message is a static string (never
+ * owned), so reporting a parse failure allocates nothing.
  */
 struct JsonParseStatus
 {
@@ -138,31 +106,49 @@ struct JsonParseStatus
 };
 
 /**
- * Parse one JSON document *into* an existing value, reusing its
- * allocations: object member slots, array item slots, and string
- * buffers are assigned in place rather than rebuilt, so re-parsing a
- * same-shaped document (the daemon's steady state: a stream of
- * near-identical request lines into one per-connection tree) performs
- * zero heap allocations. Semantics are identical to parseJson —
- * including strictness and duplicate-key replacement — and `reuse`
- * holds an equivalent tree on success. On failure `reuse` is left in
- * an unspecified (but valid) state; the next successful parse
- * overwrites it.
+ * Parse one JSON document *into* `out`, reusing its allocations:
+ * object member slots, array item slots, and string buffers are
+ * assigned in place rather than rebuilt, so re-parsing a same-shaped
+ * document (the daemon's steady state: a stream of near-identical
+ * request lines into one per-connection tree) performs zero heap
+ * allocations. A fresh `out` gives an ordinary parse.
+ *
+ * Never throws and never aborts: malformed input, over-deep nesting
+ * (> maxDepth) and trailing garbage all come back as errors. Duplicate
+ * keys replace the earlier member, as JsonValue::set does. On failure
+ * `out` is left in an unspecified (but valid) state; the next
+ * successful parse overwrites it. Input size is the caller's problem
+ * (the daemon caps line length before parsing).
  */
-JsonParseStatus parseJsonInPlace(std::string_view text, JsonValue &reuse,
-                                 size_t maxDepth = 64);
+JsonParseStatus parseJson(std::string_view text, JsonValue &out,
+                          size_t maxDepth = 64);
 
 /**
- * Append-style compact JSON encoder over a caller-owned buffer: the
- * zero-allocation dual of building a JsonValue tree and calling
- * dumpJson. Emitting the same logical document through a JsonWriter
- * and through dumpJson yields byte-identical output (same escaping,
- * same lossless number formatting) — golden byte-equivalence tests
- * rely on this.
+ * The tree of bytes this process wrote through JsonWriter — how the
+ * tree-returning record adapters reuse the one writer definition of
+ * each record. Writer output always parses, so a failure asserts.
+ */
+JsonValue parseWritten(std::string_view written);
+
+/**
+ * Serialize. indent < 0 gives the compact one-line wire form (the
+ * canonical encoding: no spaces, members in insertion order);
+ * indent >= 0 pretty-prints with that many spaces per level.
+ */
+std::string dumpJson(const JsonValue &v, int indent = -1);
+
+/**
+ * Append-style compact JSON encoder over a caller-owned buffer, and
+ * the one definition of every wire record (harness/run_json,
+ * service/protocol, sweep/store): it allocates nothing once the buffer
+ * has grown. Its bytes equal dumpJson of the same logical document
+ * (same escaping, same lossless number formatting), so a tree parsed
+ * back from them (parseWritten) dumps to the same bytes.
  *
  * Usage: beginObject/endObject, beginArray/endArray, key() before
- * each object member, value() for leaves. Comma placement is
- * automatic. Nesting beyond 64 levels is a programming error.
+ * each object member (or member() for a key and a leaf), value() for
+ * leaves. Comma placement is automatic. Nesting beyond 64 levels is a
+ * programming error.
  */
 class JsonWriter
 {
@@ -187,6 +173,14 @@ class JsonWriter
     void null();
     /** Embed a prebuilt subtree (compact form). */
     void value(const JsonValue &v);
+
+    /** One object member: key() then value(). */
+    template <class T>
+    void member(std::string_view k, const T &v)
+    {
+        key(k);
+        value(v);
+    }
 
   private:
     void elementPrefix();

@@ -147,7 +147,8 @@ loadSpec(const std::string &path)
     }
     std::ostringstream buffer;
     buffer << in.rdbuf();
-    JsonParseResult parsed = parseJson(buffer.str());
+    JsonValue tree;
+    const JsonParseStatus parsed = parseJson(buffer.str(), tree);
     if (!parsed.ok) {
         std::cerr << "nachos_sweep: " << path << ": " << parsed.error
                   << " (byte " << parsed.errorOffset << ")\n";
@@ -155,7 +156,7 @@ loadSpec(const std::string &path)
     }
     SweepSpec spec;
     CodecError err;
-    if (!decodeSweepSpec(parsed.value, spec, err)) {
+    if (!decodeSweepSpec(tree, spec, err)) {
         std::cerr << "nachos_sweep: " << path << ": [" << err.code
                   << "] " << err.message << "\n";
         std::exit(1);

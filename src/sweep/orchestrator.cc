@@ -143,8 +143,10 @@ runSweepOverDaemon(const std::vector<SweepPoint> &points,
         spec.info = p.info;
         spec.request = p.toRequest();
         spec.klass = AdmitClass::Bulk;
-        JsonValue request = runRequestEnvelope(nextId, spec);
-        if (!client.sendRequest(request))
+        std::string line;
+        appendRunRequest(line, nextId, spec);
+        line += '\n';
+        if (!client.sendRaw(line))
             return setError(error, "send failed (daemon gone?)");
         inFlight.push_back({nextId, &p, clock::now()});
         ++nextId;

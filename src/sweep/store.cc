@@ -31,27 +31,37 @@ setError(std::string *error, std::string message)
 
 } // namespace
 
+void
+writeSweepRecord(JsonWriter &w, const SweepRecord &r)
+{
+    w.beginObject();
+    w.member("id", r.id);
+    w.member("hash", r.hash);
+    w.member("workload", r.workload);
+    w.member("pathIndex", r.pathIndex);
+    w.member("seed", r.seed);
+    w.member("backend", r.backend);
+    w.member("invocations", r.invocations);
+    w.key("machine");
+    writeMachineOverrides(w, r.machine);
+    w.member("cycles", r.cycles);
+    w.member("cyclesPerInvocation", r.cyclesPerInvocation);
+    w.member("maxMlp", r.maxMlp);
+    w.member("avgMlp", r.avgMlp);
+    w.member("loadValueDigest", r.loadValueDigest);
+    w.member("energyTotal", r.energyTotal);
+    w.member("areaProxy", r.areaProxy);
+    w.member("seconds", r.seconds);
+    w.endObject();
+}
+
 JsonValue
 encodeSweepRecord(const SweepRecord &r)
 {
-    JsonValue v = JsonValue::makeObject();
-    v.set("id", r.id);
-    v.set("hash", r.hash);
-    v.set("workload", r.workload);
-    v.set("pathIndex", static_cast<uint64_t>(r.pathIndex));
-    v.set("seed", r.seed);
-    v.set("backend", r.backend);
-    v.set("invocations", r.invocations);
-    v.set("machine", encodeMachineOverrides(r.machine));
-    v.set("cycles", r.cycles);
-    v.set("cyclesPerInvocation", r.cyclesPerInvocation);
-    v.set("maxMlp", r.maxMlp);
-    v.set("avgMlp", r.avgMlp);
-    v.set("loadValueDigest", r.loadValueDigest);
-    v.set("energyTotal", r.energyTotal);
-    v.set("areaProxy", r.areaProxy);
-    v.set("seconds", r.seconds);
-    return v;
+    std::string bytes;
+    JsonWriter w(bytes);
+    writeSweepRecord(w, r);
+    return parseWritten(bytes);
 }
 
 bool
@@ -126,6 +136,7 @@ SweepStore::load(SweepLoadResult &out, std::string *error) const
     const std::string text = buffer.str();
 
     std::unordered_set<uint64_t> seen;
+    JsonValue tree; // reused: every record has the same shape
     size_t lineStart = 0;
     while (lineStart < text.size()) {
         const size_t newline = text.find('\n', lineStart);
@@ -137,10 +148,9 @@ SweepStore::load(SweepLoadResult &out, std::string *error) const
         SweepRecord record;
         bool ok = false;
         if (!line.empty()) {
-            JsonParseResult parsed = parseJson(line);
             CodecError err;
-            ok = parsed.ok &&
-                 decodeSweepRecord(parsed.value, record, err);
+            ok = parseJson(line, tree).ok &&
+                 decodeSweepRecord(tree, record, err);
         }
         if (!ok) {
             // Only the final line may be torn; anything earlier is
@@ -203,7 +213,10 @@ bool
 SweepStore::append(const SweepRecord &record, std::string *error)
 {
     NACHOS_ASSERT(file_ != nullptr, "append before openForAppend");
-    const std::string line = dumpJson(encodeSweepRecord(record)) + "\n";
+    std::string line;
+    JsonWriter w(line);
+    writeSweepRecord(w, record);
+    line += '\n';
     if (std::fwrite(line.data(), 1, line.size(), file_) != line.size())
         return setError(error, path_ + ": short write");
     if (std::fflush(file_) != 0)

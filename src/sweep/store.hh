@@ -62,10 +62,13 @@ struct SweepRecord
     double seconds = 0; ///< wall clock; excluded from reports
 };
 
-/** Canonical record encoding (fixed member order). */
+/** Canonical record encoding (fixed member order): a store line. */
+void writeSweepRecord(JsonWriter &w, const SweepRecord &r);
+
+/** writeSweepRecord's bytes as a tree, for callers that want one. */
 JsonValue encodeSweepRecord(const SweepRecord &r);
 
-/** Strict inverse of encodeSweepRecord. */
+/** Strict inverse of writeSweepRecord. */
 bool decodeSweepRecord(const JsonValue &v, SweepRecord &r,
                        CodecError &err);
 

@@ -209,8 +209,8 @@ TEST(RegionCache, CacheHitRunMatchesCacheMissRun)
     EXPECT_TRUE(hitHit);
     EXPECT_EQ(hit, miss);
     // Both equal the direct, uncached path.
-    EXPECT_EQ(miss, dumpJson(encodeRunOutcome(info, req,
-                                              runWorkload(info, req))));
+    EXPECT_EQ(miss, dumpJson(encodeOutcome(summarizeOutcome(
+                        info, req, runWorkload(info, req)))));
 }
 
 TEST(RegionCache, HitsPlusMissesEqualsLookups)

@@ -12,9 +12,30 @@ namespace {
 JsonValue
 mustParse(const std::string &text)
 {
-    JsonParseResult r = parseJson(text);
+    JsonValue v;
+    const JsonParseStatus r = parseJson(text, v);
     EXPECT_TRUE(r.ok) << r.error;
-    return std::move(r.value);
+    return v;
+}
+
+/** writeRunRequest's bytes. */
+std::string
+runRequestBytes(const JobSpec &spec)
+{
+    std::string bytes;
+    JsonWriter w(bytes);
+    writeRunRequest(w, spec);
+    return bytes;
+}
+
+/** writeMachineOverrides's bytes. */
+std::string
+machineBytes(const MachineOverrides &m)
+{
+    std::string bytes;
+    JsonWriter w(bytes);
+    writeMachineOverrides(w, m);
+    return bytes;
 }
 
 TEST(DecodeRunRequest, FullRequest)
@@ -116,7 +137,8 @@ TEST(RunRequest, EncodeDecodeRoundTrip)
 
     JobSpec decoded;
     CodecError err;
-    ASSERT_TRUE(decodeRunRequest(encodeRunRequest(spec), decoded, err))
+    ASSERT_TRUE(
+        decodeRunRequest(mustParse(runRequestBytes(spec)), decoded, err))
         << err.code << ": " << err.message;
     EXPECT_EQ(decoded.info, spec.info);
     EXPECT_EQ(decoded.request.pathIndex, 2u);
@@ -127,8 +149,7 @@ TEST(RunRequest, EncodeDecodeRoundTrip)
     EXPECT_EQ(decoded.request.invocationsOverride, 17u);
     EXPECT_EQ(decoded.timeoutMillis, 250u);
     // Round-trips to identical bytes as well.
-    EXPECT_EQ(dumpJson(encodeRunRequest(decoded)),
-              dumpJson(encodeRunRequest(spec)));
+    EXPECT_EQ(runRequestBytes(decoded), runRequestBytes(spec));
 }
 
 TEST(Outcome, EncodeDecodeRoundTripOnRealRun)
@@ -139,7 +160,7 @@ TEST(Outcome, EncodeDecodeRoundTripOnRealRun)
     request.invocationsOverride = 3;
     const RunOutcome outcome = runWorkload(*info, request);
     const JsonValue encoded =
-        encodeRunOutcome(*info, request, outcome);
+        encodeOutcome(summarizeOutcome(*info, request, outcome));
 
     OutcomeSummary summary;
     CodecError err;
@@ -168,13 +189,40 @@ TEST(Outcome, DecodeRejectsUnknownMember)
     request.runLsq = false;
     request.runSw = false;
     request.invocationsOverride = 2;
-    JsonValue encoded =
-        encodeRunOutcome(*info, request, runWorkload(*info, request));
+    JsonValue encoded = encodeOutcome(
+        summarizeOutcome(*info, request, runWorkload(*info, request)));
     encoded.set("extra", 1);
     OutcomeSummary summary;
     CodecError err;
     EXPECT_FALSE(decodeOutcome(encoded, summary, err));
     EXPECT_EQ(err.code, "bad_request");
+}
+
+TEST(Outcome, MdesErrorIgnoresStaleError)
+{
+    // The error decodeOutcome reports depends only on its input, never
+    // on what a reused CodecError held before the call.
+    OutcomeSummary summary;
+    summary.workload = "179.art";
+    const std::string good = dumpJson(encodeOutcome(summary));
+    const std::string mdes = "\"mdes\":{\"order\":0,\"forward\":0,"
+                             "\"may\":0}";
+    ASSERT_NE(good.find(mdes), std::string::npos);
+    auto decodeWith = [&](const std::string &needle,
+                          const std::string &replacement) {
+        std::string text = good;
+        text.replace(text.find(needle), needle.size(), replacement);
+        CodecError err{"unknown_workload", "stale message"};
+        OutcomeSummary out;
+        EXPECT_FALSE(decodeOutcome(mustParse(text), out, err)) << text;
+        return err;
+    };
+    CodecError err = decodeWith(mdes, "\"mdes\":7");
+    EXPECT_EQ(err.code, "bad_request");
+    EXPECT_EQ(err.message, "'mdes' object missing");
+    err = decodeWith(mdes, "\"mdes\":{\"order\":0,\"typo\":0}");
+    EXPECT_EQ(err.code, "bad_request");
+    EXPECT_EQ(err.message, "unknown member 'typo'");
 }
 
 TEST(RunRequest, AdmissionClassRoundTrips)
@@ -185,12 +233,13 @@ TEST(RunRequest, AdmissionClassRoundTrips)
     spec.klass = AdmitClass::Bulk;
     JobSpec decoded;
     CodecError err;
-    ASSERT_TRUE(decodeRunRequest(encodeRunRequest(spec), decoded, err))
+    ASSERT_TRUE(
+        decodeRunRequest(mustParse(runRequestBytes(spec)), decoded, err))
         << err.code << ": " << err.message;
     EXPECT_EQ(decoded.klass, AdmitClass::Bulk);
     // Interactive is the default and is omitted from the encoding.
     spec.klass = AdmitClass::Interactive;
-    const JsonValue encoded = encodeRunRequest(spec);
+    const JsonValue encoded = mustParse(runRequestBytes(spec));
     EXPECT_EQ(encoded.find("class"), nullptr);
     ASSERT_TRUE(decodeRunRequest(encoded, decoded, err));
     EXPECT_EQ(decoded.klass, AdmitClass::Interactive);
@@ -219,22 +268,6 @@ TEST(Outcome, PartsSummaryMatchesWholeOutcome)
               dumpJson(encodeOutcome(whole)));
 }
 
-TEST(Outcome, WriterEncodingMatchesTreeEncoding)
-{
-    const BenchmarkInfo *info = findBenchmark("183.equake");
-    ASSERT_NE(info, nullptr);
-    RunRequest request;
-    request.seed = 6;
-    request.invocationsOverride = 1;
-    const RunOutcome outcome = runWorkload(*info, request);
-    const OutcomeSummary summary =
-        summarizeOutcome(*info, request, outcome);
-    std::string streamed;
-    JsonWriter w(streamed);
-    encodeOutcomeTo(w, summary);
-    EXPECT_EQ(streamed, dumpJson(encodeOutcome(summary)));
-}
-
 TEST(MachineOverrides, DecodeEncodeRoundTrip)
 {
     MachineOverrides m;
@@ -255,21 +288,18 @@ TEST(MachineOverrides, DecodeEncodeRoundTrip)
     EXPECT_EQ(m.nachosComparesPerCycle, 4u);
 
     MachineOverrides roundTripped;
-    ASSERT_TRUE(decodeMachineOverrides(encodeMachineOverrides(m),
+    ASSERT_TRUE(decodeMachineOverrides(mustParse(machineBytes(m)),
                                        roundTripped, err));
     EXPECT_TRUE(roundTripped == m);
-    EXPECT_EQ(dumpJson(encodeMachineOverrides(roundTripped)),
-              dumpJson(encodeMachineOverrides(m)));
+    EXPECT_EQ(machineBytes(roundTripped), machineBytes(m));
 }
 
 TEST(MachineOverrides, EncodeEmitsOnlySetFields)
 {
     MachineOverrides m;
     m.lsqBanks = 2;
-    const std::string text = dumpJson(encodeMachineOverrides(m));
-    EXPECT_EQ(text, "{\"lsqBanks\":2}");
-    EXPECT_EQ(dumpJson(encodeMachineOverrides(MachineOverrides{})),
-              "{}");
+    EXPECT_EQ(machineBytes(m), "{\"lsqBanks\":2}");
+    EXPECT_EQ(machineBytes(MachineOverrides{}), "{}");
 }
 
 TEST(MachineOverrides, TypedValidationErrors)
@@ -324,29 +354,29 @@ TEST(MachineOverrides, DecodeResetsStaleMembers)
 TEST(MachineOverrides, RunRequestWiresMachineThrough)
 {
     // The daemon's steady-state path reuses one parse tree per
-    // connection (parseJsonInPlace); decoding a request WITHOUT a
-    // machine member after one WITH must reset the overrides.
+    // connection; decoding a request WITHOUT a machine member after
+    // one WITH must reset the overrides.
     JsonValue reuse;
-    ASSERT_TRUE(parseJsonInPlace("{\"workload\":\"art\",\"machine\":"
-                                 "{\"lsqBanks\":2}}",
-                                 reuse)
-                    .ok);
+    ASSERT_TRUE(
+        parseJson("{\"workload\":\"art\",\"machine\":{\"lsqBanks\":2}}",
+                  reuse)
+            .ok);
     JobSpec spec;
     CodecError err;
     ASSERT_TRUE(decodeRunRequest(reuse, spec, err))
         << err.code << ": " << err.message;
     EXPECT_EQ(spec.request.machine.lsqBanks, 2u);
 
-    ASSERT_TRUE(parseJsonInPlace("{\"workload\":\"art\"}", reuse).ok);
+    ASSERT_TRUE(parseJson("{\"workload\":\"art\"}", reuse).ok);
     ASSERT_TRUE(decodeRunRequest(reuse, spec, err));
     EXPECT_FALSE(spec.request.machine.any());
 
     // And a bad machine member fails with the stable code through the
     // full request decoder too.
-    ASSERT_TRUE(parseJsonInPlace("{\"workload\":\"art\",\"machine\":"
-                                 "{\"l1Assoc\":0}}",
-                                 reuse)
-                    .ok);
+    ASSERT_TRUE(
+        parseJson("{\"workload\":\"art\",\"machine\":{\"l1Assoc\":0}}",
+                  reuse)
+            .ok);
     EXPECT_FALSE(decodeRunRequest(reuse, spec, err));
     EXPECT_EQ(err.code, "bad_machine");
 }
@@ -361,11 +391,11 @@ TEST(MachineOverrides, RequestRoundTripsWithMachine)
 
     JobSpec decoded;
     CodecError err;
-    ASSERT_TRUE(decodeRunRequest(encodeRunRequest(spec), decoded, err))
+    ASSERT_TRUE(
+        decodeRunRequest(mustParse(runRequestBytes(spec)), decoded, err))
         << err.code << ": " << err.message;
     EXPECT_TRUE(decoded.request.machine == spec.request.machine);
-    EXPECT_EQ(dumpJson(encodeRunRequest(decoded)),
-              dumpJson(encodeRunRequest(spec)));
+    EXPECT_EQ(runRequestBytes(decoded), runRequestBytes(spec));
 }
 
 TEST(MachineOverrides, HashSeparatesConfigs)

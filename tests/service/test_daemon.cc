@@ -81,7 +81,8 @@ directOutcomeJson(const std::string &workload, const RunOpts &opts)
     EXPECT_TRUE(decodeRunRequest(runPayload(workload, opts), spec, err))
         << err.code << ": " << err.message;
     const RunOutcome outcome = runWorkload(*spec.info, spec.request);
-    return dumpJson(encodeRunOutcome(*spec.info, spec.request, outcome));
+    return dumpJson(
+        encodeOutcome(summarizeOutcome(*spec.info, spec.request, outcome)));
 }
 
 const char *

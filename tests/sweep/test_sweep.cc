@@ -25,9 +25,10 @@ namespace {
 JsonValue
 mustParse(const std::string &text)
 {
-    JsonParseResult parsed = parseJson(text);
+    JsonValue v;
+    const JsonParseStatus parsed = parseJson(text, v);
     EXPECT_TRUE(parsed.ok) << parsed.error;
-    return std::move(parsed.value);
+    return v;
 }
 
 SweepSpec

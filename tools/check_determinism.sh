@@ -12,7 +12,8 @@
 # two-worker nachosd (region cache enabled) must be byte-identical to
 # nachos_client --direct, which runs the same decode/run/encode path
 # in-process — on a cache miss, on a cache hit, and under a parallel
-# burst of identical requests.
+# burst of identical requests — and so must the error line for an
+# unknown workload, with exit code 2 from both.
 
 set -u
 
@@ -185,6 +186,26 @@ else
                 check "179.art/lsq" "$ref" "$got" \
                     "daemon vs direct, machine overrides"
             fi
+        fi
+
+        # Error lines too: --direct writes them with the daemon's error
+        # encoder, so an unknown workload must give byte-identical
+        # error lines, and exit code 2, from both sides.
+        ref="$TMP/direct.error"
+        "$BIN_DIR/nachos_client" --direct --raw run \
+            --workload no-such-workload --seed 3 > "$ref"
+        direct_rc=$?
+        got="$TMP/daemon.error"
+        "$BIN_DIR/nachos_client" --socket "$SOCK" --raw run \
+            --workload no-such-workload --seed 3 > "$got"
+        daemon_rc=$?
+        if [ "$direct_rc" -ne 2 ] || [ "$daemon_rc" -ne 2 ]; then
+            echo "FAIL: unknown workload exited $direct_rc (--direct)" \
+                 "and $daemon_rc (daemon); want 2 from both" >&2
+            failures=$((failures + 1))
+        else
+            check "no-such-workload" "$ref" "$got" \
+                "daemon vs direct, error line"
         fi
     fi
     stop_daemon
