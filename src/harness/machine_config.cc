@@ -1,16 +1,145 @@
 #include "harness/machine_config.hh"
 
+#include <bit>
+#include <type_traits>
+
+#include "harness/run_json.hh"
+
 namespace nachos {
 
 namespace {
 
-bool
-powerOfTwo(uint64_t v)
+/** FieldAccess to `t.*P1.*P2...` for a member-pointer path. */
+template <class T, auto... Path>
+constexpr FieldAccess<T> fieldAt = {
+    [](const T &t) -> uint64_t { return (t .* ... .* Path); },
+    [](T &t, uint64_t v) {
+        auto &field = (t .* ... .* Path);
+        field = static_cast<std::remove_reference_t<decltype(field)>>(v);
+    },
+};
+
+template <auto Slot>
+constexpr FieldAccess<MachineOverrides> slotAt =
+    fieldAt<MachineOverrides, Slot>;
+
+template <auto... Path>
+constexpr FieldAccess<SimConfig> simAt = fieldAt<SimConfig, Path...>;
+
+template <auto Field>
+constexpr FieldAccess<SimConfig> l1At =
+    fieldAt<SimConfig, &SimConfig::mem, &HierarchyConfig::l1, Field>;
+
+using MO = MachineOverrides;
+using LC = LsqConfig;
+using HC = HierarchyConfig;
+using CC = CacheConfig;
+
+// Caps bound a job's memory and run time; 0 ("unset") is never a
+// value here — the codec rejects an explicit zero before it reaches a
+// slot (a zero would silently decode back to "default").
+const MachineField kMachineFields[] = {
+    {"lsqBanks", 64, false, slotAt<&MO::lsqBanks>,
+     simAt<&SimConfig::lsq, &LC::banks>},
+    {"lsqPortsPerBank", 64, false, slotAt<&MO::lsqPortsPerBank>,
+     simAt<&SimConfig::lsq, &LC::portsPerBank>},
+    {"l1SizeBytes", 1ull << 30, false, slotAt<&MO::l1SizeBytes>,
+     l1At<&CC::sizeBytes>},
+    {"l1Assoc", 64, false, slotAt<&MO::l1Assoc>, l1At<&CC::assoc>},
+    {"l1LineBytes", 4096, true, slotAt<&MO::l1LineBytes>,
+     l1At<&CC::lineBytes>},
+    {"l1Ports", 64, false, slotAt<&MO::l1Ports>, l1At<&CC::ports>},
+    {"llcSizeBytes", 1ull << 32, false, slotAt<&MO::llcSizeBytes>,
+     simAt<&SimConfig::mem, &HC::llc, &CC::sizeBytes>},
+    {"dramLatency", 1'000'000, false, slotAt<&MO::dramLatency>,
+     simAt<&SimConfig::mem, &HC::dramLatency>},
+    {"dramRequestsPerCycle", 1024, false,
+     slotAt<&MO::dramRequestsPerCycle>,
+     simAt<&SimConfig::mem, &HC::dramRequestsPerCycle>},
+    {"netHopsPerCycle", 1024, false, slotAt<&MO::netHopsPerCycle>,
+     simAt<&SimConfig::net, &NetworkConfig::hopsPerCycle>},
+    {"nachosComparesPerCycle", 1024, false,
+     slotAt<&MO::nachosComparesPerCycle>,
+     simAt<&SimConfig::nachosComparesPerCycle>},
+};
+
+const BackendField kBackendFields[] = {
+    {BackendKind::OptLsq, "lsq", &RunRequest::runLsq,
+     &BackendResults::lsq, &OutcomeSummary::lsq},
+    {BackendKind::NachosSw, "sw", &RunRequest::runSw,
+     &BackendResults::sw, &OutcomeSummary::sw},
+    {BackendKind::Nachos, "nachos", &RunRequest::runNachos,
+     &BackendResults::nachos, &OutcomeSummary::nachos},
+};
+
+/** Empty if `c` holds a whole, non-zero number of sets. */
+std::string
+rejectGeometry(const CacheConfig &c, const char *level)
 {
-    return v != 0 && (v & (v - 1)) == 0;
+    const uint64_t setBytes =
+        static_cast<uint64_t>(c.assoc) * c.lineBytes;
+    if (c.sizeBytes < setBytes)
+        return std::string("effective ") + level +
+               " geometry has zero sets (sizeBytes < assoc * lineBytes)";
+    if (c.sizeBytes % setBytes)
+        return std::string("effective ") + level +
+               " sizeBytes is not a multiple of assoc * lineBytes";
+    return {};
 }
 
 } // namespace
+
+uint64_t
+MachineField::defaultValue() const
+{
+    // Read off a default-constructed SimConfig so the default can never
+    // drift from the Figure-3 machine the code defines.
+    static const SimConfig defaults;
+    return sim.get(defaults);
+}
+
+std::string
+MachineField::reject(uint64_t value) const
+{
+    if (powerOfTwo && value && !std::has_single_bit(value))
+        return std::string(name) + " must be a power of two";
+    if (value > max)
+        return std::string(name) + " exceeds the " +
+               std::to_string(max) + " cap";
+    return {};
+}
+
+std::span<const MachineField>
+machineFields()
+{
+    return kMachineFields;
+}
+
+const MachineField *
+findMachineField(std::string_view name)
+{
+    for (const MachineField &f : kMachineFields)
+        if (name == f.name)
+            return &f;
+    return nullptr;
+}
+
+std::string
+machineCoordinates(const MachineOverrides &m)
+{
+    std::string text;
+    for (const MachineField &f : kMachineFields) {
+        const uint64_t value = f.slot.get(m);
+        if (!value)
+            continue;
+        if (!text.empty())
+            text += ' ';
+        text += f.name;
+        text += '=';
+        text += std::to_string(value);
+    }
+    return text;
+}
 
 bool
 MachineOverrides::any() const
@@ -21,108 +150,63 @@ MachineOverrides::any() const
 void
 MachineOverrides::applyTo(SimConfig &sim) const
 {
-    if (lsqBanks)
-        sim.lsq.banks = lsqBanks;
-    if (lsqPortsPerBank)
-        sim.lsq.portsPerBank = lsqPortsPerBank;
-    if (l1SizeBytes)
-        sim.mem.l1.sizeBytes = l1SizeBytes;
-    if (l1Assoc)
-        sim.mem.l1.assoc = l1Assoc;
-    if (l1LineBytes)
-        sim.mem.l1.lineBytes = l1LineBytes;
-    if (l1Ports)
-        sim.mem.l1.ports = l1Ports;
-    if (llcSizeBytes)
-        sim.mem.llc.sizeBytes = llcSizeBytes;
-    if (dramLatency)
-        sim.mem.dramLatency = dramLatency;
-    if (dramRequestsPerCycle)
-        sim.mem.dramRequestsPerCycle = dramRequestsPerCycle;
-    if (netHopsPerCycle)
-        sim.net.hopsPerCycle = netHopsPerCycle;
-    if (nachosComparesPerCycle)
-        sim.nachosComparesPerCycle = nachosComparesPerCycle;
+    for (const MachineField &f : kMachineFields)
+        if (const uint64_t value = f.slot.get(*this))
+            f.sim.set(sim, value);
 }
 
-uint64_t
-machineConfigHash(const MachineOverrides &m)
-{
-    uint64_t h = 1469598103934665603ull; // FNV-1a 64 offset basis
-    auto mix = [&h](uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xff;
-            h *= 1099511628211ull;
-        }
-    };
-    mix(m.lsqBanks);
-    mix(m.lsqPortsPerBank);
-    mix(m.l1SizeBytes);
-    mix(m.l1Assoc);
-    mix(m.l1LineBytes);
-    mix(m.l1Ports);
-    mix(m.llcSizeBytes);
-    mix(m.dramLatency);
-    mix(m.dramRequestsPerCycle);
-    mix(m.netHopsPerCycle);
-    mix(m.nachosComparesPerCycle);
-    return h;
-}
-
-const char *
+std::string
 validateMachineOverrides(const MachineOverrides &m)
 {
-    // Per-field caps. 0 always means "unset" and is skipped here; the
-    // codec rejects an *explicit* zero before it ever reaches a field
-    // (a zero would silently decode back to "default", which is the
-    // stale-value trap strict decoding exists to prevent).
-    if (m.lsqBanks > 64)
-        return "lsqBanks exceeds the 64 cap";
-    if (m.lsqPortsPerBank > 64)
-        return "lsqPortsPerBank exceeds the 64 cap";
-    if (m.l1SizeBytes > (1ull << 30))
-        return "l1SizeBytes exceeds the 1 GiB cap";
-    if (m.l1Assoc > 64)
-        return "l1Assoc exceeds the 64 cap";
-    if (m.l1LineBytes && !powerOfTwo(m.l1LineBytes))
-        return "l1LineBytes must be a power of two";
-    if (m.l1LineBytes > 4096)
-        return "l1LineBytes exceeds the 4096 cap";
-    if (m.l1Ports > 64)
-        return "l1Ports exceeds the 64 cap";
-    if (m.llcSizeBytes > (1ull << 32))
-        return "llcSizeBytes exceeds the 4 GiB cap";
-    if (m.dramLatency > 1'000'000)
-        return "dramLatency exceeds the 1000000-cycle cap";
-    if (m.dramRequestsPerCycle > 1024)
-        return "dramRequestsPerCycle exceeds the 1024 cap";
-    if (m.netHopsPerCycle > 1024)
-        return "netHopsPerCycle exceeds the 1024 cap";
-    if (m.nachosComparesPerCycle > 1024)
-        return "nachosComparesPerCycle exceeds the 1024 cap";
+    for (const MachineField &f : kMachineFields)
+        if (std::string bad = f.reject(f.slot.get(m)); !bad.empty())
+            return bad;
 
     // Effective-geometry checks: overrides merge onto the Figure-3
     // defaults, so a size override must stay consistent with whatever
     // associativity/line size ends up in force (and vice versa).
     SimConfig sim;
     m.applyTo(sim);
-    const CacheConfig &l1 = sim.mem.l1;
-    if (l1.sizeBytes < static_cast<uint64_t>(l1.assoc) * l1.lineBytes)
-        return "effective L1 geometry has zero sets "
-               "(sizeBytes < assoc * lineBytes)";
-    if (l1.sizeBytes % (static_cast<uint64_t>(l1.assoc) * l1.lineBytes))
-        return "effective L1 sizeBytes is not a multiple of "
-               "assoc * lineBytes";
-    const CacheConfig &llc = sim.mem.llc;
-    if (llc.sizeBytes <
-        static_cast<uint64_t>(llc.assoc) * llc.lineBytes)
-        return "effective LLC geometry has zero sets "
-               "(sizeBytes < assoc * lineBytes)";
-    if (llc.sizeBytes %
-        (static_cast<uint64_t>(llc.assoc) * llc.lineBytes))
-        return "effective LLC sizeBytes is not a multiple of "
-               "assoc * lineBytes";
+    std::string bad = rejectGeometry(sim.mem.l1, "L1");
+    if (!bad.empty())
+        return bad;
+    return rejectGeometry(sim.mem.llc, "LLC");
+}
+
+std::span<const BackendField>
+backendFields()
+{
+    return kBackendFields;
+}
+
+const BackendField *
+findBackend(std::string_view name)
+{
+    for (const BackendField &b : kBackendFields)
+        if (name == b.name)
+            return &b;
     return nullptr;
+}
+
+std::vector<std::string>
+backendNames()
+{
+    std::vector<std::string> names;
+    for (const BackendField &b : kBackendFields)
+        names.push_back(b.name);
+    return names;
+}
+
+std::string
+backendNameList()
+{
+    std::string list;
+    for (const BackendField &b : kBackendFields) {
+        if (!list.empty())
+            list += '|';
+        list += b.name;
+    }
+    return list;
 }
 
 } // namespace nachos

@@ -1,15 +1,22 @@
 /**
  * @file
- * Machine-parameter overrides carried by a RunRequest — the handle the
- * sweep subsystem (src/sweep) and the serving plane use to vary the
- * simulated machine away from the paper's fixed Figure-3 configuration.
+ * The vocabulary of a run request, declared once: the machine-parameter
+ * overrides a RunRequest carries and the ordering backends it can ask
+ * for, each as one static table that every codec, sweep and report
+ * walks.
  *
- * Every field uses 0 as "keep the default": an all-zero MachineOverrides
- * is the identity and reproduces today's behavior bit-for-bit. Overrides
- * deliberately cover only the *memory-system* axes the design-space
- * sweeps explore (LSQ geometry, cache geometry, DRAM, operand-network
- * rate, NACHOS comparator width); grid geometry stays fixed because the
- * batch engine shares one placement across lanes.
+ * MachineOverrides vary the simulated machine away from the paper's
+ * fixed Figure-3 configuration. Every field uses 0 as "keep the
+ * default": an all-zero MachineOverrides is the identity and
+ * reproduces today's behavior bit-for-bit. Overrides cover only the
+ * *memory-system* axes the design-space sweeps explore (LSQ geometry,
+ * cache geometry, DRAM, operand-network rate, NACHOS comparator
+ * width).
+ *
+ * machineFields() has one row per MachineOverrides field, in
+ * declaration order — which is also the wire order, the point-id order
+ * and the report order. A new machine parameter is one struct member
+ * plus one row; nothing else lists the fields.
  *
  * The front half of a run (synthesis, alias pipeline, MDE insertion)
  * never reads these fields — the region cache key stays
@@ -21,6 +28,11 @@
 #define NACHOS_HARNESS_MACHINE_CONFIG_HH
 
 #include <cstdint>
+#include <optional>
+#include <span>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "cgra/simulator.hh"
 
@@ -50,21 +62,84 @@ struct MachineOverrides
     void applyTo(SimConfig &sim) const;
 };
 
-/**
- * Order-stable FNV-1a hash over the override fields. Equal overrides
- * hash equal; the all-default overrides hash to the FNV offset basis.
- */
-uint64_t machineConfigHash(const MachineOverrides &m);
+/** Read/write access to one integer field of `T`, widened to 64 bits. */
+template <class T>
+struct FieldAccess
+{
+    uint64_t (*get)(const T &);
+    void (*set)(T &, uint64_t); ///< truncates to the field's width
+};
+
+/** One machine parameter: a MachineOverrides slot and its rules. */
+struct MachineField
+{
+    const char *name; ///< wire member, sweep axis and point-id key
+    uint64_t max;     ///< largest accepted value
+    bool powerOfTwo;  ///< the value must be a power of two
+    FieldAccess<MachineOverrides> slot; ///< the override (0 = unset)
+    FieldAccess<SimConfig> sim;         ///< the field the override sets
+
+    /** The Figure-3 value (what an unset slot means). */
+    uint64_t defaultValue() const;
+
+    /**
+     * Empty if `value` obeys this field's rules (0, "unset", always
+     * does), else why not.
+     */
+    std::string reject(uint64_t value) const;
+};
+
+/** One row per MachineOverrides field, in declaration order. */
+std::span<const MachineField> machineFields();
+
+/** The row named `name`, or nullptr. */
+const MachineField *findMachineField(std::string_view name);
 
 /**
- * Validate overrides against the machine model's constraints: all set
- * fields positive and within their caps, line sizes powers of two, and
- * the *effective* cache geometries (overrides merged onto defaults)
- * holding at least one set. Returns nullptr when valid, else a static
- * human-readable message — the codec turns it into a typed
- * `bad_machine` error.
+ * "name=value" for every set field, in table order, space-separated;
+ * empty for the default machine. The machine part of a sweep point's
+ * id and of its report label.
  */
-const char *validateMachineOverrides(const MachineOverrides &m);
+std::string machineCoordinates(const MachineOverrides &m);
+
+/**
+ * Validate overrides against the machine model's constraints: every
+ * set field within its row's rules, and the *effective* cache
+ * geometries (overrides merged onto defaults) holding at least one
+ * set. Returns an empty string when valid, else a human-readable
+ * message — the codec turns it into a typed `bad_machine` error.
+ */
+std::string validateMachineOverrides(const MachineOverrides &m);
+
+struct RunRequest;
+struct BackendResults;
+struct OutcomeSummary;
+struct SimSummary;
+
+/**
+ * One ordering backend: its wire name and, as member pointers, the
+ * RunRequest flag that asks for it and the slots its result lands in.
+ */
+struct BackendField
+{
+    BackendKind kind;
+    const char *name; ///< wire name in requests, outcomes and sweeps
+    bool RunRequest::*run;
+    std::optional<SimResult> BackendResults::*result;
+    std::optional<SimSummary> OutcomeSummary::*summary;
+};
+
+/** One row per BackendKind, in wire order (OPT-LSQ, NACHOS-SW, NACHOS). */
+std::span<const BackendField> backendFields();
+
+/** The row named `name`, or nullptr. */
+const BackendField *findBackend(std::string_view name);
+
+/** Every backend's wire name, in table order. */
+std::vector<std::string> backendNames();
+
+/** The wire names joined with '|', for error messages. */
+std::string backendNameList();
 
 } // namespace nachos
 

@@ -2,6 +2,7 @@
 
 #include "ir/serialize.hh"
 #include "support/logging.hh"
+#include "support/value_hash.hh"
 
 namespace nachos {
 
@@ -98,13 +99,7 @@ RegionCache::counters() const
 uint64_t
 RegionCache::regionDigest(const Region &region)
 {
-    const std::string text = regionToString(region);
-    uint64_t h = 1469598103934665603ull; // FNV-1a 64 offset basis
-    for (const char c : text) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ull;
-    }
-    return h;
+    return fnv1a64(regionToString(region));
 }
 
 bool

@@ -1,9 +1,7 @@
 #include "harness/run_json.hh"
 
 #include <initializer_list>
-#include <limits>
 #include <string_view>
-#include <type_traits>
 
 namespace nachos {
 
@@ -17,21 +15,33 @@ failCodec(CodecError &err, std::string code, std::string message)
     return false;
 }
 
-/** Reject members outside `allowed` (strict decoding). */
+/** Reject members for which `known(name)` is false (strict decoding). */
+template <class Known>
+bool
+checkMembers(const JsonValue &v, Known known, CodecError &err)
+{
+    for (const auto &member : v.members())
+        if (!known(member.first))
+            return failCodec(err, "bad_request",
+                             "unknown member '" + member.first + "'");
+    return true;
+}
+
+/** Reject members outside `allowed`. */
 bool
 checkMembers(const JsonValue &v,
              std::initializer_list<std::string_view> allowed,
              CodecError &err)
 {
-    for (const auto &member : v.members()) {
-        bool known = false;
-        for (const std::string_view name : allowed)
-            known |= member.first == name;
-        if (!known)
-            return failCodec(err, "bad_request",
-                             "unknown member '" + member.first + "'");
-    }
-    return true;
+    return checkMembers(
+        v,
+        [allowed](std::string_view name) {
+            for (const std::string_view a : allowed)
+                if (name == a)
+                    return true;
+            return false;
+        },
+        err);
 }
 
 bool
@@ -140,70 +150,38 @@ decodeMachineOverrides(const JsonValue &v, MachineOverrides &out,
     if (!v.isObject())
         return failCodec(err, "bad_machine",
                          "'machine' must be an object");
-    if (!checkMembers(v,
-                      {"lsqBanks", "lsqPortsPerBank", "l1SizeBytes",
-                       "l1Assoc", "l1LineBytes", "l1Ports",
-                       "llcSizeBytes", "dramLatency",
-                       "dramRequestsPerCycle", "netHopsPerCycle",
-                       "nachosComparesPerCycle"},
-                      err))
+    if (!checkMembers(v, findMachineField, err))
         return false;
-    auto field = [&](const char *name, auto &slot) {
-        const JsonValue *f = v.find(name);
+    for (const MachineField &field : machineFields()) {
+        const JsonValue *f = v.find(field.name);
         if (!f)
-            return true; // unset: keep the default (0 sentinel)
+            continue; // unset: keep the default (0 sentinel)
         // An explicit zero is rejected rather than treated as "unset":
         // silently decoding 0 back to the default would mask typos
         // and make zero/overflow bugs unobservable on the wire.
         if (!f->isU64() || f->asU64() == 0)
             return failCodec(err, "bad_machine",
-                             std::string("'machine.") + name +
+                             std::string("'machine.") + field.name +
                                  "' must be a positive integer");
-        using Slot = std::remove_reference_t<decltype(slot)>;
-        const uint64_t raw = f->asU64();
-        if (raw > std::numeric_limits<Slot>::max())
-            return failCodec(err, "bad_machine",
-                             std::string("'machine.") + name +
-                                 "' overflows its field");
-        slot = static_cast<Slot>(raw);
-        return true;
-    };
-    if (!field("lsqBanks", out.lsqBanks) ||
-        !field("lsqPortsPerBank", out.lsqPortsPerBank) ||
-        !field("l1SizeBytes", out.l1SizeBytes) ||
-        !field("l1Assoc", out.l1Assoc) ||
-        !field("l1LineBytes", out.l1LineBytes) ||
-        !field("l1Ports", out.l1Ports) ||
-        !field("llcSizeBytes", out.llcSizeBytes) ||
-        !field("dramLatency", out.dramLatency) ||
-        !field("dramRequestsPerCycle", out.dramRequestsPerCycle) ||
-        !field("netHopsPerCycle", out.netHopsPerCycle) ||
-        !field("nachosComparesPerCycle", out.nachosComparesPerCycle))
-        return false;
-    if (const char *bad = validateMachineOverrides(out))
-        return failCodec(err, "bad_machine", bad);
+        // Checked before the store: every cap fits its slot's width.
+        std::string bad = field.reject(f->asU64());
+        if (!bad.empty())
+            return failCodec(err, "bad_machine", std::move(bad));
+        field.slot.set(out, f->asU64());
+    }
+    std::string bad = validateMachineOverrides(out);
+    if (!bad.empty())
+        return failCodec(err, "bad_machine", std::move(bad));
     return true;
 }
 
 void
 writeMachineOverrides(JsonWriter &w, const MachineOverrides &m)
 {
-    auto emit = [&w](const char *name, uint64_t value) {
-        if (value)
-            w.member(name, value);
-    };
     w.beginObject();
-    emit("lsqBanks", m.lsqBanks);
-    emit("lsqPortsPerBank", m.lsqPortsPerBank);
-    emit("l1SizeBytes", m.l1SizeBytes);
-    emit("l1Assoc", m.l1Assoc);
-    emit("l1LineBytes", m.l1LineBytes);
-    emit("l1Ports", m.l1Ports);
-    emit("llcSizeBytes", m.llcSizeBytes);
-    emit("dramLatency", m.dramLatency);
-    emit("dramRequestsPerCycle", m.dramRequestsPerCycle);
-    emit("netHopsPerCycle", m.netHopsPerCycle);
-    emit("nachosComparesPerCycle", m.nachosComparesPerCycle);
+    for (const MachineField &field : machineFields())
+        if (const uint64_t value = field.slot.get(m))
+            w.member(field.name, value);
     w.endObject();
 }
 
@@ -255,24 +233,20 @@ decodeRunRequest(const JsonValue &v, JobSpec &spec, CodecError &err)
         if (!m->isArray() || m->size() == 0)
             return failCodec(err, "bad_request",
                              "'backends' must be a non-empty array");
-        spec.request.runLsq = false;
-        spec.request.runSw = false;
-        spec.request.runNachos = false;
+        for (const BackendField &backend : backendFields())
+            spec.request.*backend.run = false;
         for (size_t i = 0; i < m->size(); ++i) {
             const JsonValue &b = m->at(i);
             if (!b.isString())
                 return failCodec(err, "bad_request",
                                  "'backends' entries must be strings");
-            if (b.str() == "lsq")
-                spec.request.runLsq = true;
-            else if (b.str() == "sw")
-                spec.request.runSw = true;
-            else if (b.str() == "nachos")
-                spec.request.runNachos = true;
-            else
+            const BackendField *backend = findBackend(b.str());
+            if (!backend)
                 return failCodec(err, "bad_request",
                                  "unknown backend '" + b.str() +
-                                     "' (expected lsq|sw|nachos)");
+                                     "' (expected " + backendNameList() +
+                                     ")");
+            spec.request.*backend->run = true;
         }
     }
 
@@ -347,12 +321,9 @@ writeRunRequest(JsonWriter &w, const JobSpec &spec)
     w.member("seed", spec.request.seed);
     w.key("backends");
     w.beginArray();
-    if (spec.request.runLsq)
-        w.value("lsq");
-    if (spec.request.runSw)
-        w.value("sw");
-    if (spec.request.runNachos)
-        w.value("nachos");
+    for (const BackendField &backend : backendFields())
+        if (spec.request.*backend.run)
+            w.value(backend.name);
     w.endArray();
     w.key("pipeline");
     w.beginObject();
@@ -401,12 +372,9 @@ summarizeOutcome(const BenchmarkInfo &info, const RunRequest &request,
           case MdeKind::May: ++s.mdeMay; break;
         }
     }
-    if (sims.lsq)
-        s.lsq = summarizeSim(*sims.lsq);
-    if (sims.sw)
-        s.sw = summarizeSim(*sims.sw);
-    if (sims.nachos)
-        s.nachos = summarizeSim(*sims.nachos);
+    for (const BackendField &backend : backendFields())
+        if (const std::optional<SimResult> &sim = sims.*backend.result)
+            s.*backend.summary = summarizeSim(*sim);
     return s;
 }
 
@@ -430,17 +398,12 @@ writeOutcome(JsonWriter &w, const OutcomeSummary &summary)
     w.endObject();
     w.key("backends");
     w.beginObject();
-    if (summary.lsq) {
-        w.key("lsq");
-        writeSimSummary(w, *summary.lsq);
-    }
-    if (summary.sw) {
-        w.key("sw");
-        writeSimSummary(w, *summary.sw);
-    }
-    if (summary.nachos) {
-        w.key("nachos");
-        writeSimSummary(w, *summary.nachos);
+    for (const BackendField &backend : backendFields()) {
+        const std::optional<SimSummary> &s = summary.*backend.summary;
+        if (s) {
+            w.key(backend.name);
+            writeSimSummary(w, *s);
+        }
     }
     w.endObject();
     w.endObject();
@@ -493,20 +456,17 @@ decodeOutcome(const JsonValue &v, OutcomeSummary &summary,
     const JsonValue *backends = v.find("backends");
     if (!backends || !backends->isObject())
         return failCodec(err, "bad_request", "'backends' object missing");
-    if (!checkMembers(*backends, {"lsq", "sw", "nachos"}, err))
+    if (!checkMembers(*backends, findBackend, err))
         return false;
-    auto backend = [&](const char *name,
-                       std::optional<SimSummary> &slot) {
-        if (const JsonValue *b = backends->find(name)) {
+    for (const BackendField &backend : backendFields()) {
+        if (const JsonValue *b = backends->find(backend.name)) {
             SimSummary s;
             if (!decodeSimSummary(*b, s, err))
                 return false;
-            slot = s;
+            summary.*backend.summary = s;
         }
-        return true;
-    };
-    return backend("lsq", summary.lsq) && backend("sw", summary.sw) &&
-           backend("nachos", summary.nachos);
+    }
+    return true;
 }
 
 } // namespace nachos

@@ -50,12 +50,9 @@ simulateRequest(const BenchmarkInfo &info, const RunRequest &request,
     const SimPlan plan(front.region, sim.grid, sim.net);
     const MdeSet &m = front.mdes;
     BackendResults out;
-    if (request.runLsq)
-        out.lsq = simulate(plan, m, BackendKind::OptLsq, sim, pool);
-    if (request.runSw)
-        out.sw = simulate(plan, m, BackendKind::NachosSw, sim, pool);
-    if (request.runNachos)
-        out.nachos = simulate(plan, m, BackendKind::Nachos, sim, pool);
+    for (const BackendField &backend : backendFields())
+        if (request.*backend.run)
+            out.*backend.result = simulate(plan, m, backend.kind, sim, pool);
     return out;
 }
 

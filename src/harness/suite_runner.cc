@@ -1,11 +1,11 @@
 #include "harness/suite_runner.hh"
 
 #include <chrono>
-#include <cstdlib>
 #include <ostream>
 #include <string>
 
 #include "support/logging.hh"
+#include "support/parse.hh"
 #include "support/table.hh"
 
 namespace nachos {
@@ -86,11 +86,11 @@ suiteThreads(int argc, char *const argv[])
             value = arg.substr(10);
         else
             continue;
-        char *end = nullptr;
-        const unsigned long n = std::strtoul(value.c_str(), &end, 10);
-        if (end == value.c_str() || *end != '\0' || n < 1 || n > 4096)
+        const std::optional<uint64_t> n =
+            parseDecimal(value, 1, ThreadPool::kMaxThreads);
+        if (!n)
             NACHOS_FATAL("invalid --threads value '", value, "'");
-        return static_cast<unsigned>(n);
+        return static_cast<unsigned>(*n);
     }
     return ThreadPool::defaultThreadCount();
 }

@@ -22,6 +22,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "mem/bandwidth.hh"
@@ -39,10 +40,10 @@ struct CacheConfig
     uint32_t numMshrs = 16;
     /** Requests accepted per cycle. */
     uint32_t ports = 2;
-    const char *name = "cache";
+    std::string_view name = "cache"; ///< counter prefix
 
     /** Field-wise equality (names by content) — pooled-reuse check. */
-    bool sameAs(const CacheConfig &o) const;
+    bool operator==(const CacheConfig &) const = default;
 };
 
 /**
@@ -110,15 +111,7 @@ class CacheT final
         NACHOS_ASSERT(numSets_ > 0, "cache too small for its geometry");
         ways_.assign(static_cast<size_t>(numSets_) * cfg_.assoc, Way{});
         mshrFreeAt_.assign(cfg_.numMshrs, 0);
-
-        const std::string prefix = cfg_.name;
-        reads_ = &stats.counter(prefix + ".reads");
-        writes_ = &stats.counter(prefix + ".writes");
-        hits_ = &stats.counter(prefix + ".hits");
-        misses_ = &stats.counter(prefix + ".misses");
-        writebacks_ = &stats.counter(prefix + ".writebacks");
-        mshrMerges_ = &stats.counter(prefix + ".mshrMerges");
-        mshrStalls_ = &stats.counter(prefix + ".mshrStalls");
+        rebindStats(stats);
     }
 
     /**
@@ -180,14 +173,14 @@ class CacheT final
     }
 
     /**
-     * Re-resolve the counter handles into `stats` — same names, same
-     * creation set as construction. Lets a pooled cache serve a fresh
-     * run's StatSet without rebuilding its multi-megabyte way array.
+     * Resolve the counter handles into `stats` (construction does the
+     * same). Lets a pooled cache serve a fresh run's StatSet without
+     * rebuilding its multi-megabyte way array.
      */
     void
     rebindStats(StatSet &stats)
     {
-        const std::string prefix = cfg_.name;
+        const std::string prefix(cfg_.name);
         reads_ = &stats.counter(prefix + ".reads");
         writes_ = &stats.counter(prefix + ".writes");
         hits_ = &stats.counter(prefix + ".hits");

@@ -9,15 +9,6 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyConfig &cfg,
       scratchpad_(cfg.scratchpadLatency, 8, stats)
 {}
 
-bool
-HierarchyConfig::sameAs(const HierarchyConfig &o) const
-{
-    return l1.sameAs(o.l1) && llc.sameAs(o.llc) &&
-           dramLatency == o.dramLatency &&
-           dramRequestsPerCycle == o.dramRequestsPerCycle &&
-           scratchpadLatency == o.scratchpadLatency;
-}
-
 void
 MemoryHierarchy::reset()
 {

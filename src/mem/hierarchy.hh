@@ -31,7 +31,7 @@ struct HierarchyConfig
     uint32_t scratchpadLatency = 1;
 
     /** Field-wise equality — pooled-reuse check (mem/hierarchy_pool). */
-    bool sameAs(const HierarchyConfig &o) const;
+    bool operator==(const HierarchyConfig &) const = default;
 };
 
 /**

@@ -5,7 +5,7 @@ namespace nachos {
 MemoryHierarchy &
 HierarchyPool::acquire(const HierarchyConfig &cfg, StatSet &stats)
 {
-    if (slot_ && slot_->config().sameAs(cfg))
+    if (slot_ && slot_->config() == cfg)
         slot_->rebindStats(stats);
     else
         slot_ = std::make_unique<MemoryHierarchy>(cfg, stats);

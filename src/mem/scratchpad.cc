@@ -3,8 +3,9 @@
 namespace nachos {
 
 Scratchpad::Scratchpad(uint32_t latency, uint32_t ports, StatSet &stats)
-    : latency_(latency), reads_(&stats.counter("scratchpad.reads")),
-      writes_(&stats.counter("scratchpad.writes")), bw_(ports)
-{}
+    : latency_(latency), bw_(ports)
+{
+    rebindStats(stats);
+}
 
 } // namespace nachos

@@ -34,7 +34,7 @@ class Scratchpad
 
     void reset() { bw_.reset(); }
 
-    /** Re-resolve counter handles into `stats` (pooled reuse). */
+    /** Resolve counter handles into `stats` (construction, pooled reuse). */
     void
     rebindStats(StatSet &stats)
     {

@@ -576,13 +576,13 @@ Daemon::executeJob(Worker &self, const std::shared_ptr<Job> &job)
     stats_.counter("jobs.completed").inc();
     // Firing-plan observability: the engine's event traffic summed
     // over every backend run the daemon served.
-    for (const auto *sim : {&sims.lsq, &sims.sw, &sims.nachos}) {
-        if (!sim->has_value())
+    for (const BackendField &backend : backendFields()) {
+        const std::optional<SimResult> &sim = sims.*backend.result;
+        if (!sim)
             continue;
         stats_.counter("plan.eventsDispatched")
-            .inc((*sim)->planEventsDispatched);
-        stats_.counter("plan.eventsElided")
-            .inc((*sim)->planEventsElided);
+            .inc(sim->planEventsDispatched);
+        stats_.counter("plan.eventsElided").inc(sim->planEventsElided);
     }
     stats_.histogram("latency.synthMicros")
         .sample(secondsToMicros(times.synthSeconds));

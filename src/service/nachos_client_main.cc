@@ -236,20 +236,18 @@ printResponse(const Options &opt, const JsonValue &response)
                   << summary.labels.must << "  mdes o/f/m: "
                   << summary.mdeOrder << "/" << summary.mdeForward
                   << "/" << summary.mdeMay << "\n";
-        auto backend = [](const char *name,
-                          const std::optional<SimSummary> &s) {
+        for (const BackendField &backend : backendFields()) {
+            const std::optional<SimSummary> &s =
+                summary.*backend.summary;
             if (!s)
-                return;
-            std::cout << "  " << name << ": " << s->cycles
+                continue;
+            std::cout << "  " << backend.name << ": " << s->cycles
                       << " cycles (" << fmtDouble(
                              s->cyclesPerInvocation, 1)
                       << "/inv), avg mlp " << fmtDouble(s->avgMlp, 2)
                       << ", energy " << fmtDouble(s->energyTotal, 1)
                       << "\n";
-        };
-        backend("lsq", summary.lsq);
-        backend("sw", summary.sw);
-        backend("nachos", summary.nachos);
+        }
         return 0;
     }
     if (type && type->isString() && type->str() == "metrics") {

@@ -158,48 +158,4 @@ StatSet::dump() const
     return out;
 }
 
-Histogram::Histogram(uint64_t max_bucket) : buckets_(max_bucket, 0)
-{
-    NACHOS_ASSERT(max_bucket > 0, "histogram needs at least one bucket");
-}
-
-void
-Histogram::sample(uint64_t value, uint64_t weight)
-{
-    if (value < buckets_.size())
-        buckets_[value] += weight;
-    else
-        overflow_ += weight;
-    total_ += weight;
-    weightedSum_ += value * weight;
-}
-
-uint64_t
-Histogram::bucket(uint64_t idx) const
-{
-    NACHOS_ASSERT(idx < buckets_.size(), "histogram bucket out of range");
-    return buckets_[idx];
-}
-
-double
-Histogram::mean() const
-{
-    return total_ == 0 ? 0.0
-                       : static_cast<double>(weightedSum_) /
-                             static_cast<double>(total_);
-}
-
-double
-Histogram::cumulativeAt(uint64_t v) const
-{
-    if (total_ == 0)
-        return 0.0;
-    uint64_t acc = 0;
-    for (uint64_t i = 0; i < buckets_.size() && i <= v; ++i)
-        acc += buckets_[i];
-    if (v >= buckets_.size())
-        acc += overflow_;
-    return static_cast<double>(acc) / static_cast<double>(total_);
-}
-
 } // namespace nachos

@@ -134,36 +134,6 @@ class StatSet
     std::map<std::string, LatencyHistogram> histograms_;
 };
 
-/**
- * Streaming histogram with fixed integral buckets, used for fan-in and
- * MLP distributions.
- */
-class Histogram
-{
-  public:
-    /** @param max_bucket values >= max_bucket land in the overflow bin */
-    explicit Histogram(uint64_t max_bucket = 64);
-
-    void sample(uint64_t value, uint64_t weight = 1);
-
-    uint64_t total() const { return total_; }
-    uint64_t bucket(uint64_t idx) const;
-    uint64_t overflow() const { return overflow_; }
-    uint64_t maxBucket() const { return buckets_.size(); }
-
-    /** Mean of all samples. */
-    double mean() const;
-
-    /** Fraction of samples with value <= v. */
-    double cumulativeAt(uint64_t v) const;
-
-  private:
-    std::vector<uint64_t> buckets_;
-    uint64_t overflow_ = 0;
-    uint64_t total_ = 0;
-    uint64_t weightedSum_ = 0;
-};
-
 } // namespace nachos
 
 #endif // NACHOS_SUPPORT_STATS_HH

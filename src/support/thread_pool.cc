@@ -3,6 +3,7 @@
 #include <cstdlib>
 
 #include "support/logging.hh"
+#include "support/parse.hh"
 
 namespace nachos {
 
@@ -61,10 +62,9 @@ unsigned
 ThreadPool::defaultThreadCount()
 {
     if (const char *env = std::getenv("NACHOS_THREADS")) {
-        char *end = nullptr;
-        const unsigned long v = std::strtoul(env, &end, 10);
-        if (end != env && *end == '\0' && v >= 1 && v <= 4096)
-            return static_cast<unsigned>(v);
+        if (const std::optional<uint64_t> n =
+                parseDecimal(env, 1, kMaxThreads))
+            return static_cast<unsigned>(*n);
         warn("ignoring invalid NACHOS_THREADS value '", env, "'");
     }
     const unsigned hw = std::thread::hardware_concurrency();

@@ -59,9 +59,13 @@ class ThreadPool
         return future;
     }
 
+    /** Largest worker count a flag or NACHOS_THREADS may ask for. */
+    static constexpr unsigned kMaxThreads = 4096;
+
     /**
-     * Worker count from the NACHOS_THREADS environment variable, else
-     * every hardware thread (at least 1).
+     * Worker count from the NACHOS_THREADS environment variable (a
+     * plain decimal in [1, kMaxThreads]), else every hardware thread
+     * (at least 1).
      */
     static unsigned defaultThreadCount();
 

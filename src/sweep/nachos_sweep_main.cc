@@ -268,26 +268,26 @@ cmdVerify(const Options &opt)
             ++mismatched;
             continue;
         }
-        RunRequest request;
-        request.runLsq = r.backend == "lsq";
-        request.runSw = r.backend == "sw";
-        request.runNachos = r.backend == "nachos";
-        if (!request.runLsq && !request.runSw && !request.runNachos) {
+        const BackendField *backend = findBackend(r.backend);
+        if (!backend) {
             std::cerr << "  unknown backend '" << r.backend << "'\n";
             ++mismatched;
             continue;
         }
-        request.pathIndex = r.pathIndex;
-        request.seed = r.seed;
-        request.invocationsOverride = r.invocations;
-        request.machine = r.machine;
+        SweepPoint point;
+        point.info = info;
+        point.pathIndex = r.pathIndex;
+        point.seed = r.seed;
+        point.backend = r.backend;
+        point.invocations = r.invocations;
+        point.machine = r.machine;
+        const RunRequest request = point.toRequest();
 
         std::shared_ptr<const RegionCacheEntry> entry =
             cache.acquire(*info, request);
         const BackendResults sims =
             simulateRequest(*info, request, *entry, pool);
-        const SimResult &result =
-            sims.lsq ? *sims.lsq : sims.sw ? *sims.sw : *sims.nachos;
+        const SimResult &result = *(sims.*backend->result);
         ++checked;
         const bool match = result.cycles == r.cycles &&
                            result.loadValueDigest == r.loadValueDigest &&

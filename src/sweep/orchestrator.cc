@@ -56,12 +56,10 @@ makeSweepRecord(const SweepPoint &point, const OutcomeSummary &summary)
     r.backend = point.backend;
     r.invocations = summary.invocations;
     r.machine = point.machine;
-    const std::optional<SimSummary> &s =
-        point.backend == "lsq"
-            ? summary.lsq
-            : point.backend == "sw" ? summary.sw : summary.nachos;
-    NACHOS_ASSERT(s.has_value(),
+    const BackendField *backend = findBackend(point.backend);
+    NACHOS_ASSERT(backend && (summary.*backend->summary).has_value(),
                   "outcome summary lacks the point's backend");
+    const std::optional<SimSummary> &s = summary.*backend->summary;
     r.cycles = s->cycles;
     r.cyclesPerInvocation = s->cyclesPerInvocation;
     r.maxMlp = s->maxMlp;

@@ -20,11 +20,12 @@ areaProxy(const MachineOverrides &machine, const std::string &backend)
             1000.0 +
         sim.mem.llc.sizeBytes / double(sim.mem.llc.lineBytes) *
             sramLine / 4000.0;
-    if (backend == "lsq")
+    const BackendField *b = findBackend(backend);
+    if (b && b->kind == BackendKind::OptLsq)
         units += sim.lsq.banks * double(sim.lsq.entriesPerBank) *
                      (e.lsqCamLoad + e.lsqCamStore) / 2.0 / 1000.0 +
                  sim.lsq.bloom.counters * e.lsqBloom / 8000.0;
-    if (backend == "nachos")
+    if (b && b->kind == BackendKind::Nachos)
         units += sim.nachosComparesPerCycle *
                  (e.mdeMay + e.mdeMust + e.mdeForward) / 1000.0;
     return units;
@@ -52,28 +53,6 @@ paretoFrontier(const std::vector<SweepRecord> &records)
     }
     return frontier;
 }
-
-namespace {
-
-/** Human label of one point's machine coordinates (set fields only). */
-std::string
-machineLabel(const MachineOverrides &m)
-{
-    std::string label;
-    for (size_t i = 0; i < kNumMachineAxes; ++i) {
-        const std::string field = machineAxisNames()[i];
-        uint64_t value = 0;
-        getMachineAxis(m, field, value);
-        if (!value)
-            continue;
-        if (!label.empty())
-            label += " ";
-        label += field + "=" + std::to_string(value);
-    }
-    return label.empty() ? "default-machine" : label;
-}
-
-} // namespace
 
 std::string
 renderSweepReport(std::vector<SweepRecord> records)
@@ -111,11 +90,12 @@ renderSweepReport(std::vector<SweepRecord> records)
                   });
         for (const size_t i : frontier) {
             const SweepRecord &r = group.second[i];
+            const std::string machine = machineCoordinates(r.machine);
             out += "  cycles=" + std::to_string(r.cycles) +
                    " energy=" + fmtDouble(r.energyTotal, 1) +
                    " area=" + fmtDouble(r.areaProxy, 1) +
                    " backend=" + r.backend + " " +
-                   machineLabel(r.machine) + "\n";
+                   (machine.empty() ? "default-machine" : machine) + "\n";
         }
         out += "  (" + std::to_string(frontier.size()) + " of " +
                std::to_string(group.second.size()) +
@@ -125,15 +105,13 @@ renderSweepReport(std::vector<SweepRecord> records)
     // ---- Per-axis sensitivity --------------------------------------
     out += "\n== sensitivity (mean over all points sharing the axis "
            "value) ==\n";
-    for (size_t a = 0; a < kNumMachineAxes; ++a) {
-        const std::string field = machineAxisNames()[a];
+    for (const MachineField &field : machineFields()) {
         // value -> (count, sum cycles, sum energy); value 0 = records
         // that left the axis at its default.
         std::map<uint64_t, std::tuple<uint64_t, double, double>> bins;
         bool swept = false;
         for (const SweepRecord &r : records) {
-            uint64_t value = 0;
-            getMachineAxis(r.machine, field, value);
+            const uint64_t value = field.slot.get(r.machine);
             if (value)
                 swept = true;
             auto &bin = bins[value];
@@ -143,7 +121,7 @@ renderSweepReport(std::vector<SweepRecord> records)
         }
         if (!swept)
             continue; // axis never varied in this store
-        out += "axis " + field + ":\n";
+        out += std::string("axis ") + field.name + ":\n";
         for (const auto &entry : bins) {
             const uint64_t value = entry.first;
             const uint64_t count = std::get<0>(entry.second);
@@ -154,8 +132,7 @@ renderSweepReport(std::vector<SweepRecord> records)
             out += "  " +
                    (value ? std::to_string(value)
                           : "default(" +
-                                std::to_string(
-                                    machineAxisDefault(field)) +
+                                std::to_string(field.defaultValue()) +
                                 ")") +
                    ": points=" + std::to_string(count) +
                    " meanCycles=" + fmtDouble(meanCycles, 1) +

@@ -38,24 +38,6 @@ checkMembers(const JsonValue &v,
     return true;
 }
 
-const char *kAxisNames[kNumMachineAxes] = {
-    "lsqBanks",       "lsqPortsPerBank",
-    "l1SizeBytes",    "l1Assoc",
-    "l1LineBytes",    "l1Ports",
-    "llcSizeBytes",   "dramLatency",
-    "dramRequestsPerCycle", "netHopsPerCycle",
-    "nachosComparesPerCycle",
-};
-
-int
-axisIndex(const std::string &field)
-{
-    for (size_t i = 0; i < kNumMachineAxes; ++i)
-        if (field == kAxisNames[i])
-            return static_cast<int>(i);
-    return -1;
-}
-
 bool
 compareOp(const std::string &op, uint64_t lhs, uint64_t rhs)
 {
@@ -75,85 +57,12 @@ compareOp(const std::string &op, uint64_t lhs, uint64_t rhs)
 
 } // namespace
 
-const char *const *
-machineAxisNames()
-{
-    return kAxisNames;
-}
-
-bool
-setMachineAxis(MachineOverrides &m, const std::string &field,
-               uint64_t value)
-{
-    switch (axisIndex(field)) {
-    case 0: m.lsqBanks = static_cast<uint32_t>(value); return true;
-    case 1: m.lsqPortsPerBank = static_cast<uint32_t>(value); return true;
-    case 2: m.l1SizeBytes = value; return true;
-    case 3: m.l1Assoc = static_cast<uint32_t>(value); return true;
-    case 4: m.l1LineBytes = static_cast<uint32_t>(value); return true;
-    case 5: m.l1Ports = static_cast<uint32_t>(value); return true;
-    case 6: m.llcSizeBytes = value; return true;
-    case 7: m.dramLatency = static_cast<uint32_t>(value); return true;
-    case 8:
-        m.dramRequestsPerCycle = static_cast<uint32_t>(value);
-        return true;
-    case 9: m.netHopsPerCycle = static_cast<uint32_t>(value); return true;
-    case 10:
-        m.nachosComparesPerCycle = static_cast<uint32_t>(value);
-        return true;
-    default: return false;
-    }
-}
-
-bool
-getMachineAxis(const MachineOverrides &m, const std::string &field,
-               uint64_t &value)
-{
-    switch (axisIndex(field)) {
-    case 0: value = m.lsqBanks; return true;
-    case 1: value = m.lsqPortsPerBank; return true;
-    case 2: value = m.l1SizeBytes; return true;
-    case 3: value = m.l1Assoc; return true;
-    case 4: value = m.l1LineBytes; return true;
-    case 5: value = m.l1Ports; return true;
-    case 6: value = m.llcSizeBytes; return true;
-    case 7: value = m.dramLatency; return true;
-    case 8: value = m.dramRequestsPerCycle; return true;
-    case 9: value = m.netHopsPerCycle; return true;
-    case 10: value = m.nachosComparesPerCycle; return true;
-    default: return false;
-    }
-}
-
-uint64_t
-machineAxisDefault(const std::string &field)
-{
-    // Read the defaults off a default-constructed SimConfig so this
-    // can never drift from the Figure-3 machine the code defines.
-    static const SimConfig sim;
-    switch (axisIndex(field)) {
-    case 0: return sim.lsq.banks;
-    case 1: return sim.lsq.portsPerBank;
-    case 2: return sim.mem.l1.sizeBytes;
-    case 3: return sim.mem.l1.assoc;
-    case 4: return sim.mem.l1.lineBytes;
-    case 5: return sim.mem.l1.ports;
-    case 6: return sim.mem.llc.sizeBytes;
-    case 7: return sim.mem.dramLatency;
-    case 8: return sim.mem.dramRequestsPerCycle;
-    case 9: return sim.net.hopsPerCycle;
-    case 10: return sim.nachosComparesPerCycle;
-    default: return 0;
-    }
-}
-
 RunRequest
 SweepPoint::toRequest() const
 {
     RunRequest r;
-    r.runLsq = backend == "lsq";
-    r.runSw = backend == "sw";
-    r.runNachos = backend == "nachos";
+    for (const BackendField &b : backendFields())
+        r.*b.run = backend == b.name;
     r.pathIndex = pathIndex;
     r.seed = seed;
     r.invocationsOverride = invocations;
@@ -245,12 +154,10 @@ decodeSweepSpec(const JsonValue &v, SweepSpec &spec, CodecError &err)
         spec.backends.clear();
         for (size_t i = 0; i < backends->size(); ++i) {
             const JsonValue &b = backends->at(i);
-            if (!b.isString() ||
-                (b.str() != "lsq" && b.str() != "sw" &&
-                 b.str() != "nachos"))
+            if (!b.isString() || !findBackend(b.str()))
                 return failCodec(err, "bad_sweep",
-                                "'backends' entries must be "
-                                "\"lsq\", \"sw\", or \"nachos\"");
+                                "'backends' entries must be one of " +
+                                    backendNameList());
             if (std::find(spec.backends.begin(), spec.backends.end(),
                           b.str()) != spec.backends.end())
                 return failCodec(err, "bad_sweep",
@@ -275,7 +182,8 @@ decodeSweepSpec(const JsonValue &v, SweepSpec &spec, CodecError &err)
         for (const auto &member : axes->members()) {
             SweepAxis axis;
             axis.field = member.first;
-            if (axisIndex(axis.field) < 0)
+            const MachineField *field = findMachineField(axis.field);
+            if (!field)
                 return failCodec(err, "bad_sweep",
                                 "unknown machine axis '" + axis.field +
                                     "'");
@@ -300,8 +208,9 @@ decodeSweepSpec(const JsonValue &v, SweepSpec &spec, CodecError &err)
                 // default machine, must be valid. (Cross-field
                 // geometry is re-checked per expanded point.)
                 MachineOverrides probe;
-                setMachineAxis(probe, axis.field, e.asU64());
-                if (const char *bad = validateMachineOverrides(probe))
+                field->slot.set(probe, e.asU64());
+                const std::string bad = validateMachineOverrides(probe);
+                if (!bad.empty())
                     return failCodec(err, "bad_machine",
                                     "axis '" + axis.field + "' value " +
                                         std::to_string(e.asU64()) +
@@ -331,7 +240,7 @@ decodeSweepSpec(const JsonValue &v, SweepSpec &spec, CodecError &err)
             SweepConstraint constraint;
             const JsonValue *lhs = c.find("lhs");
             if (!lhs || !lhs->isString() ||
-                axisIndex(lhs->str()) < 0)
+                !findMachineField(lhs->str()))
                 return failCodec(err, "bad_sweep",
                                 "constraint 'lhs' must name a machine "
                                 "axis");
@@ -349,7 +258,7 @@ decodeSweepSpec(const JsonValue &v, SweepSpec &spec, CodecError &err)
             constraint.op = op->str();
             const JsonValue *rhs = c.find("rhs");
             if (rhs && rhs->isString()) {
-                if (axisIndex(rhs->str()) < 0)
+                if (!findMachineField(rhs->str()))
                     return failCodec(err, "bad_sweep",
                                     "constraint 'rhs' names an unknown "
                                     "machine axis");
@@ -368,75 +277,7 @@ decodeSweepSpec(const JsonValue &v, SweepSpec &spec, CodecError &err)
     return true;
 }
 
-JsonValue
-encodeSweepSpec(const SweepSpec &spec)
-{
-    JsonValue v = JsonValue::makeObject();
-    v.set("name", spec.name);
-    JsonValue workloads = JsonValue::makeArray();
-    for (const BenchmarkInfo *info : spec.workloads)
-        workloads.push(info->name);
-    v.set("workloads", std::move(workloads));
-    JsonValue paths = JsonValue::makeArray();
-    for (const uint32_t p : spec.paths)
-        paths.push(static_cast<uint64_t>(p));
-    v.set("paths", std::move(paths));
-    JsonValue seeds = JsonValue::makeArray();
-    for (const uint64_t s : spec.seeds)
-        seeds.push(s);
-    v.set("seeds", std::move(seeds));
-    JsonValue backends = JsonValue::makeArray();
-    for (const std::string &b : spec.backends)
-        backends.push(b);
-    v.set("backends", std::move(backends));
-    if (spec.invocations)
-        v.set("invocations", spec.invocations);
-    JsonValue axes = JsonValue::makeObject();
-    for (const SweepAxis &axis : spec.axes) {
-        JsonValue values = JsonValue::makeArray();
-        for (const uint64_t value : axis.values)
-            values.push(value);
-        axes.set(axis.field, std::move(values));
-    }
-    v.set("axes", std::move(axes));
-    if (!spec.constraints.empty()) {
-        JsonValue constraints = JsonValue::makeArray();
-        for (const SweepConstraint &c : spec.constraints) {
-            JsonValue obj = JsonValue::makeObject();
-            obj.set("lhs", c.lhs);
-            obj.set("op", c.op);
-            if (c.rhsIsAxis)
-                obj.set("rhs", c.rhsAxis);
-            else
-                obj.set("rhs", c.rhsValue);
-            constraints.push(std::move(obj));
-        }
-        v.set("constraints", std::move(constraints));
-    }
-    return v;
-}
-
-uint64_t
-fnv1a64(const std::string &text)
-{
-    uint64_t h = 1469598103934665603ull;
-    for (const char c : text) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
 namespace {
-
-/** Effective (override-or-default) value of a field at a point. */
-uint64_t
-effectiveAxisValue(const MachineOverrides &m, const std::string &field)
-{
-    uint64_t value = 0;
-    getMachineAxis(m, field, value);
-    return value ? value : machineAxisDefault(field);
-}
 
 std::string
 pointId(const SweepPoint &p)
@@ -446,15 +287,9 @@ pointId(const SweepPoint &p)
     id += " seed=" + std::to_string(p.seed);
     id += " backend=" + p.backend;
     id += " inv=" + std::to_string(p.invocations);
-    for (size_t i = 0; i < kNumMachineAxes; ++i) {
-        uint64_t value = 0;
-        getMachineAxis(p.machine, kAxisNames[i], value);
-        if (value) {
-            id += " ";
-            id += kAxisNames[i];
-            id += "=" + std::to_string(value);
-        }
-    }
+    const std::string machine = machineCoordinates(p.machine);
+    if (!machine.empty())
+        id += " " + machine;
     return id;
 }
 
@@ -463,6 +298,15 @@ pointId(const SweepPoint &p)
 std::vector<SweepPoint>
 expandSweep(const SweepSpec &spec)
 {
+    auto fieldNamed = [](const std::string &name) {
+        const MachineField *field = findMachineField(name);
+        NACHOS_ASSERT(field, "sweep names no machine field '", name, "'");
+        return field;
+    };
+    std::vector<const MachineField *> axisFields;
+    for (const SweepAxis &axis : spec.axes)
+        axisFields.push_back(fieldNamed(axis.field));
+
     // Odometer over the machine axes (last axis fastest); an empty
     // axes list yields the single all-default machine.
     std::vector<size_t> odo(spec.axes.size(), 0);
@@ -470,14 +314,17 @@ expandSweep(const SweepSpec &spec)
     while (true) {
         MachineOverrides m;
         for (size_t a = 0; a < spec.axes.size(); ++a)
-            setMachineAxis(m, spec.axes[a].field,
-                           spec.axes[a].values[odo[a]]);
+            axisFields[a]->slot.set(m, spec.axes[a].values[odo[a]]);
 
+        // Constraints compare effective values: an unset axis reads
+        // as its Figure-3 default.
+        SimConfig effective;
+        m.applyTo(effective);
         bool keep = true;
         for (const SweepConstraint &c : spec.constraints) {
-            const uint64_t lhs = effectiveAxisValue(m, c.lhs);
+            const uint64_t lhs = fieldNamed(c.lhs)->sim.get(effective);
             const uint64_t rhs =
-                c.rhsIsAxis ? effectiveAxisValue(m, c.rhsAxis)
+                c.rhsIsAxis ? fieldNamed(c.rhsAxis)->sim.get(effective)
                             : c.rhsValue;
             if (!compareOp(c.op, lhs, rhs)) {
                 keep = false;
@@ -488,7 +335,7 @@ expandSweep(const SweepSpec &spec)
         // infeasible corners (e.g. a small L1 size crossed with a huge
         // line size); they are skipped, not errors — each single value
         // was already validated at decode time.
-        if (keep && validateMachineOverrides(m) != nullptr)
+        if (keep && !validateMachineOverrides(m).empty())
             keep = false;
         if (keep)
             machines.push_back(m);

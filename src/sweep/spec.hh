@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "harness/run_json.hh"
+#include "support/value_hash.hh"
 
 namespace nachos {
 
@@ -69,8 +70,8 @@ struct SweepSpec
     std::vector<const BenchmarkInfo *> workloads;
     std::vector<uint32_t> paths = {0};
     std::vector<uint64_t> seeds = {1};
-    /** Backends as run flags; one point is generated per set flag. */
-    std::vector<std::string> backends = {"lsq", "sw", "nachos"};
+    /** Backend wire names; one point is generated per entry. */
+    std::vector<std::string> backends = backendNames();
     uint64_t invocations = 0; ///< 0 = each workload's default
     std::vector<SweepAxis> axes;
     std::vector<SweepConstraint> constraints;
@@ -82,14 +83,14 @@ struct SweepPoint
     const BenchmarkInfo *info = nullptr;
     uint32_t pathIndex = 0;
     uint64_t seed = 1;
-    std::string backend; ///< "lsq" | "sw" | "nachos"
+    std::string backend; ///< a BackendField wire name
     uint64_t invocations = 0;
     MachineOverrides machine;
     /**
      * Canonical id: every coordinate in a fixed order, e.g.
      * "workload=183.equake path=0 seed=1 backend=nachos inv=20
-     *  lsqBanks=4 l1SizeBytes=65536" (set machine fields only, in
-     * declaration order). The store keys records by fnv1a64(id).
+     *  lsqBanks=4 l1SizeBytes=65536" (machineCoordinates: set fields
+     * only, in table order). The store keys records by fnv1a64(id).
      */
     std::string id;
     uint64_t hash = 0;
@@ -97,23 +98,6 @@ struct SweepPoint
     /** The RunRequest this point denotes (exactly one backend set). */
     RunRequest toRequest() const;
 };
-
-/** Number of machine axes a spec may legally name. */
-constexpr size_t kNumMachineAxes = 11;
-
-/** The canonical axis (field) names, in MachineOverrides order. */
-const char *const *machineAxisNames();
-
-/** Set `field` on `m`; false for an unknown field name. */
-bool setMachineAxis(MachineOverrides &m, const std::string &field,
-                    uint64_t value);
-
-/** Read `field` off `m` (0 = unset); false for an unknown name. */
-bool getMachineAxis(const MachineOverrides &m, const std::string &field,
-                    uint64_t &value);
-
-/** The Figure-3 default value of `field` (what 0/unset means). */
-uint64_t machineAxisDefault(const std::string &field);
 
 /**
  * Decode and validate a sweep spec. Strict: unknown members, unknown
@@ -125,9 +109,6 @@ uint64_t machineAxisDefault(const std::string &field);
 bool decodeSweepSpec(const JsonValue &v, SweepSpec &spec,
                      CodecError &err);
 
-/** Canonical spec encoding (round-trips through decodeSweepSpec). */
-JsonValue encodeSweepSpec(const SweepSpec &spec);
-
 /**
  * Enumerate every point of the spec, in the documented deterministic
  * order, with constraint-violating points filtered out. Points whose
@@ -138,9 +119,6 @@ JsonValue encodeSweepSpec(const SweepSpec &spec);
  * Ids and hashes are filled in.
  */
 std::vector<SweepPoint> expandSweep(const SweepSpec &spec);
-
-/** FNV-1a 64 over a string (the point-id hash). */
-uint64_t fnv1a64(const std::string &text);
 
 } // namespace nachos
 

@@ -139,43 +139,6 @@ TEST(StatSet, ResetAllClearsHistograms)
     EXPECT_EQ(stats.histogram("h").count(), 0u);
 }
 
-TEST(Histogram, BucketsAndOverflow)
-{
-    Histogram h(4);
-    h.sample(0);
-    h.sample(1, 2);
-    h.sample(3);
-    h.sample(10); // overflow
-    EXPECT_EQ(h.total(), 5u);
-    EXPECT_EQ(h.bucket(0), 1u);
-    EXPECT_EQ(h.bucket(1), 2u);
-    EXPECT_EQ(h.bucket(2), 0u);
-    EXPECT_EQ(h.bucket(3), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-}
-
-TEST(Histogram, Mean)
-{
-    Histogram h(16);
-    h.sample(2);
-    h.sample(4);
-    EXPECT_DOUBLE_EQ(h.mean(), 3.0);
-    Histogram empty(4);
-    EXPECT_DOUBLE_EQ(empty.mean(), 0.0);
-}
-
-TEST(Histogram, CumulativeFraction)
-{
-    Histogram h(8);
-    h.sample(0);
-    h.sample(1);
-    h.sample(2);
-    h.sample(20); // overflow
-    EXPECT_DOUBLE_EQ(h.cumulativeAt(0), 0.25);
-    EXPECT_DOUBLE_EQ(h.cumulativeAt(2), 0.75);
-    EXPECT_DOUBLE_EQ(h.cumulativeAt(100), 1.0);
-}
-
 TEST(LatencyHistogram, MergeAddsBucketsAndBounds)
 {
     LatencyHistogram a, b;

@@ -20,12 +20,13 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 
 #include "ir/serialize.hh"
 #include "support/logging.hh"
+#include "support/parse.hh"
+#include "support/thread_pool.hh"
 #include "testing/diff_fuzzer.hh"
 
 using namespace nachos;
@@ -56,16 +57,17 @@ usage()
         "                     curation; independent of pass/fail)\n");
 }
 
+/** A decimal flag value in [min, max]; anything else is fatal. */
 uint64_t
-parseU64(const char *flag, const char *value)
+parseCount(const char *flag, const char *value, uint64_t min = 0,
+           uint64_t max = UINT64_MAX)
 {
     if (value == nullptr)
         NACHOS_FATAL(flag, " requires a value");
-    char *end = nullptr;
-    const uint64_t v = std::strtoull(value, &end, 0);
-    if (end == value || *end != '\0')
-        NACHOS_FATAL(flag, ": '", value, "' is not a number");
-    return v;
+    const std::optional<uint64_t> n = parseDecimal(value, min, max);
+    if (!n)
+        NACHOS_FATAL("invalid ", flag, " value '", value, "'");
+    return *n;
 }
 
 } // namespace
@@ -87,17 +89,17 @@ main(int argc, char **argv)
         const std::string arg = argv[i];
         const char *next = i + 1 < argc ? argv[i + 1] : nullptr;
         if (arg == "--seeds") {
-            seeds = parseU64("--seeds", next), ++i;
+            seeds = parseCount("--seeds", next), ++i;
         } else if (arg == "--start") {
-            start = parseU64("--start", next), ++i;
+            start = parseCount("--start", next), ++i;
         } else if (arg == "--invocations") {
-            opts.invocations = parseU64("--invocations", next), ++i;
+            opts.invocations = parseCount("--invocations", next), ++i;
         } else if (arg == "--threads") {
-            threads =
-                static_cast<unsigned>(parseU64("--threads", next)),
+            threads = static_cast<unsigned>(parseCount(
+                          "--threads", next, 1, ThreadPool::kMaxThreads)),
             ++i;
         } else if (arg == "--max-failures") {
-            max_failures = parseU64("--max-failures", next), ++i;
+            max_failures = parseCount("--max-failures", next), ++i;
         } else if (arg == "--profile") {
             if (next == nullptr)
                 NACHOS_FATAL("--profile requires a value");
