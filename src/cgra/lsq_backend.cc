@@ -8,18 +8,7 @@ namespace nachos {
 
 LsqBackend::LsqBackend(const Region &region, const LsqConfig &cfg)
     : OrderingBackend(region), cfg_(cfg)
-{
-    memIndexOf_.assign(region.numOps(), 0);
-    const auto &mem_ops = region.memOps();
-    for (uint32_t m = 0; m < mem_ops.size(); ++m)
-        memIndexOf_[mem_ops[m]] = m;
-}
-
-uint32_t
-LsqBackend::idxOf(OpId op) const
-{
-    return memIndexOf_[op];
-}
+{}
 
 void
 LsqBackend::beginInvocation(uint64_t inv)
@@ -44,7 +33,7 @@ void
 LsqBackend::memAddrReady(OpId op, uint64_t addr, uint32_t size,
                          uint64_t cycle)
 {
-    const uint32_t m = idxOf(op);
+    const uint32_t m = region_.op(op).mem->memIndex;
     const bool is_store = region_.op(op).isStore();
     auto allocated = lsq_->addressReady(m, is_store, addr, size, cycle);
     for (const auto &[mi, alloc_cycle] : allocated)
@@ -70,7 +59,7 @@ LsqBackend::onAllocated(uint32_t m, uint64_t alloc_cycle)
 void
 LsqBackend::memFullyReady(OpId op, uint64_t cycle)
 {
-    const uint32_t m = idxOf(op);
+    const uint32_t m = region_.op(op).mem->memIndex;
     OpDyn &d = dyn_[m];
     d.fullyReady = true;
     d.fullCycle = cycle;
@@ -95,7 +84,7 @@ LsqBackend::searchLoad(uint32_t m)
 void
 LsqBackend::finishLoadDecision(OpId load, const LoadSearchResult &dec)
 {
-    const uint32_t m = idxOf(load);
+    const uint32_t m = region_.op(load).mem->memIndex;
     switch (dec.kind) {
       case LoadSearchResult::Kind::ToCache:
         lsq_->loadPerformAt(m, dec.cycle);
@@ -136,7 +125,7 @@ LsqBackend::finishLoadDecision(OpId load, const LoadSearchResult &dec)
 void
 LsqBackend::waitOrPerformLoad(OpId load, uint64_t ready)
 {
-    const uint32_t m = idxOf(load);
+    const uint32_t m = region_.op(load).mem->memIndex;
     const LoadWaitStatus st = lsq_->loadWaitStatus(m);
     if (st.blockingStore != LoadWaitStatus::kNone) {
         parked_[st.blockingStore].push_back({load, ready, false});
@@ -211,7 +200,7 @@ void
 LsqBackend::memCompleted(OpId op, uint64_t cycle)
 {
     (void)cycle;
-    const uint32_t m = idxOf(op);
+    const uint32_t m = region_.op(op).mem->memIndex;
     if (region_.op(op).isStore())
         lsq_->storeDrained(m);
     else

@@ -47,12 +47,10 @@ class LsqBackend : public OrderingBackend
 
     LsqConfig cfg_;
     std::unique_ptr<OptLsq> lsq_;
-    std::vector<uint32_t> memIndexOf_; ///< OpId -> memIndex
-    std::vector<OpDyn> dyn_;           ///< indexed by memIndex
+    std::vector<OpDyn> dyn_; ///< indexed by memIndex
     /** Parked loads per store memIndex. */
     std::vector<std::vector<ParkedLoad>> parked_;
 
-    uint32_t idxOf(OpId op) const;
     void onAllocated(uint32_t m, uint64_t alloc_cycle);
     void searchLoad(uint32_t m);
     void commitStore(uint32_t m, uint64_t data_cycle);

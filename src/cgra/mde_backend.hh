@@ -1,0 +1,124 @@
+/**
+ * @file
+ * The compiler-MDE ordering backend, for both MDE schemes: the
+ * compiler's MDEs are enforced as dataflow edges on the fabric.
+ *
+ *  - ORDER edges: 1-bit ready tokens; the younger op's memory action
+ *    waits for every older endpoint's completion token.
+ *  - FORWARD edges: the store sends its data value to the load as soon
+ *    as the data is computed; the load never accesses the cache.
+ *  - MAY edges: the one place the schemes differ, decided once while
+ *    the per-op table is built. NACHOS-SW (paper §V) treats MAY as
+ *    MUST: each MAY edge is one more ORDER token. NACHOS (§VII) makes
+ *    each MAY parent a slot of the younger op's comparator station
+ *    (nachos/may_station), so provably-disjoint ops proceed in
+ *    parallel while true conflicts degrade to ordering, and a
+ *    confirmed exact ST->LD conflict forwards the store's value
+ *    (§VIII).
+ *
+ * After table build every path is shared: an op without a station
+ * skips the station gate and never forwards at run time, and an op
+ * that is nobody's MAY parent has no station to notify. NACHOS-SW is
+ * NACHOS with no stations.
+ */
+
+#ifndef NACHOS_CGRA_MDE_BACKEND_HH
+#define NACHOS_CGRA_MDE_BACKEND_HH
+
+#include <cstdint>
+#include <vector>
+
+#include "cgra/simulator.hh"
+#include "nachos/may_station.hh"
+
+namespace nachos {
+
+/** Compiler-enforced memory ordering, with or without the assist. */
+class MdeBackend : public OrderingBackend
+{
+  public:
+    /**
+     * @param scheme BackendKind::NachosSw or BackendKind::Nachos
+     * @param compares_per_cycle station arbiter width (NACHOS only)
+     */
+    MdeBackend(const Region &region, const MdeSet &mdes,
+               BackendKind scheme, uint32_t compares_per_cycle);
+
+    void beginInvocation(uint64_t inv) override;
+    void memAddrReady(OpId op, uint64_t addr, uint32_t size,
+                      uint64_t cycle) override;
+    void memFullyReady(OpId op, uint64_t cycle) override;
+    void memCompleted(OpId op, uint64_t cycle) override;
+    void onOrderToken(OpId op, uint64_t cycle) override;
+    void onForwardValue(OpId op, uint64_t cycle, int64_t value) override;
+
+  private:
+    static constexpr uint32_t kNoStation = UINT32_MAX;
+
+    /** A younger op's station slot this op fills as a MAY parent. */
+    struct MayTarget
+    {
+        OpId younger = 0;
+        uint32_t slot = 0;
+    };
+
+    /** Static per-op MDE shape. */
+    struct OpInfo
+    {
+        uint32_t orderTokensExpected = 0; ///< incoming ORDER tokens
+        bool hasForward = false;
+        /** Index into stations_, or kNoStation. */
+        uint32_t station = kNoStation;
+        std::vector<OpId> mayParents; ///< station slot -> parent op
+        std::vector<uint32_t> outgoingOrder; ///< edge indices
+        std::vector<uint32_t> outgoingForward;
+        std::vector<MayTarget> mayTargets;
+    };
+
+    struct OpDyn
+    {
+        uint32_t tokensPending = 0;
+        uint64_t gateCycle = 0; ///< latest token arrival
+        bool fullyReady = false;
+        uint64_t fullCycle = 0;
+        bool fwdArrived = false;
+        uint64_t fwdCycle = 0;
+        int64_t fwdValue = 0;
+        bool issued = false;
+    };
+
+    const MdeSet &mdeSet_;
+    std::vector<OpInfo> info_;
+    std::vector<OpDyn> dyn_;
+    /** One per op with MAY parents, in memOps order; built on the
+     * first invocation (the stations register their counters). */
+    std::vector<MayCheckStation> stations_;
+    uint32_t numStations_ = 0;
+    uint32_t comparesPerCycle_;
+
+    /**
+     * Every NACHOS run reports nachos.runtimeForwards, with or without
+     * stations, and no NACHOS-SW run does. This bit only decides that
+     * registration; no op without a station reaches the counter.
+     */
+    const bool reportsRuntimeForwards_;
+    /** Resolved on the first invocation (hot path: no string building
+     * per forward). */
+    Counter *runtimeForwards_ = nullptr;
+
+    void tryIssue(OpId op);
+
+    /**
+     * The §VIII forwarding extension: when the runtime checks prove a
+     * load conflicts with exactly ONE in-flight store — an exact
+     * match — and no compiler MUST-store edge could interleave,
+     * forward the store's value instead of waiting for it to complete
+     * ("NACHOS improves over NACHOS-SW by detecting many more
+     * opportunities for ST-LD forwarding").
+     */
+    bool tryRuntimeForward(OpId op);
+};
+
+} // namespace nachos
+
+#endif // NACHOS_CGRA_MDE_BACKEND_HH

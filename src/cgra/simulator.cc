@@ -3,8 +3,7 @@
 #include <algorithm>
 
 #include "cgra/lsq_backend.hh"
-#include "cgra/nachos_backend.hh"
-#include "cgra/sw_backend.hh"
+#include "cgra/mde_backend.hh"
 #include "support/logging.hh"
 #include "support/value_hash.hh"
 
@@ -107,16 +106,6 @@ SimCore::storeData(OpId op) const
     NACHOS_ASSERT(states_[op].pendingAllInputs == 0,
                   "store data not ready");
     return inputs(op)[0];
-}
-
-uint64_t
-SimCore::memAddr(OpId op) const
-{
-    const OpState &st = states_[op];
-    NACHOS_ASSERT(st.addrNotified || region_.op(op).operands.empty() ||
-                      st.pendingAddrInputs == 0,
-                  "address not resolved for op ", op);
-    return st.addr;
 }
 
 int64_t
@@ -560,13 +549,10 @@ simulate(const SimPlan &plan, const MdeSet &mdes, BackendKind kind,
         LsqBackend backend(region, cfg.lsq);
         return run(backend);
       }
-      case BackendKind::NachosSw: {
-        SwBackend backend(region, mdes);
-        return run(backend);
-      }
+      case BackendKind::NachosSw:
       case BackendKind::Nachos: {
-        NachosBackend backend(region, mdes, cfg.nachosComparesPerCycle,
-                              cfg.nachosRuntimeForwarding);
+        MdeBackend backend(region, mdes, kind,
+                           cfg.nachosComparesPerCycle);
         return run(backend);
       }
     }

@@ -76,8 +76,6 @@ struct SimConfig
     uint64_t invocations = 100;
     /** NACHOS comparator arbiter width (ablation; paper uses 1). */
     uint32_t nachosComparesPerCycle = 1;
-    /** Runtime ST->LD forwarding on confirmed exact conflicts (§VIII). */
-    bool nachosRuntimeForwarding = true;
     /** Write a Chrome trace-event JSON of op executions here. */
     std::string traceFile;
     /**
@@ -224,9 +222,6 @@ class SimCore
 
     /** Data value a store will write (valid once fully ready). */
     int64_t storeData(OpId op) const;
-
-    /** Concrete address of a mem op in the current invocation. */
-    uint64_t memAddr(OpId op) const;
 
     const Region &region() const { return region_; }
     const MdeSet &mdes() const { return mdes_; }

@@ -381,30 +381,6 @@ OptLsq::storeDataCycle(uint32_t m) const
 }
 
 bool
-OptLsq::storeCommitted(uint32_t m) const
-{
-    const Entry &e = entries_[m];
-    NACHOS_ASSERT(e.isStore, "storeCommitted on non-store ", m);
-    return e.commit.has_value();
-}
-
-uint64_t
-OptLsq::storeCommitCycle(uint32_t m) const
-{
-    const Entry &e = entries_[m];
-    NACHOS_ASSERT(e.isStore && e.commit, "store not committed");
-    return *e.commit;
-}
-
-uint64_t
-OptLsq::allocCycle(uint32_t m) const
-{
-    const Entry &e = entries_[m];
-    NACHOS_ASSERT(e.alloc, "op ", m, " not allocated");
-    return *e.alloc;
-}
-
-bool
 OptLsq::allDrained() const
 {
     for (const Entry &e : entries_) {

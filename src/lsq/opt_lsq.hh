@@ -169,15 +169,6 @@ class OptLsq
     /** Data-ready cycle of a store (for forward timing). */
     uint64_t storeDataCycle(uint32_t m) const;
 
-    /** True once store m's commit cycle is assigned. */
-    bool storeCommitted(uint32_t m) const;
-
-    /** Commit cycle of a store (for WaitCommit timing); must be set. */
-    uint64_t storeCommitCycle(uint32_t m) const;
-
-    /** Allocation cycle of op m (must have allocated). */
-    uint64_t allocCycle(uint32_t m) const;
-
     bool allDrained() const;
 
   private:

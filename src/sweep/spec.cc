@@ -204,12 +204,17 @@ decodeSweepSpec(const JsonValue &v, SweepSpec &spec, CodecError &err)
                                     "axis '" + axis.field +
                                         "' values must be positive "
                                         "integers");
-                // Per-value probe: the field alone, merged onto the
+                // The field's own rules, on the full 64-bit value (the
+                // probe's slot truncates to its width). Then the
+                // per-value probe: the field alone, merged onto the
                 // default machine, must be valid. (Cross-field
                 // geometry is re-checked per expanded point.)
-                MachineOverrides probe;
-                field->slot.set(probe, e.asU64());
-                const std::string bad = validateMachineOverrides(probe);
+                std::string bad = field->reject(e.asU64());
+                if (bad.empty()) {
+                    MachineOverrides probe;
+                    field->slot.set(probe, e.asU64());
+                    bad = validateMachineOverrides(probe);
+                }
                 if (!bad.empty())
                     return failCodec(err, "bad_machine",
                                     "axis '" + axis.field + "' value " +

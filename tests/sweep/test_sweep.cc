@@ -185,6 +185,9 @@ TEST(SweepSpec, DecodeRejectsBadSpecs)
              "axes":{"l1LineBytes":[48]}})",
          "bad_machine"}, // per-value probe: not a power of two
         {R"({"name":"t","workloads":["164.gzip"],
+             "axes":{"lsqBanks":[4294967296,2]}})",
+         "bad_machine"}, // over the cap, and 0 once cut to 32 bits
+        {R"({"name":"t","workloads":["164.gzip"],
              "constraints":[{"lhs":"lsqBanks","op":"approx",
                              "rhs":2}]})",
          "bad_sweep"},
