@@ -205,6 +205,15 @@ RegionBuilder::binary(OpKind k, OpId a, OpId b, DataType t)
 }
 
 OpId
+RegionBuilder::select(OpId cond, OpId a, OpId b)
+{
+    Operation o;
+    o.kind = OpKind::Select;
+    o.operands = {cond, a, b};
+    return region_.addOp(std::move(o));
+}
+
+OpId
 RegionBuilder::liveOut(OpId v)
 {
     Operation o;

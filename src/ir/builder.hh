@@ -108,6 +108,8 @@ class RegionBuilder
     {
         return binary(OpKind::FDiv, a, b, DataType::F64);
     }
+    /** cond ? a : b. */
+    OpId select(OpId cond, OpId a, OpId b);
     OpId liveOut(OpId v);
 
     /** Load from a symbolic address; extra operands gate readiness. */
