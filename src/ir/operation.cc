@@ -48,7 +48,12 @@ evalCompute(OpKind k, int64_t a, int64_t b)
         return static_cast<int64_t>(static_cast<uint64_t>(a) *
                                     static_cast<uint64_t>(b));
       case OpKind::FDiv:
-        return b == 0 ? 0 : a / b;
+        // INT64_MIN / -1 overflows; it wraps like the other kinds.
+        if (b == 0)
+            return 0;
+        if (b == -1)
+            return static_cast<int64_t>(-static_cast<uint64_t>(a));
+        return a / b;
       case OpKind::IXor:
         return a ^ b;
       case OpKind::IAnd:

@@ -39,6 +39,16 @@ TEST(EvalCompute, FdivByZeroIsZero)
     EXPECT_EQ(evalCompute(OpKind::FDiv, 12, 4), 3);
 }
 
+TEST(EvalCompute, FdivOverflowWraps)
+{
+    // INT64_MIN / -1 has no int64 result; it wraps to INT64_MIN, like
+    // the modulo-2^64 surrogate arithmetic of the other kinds.
+    const int64_t min = std::numeric_limits<int64_t>::min();
+    EXPECT_EQ(evalCompute(OpKind::FDiv, min, -1), min);
+    EXPECT_EQ(evalCompute(OpKind::FDiv, 7, -1), -7);
+    EXPECT_EQ(evalCompute(OpKind::FDiv, min, 1), min);
+}
+
 TEST(EvalComputeDeathTest, NonBinaryKindPanics)
 {
     EXPECT_DEATH(evalCompute(OpKind::Load, 1, 2), "non-binary");

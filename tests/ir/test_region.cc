@@ -3,6 +3,7 @@
 #include "ir/builder.hh"
 #include "ir/dfg.hh"
 #include "ir/dot.hh"
+#include "ir/serialize.hh"
 
 namespace nachos {
 namespace {
@@ -140,6 +141,47 @@ TEST(RegionDeathTest, MemIndexMustBeDense)
     ld.mem = m;
     r.addOp(ld);
     EXPECT_DEATH(r.finalize(), "dense program order");
+}
+
+TEST(RegionDeathTest, PureOpOperandCountsAreChecked)
+{
+    // Each pure kind with a count evaluation would read past.
+    const auto finalizeWith = [](OpKind kind, size_t operands) {
+        Region r;
+        for (size_t i = 0; i < 3; ++i)
+            r.addOp(Operation{}); // Const sources
+        Operation op;
+        op.kind = kind;
+        for (size_t i = 0; i < operands; ++i)
+            op.operands.push_back(static_cast<OpId>(i));
+        r.addOp(op);
+        r.finalize();
+    };
+    EXPECT_DEATH(finalizeWith(OpKind::IAdd, 0), "wrong operand count");
+    EXPECT_DEATH(finalizeWith(OpKind::IAdd, 1), "wrong operand count");
+    EXPECT_DEATH(finalizeWith(OpKind::FDiv, 3), "wrong operand count");
+    EXPECT_DEATH(finalizeWith(OpKind::Select, 2), "wrong operand count");
+    EXPECT_DEATH(finalizeWith(OpKind::LiveOut, 0), "wrong operand count");
+    EXPECT_DEATH(finalizeWith(OpKind::LiveOut, 2), "wrong operand count");
+    EXPECT_DEATH(finalizeWith(OpKind::Const, 1), "wrong operand count");
+    EXPECT_DEATH(finalizeWith(OpKind::LiveIn, 1), "wrong operand count");
+    // The allowed counts.
+    finalizeWith(OpKind::IAdd, 2);
+    finalizeWith(OpKind::Select, 1);
+    finalizeWith(OpKind::Select, 3);
+    finalizeWith(OpKind::LiveOut, 1);
+    finalizeWith(OpKind::LiveIn, 0);
+}
+
+TEST(RegionDeathTest, ParsedIaddWithOneOperandIsRejected)
+{
+    // regionFromString finalizes what it reads.
+    EXPECT_DEATH(regionFromString("nachos-region v1\n"
+                                  "name bad strict 0\n"
+                                  "op 0 1 7 0 0\n"
+                                  "op 2 1 0 1 0 0\n"
+                                  "end\n"),
+                 "wrong operand count");
 }
 
 TEST(RegionDeathTest, DoubleFinalizePanics)
