@@ -194,10 +194,11 @@ BM_OperandFanout(benchmark::State &state)
 BENCHMARK(BM_OperandFanout)->Arg(16)->Arg(128);
 
 /**
- * Per-invocation state reset: a wide, shallow region re-entered for
- * many invocations is dominated by seedInvocation (arena clears + seed
- * events), the former states_.assign + per-op inputValues.assign path.
- * Items = op-resets.
+ * Per-invocation start cost: a wide, shallow region re-entered for
+ * many invocations is dominated by seedInvocation. Its Const -> LiveOut
+ * pairs are all static, so this times the static program's run (value
+ * evaluation and bulk counters), the former states_.assign + per-op
+ * inputValues.assign path. Items = op starts.
  */
 void
 BM_InvocationReset(benchmark::State &state)

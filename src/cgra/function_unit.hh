@@ -17,6 +17,19 @@ namespace nachos {
 /** Execution latency of a compute operation in cycles. */
 uint32_t fuLatency(OpKind kind);
 
+/** The energy event executing one op counts. */
+enum class FuEvent : uint8_t { None, Int, Fp };
+
+inline FuEvent
+fuEvent(OpKind kind)
+{
+    if (kind == OpKind::Const || kind == OpKind::LiveIn ||
+        kind == OpKind::LiveOut) {
+        return FuEvent::None; // free: immediates and region boundary latches
+    }
+    return isFloatKind(kind) ? FuEvent::Fp : FuEvent::Int;
+}
+
 /**
  * Account the energy event for executing one compute op. Takes the
  * two counters directly so callers resolve the stat handles once
@@ -25,14 +38,11 @@ uint32_t fuLatency(OpKind kind);
 inline void
 countFuExecution(OpKind kind, Counter &int_ops, Counter &fp_ops)
 {
-    if (kind == OpKind::Const || kind == OpKind::LiveIn ||
-        kind == OpKind::LiveOut) {
-        return; // free: immediates and region boundary latches
+    switch (fuEvent(kind)) {
+      case FuEvent::Int: int_ops.inc(); break;
+      case FuEvent::Fp: fp_ops.inc(); break;
+      case FuEvent::None: break;
     }
-    if (isFloatKind(kind))
-        fp_ops.inc();
-    else
-        int_ops.inc();
 }
 
 } // namespace nachos

@@ -4,8 +4,10 @@
  * Everything here is a pure function of (region, grid, network
  * config): placement, operand-arena prefix sums, initial
  * pending-operand counts, invocation-start seed events in wave
- * order, and the CSR operand fan-out with cached route hop counts and
- * latencies that eager operand delivery walks (see DESIGN.md §15).
+ * order, the CSR operand fan-out with cached route hop counts and
+ * latencies that eager operand delivery walks, and the static program:
+ * the ops that depend on no memory op, with their fixed fire offsets
+ * and the edges by which they feed the rest (see DESIGN.md §15).
  * One SimPlan serves every backend run of its region.
  */
 
@@ -34,11 +36,11 @@ struct SimTables
     };
 
     /**
-     * Invocation-start event: `addrSeed` fires noteAddrReady (mem op
-     * with no address operands), otherwise opInputsComplete (source op
-     * with no operands at all). The same op can appear twice. Listed
-     * in the order the first wave dispatches them (every addr seed,
-     * then every inputs seed, each by op id), so seeding an invocation
+     * Invocation-start event of a mem op: `addrSeed` fires
+     * noteAddrReady (no address operands), otherwise opInputsComplete
+     * (no operands at all). The same op can appear twice. Listed in
+     * the order the first wave dispatches them (every addr seed, then
+     * every inputs seed, each by op id), so seeding an invocation
      * appends to the event queue's list in order.
      */
     struct SeedEvent
@@ -64,6 +66,45 @@ struct SimTables
         uint16_t firstAddrSlot = kNoAddrSlot;
     };
 
+    /**
+     * One op of the static program. An op is static when it is not a
+     * memory op and every operand is static (so Const and LiveIn are):
+     * it fires `fireOffset` cycles after the invocation starts, every
+     * invocation. Operands index earlier entries of the program.
+     */
+    struct StaticOp
+    {
+        int64_t imm = 0;
+        uint32_t op = 0;
+        uint32_t fireOffset = 0;
+        uint32_t in[3] = {0, 0, 0};
+        OpKind kind = OpKind::Const;
+        uint8_t numInputs = 0;
+        uint8_t fuLatency = 0;
+    };
+
+    /** Edge from a static op to a dynamic one, delivered at seed time
+     * to arrive `arrivalOffset` cycles after the invocation starts. */
+    struct FrontierEdge
+    {
+        uint32_t producer = 0; ///< index into staticProgram
+        uint32_t user = 0;
+        uint32_t slot = 0;
+        uint32_t arrivalOffset = 0;
+    };
+
+    /** What the static program adds to the run's counters each
+     * invocation. */
+    struct StaticTotals
+    {
+        uint64_t intOps = 0;
+        uint64_t fpOps = 0;
+        uint64_t netTransfers = 0;
+        uint64_t netHops = 0;
+        /** Completions and operand deliveries kept off the queue. */
+        uint64_t eventsElided = 0;
+    };
+
     std::vector<OpInfo> opInfo;
     /** Operand-value arena offsets: op's slots at inputOffset[op]. */
     std::vector<uint32_t> inputOffset; ///< numOps + 1 prefix sums
@@ -73,6 +114,16 @@ struct SimTables
     /** CSR fan-out: producer op's edges with cached route data. */
     std::vector<FanoutEdge> fanoutEdges;
     std::vector<uint32_t> fanoutOffset; ///< numOps + 1
+    /** Static ops in op-id (topological) order. */
+    std::vector<StaticOp> staticProgram;
+    std::vector<FrontierEdge> frontier;
+    StaticTotals staticTotals;
+    /** Argmax of (fireOffset + fuLatency, op) over the static ops;
+     * meaningful only when staticProgram is non-empty. */
+    uint32_t staticCriticalEnd = 0;
+    OpId staticCriticalOp = 0;
+    /** Every op not in staticProgram, by id. */
+    std::vector<OpId> dynamicOps;
 
     void build(const Region &region, const Placement &placement,
                const OperandNetwork &net);

@@ -53,6 +53,7 @@ SimCore::SimCore(const SimPlan &plan, const MdeSet &mdes,
     backend_.attach(*this);
     states_.resize(region_.numOps());
     inputArena_.assign(tables_.arenaSize(), 0);
+    staticValues_.assign(tables_.staticProgram.size(), 0);
 
     netTransfers_ =
         &stats_.counter(energy_events::kNetworkTransfers);
@@ -106,12 +107,6 @@ SimCore::storeData(OpId op) const
     NACHOS_ASSERT(states_[op].pendingAllInputs == 0,
                   "store data not ready");
     return inputs(op)[0];
-}
-
-int64_t
-SimCore::liveInValue(OpId op) const
-{
-    return liveInValueFor(op, invocation_);
 }
 
 void
@@ -233,53 +228,54 @@ void
 SimCore::opInputsComplete(OpId op, uint64_t cycle)
 {
     const Operation &o = region_.op(op);
+    NACHOS_ASSERT(o.isMem(), "InputsReady for pure op ", op);
     OpState &st = states_[op];
-
-    if (o.isMem()) {
-        const uint64_t ready = std::max(cycle, st.addrReadyCycle);
-        if (o.mem->scratchpad) {
-            // Local accesses bypass disambiguation entirely.
-            int64_t value = 0;
-            if (o.isStore())
-                hierarchy_.data().write(st.addr, o.mem->accessSize,
-                                        inputs(op)[0]);
-            else
-                value = hierarchy_.data().read(st.addr,
-                                               o.mem->accessSize);
-            const uint64_t done = hierarchy_.scratchpadAccess(
-                st.addr, o.isStore(), ready);
-            events_.schedule(done,
-                             SimEvent{value, op, EvKind::CompleteOp});
-        } else {
-            backend_.memFullyReady(op, ready);
-        }
+    const uint64_t ready = std::max(cycle, st.addrReadyCycle);
+    if (!o.mem->scratchpad) {
+        backend_.memFullyReady(op, ready);
         return;
     }
-
-    // Non-memory ops reach here only as invocation seeds (Const,
-    // LiveIn); every other pure op fires from deliverOperand.
-    fireOp(op, cycle);
+    // Local accesses bypass disambiguation entirely.
+    int64_t value = 0;
+    if (o.isStore())
+        hierarchy_.data().write(st.addr, o.mem->accessSize, inputs(op)[0]);
+    else
+        value = hierarchy_.data().read(st.addr, o.mem->accessSize);
+    const uint64_t done =
+        hierarchy_.scratchpadAccess(st.addr, o.isStore(), ready);
+    events_.schedule(done, SimEvent{value, op, EvKind::CompleteOp});
 }
 
-/** Evaluate a pure op whose operands all sit in the arena. */
+namespace {
+
+/** Value of a pure op other than Const and LiveIn, from its `n`
+ * operand values. */
 int64_t
-SimCore::evalFireValue(OpId op)
+evalPure(OpKind kind, uint32_t n, const int64_t *in)
 {
-    const Operation &o = region_.op(op);
-    const int64_t *in = inputs(op);
-    switch (o.kind) {
-      case OpKind::Const:
-        return o.imm;
-      case OpKind::LiveIn:
-        return liveInValue(op);
+    switch (kind) {
       case OpKind::LiveOut:
         return in[0];
       case OpKind::Select:
-        return o.operands.size() == 3 ? (in[0] ? in[1] : in[2])
-                                      : in[0];
+        return n == 3 ? (in[0] ? in[1] : in[2]) : in[0];
       default:
-        return evalCompute(o.kind, in[0], in[1]);
+        return evalCompute(kind, in[0], in[1]);
     }
+}
+
+} // namespace
+
+/** Trace a pure op's FU occupancy; zero-latency ops take no slice. */
+void
+SimCore::traceCompute(OpKind kind, OpId op, uint64_t cycle,
+                      uint32_t latency)
+{
+    if (latency == 0)
+        return;
+    trace_.record({std::string(opKindName(kind)) + "#" +
+                       std::to_string(op),
+                   "compute", cycle, latency,
+                   plan_.placement().coordOf(op).row});
 }
 
 /**
@@ -292,14 +288,11 @@ SimCore::fireOp(OpId op, uint64_t cycle)
 {
     const SimTables::OpInfo &info = tables_.opInfo[op];
     countFuExecution(info.kind, *intOps_, *fpOps_);
-    if (trace_.enabled() && info.fuLatency > 0) {
-        trace_.record({std::string(opKindName(info.kind)) + "#" +
-                           std::to_string(op),
-                       "compute", cycle, info.fuLatency,
-                       plan_.placement().coordOf(op).row});
-    }
+    if (trace_.enabled())
+        traceCompute(info.kind, op, cycle, info.fuLatency);
     ++planEventsElided_; // the CompleteOp the event engine never sees
-    completeAt(op, cycle + info.fuLatency, evalFireValue(op));
+    completeAt(op, cycle + info.fuLatency,
+               evalPure(info.kind, numInputs(op), inputs(op)));
 }
 
 /**
@@ -395,23 +388,68 @@ SimCore::deliverOperand(OpId op, uint32_t slot, uint64_t arrival,
     }
 }
 
+/**
+ * Start an invocation: reset the dynamic ops, run the static program
+ * (DESIGN.md §15.6) and schedule the memory seeds. Every static op
+ * fires at a fixed offset from `start_cycle`, so the program evaluates
+ * them in op order, accounts their work in bulk and hands their
+ * values to dynamic consumers over the frontier edges; the values
+ * arrive no earlier than start_cycle + 1, as the cascade's did.
+ */
 void
 SimCore::seedInvocation(uint64_t start_cycle)
 {
     // Arena-backed reset: flat clears, no per-op allocation.
     std::fill(inputArena_.begin(), inputArena_.end(), 0);
-    const size_t n = region_.numOps();
-    for (size_t i = 0; i < n; ++i) {
-        OpState &st = states_[i];
+    for (OpId op : tables_.dynamicOps) {
+        OpState &st = states_[op];
         st = OpState{};
-        st.pendingAllInputs = tables_.initialPendingAll[i];
-        st.pendingAddrInputs = tables_.initialPendingAddr[i];
+        st.pendingAllInputs = tables_.initialPendingAll[op];
+        st.pendingAddrInputs = tables_.initialPendingAddr[op];
         st.readyCycle = start_cycle;
         st.addrReadyCycle = start_cycle;
     }
-    opsRemaining_ = n;
+    opsRemaining_ = tables_.dynamicOps.size();
     invocationEnd_ = start_cycle;
     criticalSeen_ = false;
+
+    const std::vector<SimTables::StaticOp> &program = tables_.staticProgram;
+    if (!program.empty()) {
+        int64_t *values = staticValues_.data();
+        for (size_t i = 0; i < program.size(); ++i) {
+            const SimTables::StaticOp &s = program[i];
+            if (s.kind == OpKind::Const) {
+                values[i] = s.imm;
+            } else if (s.kind == OpKind::LiveIn) {
+                values[i] = liveInValueFor(s.op, invocation_);
+            } else {
+                int64_t in[3] = {};
+                for (uint32_t k = 0; k < s.numInputs; ++k)
+                    in[k] = values[s.in[k]];
+                values[i] = evalPure(s.kind, s.numInputs, in);
+            }
+        }
+        const SimTables::StaticTotals &t = tables_.staticTotals;
+        intOps_->inc(t.intOps);
+        fpOps_->inc(t.fpOps);
+        netTransfers_->inc(t.netTransfers);
+        netHops_->inc(t.netHops);
+        planEventsElided_ += t.eventsElided;
+        // completeAt's rule on the first completions of the invocation.
+        criticalOp_ = tables_.staticCriticalOp;
+        criticalSeen_ = true;
+        invocationEnd_ = start_cycle + tables_.staticCriticalEnd;
+        if (trace_.enabled()) {
+            for (const SimTables::StaticOp &s : program) {
+                traceCompute(s.kind, s.op, start_cycle + s.fireOffset,
+                             s.fuLatency);
+            }
+        }
+        for (const SimTables::FrontierEdge &e : tables_.frontier) {
+            deliverOperand(e.user, e.slot, start_cycle + e.arrivalOffset,
+                           values[e.producer]);
+        }
+    }
 
     for (const SimTables::SeedEvent &s : tables_.seedEvents) {
         events_.schedule(start_cycle,

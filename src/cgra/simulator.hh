@@ -21,13 +21,18 @@
  *
  * Execution engine: the event queue carries only variable-latency
  * traffic — memory performs/completions, backend tokens and forwarded
- * values, per-memory-op readiness notifications, invocation seeds.
- * Pure fixed-latency dataflow never touches it: operand delivery is
- * eager (the producer's completion writes every consumer's arena slot
- * and folds the wire arrival cycle into the consumer's ready clock),
- * and a pure op whose operands are all in fires arithmetically, as a
- * straight-line cascade at completion cycle = max arrival + FU
- * latency (cgra/sim_tables, DESIGN.md §15).
+ * values, per-memory-op readiness notifications (which also seed the
+ * memory ops that have no operands to wait for). Pure fixed-latency
+ * dataflow never touches it. The pure ops that depend on no memory op
+ * (Const, LiveIn and what they alone feed) form the plan's static
+ * program: they fire at fixed offsets from the invocation start, so
+ * seeding an invocation evaluates them in op order, adds their
+ * counters in bulk and delivers their values to the rest over the
+ * frontier edges. The rest fire eagerly: operand delivery writes the
+ * consumer's arena slot and folds the wire arrival cycle into its
+ * ready clock, and a pure op whose operands are all in fires
+ * arithmetically, as a straight-line cascade at completion cycle =
+ * max arrival + FU latency (cgra/sim_tables, DESIGN.md §15).
  *
  * Events are small typed records dispatched from a cycle-indexed
  * CalendarQueue with no per-event allocation. Same-cycle events drain
@@ -307,6 +312,9 @@ class SimCore
     std::vector<OpState> states_;
     /** Operand-value arena: op's slots at tables_.inputOffset[op]. */
     std::vector<int64_t> inputArena_;
+    /** Static program values, one per tables_.staticProgram entry;
+     * every entry is rewritten before it is read, each invocation. */
+    std::vector<int64_t> staticValues_;
     Counter *netTransfers_ = nullptr;
     Counter *netHops_ = nullptr;
     Counter *mdeMust_ = nullptr;
@@ -350,7 +358,8 @@ class SimCore
     void dispatch(const SimEvent &ev);
     uint64_t runInvocation(uint64_t inv, uint64_t start_cycle);
     void seedInvocation(uint64_t start_cycle);
-    int64_t evalFireValue(OpId op);
+    void traceCompute(OpKind kind, OpId op, uint64_t cycle,
+                      uint32_t latency);
     void fireOp(OpId op, uint64_t cycle);
     void deliverOperand(OpId op, uint32_t slot, uint64_t arrival,
                         int64_t value);
@@ -360,7 +369,6 @@ class SimCore
     void deliverToUsers(OpId op, uint64_t cycle, int64_t value);
     void noteAddrReady(OpId op, uint64_t cycle);
     void mlpChange(int delta, uint64_t cycle);
-    int64_t liveInValue(OpId op) const;
 };
 
 /**

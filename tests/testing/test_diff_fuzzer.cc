@@ -30,6 +30,23 @@ TEST(DiffFuzzer, CleanSeedsProduceNoMismatches)
     }
 }
 
+// The 1024 default-profile seeds the repository benchmark's `fuzz`
+// workload times at seed 7919: its held-out range, clean in tier-1.
+TEST(DiffFuzzer, BenchmarkSeedRangeIsClean)
+{
+    FuzzOptions opts;
+    const uint64_t first = 1 + (uint64_t{7919} << 24);
+    const FuzzSummary summary = runFuzz(first, 1024, opts, /*threads=*/4);
+    EXPECT_EQ(summary.cases, 1024u);
+    EXPECT_EQ(summary.failures, 0u);
+    for (const FuzzCaseOutcome &o : summary.failed) {
+        for (const FuzzMismatch &m : o.mismatches) {
+            ADD_FAILURE() << "seed " << o.seed << " [" << m.backend
+                          << "] " << m.check << ": " << m.detail;
+        }
+    }
+}
+
 TEST(DiffFuzzer, EveryProfilePassesASmokeSweep)
 {
     for (const char *profile :
