@@ -1,8 +1,8 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the library's hot paths: the
- * alias pipeline, MDE insertion, the firing-plan build, the cycle
- * simulator, the bloom filter, the comparator station, and the
+ * alias pipeline, MDE insertion, placement, the firing-plan build, the
+ * cycle simulator, the bloom filter, the comparator station, and the
  * synthesizer.
  */
 
@@ -68,24 +68,52 @@ BM_MdeInsertion(benchmark::State &state)
 }
 BENCHMARK(BM_MdeInsertion);
 
+/** Arg 0 = a suite region (183.equake, long address spines), arg 1 = a
+ * small generated region (the fuzzer's typical case). */
+Region
+planBenchRegion(int64_t arg)
+{
+    return arg == 0
+               ? synthesizeRegion(benchmarkByName("equake"))
+               : testing::generateRegion(7, testing::RegionGenOptions{});
+}
+
 /**
- * Building a region's firing plan (SimPlan: placement, operand network
- * and SimTables::build), paid once per region and shared by every
- * backend run of it. Arg 0 = a suite region (183.equake, long address
- * spines), arg 1 = a small generated region (the fuzzer's typical
- * case). Items = plan builds.
+ * Placing a region on the grid: paid once per region, in the front
+ * end that nachosd's region cache keeps. Args as planBenchRegion.
+ * Items = placements.
+ */
+void
+BM_PlacementBuild(benchmark::State &state)
+{
+    setQuiet(true);
+    const Region r = planBenchRegion(state.range(0));
+    for (auto _ : state) {
+        const Placement placement(r, GridConfig{});
+        benchmark::DoNotOptimize(placement.depth());
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+    state.SetLabel(std::to_string(r.numOps()) + " ops");
+}
+BENCHMARK(BM_PlacementBuild)
+    ->Arg(0)  // suite region
+    ->Arg(1); // generated region
+
+/**
+ * Building a firing plan on a prebuilt placement (SimPlan: operand
+ * network and SimTables::build): paid once per request, since the
+ * network is a machine parameter, and shared by every backend run of
+ * it. Args as planBenchRegion. Items = plan builds.
  */
 void
 BM_SimTablesBuild(benchmark::State &state)
 {
     setQuiet(true);
-    const Region r =
-        state.range(0) == 0
-            ? synthesizeRegion(benchmarkByName("equake"))
-            : testing::generateRegion(7, testing::RegionGenOptions{});
+    const Region r = planBenchRegion(state.range(0));
     const SimConfig cfg;
+    const Placement placement(r, cfg.grid);
     for (auto _ : state) {
-        const SimPlan plan(r, cfg.grid, cfg.net);
+        const SimPlan plan(r, placement, cfg.grid, cfg.net);
         benchmark::DoNotOptimize(plan.tables().arenaSize());
     }
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));

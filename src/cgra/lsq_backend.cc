@@ -35,8 +35,10 @@ LsqBackend::memAddrReady(OpId op, uint64_t addr, uint32_t size,
 {
     const uint32_t m = region_.op(op).mem->memIndex;
     const bool is_store = region_.op(op).isStore();
-    auto allocated = lsq_->addressReady(m, is_store, addr, size, cycle);
-    for (const auto &[mi, alloc_cycle] : allocated)
+    // onAllocated never resolves another address (only an AddrReady
+    // event does), so the LSQ's batch buffer stays intact meanwhile.
+    for (const auto &[mi, alloc_cycle] :
+         lsq_->addressReady(m, is_store, addr, size, cycle))
         onAllocated(mi, alloc_cycle);
 }
 

@@ -19,6 +19,7 @@ MdeBackend::MdeBackend(const Region &region, const MdeSet &mdes,
     // The only scheme decision: where a MAY edge goes.
     const bool may_is_order = scheme == BackendKind::NachosSw;
     info_.assign(region.numOps(), {});
+    dyn_.resize(region.numOps());
     for (OpId op : region.memOps()) {
         OpInfo &inf = info_[op];
         for (uint32_t idx : mdes.incoming(op)) {
@@ -60,9 +61,11 @@ void
 MdeBackend::beginInvocation(uint64_t inv)
 {
     (void)inv;
-    dyn_.assign(region_.numOps(), {});
-    for (OpId op : region_.memOps())
+    // Only memory ops reach the backend, so only their state resets.
+    for (OpId op : region_.memOps()) {
+        dyn_[op] = OpDyn{};
         dyn_[op].tokensPending = info_[op].orderTokensExpected;
+    }
     if (reportsRuntimeForwards_ && !runtimeForwards_)
         runtimeForwards_ =
             &core_->stats().counter("nachos.runtimeForwards");

@@ -13,6 +13,7 @@
 #ifndef NACHOS_CGRA_PLACEMENT_HH
 #define NACHOS_CGRA_PLACEMENT_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -34,13 +35,23 @@ struct Coord
 {
     uint32_t row = 0;
     uint32_t col = 0;
+
+    bool operator==(const Coord &) const = default;
 };
 
-/** Deterministic level-ordered placement. */
+/**
+ * Deterministic level-ordered placement. It keeps no reference to the
+ * region, so it moves with the front end that owns it (harness
+ * FrontEnd); default construction places no ops.
+ */
 class Placement
 {
   public:
+    Placement() = default;
     Placement(const Region &region, const GridConfig &grid = {});
+
+    /** Number of ops placed. */
+    size_t numOps() const { return coords_.size(); }
 
     Coord coordOf(OpId op) const;
 

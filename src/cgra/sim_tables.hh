@@ -1,14 +1,16 @@
 /**
  * @file
  * SimCore's firing plan: the static per-region simulation tables.
- * Everything here is a pure function of (region, grid, network
- * config): placement, operand-arena prefix sums, initial
- * pending-operand counts, invocation-start seed events in wave
- * order, the CSR operand fan-out with cached route hop counts and
- * latencies that eager operand delivery walks, and the static program:
- * the ops that depend on no memory op, with their fixed fire offsets
- * and the edges by which they feed the rest (see DESIGN.md §15).
- * One SimPlan serves every backend run of its region.
+ * Everything here is a pure function of (region, placement, network
+ * config): operand-arena prefix sums, initial pending-operand counts,
+ * invocation-start seed events in wave order, the CSR operand fan-out
+ * with cached route hop counts and latencies that eager operand
+ * delivery walks, and the static program: the ops that depend on no
+ * memory op, with their fixed fire offsets and the edges by which
+ * they feed the rest (see DESIGN.md §15). The placement is built
+ * once per region (the harness keeps it in the cached front end) and
+ * borrowed; one SimPlan serves every backend run of its region on one
+ * network.
  */
 
 #ifndef NACHOS_CGRA_SIM_TABLES_HH
@@ -139,20 +141,18 @@ struct SimTables
 };
 
 /**
- * The firing plan of one (region, grid, network config): placement,
- * operand network and SimTables, built once and borrowed read-only by
- * every SimCore that simulates the region on that grid and network —
- * whatever its backend, LSQ or memory configuration. The region must
- * outlive the plan. Not copyable: the network refers to the plan's
- * own placement.
+ * The firing plan of one (region, placement, network config): the
+ * operand network and SimTables over a borrowed placement, built once
+ * and borrowed read-only by every SimCore that simulates the region
+ * on that grid and network — whatever its backend, LSQ or memory
+ * configuration. The region and the placement must outlive the plan.
  */
 class SimPlan
 {
   public:
-    SimPlan(const Region &region, const GridConfig &grid,
-            const NetworkConfig &net);
-    SimPlan(const SimPlan &) = delete;
-    SimPlan &operator=(const SimPlan &) = delete;
+    /** `placement` must place `region`'s ops on `grid` (asserted). */
+    SimPlan(const Region &region, const Placement &placement,
+            const GridConfig &grid, const NetworkConfig &net);
 
     const Region &region() const { return region_; }
     const Placement &placement() const { return placement_; }
@@ -161,7 +161,7 @@ class SimPlan
 
   private:
     const Region &region_;
-    Placement placement_;
+    const Placement &placement_;
     OperandNetwork network_;
     SimTables tables_;
 };

@@ -399,8 +399,10 @@ SimCore::deliverOperand(OpId op, uint32_t slot, uint64_t arrival,
 void
 SimCore::seedInvocation(uint64_t start_cycle)
 {
-    // Arena-backed reset: flat clears, no per-op allocation.
-    std::fill(inputArena_.begin(), inputArena_.end(), 0);
+    // Re-arm the dynamic ops; the static ones keep no OpState. The
+    // arena needs no clearing: deliverOperand writes each slot before
+    // fireOp, storeData or the scratchpad store reads it, and no one
+    // touches the static ops' slots.
     for (OpId op : tables_.dynamicOps) {
         OpState &st = states_[op];
         st = OpState{};
@@ -569,7 +571,8 @@ SimResult
 simulate(const Region &region, const MdeSet &mdes, BackendKind kind,
          const SimConfig &cfg, HierarchyPool &pool)
 {
-    const SimPlan plan(region, cfg.grid, cfg.net);
+    const Placement placement(region, cfg.grid);
+    const SimPlan plan(region, placement, cfg.grid, cfg.net);
     return simulate(plan, mdes, kind, cfg, pool);
 }
 

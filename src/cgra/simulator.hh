@@ -310,7 +310,9 @@ class SimCore
     std::vector<SimEvent> waveBuf_;
 
     std::vector<OpState> states_;
-    /** Operand-value arena: op's slots at tables_.inputOffset[op]. */
+    /** Operand-value arena: op's slots at tables_.inputOffset[op].
+     * Zeroed once; every slot a run reads was written earlier in the
+     * same invocation, so invocations never clear it. */
     std::vector<int64_t> inputArena_;
     /** Static program values, one per tables_.staticProgram entry;
      * every entry is rewritten before it is read, each invocation. */
@@ -391,8 +393,8 @@ SimResult simulate(const Region &region, const MdeSet &mdes,
  * Plan variant: simulate `plan`'s region on a plan built once for it.
  * Callers that run several backends or configurations of one region
  * (the fuzzer, simulateRequest) share one plan across those runs;
- * results are identical to the overloads above, which build a plan
- * per call.
+ * results are identical to the overloads above, which place the
+ * region and build a plan per call.
  */
 SimResult simulate(const SimPlan &plan, const MdeSet &mdes,
                    BackendKind kind, const SimConfig &cfg,

@@ -1,12 +1,14 @@
 /**
  * @file
  * Synthesized-region cache: the front half of a run — synthesize,
- * alias pipeline (stages 1-4), MDE insertion — depends only on
- * (workload, pathIndex, seed, pipeline flags), never on the simulation
- * parameters. The serving plane replays the same few region
- * descriptors thousands of times, so caching the prepared
- * (region, analysis, mdes) triple turns the per-request front end
- * into a hash lookup and leaves only the simulate call.
+ * alias pipeline (stages 1-4), MDE insertion, placement on the
+ * Figure-3 grid — depends only on (workload, pathIndex, seed,
+ * pipeline flags), never on the simulation parameters (the grid is
+ * not a machine override). The serving plane replays the same few
+ * region descriptors thousands of times, so caching the prepared
+ * (region, analysis, mdes, placement) front end turns the per-request
+ * front end into a hash lookup and leaves only the operand network,
+ * the firing tables and the simulate calls.
  *
  * Entries are immutable once inserted (handed out as
  * shared_ptr<const>), LRU-evicted beyond the configured capacity, and
@@ -76,7 +78,8 @@ class RegionCache
 
     /** Build an entry without any cache involved (the miss path, and
      *  the direct path benches compare against), adding the synth,
-     *  analysis and MDE seconds to `*times` when given. */
+     *  analysis and MDE-plus-placement seconds to `*times` when
+     *  given. */
     static std::shared_ptr<const RegionCacheEntry>
     build(const BenchmarkInfo &info, const RunRequest &request,
           StageTimes *times = nullptr);
@@ -85,11 +88,13 @@ class RegionCache
     /**
      * The cache key is MACHINE-INDEPENDENT by design: it names what
      * the front end consumed (workload identity, path, seed, pipeline
-     * stages) and nothing the simulation half reads. Requests that
-     * differ only in RunRequest::machine — a design-space sweep's
-     * whole point — therefore share one entry; each sweep point still
-     * simulates under its own SimConfig and produces divergent
-     * SimResults from the identical cached (region, analysis, mdes).
+     * stages) and nothing the simulation half reads. Placement reads
+     * only the region and the fixed Figure-3 grid, which no override
+     * changes. Requests that differ only in RunRequest::machine — a
+     * design-space sweep's whole point — therefore share one entry;
+     * each sweep point still simulates under its own SimConfig and
+     * produces divergent SimResults from the identical cached
+     * (region, analysis, mdes, placement).
      * acquire() asserts this invariant at runtime. Adding a machine
      * parameter to this key would be a correctness bug disguised as a
      * cache miss: it would silently re-run a front end whose inputs

@@ -33,8 +33,15 @@ buildFrontEnd(const BenchmarkInfo &info, const RunRequest &request,
     times.analysisSeconds += secondsSince(start);
     start = Clock::now();
     front.mdes = insertMdes(front.region, front.analysis.matrix);
+    front.placement = Placement(front.region, GridConfig{});
     times.mdeSeconds += secondsSince(start);
     return front;
+}
+
+SimPlan
+requestPlan(const FrontEnd &front, const SimConfig &sim)
+{
+    return SimPlan(front.region, front.placement, sim.grid, sim.net);
 }
 
 BackendResults
@@ -47,7 +54,7 @@ simulateRequest(const BenchmarkInfo &info, const RunRequest &request,
                           : info.invocations;
     request.machine.applyTo(sim);
     // One firing plan serves all three backend runs.
-    const SimPlan plan(front.region, sim.grid, sim.net);
+    const SimPlan plan = requestPlan(front, sim);
     const MdeSet &m = front.mdes;
     BackendResults out;
     for (const BackendField &backend : backendFields())
@@ -87,6 +94,7 @@ analyzeRegion(Region region, const PipelineConfig &pipeline)
     out.region = std::move(region);
     out.analysis = runAliasPipeline(out.region, pipeline);
     out.mdes = insertMdes(out.region, out.analysis.matrix);
+    out.placement = Placement(out.region, GridConfig{});
     return out;
 }
 

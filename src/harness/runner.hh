@@ -1,9 +1,13 @@
 /**
  * @file
  * Experiment runner: synthesize a workload's region, run the alias
- * pipeline, insert MDEs, and simulate under the requested backends —
- * the shared engine behind every bench binary, the examples, nachosd
- * and the sweeps.
+ * pipeline, insert MDEs, place the region on the CGRA grid, and
+ * simulate under the requested backends — the shared engine behind
+ * every bench binary, the examples, nachosd and the sweeps. The
+ * front end (everything up to and including placement) is
+ * machine-independent, so nachosd and the sweeps build it once per
+ * region (harness/region_cache); each request then builds only the
+ * operand network and firing tables for its machine.
  */
 
 #ifndef NACHOS_HARNESS_RUNNER_HH
@@ -34,21 +38,24 @@ struct RunRequest
      * Machine-parameter overrides applied to the SimConfig of every
      * requested backend (all-zero = the paper's Figure-3 machine).
      * Only the simulation half reads these; the front end (synthesis +
-     * analysis + MDEs) is machine-independent by construction.
+     * analysis + MDEs + placement) is machine-independent by
+     * construction: the grid is not an override.
      */
     MachineOverrides machine;
 };
 
 /**
- * The front half of a run: the synthesized region, its alias labels
- * and its MDEs. A pure function of (workload, pathIndex, seed,
- * pipeline flags) — the machine never reaches it.
+ * The front half of a run: the synthesized region, its alias labels,
+ * its MDEs and its placement on the Figure-3 grid. A pure function of
+ * (workload, pathIndex, seed, pipeline flags) — the machine never
+ * reaches it.
  */
 struct FrontEnd
 {
     Region region{"empty"};
     AliasAnalysisResult analysis;
     MdeSet mdes;
+    Placement placement;
 };
 
 /** The simulated half of a run: one result per requested backend. */
@@ -69,22 +76,32 @@ struct StageTimes
 {
     double synthSeconds = 0;
     double analysisSeconds = 0;
-    double mdeSeconds = 0;
+    double mdeSeconds = 0; ///< MDE insertion plus placement
     double simSeconds = 0; ///< all requested backends together
 };
 
 /**
- * Synthesize, analyze and insert MDEs for `request` on `info`, adding
- * each stage's wall-clock seconds to `times`.
+ * Synthesize, analyze, insert MDEs and place for `request` on `info`,
+ * adding each stage's wall-clock seconds to `times` (placement counts
+ * toward mdeSeconds).
  */
 FrontEnd buildFrontEnd(const BenchmarkInfo &info, const RunRequest &request,
                        StageTimes &times);
 
 /**
+ * The firing plan `front` simulates on under `sim`: it borrows
+ * front.placement, so every request served from one front end shares
+ * one placement, and builds the operand network and SimTables for
+ * sim.net. `sim.grid` must be the grid front.placement was built on
+ * (asserted). `front` must outlive the plan.
+ */
+SimPlan requestPlan(const FrontEnd &front, const SimConfig &sim);
+
+/**
  * Simulate `front` (built for `info` and `request`) under every
  * backend `request` asks for, on the request's machine, reusing
- * `pool`'s memory hierarchy. The one simulation path behind
- * runWorkload, nachosd and the sweeps.
+ * `pool`'s memory hierarchy and one requestPlan. The one simulation
+ * path behind runWorkload, nachosd and the sweeps.
  */
 BackendResults simulateRequest(const BenchmarkInfo &info,
                                const RunRequest &request,
@@ -98,7 +115,7 @@ RunOutcome runWorkload(const BenchmarkInfo &info,
 RunOutcome runWorkload(const BenchmarkInfo &info,
                        const RunRequest &request, StageTimes &times);
 
-/** Analyze (no simulation) an already-built region. */
+/** Analyze and place (no simulation) an already-built region. */
 RunOutcome analyzeRegion(Region region,
                          const PipelineConfig &pipeline = {});
 

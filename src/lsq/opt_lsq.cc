@@ -62,7 +62,7 @@ OptLsq::overlaps(const Entry &a, const Entry &b) const
     return a.addr < b.addr + b.size && b.addr < a.addr + a.size;
 }
 
-std::vector<std::pair<uint32_t, uint64_t>>
+const std::vector<std::pair<uint32_t, uint64_t>> &
 OptLsq::addressReady(uint32_t m, bool is_store, uint64_t addr,
                      uint32_t size, uint64_t cycle)
 {
@@ -80,7 +80,7 @@ OptLsq::addressReady(uint32_t m, bool is_store, uint64_t addr,
     // op m-1's slot (same cycle is fine — ports permitting); the
     // allocLatency pipeline stage applies to each op independently and
     // must not chain, or allocation would serialize to one per cycle.
-    std::vector<std::pair<uint32_t, uint64_t>> allocated;
+    allocated_.clear();
     while (nextToAlloc_ < entries_.size() &&
            entries_[nextToAlloc_].seen) {
         Entry &a = entries_[nextToAlloc_];
@@ -104,10 +104,10 @@ OptLsq::addressReady(uint32_t m, bool is_store, uint64_t addr,
             }
             bloom_.insert(a.addr, a.size);
         }
-        allocated.emplace_back(nextToAlloc_, granted);
+        allocated_.emplace_back(nextToAlloc_, granted);
         ++nextToAlloc_;
     }
-    return allocated;
+    return allocated_;
 }
 
 LoadSearchResult
@@ -279,12 +279,17 @@ OptLsq::resumeCommits()
     // store can unblock only its (younger) bank successor, and the
     // heap keeps the emitted order ascending in memIndex — the same
     // order the previous full-rescan implementation produced.
+    //
+    // The returned batch is a fresh vector: a caller acting on it can
+    // re-enter resumeCommits() before it has read the whole batch.
     std::vector<std::pair<uint32_t, uint64_t>> committed;
     if (commitCandidates_.empty())
         return committed;
 
-    std::vector<uint32_t> heap = std::move(commitCandidates_);
-    commitCandidates_.clear();
+    // Both buffers keep their capacity: the heap takes the candidates
+    // and leaves its (empty) storage to collect the next ones.
+    std::vector<uint32_t> &heap = commitHeap_;
+    heap.swap(commitCandidates_);
     std::make_heap(heap.begin(), heap.end(), std::greater<>{});
     while (!heap.empty()) {
         std::pop_heap(heap.begin(), heap.end(), std::greater<>{});

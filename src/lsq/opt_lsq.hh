@@ -104,8 +104,10 @@ class OptLsq
      * Record that op `m`'s address is resolved at `cycle`. Returns the
      * list of ops whose allocation completed as a result (allocation
      * cascades in program order), with their allocation-done cycles.
+     * The list is a member buffer, valid until the next call: do not
+     * call addressReady again while reading it.
      */
-    std::vector<std::pair<uint32_t, uint64_t>>
+    const std::vector<std::pair<uint32_t, uint64_t>> &
     addressReady(uint32_t m, bool is_store, uint64_t addr, uint32_t size,
                  uint64_t cycle);
 
@@ -236,6 +238,11 @@ class OptLsq
     /** Stores that may have become committable since the last
      * resumeCommits() (re-verified before committing). */
     std::vector<uint32_t> commitCandidates_;
+    /** resumeCommits()'s min-heap; empty between calls, kept for its
+     * capacity (swapped with commitCandidates_). */
+    std::vector<uint32_t> commitHeap_;
+    /** addressReady()'s returned batch. */
+    std::vector<std::pair<uint32_t, uint64_t>> allocated_;
     BloomFilter bloom_;
     uint32_t nextToAlloc_ = 0;
     uint64_t lastAllocSlot_ = 0;

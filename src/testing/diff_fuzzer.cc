@@ -223,9 +223,10 @@ checkRegion(const Region &region, const FuzzOptions &opts)
     SimConfig cfg;
     cfg.invocations = opts.invocations;
     cfg.recordMemTrace = true;
-    // Every run below shares the grid and network, so one firing plan
-    // serves them all.
-    const SimPlan plan(region, cfg.grid, cfg.net);
+    // Every run below shares the grid and network, so one placement
+    // and one firing plan serve them all.
+    const Placement placement(region, cfg.grid);
+    const SimPlan plan(region, placement, cfg.grid, cfg.net);
 
     // Worker-thread-local hierarchy pool: it survives across runs and
     // cases, so hierarchy construction does not dominate every run.

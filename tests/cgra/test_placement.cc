@@ -83,7 +83,8 @@ TEST(Network, TransferCountsHops)
     Region r = chainRegion(4);
     SimConfig cfg;
     cfg.invocations = 3;
-    const SimPlan plan(r, cfg.grid, cfg.net);
+    const Placement placement(r, cfg.grid);
+    const SimPlan plan(r, placement, cfg.grid, cfg.net);
     uint64_t edges = 0;
     uint64_t hops = 0;
     for (const Operation &o : r.ops()) {

@@ -28,7 +28,8 @@ TEST(SimTables, StaticPartition)
     b.liveOut(s);                            // 8
     b.liveOut(b.select(c, x, m));            // 9, 10
     const Region r = b.build();
-    const SimPlan plan(r, GridConfig{}, NetworkConfig{});
+    const Placement placement(r);
+    const SimPlan plan(r, placement, GridConfig{}, NetworkConfig{});
     const SimTables &t = plan.tables();
 
     // Fire offsets: the cycles at which the eager cascade fired these
@@ -65,6 +66,25 @@ TEST(SimTables, StaticPartition)
     // The fadd's LiveOut ends last: 9 + 1.
     EXPECT_EQ(t.staticCriticalEnd, 10u);
     EXPECT_EQ(t.staticCriticalOp, 7u);
+}
+
+TEST(SimPlanDeathTest, RejectsMismatchedPlacement)
+{
+    RegionBuilder b("small");
+    b.liveOut(b.iadd(b.liveIn(), b.constant(1)));
+    const Region r = b.build();
+    RegionBuilder w("wider");
+    w.liveOut(w.iadd(w.liveIn(), w.liveIn()));
+    w.liveOut(w.constant(2));
+    const Region wider = w.build();
+    const Placement placed(wider);
+    EXPECT_DEATH(
+        { const SimPlan plan(r, placed, GridConfig{}, NetworkConfig{}); },
+        "placement of 6 ops for a region of 4");
+    const Placement small(r, GridConfig{8, 8});
+    EXPECT_DEATH(
+        { const SimPlan plan(r, small, GridConfig{}, NetworkConfig{}); },
+        "different grid");
 }
 
 } // namespace

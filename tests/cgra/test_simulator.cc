@@ -121,9 +121,9 @@ expectSameResult(const SimResult &a, const SimResult &b,
     }
 }
 
-// One SimPlan shared across the fuzzer's six backend runs (OPT-LSQ at
-// 1/2/4/8 banks, NACHOS-SW, NACHOS) must give exactly the results of
-// building a plan per run.
+// One Placement and one SimPlan shared across the fuzzer's six backend
+// runs (OPT-LSQ at 1/2/4/8 banks, NACHOS-SW, NACHOS) must give exactly
+// the results of placing the region and building a plan per run.
 TEST(Simulator, SharedPlanMatchesPerRunPlans)
 {
     HierarchyPool pool;
@@ -132,7 +132,8 @@ TEST(Simulator, SharedPlanMatchesPerRunPlans)
     const auto check = [&](const Region &r, const std::string &name) {
         const AliasAnalysisResult analysis = runAliasPipeline(r);
         const MdeSet mdes = insertMdes(r, analysis.matrix);
-        const SimPlan plan(r, cfg.grid, cfg.net);
+        const Placement placement(r, cfg.grid);
+        const SimPlan plan(r, placement, cfg.grid, cfg.net);
         const auto both = [&](BackendKind kind, const SimConfig &c,
                               const std::string &label) {
             const SimResult shared = simulate(plan, mdes, kind, c, pool);

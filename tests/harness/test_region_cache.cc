@@ -213,6 +213,88 @@ TEST(RegionCache, CacheHitRunMatchesCacheMissRun)
                         info, req, runWorkload(info, req)))));
 }
 
+// The cached front end carries the region's placement on the
+// Figure-3 grid, exactly the one a fresh Placement computes.
+TEST(RegionCache, EntryPlacementMatchesFreshPlacement)
+{
+    for (const char *name : {"179.art", "183.equake"}) {
+        const auto entry = RegionCache::build(*findBenchmark(name), request(2));
+        const Placement fresh(entry->region, GridConfig{});
+        const Placement &cached = entry->placement;
+        ASSERT_EQ(cached.numOps(), entry->region.numOps()) << name;
+        EXPECT_EQ(cached.grid(), GridConfig{}) << name;
+        EXPECT_EQ(cached.depth(), fresh.depth()) << name;
+        for (OpId op = 0; op < entry->region.numOps(); ++op) {
+            EXPECT_EQ(cached.coordOf(op), fresh.coordOf(op))
+                << name << " op " << op;
+            EXPECT_EQ(cached.levelOf(op), fresh.levelOf(op))
+                << name << " op " << op;
+        }
+    }
+}
+
+void
+expectSameSim(const SimResult &a, const SimResult &b, const char *what)
+{
+    EXPECT_EQ(a.cycles, b.cycles) << what;
+    EXPECT_EQ(a.stats.dump(), b.stats.dump()) << what;
+    EXPECT_EQ(a.energy.total(), b.energy.total()) << what;
+    EXPECT_EQ(a.loadValueDigest, b.loadValueDigest) << what;
+    EXPECT_EQ(a.memImage, b.memImage) << what;
+}
+
+// A hit simulates on the entry's placement under the request's own
+// machine, including an operand-network override (a new network over
+// the cached placement): every backend matches a fresh runWorkload.
+TEST(RegionCache, CachedPlacementRunsMatchFreshRuns)
+{
+    const BenchmarkInfo &info = *findBenchmark("179.art");
+    RegionCache cache(4);
+    HierarchyPool pool;
+    RunRequest stock = request(4);
+    stock.invocationsOverride = 3;
+    cache.acquire(info, stock);
+    RunRequest tuned = stock;
+    tuned.machine.lsqBanks = 2;
+    tuned.machine.l1SizeBytes = 16384;
+    tuned.machine.netHopsPerCycle = 2;
+    for (const RunRequest &req : {stock, tuned}) {
+        bool hit = false;
+        const auto entry = cache.acquire(info, req, &hit);
+        ASSERT_TRUE(hit);
+        const BackendResults sims = simulateRequest(info, req, *entry, pool);
+        const RunOutcome fresh = runWorkload(info, req);
+        ASSERT_TRUE(sims.lsq && sims.sw && sims.nachos);
+        expectSameSim(*sims.lsq, *fresh.lsq, "lsq");
+        expectSameSim(*sims.sw, *fresh.sw, "sw");
+        expectSameSim(*sims.nachos, *fresh.nachos, "nachos");
+    }
+    // The network override reached the simulation.
+    const auto entry = cache.acquire(info, stock);
+    EXPECT_NE(simulateRequest(info, stock, *entry, pool).sw->cycles,
+              simulateRequest(info, tuned, *entry, pool).sw->cycles);
+}
+
+// Every job on one cached entry plans on that entry's placement, not
+// on a copy: placement happens once per front end.
+TEST(RegionCache, JobsBorrowTheEntryPlacement)
+{
+    const BenchmarkInfo &info = *findBenchmark("164.gzip");
+    RegionCache cache(4);
+    RunRequest slowNet = request(3);
+    slowNet.machine.netHopsPerCycle = 1;
+    const auto first = cache.acquire(info, request(3));
+    const auto second = cache.acquire(info, slowNet);
+    ASSERT_EQ(first.get(), second.get());
+    for (const RunRequest &req : {request(3), slowNet}) {
+        SimConfig sim;
+        req.machine.applyTo(sim);
+        const SimPlan plan = requestPlan(*second, sim);
+        EXPECT_EQ(&plan.placement(), &first->placement);
+        EXPECT_EQ(plan.network().config(), sim.net);
+    }
+}
+
 TEST(RegionCache, HitsPlusMissesEqualsLookups)
 {
     RegionCache cache(2);

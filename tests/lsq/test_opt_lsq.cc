@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "lsq/opt_lsq.hh"
+#include "support/alloc_hook.hh"
 
 namespace nachos {
 namespace {
@@ -151,6 +152,36 @@ TEST_F(OptLsqTest, DeathOnDoubleAddressReady)
 {
     lsq.addressReady(0, false, 0x100, 8, 0);
     EXPECT_DEATH(lsq.addressReady(0, false, 0x100, 8, 1), "twice");
+}
+
+/**
+ * Resolve the addresses of ops n-1 .. 0, every third a store, so the
+ * last call allocates the whole queue in one cascade. Returns that
+ * cascade's length.
+ */
+size_t
+allocateYoungestFirst(OptLsq &lsq, uint32_t n)
+{
+    size_t cascade = 0;
+    for (uint32_t m = n; m-- > 0;)
+        cascade = lsq.addressReady(m, m % 3 == 0, 0x100 + 40 * m, 8, m)
+                      .size();
+    return cascade;
+}
+
+TEST(OptLsqAlloc, WarmAddressReadyCascadeAllocatesNothing)
+{
+    StatSet stats;
+    const LsqConfig cfg;
+    constexpr uint32_t kOps = 24;
+    OptLsq lsq(cfg, kOps, stats);
+    // The first invocation grows the batch buffer and bank queues.
+    ASSERT_EQ(allocateYoungestFirst(lsq, kOps), kOps);
+    lsq.reset();
+    const uint64_t before = threadAllocCount();
+    const size_t cascade = allocateYoungestFirst(lsq, kOps);
+    EXPECT_EQ(threadAllocCount() - before, 0u);
+    EXPECT_EQ(cascade, kOps);
 }
 
 } // namespace
