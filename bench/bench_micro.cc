@@ -147,6 +147,39 @@ BENCHMARK(BM_SimulatorInvocation)
     ->Arg(2); // NACHOS
 
 /**
+ * A warm simulate() of a fuzz-sized region: the differential fuzzer's
+ * run (6 invocations, commit trace on) on a prebuilt plan and a pool
+ * that already ran it, so the time is the run's own work plus whatever
+ * fixed cost each run still pays. Arg = backend, as
+ * BM_SimulatorInvocation. Items = runs.
+ */
+void
+BM_WarmSimulate(benchmark::State &state)
+{
+    setQuiet(true);
+    const Region r = planBenchRegion(1);
+    const MdeSet mdes = insertMdes(r, runAliasPipeline(r).matrix);
+    SimConfig cfg;
+    cfg.invocations = 6;
+    cfg.recordMemTrace = true;
+    const Placement placement(r, cfg.grid);
+    const SimPlan plan(r, placement, cfg.grid, cfg.net);
+    const BackendKind kind = static_cast<BackendKind>(state.range(0));
+    HierarchyPool pool;
+    simulate(plan, mdes, kind, cfg, pool);
+    for (auto _ : state) {
+        SimResult sim = simulate(plan, mdes, kind, cfg, pool);
+        benchmark::DoNotOptimize(sim.cycles);
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+    state.SetLabel(std::to_string(r.numOps()) + " ops");
+}
+BENCHMARK(BM_WarmSimulate)
+    ->Arg(0)  // OPT-LSQ
+    ->Arg(1)  // NACHOS-SW
+    ->Arg(2); // NACHOS
+
+/**
  * Event-queue schedule/drain throughput: the typed-record CalendarQueue
  * the simulator dispatches from. The schedule pattern mimics the hot
  * path (mixed near-future latencies, occasional DRAM-distance
@@ -261,7 +294,7 @@ BENCHMARK(BM_InvocationReset);
 void
 BM_MemHitStreaming(benchmark::State &state)
 {
-    StatSet stats;
+    SimStats stats;
     MemoryHierarchy mem{HierarchyConfig{}, stats};
     constexpr uint64_t kLines = 128; // 8 KiB, fits every L1 set
     uint64_t cycle = 0;
@@ -289,7 +322,7 @@ BENCHMARK(BM_MemHitStreaming);
 void
 BM_MemMissStreaming(benchmark::State &state)
 {
-    StatSet stats;
+    SimStats stats;
     MemoryHierarchy mem{HierarchyConfig{}, stats};
     constexpr uint64_t kLines = (8 * 1024 * 1024) / 64;
     uint64_t cycle = 0;
@@ -315,7 +348,7 @@ BENCHMARK(BM_MemMissStreaming);
 void
 BM_MemRandomMix(benchmark::State &state)
 {
-    StatSet stats;
+    SimStats stats;
     MemoryHierarchy mem{HierarchyConfig{}, stats};
     constexpr uint64_t kMask = (1 << 20) - 1; // 1 MiB window
     uint64_t x = 0x9e3779b97f4a7c15ull;
@@ -371,7 +404,7 @@ BENCHMARK(BM_FunctionalMemoryMix);
 void
 BM_HierarchyReset(benchmark::State &state)
 {
-    StatSet stats;
+    SimStats stats;
     MemoryHierarchy mem{HierarchyConfig{}, stats};
     uint64_t resets = 0;
     for (auto _ : state) {
@@ -427,7 +460,7 @@ BM_MayStationHighFanIn(benchmark::State &state)
 {
     const uint32_t parents = static_cast<uint32_t>(state.range(0));
     for (auto _ : state) {
-        StatSet stats;
+        SimStats stats;
         MayCheckStation station(parents, stats);
         station.ownAddressReady(0x1000, 8, 0);
         for (uint32_t p = 0; p < parents; ++p)

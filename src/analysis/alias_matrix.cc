@@ -113,37 +113,35 @@ AliasMatrix::opOf(uint32_t mem_index) const
 PairCounts
 AliasMatrix::counts() const
 {
-    PairCounts c;
-    for (uint32_t i = 0; i < n_; ++i) {
-        for (uint32_t j = i + 1; j < n_; ++j) {
-            if (!relevant(i, j))
-                continue;
-            switch (label(i, j)) {
-              case AliasLabel::No: ++c.no; break;
-              case AliasLabel::May: ++c.may; break;
-              case AliasLabel::Must: ++c.must; break;
-            }
-        }
-    }
-    return c;
+    return countsAndEnforced().first;
 }
 
-PairCounts
-AliasMatrix::enforcedCounts() const
+std::pair<PairCounts, PairCounts>
+AliasMatrix::countsAndEnforced() const
 {
-    PairCounts c;
+    PairCounts all;
+    PairCounts enforced;
+    const auto tally = [](PairCounts &c, AliasLabel l) {
+        switch (l) {
+          case AliasLabel::No: ++c.no; break;
+          case AliasLabel::May: ++c.may; break;
+          case AliasLabel::Must: ++c.must; break;
+        }
+    };
+    // Pairs (i, j) are stored row-major over the strict upper
+    // triangle, so the walk visits them at consecutive indices.
+    size_t idx = 0;
     for (uint32_t i = 0; i < n_; ++i) {
-        for (uint32_t j = i + 1; j < n_; ++j) {
-            if (!relevant(i, j) || !enforced(i, j))
-                continue;
-            switch (label(i, j)) {
-              case AliasLabel::No: ++c.no; break;
-              case AliasLabel::May: ++c.may; break;
-              case AliasLabel::Must: ++c.must; break;
-            }
+        for (uint32_t j = i + 1; j < n_; ++j, ++idx) {
+            if (!isStore_[i] && !isStore_[j])
+                continue; // not relevant
+            const AliasLabel l = toLabel(relations_[idx]);
+            tally(all, l);
+            if (enforced_[idx])
+                tally(enforced, l);
         }
     }
-    return c;
+    return {all, enforced};
 }
 
 } // namespace nachos

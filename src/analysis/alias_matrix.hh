@@ -15,6 +15,7 @@
 #define NACHOS_ANALYSIS_ALIAS_MATRIX_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "ir/dfg.hh"
@@ -91,8 +92,11 @@ class AliasMatrix
     /** Counts over all relevant pairs. */
     PairCounts counts() const;
 
-    /** Counts over relevant pairs that are still enforced. */
-    PairCounts enforcedCounts() const;
+    /**
+     * counts(), and the same counts over the relevant pairs that are
+     * still enforced, from one walk of the matrix.
+     */
+    std::pair<PairCounts, PairCounts> countsAndEnforced() const;
 
   private:
     size_t n_ = 0;

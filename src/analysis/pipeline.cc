@@ -9,7 +9,8 @@ namespace {
 StageSnapshot
 snapshot(const AliasMatrix &matrix)
 {
-    return {matrix.counts(), matrix.enforcedCounts()};
+    const auto [all, enforced] = matrix.countsAndEnforced();
+    return {all, enforced};
 }
 
 } // namespace

@@ -6,8 +6,9 @@
 
 namespace nachos {
 
-LsqBackend::LsqBackend(const Region &region, const LsqConfig &cfg)
-    : OrderingBackend(region), cfg_(cfg)
+LsqBackend::LsqBackend(const Region &region, const LsqConfig &cfg,
+                       Buffers &buffers)
+    : OrderingBackend(region), cfg_(cfg), buf_(buffers)
 {}
 
 void
@@ -17,16 +18,31 @@ LsqBackend::beginInvocation(uint64_t inv)
     const uint32_t n =
         static_cast<uint32_t>(region_.memOps().size());
     if (!lsq_) {
-        lsq_ = std::make_unique<OptLsq>(cfg_, n, core_->stats());
+        // The run's first invocation registers the LSQ counters, as a
+        // newly built LSQ would.
+        if (buf_.lsq)
+            buf_.lsq->bind(cfg_, n, core_->stats());
+        else
+            buf_.lsq.emplace(cfg_, n, core_->stats());
+        lsq_ = &*buf_.lsq;
     } else {
         lsq_->reset();
     }
-    dyn_.assign(n, {});
+    buf_.dyn.assign(n, {});
     // Clear in place: each store's parked-load buffer survives into the
-    // next invocation instead of being freed and grown again.
-    parked_.resize(n);
-    for (std::vector<ParkedLoad> &parked : parked_)
-        parked.clear();
+    // next invocation and run instead of being freed and grown again.
+    if (buf_.parked.size() < n)
+        buf_.parked.resize(n);
+    for (uint32_t m = 0; m < n; ++m)
+        buf_.parked[m].clear();
+}
+
+CommitBatch &
+LsqBackend::batchAt(uint32_t depth)
+{
+    if (buf_.batches.size() <= depth)
+        buf_.batches.resize(depth + 1);
+    return buf_.batches[depth];
 }
 
 void
@@ -45,7 +61,7 @@ LsqBackend::memAddrReady(OpId op, uint64_t addr, uint32_t size,
 void
 LsqBackend::onAllocated(uint32_t m, uint64_t alloc_cycle)
 {
-    OpDyn &d = dyn_[m];
+    OpDyn &d = buf_.dyn[m];
     d.allocated = true;
     d.allocCycle = alloc_cycle;
     const OpId op = region_.memOps()[m];
@@ -62,7 +78,7 @@ void
 LsqBackend::memFullyReady(OpId op, uint64_t cycle)
 {
     const uint32_t m = region_.op(op).mem->memIndex;
-    OpDyn &d = dyn_[m];
+    OpDyn &d = buf_.dyn[m];
     d.fullyReady = true;
     d.fullCycle = cycle;
     if (region_.op(op).isLoad()) {
@@ -79,7 +95,7 @@ LsqBackend::searchLoad(uint32_t m)
 {
     const OpId op = region_.memOps()[m];
     const LoadSearchResult dec =
-        lsq_->loadSearch(m, dyn_[m].allocCycle);
+        lsq_->loadSearch(m, buf_.dyn[m].allocCycle);
     finishLoadDecision(op, dec);
 }
 
@@ -91,7 +107,7 @@ LsqBackend::finishLoadDecision(OpId load, const LoadSearchResult &dec)
       case LoadSearchResult::Kind::ToCache:
         lsq_->loadPerformAt(m, dec.cycle);
         core_->performMemAccess(load, dec.cycle);
-        drainCommits(lsq_->resumeCommits());
+        resumeAndDrain();
         return;
       case LoadSearchResult::Kind::ForwardFrom: {
         const uint32_t s = dec.store;
@@ -105,9 +121,9 @@ LsqBackend::finishLoadDecision(OpId load, const LoadSearchResult &dec)
             core_->completeLoadForwarded(load, when,
                                          core_->storeData(store_op));
         } else {
-            parked_[s].push_back({load, dec.cycle, true});
+            buf_.parked[s].push_back({load, dec.cycle, true});
         }
-        drainCommits(lsq_->resumeCommits());
+        resumeAndDrain();
         return;
       }
       case LoadSearchResult::Kind::WaitCommit:
@@ -130,41 +146,60 @@ LsqBackend::waitOrPerformLoad(OpId load, uint64_t ready)
     const uint32_t m = region_.op(load).mem->memIndex;
     const LoadWaitStatus st = lsq_->loadWaitStatus(m);
     if (st.blockingStore != LoadWaitStatus::kNone) {
-        parked_[st.blockingStore].push_back({load, ready, false});
+        buf_.parked[st.blockingStore].push_back({load, ready, false});
         return;
     }
     const uint64_t when = std::max(ready, st.commitFloor);
     lsq_->loadPerformAt(m, when);
     core_->performMemAccess(load, when);
-    drainCommits(lsq_->resumeCommits());
+    resumeAndDrain();
 }
 
 void
 LsqBackend::commitStore(uint32_t m, uint64_t data_cycle)
 {
-    auto committed = lsq_->storeDataArrived(m, data_cycle);
+    lsq_->storeDataArrived(m, data_cycle, batchAt(depth_));
     // Loads forwarding from this store only need the data, which now
     // exists; loads waiting on commits are released per cascade entry.
+    // Completing a forwarded load never drains commits, so the batch
+    // just filled stays intact meanwhile.
     releaseForwardWaiters(m);
-    drainCommits(std::move(committed));
+    drainCommits();
 }
 
 void
-LsqBackend::drainCommits(std::vector<std::pair<uint32_t, uint64_t>> batch)
+LsqBackend::resumeAndDrain()
 {
-    while (!batch.empty()) {
-        for (const auto &[s, commit] : batch) {
+    lsq_->resumeCommits(batchAt(depth_));
+    drainCommits();
+}
+
+/**
+ * Perform the batch filled at the current depth, then keep resuming
+ * the commit cascade until it stalls. Releasing a store's commit
+ * waiters can perform loads and so re-enter here one depth deeper
+ * while this batch is still being read: each depth owns its buffer,
+ * read by index because a deeper call may grow the list of buffers.
+ */
+void
+LsqBackend::drainCommits()
+{
+    const uint32_t depth = depth_++;
+    while (!buf_.batches[depth].empty()) {
+        for (size_t i = 0; i < buf_.batches[depth].size(); ++i) {
+            const auto [s, commit] = buf_.batches[depth][i];
             core_->performMemAccess(region_.memOps()[s], commit);
             releaseCommitWaiters(s);
         }
-        batch = lsq_->resumeCommits();
+        lsq_->resumeCommits(buf_.batches[depth]);
     }
+    --depth_;
 }
 
 void
 LsqBackend::releaseForwardWaiters(uint32_t store_m)
 {
-    auto &parked = parked_[store_m];
+    auto &parked = buf_.parked[store_m];
     const OpId store_op = region_.memOps()[store_m];
     for (auto it = parked.begin(); it != parked.end();) {
         if (!it->wantsForward) {
@@ -183,9 +218,12 @@ void
 LsqBackend::releaseCommitWaiters(uint32_t store_m)
 {
     // Detach the woken entries first: re-evaluation may park a load on
-    // another store (and cascade further commits) while we iterate.
-    std::vector<ParkedLoad> woken;
-    auto &parked = parked_[store_m];
+    // another store (and cascade further commits, re-entering here)
+    // while we iterate. Nested calls push their frames above this one
+    // and pop them before returning.
+    std::vector<ParkedLoad> &woken = buf_.woken;
+    const size_t base = woken.size();
+    auto &parked = buf_.parked[store_m];
     for (auto it = parked.begin(); it != parked.end();) {
         if (it->wantsForward) {
             ++it;
@@ -194,8 +232,12 @@ LsqBackend::releaseCommitWaiters(uint32_t store_m)
         woken.push_back(*it);
         it = parked.erase(it);
     }
-    for (const ParkedLoad &w : woken)
+    const size_t end = woken.size();
+    for (size_t i = base; i < end; ++i) {
+        const ParkedLoad w = woken[i];
         waitOrPerformLoad(w.load, w.searchDone);
+    }
+    woken.resize(base);
 }
 
 void

@@ -8,7 +8,7 @@
 #ifndef NACHOS_CGRA_LSQ_BACKEND_HH
 #define NACHOS_CGRA_LSQ_BACKEND_HH
 
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "cgra/simulator.hh"
@@ -19,16 +19,6 @@ namespace nachos {
 /** Hardware-LSQ memory ordering (baseline). */
 class LsqBackend : public OrderingBackend
 {
-  public:
-    LsqBackend(const Region &region, const LsqConfig &cfg);
-
-    void beginInvocation(uint64_t inv) override;
-    void memAddrReady(OpId op, uint64_t addr, uint32_t size,
-                      uint64_t cycle) override;
-    void memFullyReady(OpId op, uint64_t cycle) override;
-    void memCompleted(OpId op, uint64_t cycle) override;
-
-  private:
     struct OpDyn
     {
         bool allocated = false;
@@ -45,16 +35,50 @@ class LsqBackend : public OrderingBackend
         bool wantsForward = false; ///< else waits for commit
     };
 
-    LsqConfig cfg_;
-    std::unique_ptr<OptLsq> lsq_;
-    std::vector<OpDyn> dyn_; ///< indexed by memIndex
-    /** Parked loads per store memIndex. */
-    std::vector<std::vector<ParkedLoad>> parked_;
+  public:
+    /**
+     * The backend's storage a pool keeps between runs. The per-store
+     * lists only grow: a run over fewer memory ops leaves the rest's
+     * capacity for a later, larger one.
+     */
+    struct Buffers
+    {
+        /** Bound to each run's config and region on its first
+         * invocation (OptLsq::bind). */
+        std::optional<OptLsq> lsq;
+        std::vector<OpDyn> dyn; ///< indexed by memIndex
+        /** Parked loads per store memIndex. */
+        std::vector<std::vector<ParkedLoad>> parked;
+        /** Commit batches, one per drainCommits() re-entry depth. */
+        std::vector<CommitBatch> batches;
+        /** releaseCommitWaiters()'s detached loads: each call's frame
+         * sits above its caller's. */
+        std::vector<ParkedLoad> woken;
+    };
 
+    LsqBackend(const Region &region, const LsqConfig &cfg,
+               Buffers &buffers);
+
+    void beginInvocation(uint64_t inv) override;
+    void memAddrReady(OpId op, uint64_t addr, uint32_t size,
+                      uint64_t cycle) override;
+    void memFullyReady(OpId op, uint64_t cycle) override;
+    void memCompleted(OpId op, uint64_t cycle) override;
+
+  private:
+    LsqConfig cfg_;
+    Buffers &buf_;
+    /** The pool's OPT-LSQ, once bound to this run. */
+    OptLsq *lsq_ = nullptr;
+    /** drainCommits() calls in progress: the next batch's buffer. */
+    uint32_t depth_ = 0;
+
+    CommitBatch &batchAt(uint32_t depth);
     void onAllocated(uint32_t m, uint64_t alloc_cycle);
     void searchLoad(uint32_t m);
     void commitStore(uint32_t m, uint64_t data_cycle);
-    void drainCommits(std::vector<std::pair<uint32_t, uint64_t>> batch);
+    void resumeAndDrain();
+    void drainCommits();
     void releaseForwardWaiters(uint32_t store_m);
     void releaseCommitWaiters(uint32_t store_m);
     void finishLoadDecision(OpId load, const LoadSearchResult &dec);

@@ -7,9 +7,11 @@
 namespace nachos {
 
 MdeBackend::MdeBackend(const Region &region, const MdeSet &mdes,
-                       BackendKind scheme, uint32_t compares_per_cycle)
-    : OrderingBackend(region), mdeSet_(mdes),
-      comparesPerCycle_(compares_per_cycle),
+                       BackendKind scheme, uint32_t compares_per_cycle,
+                       Buffers &buffers)
+    : OrderingBackend(region), mdeSet_(mdes), buf_(buffers),
+      info_(buffers.info), dyn_(buffers.dyn),
+      stations_(buffers.stations), comparesPerCycle_(compares_per_cycle),
       reportsRuntimeForwards_(scheme == BackendKind::Nachos)
 {
     NACHOS_ASSERT(scheme == BackendKind::NachosSw ||
@@ -20,8 +22,17 @@ MdeBackend::MdeBackend(const Region &region, const MdeSet &mdes,
     const bool may_is_order = scheme == BackendKind::NachosSw;
     info_.assign(region.numOps(), {});
     dyn_.resize(region.numOps());
+    buf_.mayParents.clear();
+    buf_.outgoingOrder.clear();
+    buf_.outgoingForward.clear();
+    buf_.mayTargets.clear();
+    // Each op's lists are contiguous: an op's own lists fill in op
+    // order, while its MAY targets (added by younger ops) are counted
+    // here and placed below.
     for (OpId op : region.memOps()) {
         OpInfo &inf = info_[op];
+        inf.mayParents.begin =
+            static_cast<uint32_t>(buf_.mayParents.size());
         for (uint32_t idx : mdes.incoming(op)) {
             const Mde &e = mdes.edge(idx);
             switch (e.kind) {
@@ -32,10 +43,9 @@ MdeBackend::MdeBackend(const Region &region, const MdeSet &mdes,
                 if (may_is_order) {
                     ++inf.orderTokensExpected;
                 } else {
-                    const auto slot =
-                        static_cast<uint32_t>(inf.mayParents.size());
-                    info_[e.older].mayTargets.push_back({op, slot});
-                    inf.mayParents.push_back(e.older);
+                    ++info_[e.older].mayTargets.size;
+                    buf_.mayParents.push_back(e.older);
+                    ++inf.mayParents.size;
                 }
                 break;
               case MdeKind::Forward:
@@ -45,14 +55,41 @@ MdeBackend::MdeBackend(const Region &region, const MdeSet &mdes,
                 break;
             }
         }
-        if (!inf.mayParents.empty())
+        if (inf.mayParents.size != 0)
             inf.station = numStations_++;
+        inf.outgoingOrder.begin =
+            static_cast<uint32_t>(buf_.outgoingOrder.size());
+        inf.outgoingForward.begin =
+            static_cast<uint32_t>(buf_.outgoingForward.size());
         for (uint32_t idx : mdes.outgoing(op)) {
             const MdeKind kind = mdes.edge(idx).kind;
-            if (kind == MdeKind::Forward)
-                inf.outgoingForward.push_back(idx);
-            else if (kind == MdeKind::Order || may_is_order)
-                inf.outgoingOrder.push_back(idx);
+            if (kind == MdeKind::Forward) {
+                buf_.outgoingForward.push_back(idx);
+                ++inf.outgoingForward.size;
+            } else if (kind == MdeKind::Order || may_is_order) {
+                buf_.outgoingOrder.push_back(idx);
+                ++inf.outgoingOrder.size;
+            }
+        }
+    }
+    // Place the MAY targets: each parent's span starts where the
+    // previous parents' end, and fills in the order the edges were
+    // counted (younger ops in memOps order, then their parent slots).
+    uint32_t next = 0;
+    for (OpId op : region.memOps()) {
+        Span &t = info_[op].mayTargets;
+        t.begin = next;
+        next += t.size;
+        t.size = 0;
+    }
+    buf_.mayTargets.resize(next);
+    for (OpId op : region.memOps()) {
+        const OpInfo &inf = info_[op];
+        for (uint32_t slot = 0; slot < inf.mayParents.size; ++slot) {
+            Span &t =
+                info_[buf_.mayParents[inf.mayParents.begin + slot]]
+                    .mayTargets;
+            buf_.mayTargets[t.begin + t.size++] = {op, slot};
         }
     }
 }
@@ -66,21 +103,29 @@ MdeBackend::beginInvocation(uint64_t inv)
         dyn_[op] = OpDyn{};
         dyn_[op].tokensPending = info_[op].orderTokensExpected;
     }
-    if (reportsRuntimeForwards_ && !runtimeForwards_)
+    if (bound_) {
+        for (uint32_t i = 0; i < numStations_; ++i)
+            stations_[i].reset();
+        return;
+    }
+    // The run's first invocation registers the counters, as new
+    // stations would, binding the pool's stations in memOps order.
+    bound_ = true;
+    if (reportsRuntimeForwards_)
         runtimeForwards_ =
-            &core_->stats().counter("nachos.runtimeForwards");
-    if (stations_.size() < numStations_) {
-        stations_.reserve(numStations_);
-        for (OpId op : region_.memOps()) {
-            const OpInfo &inf = info_[op];
-            if (inf.station != kNoStation)
-                stations_.emplace_back(
-                    static_cast<uint32_t>(inf.mayParents.size()),
-                    core_->stats(), comparesPerCycle_);
-        }
-    } else {
-        for (MayCheckStation &station : stations_)
-            station.reset();
+            &core_->stats().counter(SimCounter::NachosRuntimeForwards);
+    uint32_t next = 0;
+    for (OpId op : region_.memOps()) {
+        const OpInfo &inf = info_[op];
+        if (inf.station == kNoStation)
+            continue;
+        if (next < stations_.size())
+            stations_[next].bind(inf.mayParents.size, core_->stats(),
+                                 comparesPerCycle_);
+        else
+            stations_.emplace_back(inf.mayParents.size, core_->stats(),
+                                   comparesPerCycle_);
+        ++next;
     }
 }
 
@@ -99,7 +144,8 @@ MdeBackend::memAddrReady(OpId op, uint64_t addr, uint32_t size,
     // This op's address travels to every station guarding a younger
     // MAY-dependent op (one network transfer + one comparison each:
     // the 500 fJ MAY-edge activations of Figure 3).
-    for (const MayTarget &target : inf.mayTargets) {
+    for (const MayTarget &target :
+         spanOf(buf_.mayTargets, inf.mayTargets)) {
         const uint64_t arrive =
             cycle + core_->netLatency(op, target.younger);
         stations_[info_[target.younger].station].parentAddressArrived(
@@ -122,7 +168,8 @@ MdeBackend::memFullyReady(OpId op, uint64_t cycle)
     const bool is_store = region_.op(op).isStore();
     if (is_store) {
         const int64_t value = core_->storeData(op);
-        for (uint32_t idx : inf.outgoingForward) {
+        for (uint32_t idx :
+             spanOf(buf_.outgoingForward, inf.outgoingForward)) {
             const Mde &e = mdeSet_.edge(idx);
             const uint64_t arrive =
                 cycle + core_->netLatency(e.older, e.younger);
@@ -134,7 +181,8 @@ MdeBackend::memFullyReady(OpId op, uint64_t cycle)
     // A store's data becoming available can unblock a runtime forward
     // at a younger station.
     if (is_store) {
-        for (const MayTarget &target : inf.mayTargets)
+        for (const MayTarget &target :
+             spanOf(buf_.mayTargets, inf.mayTargets))
             tryIssue(target.younger);
     }
 }
@@ -143,14 +191,15 @@ void
 MdeBackend::memCompleted(OpId op, uint64_t cycle)
 {
     const OpInfo &inf = info_[op];
-    for (uint32_t idx : inf.outgoingOrder) {
+    for (uint32_t idx : spanOf(buf_.outgoingOrder, inf.outgoingOrder)) {
         const Mde &e = mdeSet_.edge(idx);
         const uint64_t arrive =
             cycle + core_->netLatency(e.older, e.younger);
         core_->countOrderToken(e.older, e.younger);
         core_->scheduleOrderToken(arrive, e.younger);
     }
-    for (const MayTarget &target : inf.mayTargets) {
+    for (const MayTarget &target :
+         spanOf(buf_.mayTargets, inf.mayTargets)) {
         const uint64_t arrive =
             cycle + core_->netLatency(op, target.younger);
         stations_[info_[target.younger].station].parentCompleted(
@@ -230,10 +279,10 @@ MdeBackend::tryRuntimeForward(OpId op)
     const MayCheckStation &st = stations_[inf.station];
     if (!st.allCompared())
         return false;
-    const auto conflicts = st.conflictingParents();
-    if (conflicts.size() != 1 || !st.exactConflict(conflicts[0]))
+    const std::optional<uint32_t> conflict = st.soleConflictingParent();
+    if (!conflict || !st.exactConflict(*conflict))
         return false;
-    const OpId parent = inf.mayParents[conflicts[0]];
+    const OpId parent = buf_.mayParents[inf.mayParents.begin + *conflict];
     if (!region_.op(parent).isStore())
         return false;
     if (!dyn_[parent].fullyReady)

@@ -26,6 +26,7 @@
 #define NACHOS_CGRA_MDE_BACKEND_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "cgra/simulator.hh"
@@ -36,23 +37,6 @@ namespace nachos {
 /** Compiler-enforced memory ordering, with or without the assist. */
 class MdeBackend : public OrderingBackend
 {
-  public:
-    /**
-     * @param scheme BackendKind::NachosSw or BackendKind::Nachos
-     * @param compares_per_cycle station arbiter width (NACHOS only)
-     */
-    MdeBackend(const Region &region, const MdeSet &mdes,
-               BackendKind scheme, uint32_t compares_per_cycle);
-
-    void beginInvocation(uint64_t inv) override;
-    void memAddrReady(OpId op, uint64_t addr, uint32_t size,
-                      uint64_t cycle) override;
-    void memFullyReady(OpId op, uint64_t cycle) override;
-    void memCompleted(OpId op, uint64_t cycle) override;
-    void onOrderToken(OpId op, uint64_t cycle) override;
-    void onForwardValue(OpId op, uint64_t cycle, int64_t value) override;
-
-  private:
     static constexpr uint32_t kNoStation = UINT32_MAX;
 
     /** A younger op's station slot this op fills as a MAY parent. */
@@ -62,17 +46,24 @@ class MdeBackend : public OrderingBackend
         uint32_t slot = 0;
     };
 
-    /** Static per-op MDE shape. */
+    /** A run of entries in one of the flat per-op lists. */
+    struct Span
+    {
+        uint32_t begin = 0;
+        uint32_t size = 0;
+    };
+
+    /** Static per-op MDE shape; its lists live in Buffers. */
     struct OpInfo
     {
         uint32_t orderTokensExpected = 0; ///< incoming ORDER tokens
         bool hasForward = false;
-        /** Index into stations_, or kNoStation. */
+        /** Index into Buffers::stations, or kNoStation. */
         uint32_t station = kNoStation;
-        std::vector<OpId> mayParents; ///< station slot -> parent op
-        std::vector<uint32_t> outgoingOrder; ///< edge indices
-        std::vector<uint32_t> outgoingForward;
-        std::vector<MayTarget> mayTargets;
+        Span mayParents;      ///< station slot -> parent op
+        Span outgoingOrder;   ///< edge indices
+        Span outgoingForward; ///< edge indices
+        Span mayTargets;
     };
 
     struct OpDyn
@@ -87,14 +78,53 @@ class MdeBackend : public OrderingBackend
         bool issued = false;
     };
 
+  public:
+    /**
+     * The backend's storage a pool keeps between runs: the per-op
+     * table with its lists flattened (each op's list is a Span of the
+     * shared array), rebuilt per run into kept capacity, and the
+     * comparator stations.
+     */
+    struct Buffers
+    {
+        std::vector<OpInfo> info; ///< by OpId
+        std::vector<OpId> mayParents;
+        std::vector<uint32_t> outgoingOrder;
+        std::vector<uint32_t> outgoingForward;
+        std::vector<MayTarget> mayTargets;
+        std::vector<OpDyn> dyn; ///< by OpId
+        /** One per op with MAY parents, in memOps order; the first
+         * numStations_ are this run's, the rest kept for reuse. */
+        std::vector<MayCheckStation> stations;
+    };
+
+    /**
+     * @param scheme BackendKind::NachosSw or BackendKind::Nachos
+     * @param compares_per_cycle station arbiter width (NACHOS only)
+     */
+    MdeBackend(const Region &region, const MdeSet &mdes,
+               BackendKind scheme, uint32_t compares_per_cycle,
+               Buffers &buffers);
+
+    void beginInvocation(uint64_t inv) override;
+    void memAddrReady(OpId op, uint64_t addr, uint32_t size,
+                      uint64_t cycle) override;
+    void memFullyReady(OpId op, uint64_t cycle) override;
+    void memCompleted(OpId op, uint64_t cycle) override;
+    void onOrderToken(OpId op, uint64_t cycle) override;
+    void onForwardValue(OpId op, uint64_t cycle, int64_t value) override;
+
+  private:
     const MdeSet &mdeSet_;
-    std::vector<OpInfo> info_;
-    std::vector<OpDyn> dyn_;
-    /** One per op with MAY parents, in memOps order; built on the
-     * first invocation (the stations register their counters). */
-    std::vector<MayCheckStation> stations_;
+    Buffers &buf_;
+    std::vector<OpInfo> &info_;
+    std::vector<OpDyn> &dyn_;
+    std::vector<MayCheckStation> &stations_;
     uint32_t numStations_ = 0;
     uint32_t comparesPerCycle_;
+    /** False until the run's first invocation binds the stations
+     * (they register their counters then). */
+    bool bound_ = false;
 
     /**
      * Every NACHOS run reports nachos.runtimeForwards, with or without
@@ -102,9 +132,16 @@ class MdeBackend : public OrderingBackend
      * registration; no op without a station reaches the counter.
      */
     const bool reportsRuntimeForwards_;
-    /** Resolved on the first invocation (hot path: no string building
-     * per forward). */
+    /** Resolved on the first invocation (hot path: no lookup per
+     * forward). */
     Counter *runtimeForwards_ = nullptr;
+
+    template <typename T>
+    static std::span<const T>
+    spanOf(const std::vector<T> &list, Span s)
+    {
+        return {list.data() + s.begin, s.size};
+    }
 
     void tryIssue(OpId op);
 

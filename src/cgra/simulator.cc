@@ -2,8 +2,7 @@
 
 #include <algorithm>
 
-#include "cgra/lsq_backend.hh"
-#include "cgra/mde_backend.hh"
+#include "cgra/pooled_run.hh"
 #include "support/logging.hh"
 #include "support/value_hash.hh"
 
@@ -39,29 +38,38 @@ OrderingBackend::onForwardValue(OpId op, uint64_t cycle, int64_t value)
 
 SimCore::SimCore(const SimPlan &plan, const MdeSet &mdes,
                  OrderingBackend &backend, const SimConfig &cfg,
-                 HierarchyPool &pool)
+                 PooledRun &run)
     : plan_(plan), tables_(plan.tables()), region_(plan.region()),
-      mdes_(mdes), backend_(backend), cfg_(cfg),
-      hierarchy_(pool.acquire(cfg.mem, stats_)),
-      energyModel_(cfg.energy), trace_(!cfg.traceFile.empty())
+      mdes_(mdes), backend_(backend), cfg_(cfg), stats_(run.stats),
+      hierarchy_(*run.hierarchy), energyModel_(cfg.energy),
+      events_(run.core.events), waveBuf_(run.core.wave),
+      states_(run.core.states), inputArena_(run.core.inputArena),
+      staticValues_(run.core.staticValues),
+      trace_(!cfg.traceFile.empty())
 {
     NACHOS_ASSERT(region_.finalized(), "simulate a finalized region");
     NACHOS_ASSERT(plan.placement().grid() == cfg.grid,
                   "firing plan built for a different grid");
     NACHOS_ASSERT(plan.network().config() == cfg.net,
                   "firing plan built for a different operand network");
+    NACHOS_ASSERT(hierarchy_.config() == cfg.mem,
+                  "pooled hierarchy configured for another run");
     backend_.attach(*this);
-    states_.resize(region_.numOps());
+    events_.reset();
+    waveBuf_.clear();
+    states_.assign(region_.numOps(), OpState{});
     inputArena_.assign(tables_.arenaSize(), 0);
     staticValues_.assign(tables_.staticProgram.size(), 0);
+    if (cfg_.recordMemTrace)
+        memCommits_.reserve(region_.memOps().size() * cfg_.invocations);
 
-    netTransfers_ =
-        &stats_.counter(energy_events::kNetworkTransfers);
-    netHops_ = &stats_.counter("net.hops");
-    mdeMust_ = &stats_.counter(energy_events::kMdeMust);
-    mdeForwards_ = &stats_.counter(energy_events::kMdeForward);
-    intOps_ = &stats_.counter(energy_events::kIntOps);
-    fpOps_ = &stats_.counter(energy_events::kFpOps);
+    using C = SimCounter;
+    netTransfers_ = &stats_.counter(C::NetTransfers);
+    netHops_ = &stats_.counter(C::NetHops);
+    mdeMust_ = &stats_.counter(C::MdeOrderTokens);
+    mdeForwards_ = &stats_.counter(C::MdeForwards);
+    intOps_ = &stats_.counter(C::FuIntOps);
+    fpOps_ = &stats_.counter(C::FuFpOps);
 }
 
 void
@@ -544,9 +552,7 @@ SimCore::run()
                         : static_cast<double>(mlpArea_) /
                               static_cast<double>(mlpBusyCycles_);
     result.energy = energyModel_.breakdown(stats_);
-    // The run is over: move the registry instead of copying it (map
-    // nodes migrate, so cached Counter* stay valid for the move).
-    result.stats = std::move(stats_);
+    result.stats = stats_;
     result.loadValueDigest = loadValueDigest_;
     result.criticalOp = criticalOp_;
     result.memImage = hierarchy_.data().image();
@@ -562,7 +568,6 @@ SimResult
 simulate(const Region &region, const MdeSet &mdes, BackendKind kind,
          const SimConfig &cfg)
 {
-    // A new pool's first acquire() is a fresh construction.
     HierarchyPool pool;
     return simulate(region, mdes, kind, cfg, pool);
 }
@@ -581,20 +586,21 @@ simulate(const SimPlan &plan, const MdeSet &mdes, BackendKind kind,
          const SimConfig &cfg, HierarchyPool &pool)
 {
     const Region &region = plan.region();
-    const auto run = [&](OrderingBackend &backend) {
-        SimCore core(plan, mdes, backend, cfg, pool);
+    PooledRun &run = pool.beginRun(cfg.mem);
+    const auto go = [&](OrderingBackend &backend) {
+        SimCore core(plan, mdes, backend, cfg, run);
         return core.run();
     };
     switch (kind) {
       case BackendKind::OptLsq: {
-        LsqBackend backend(region, cfg.lsq);
-        return run(backend);
+        LsqBackend backend(region, cfg.lsq, run.lsq);
+        return go(backend);
       }
       case BackendKind::NachosSw:
       case BackendKind::Nachos: {
         MdeBackend backend(region, mdes, kind,
-                           cfg.nachosComparesPerCycle);
-        return run(backend);
+                           cfg.nachosComparesPerCycle, run.mde);
+        return go(backend);
       }
     }
     NACHOS_PANIC("unknown backend kind");

@@ -50,6 +50,7 @@
 #include <vector>
 
 #include "cgra/function_unit.hh"
+#include "cgra/hierarchy_pool.hh"
 #include "cgra/network.hh"
 #include "cgra/placement.hh"
 #include "cgra/sim_tables.hh"
@@ -59,9 +60,8 @@
 #include "lsq/opt_lsq.hh"
 #include "mde/mde.hh"
 #include "mem/hierarchy.hh"
-#include "mem/hierarchy_pool.hh"
 #include "support/event_queue.hh"
-#include "support/stats.hh"
+#include "support/sim_stats.hh"
 
 namespace nachos {
 
@@ -112,8 +112,9 @@ struct SimResult
     double cyclesPerInvocation = 0;
     uint64_t maxMlp = 0;
     double avgMlp = 0;
-    /** All event counters (cache, lsq, mde, fu, net). */
-    StatSet stats;
+    /** All event counters (cache, lsq, mde, fu, net): the rows of the
+     * counter table this run registered. */
+    SimStats stats;
     EnergyBreakdown energy;
     /** Order-insensitive digest of every load's observed value. */
     uint64_t loadValueDigest = 0;
@@ -127,7 +128,7 @@ struct SimResult
     std::vector<MemCommit> memCommits;
 
     // ---- firing-plan observability ------------------------------------
-    // Kept out of `stats` deliberately: the StatSet, digest, image and
+    // Kept out of `stats` deliberately: the counters, digest, image and
     // commit trace describe the modeled machine, while these counters
     // describe the host engine's own work.
     uint64_t planEventsDispatched = 0; ///< events the engine dispatched
@@ -179,14 +180,11 @@ class SimCore
 {
   public:
     /**
-     * The memory hierarchy comes from `pool`. Hierarchy construction
-     * is dominated by filling the LLC way array (~100 µs,
-     * mem/hierarchy_pool) — more than a small region's entire
-     * simulation — so reset-heavy drivers (the fuzzer, the suite
-     * runner, nachosd workers) keep a pool alive across simulate()
-     * calls. A pooled acquire is observably identical to fresh
-     * construction (tested); at most one SimCore may use a pool at a
-     * time, and the pool must outlive the core.
+     * The counters, the memory hierarchy and the engine's buffers come
+     * from `run`, a pool's kept run state (cgra/hierarchy_pool), which
+     * HierarchyPool::beginRun() has reset for this run: a pooled run
+     * is observably identical to one on a fresh pool (tested). The
+     * pool must outlive the core.
      *
      * The core borrows `plan` (the region's placement and firing
      * tables), whose grid and network must match `cfg`; the plan must
@@ -194,7 +192,7 @@ class SimCore
      */
     SimCore(const SimPlan &plan, const MdeSet &mdes,
             OrderingBackend &backend, const SimConfig &cfg,
-            HierarchyPool &pool);
+            PooledRun &run);
 
     /** Run all invocations; returns the aggregated result. */
     SimResult run();
@@ -230,8 +228,8 @@ class SimCore
 
     const Region &region() const { return region_; }
     const MdeSet &mdes() const { return mdes_; }
-    /** Counter registry of the run. */
-    StatSet &stats() { return stats_; }
+    /** The run's counters. */
+    SimStats &stats() { return stats_; }
     uint64_t invocation() const { return invocation_; }
 
   private:
@@ -292,6 +290,28 @@ class SimCore
         uint64_t addr = 0;
     };
 
+  public:
+    /**
+     * The engine's storage a pool keeps between runs; each run resets
+     * what it uses in O(state touched) and allocates nothing once the
+     * buffers have grown to the largest region seen.
+     */
+    struct Buffers
+    {
+        CalendarQueue<SimEvent, EventBefore> events;
+        /** Current wave's events, in canonical order. */
+        std::vector<SimEvent> wave;
+        std::vector<OpState> states;
+        /** Operand-value arena: op's slots at tables_.inputOffset[op].
+         * Zeroed per run; every slot a run reads was written earlier in
+         * the same invocation, so invocations never clear it. */
+        std::vector<int64_t> inputArena;
+        /** Static program values, one per tables_.staticProgram entry;
+         * every entry is rewritten before it is read, each invocation. */
+        std::vector<int64_t> staticValues;
+    };
+
+  private:
     const SimPlan &plan_;
     /** Static firing tables: the plan's (cgra/sim_tables). */
     const SimTables &tables_;
@@ -299,24 +319,18 @@ class SimCore
     const MdeSet &mdes_;
     OrderingBackend &backend_;
     SimConfig cfg_;
-    StatSet stats_;
-    /** The run's memory hierarchy: the pool's slot. */
+    /** The run's counters and memory hierarchy: the pool's. */
+    SimStats &stats_;
     MemoryHierarchy &hierarchy_;
     EnergyModel energyModel_;
 
-    CalendarQueue<SimEvent, EventBefore> events_;
+    // The pool's Buffers, by member.
+    CalendarQueue<SimEvent, EventBefore> &events_;
     uint64_t now_ = 0;
-    /** Current wave's events, in canonical order. */
-    std::vector<SimEvent> waveBuf_;
-
-    std::vector<OpState> states_;
-    /** Operand-value arena: op's slots at tables_.inputOffset[op].
-     * Zeroed once; every slot a run reads was written earlier in the
-     * same invocation, so invocations never clear it. */
-    std::vector<int64_t> inputArena_;
-    /** Static program values, one per tables_.staticProgram entry;
-     * every entry is rewritten before it is read, each invocation. */
-    std::vector<int64_t> staticValues_;
+    std::vector<SimEvent> &waveBuf_;
+    std::vector<OpState> &states_;
+    std::vector<int64_t> &inputArena_;
+    std::vector<int64_t> &staticValues_;
     Counter *netTransfers_ = nullptr;
     Counter *netHops_ = nullptr;
     Counter *mdeMust_ = nullptr;
@@ -375,15 +389,16 @@ class SimCore
 
 /**
  * Build the backend for `kind` and simulate the region under it, on a
- * freshly constructed memory hierarchy.
+ * fresh pool.
  */
 SimResult simulate(const Region &region, const MdeSet &mdes,
                    BackendKind kind, const SimConfig &cfg);
 
 /**
- * Pooled variant: reuse `pool`'s memory hierarchy (see the SimCore
- * constructor). Results are identical to the unpooled overload; only
- * the construction cost differs.
+ * Pooled variant: run on `pool`'s kept run state — counters, memory
+ * hierarchy, engine buffers and backend tables (cgra/hierarchy_pool).
+ * Results are identical to the unpooled overload; only the set-up
+ * cost differs.
  */
 SimResult simulate(const Region &region, const MdeSet &mdes,
                    BackendKind kind, const SimConfig &cfg,

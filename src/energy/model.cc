@@ -14,30 +14,30 @@ EnergyBreakdown::frac(double category) const
 }
 
 EnergyBreakdown
-EnergyModel::breakdown(const StatSet &stats) const
+EnergyModel::breakdown(const SimStats &stats) const
 {
-    namespace ev = energy_events;
+    using C = SimCounter;
     const EnergyParams &p = params_;
     EnergyBreakdown b;
 
-    b.compute = p.aluInt * stats.get(ev::kIntOps) +
-                p.aluFp * stats.get(ev::kFpOps) +
-                p.networkPerLink * stats.get(ev::kNetworkTransfers);
+    b.compute = p.aluInt * stats.get(C::FuIntOps) +
+                p.aluFp * stats.get(C::FuFpOps) +
+                p.networkPerLink * stats.get(C::NetTransfers);
 
-    b.mde = p.mdeMay * stats.get(ev::kMdeMay) +
-            p.mdeMust * stats.get(ev::kMdeMust) +
-            p.mdeForward * stats.get(ev::kMdeForward);
+    b.mde = p.mdeMay * stats.get(C::MdeMayChecks) +
+            p.mdeMust * stats.get(C::MdeOrderTokens) +
+            p.mdeForward * stats.get(C::MdeForwards);
 
-    b.lsqBloom = p.lsqBloom * stats.get(ev::kLsqBloom);
-    b.lsqCam = p.lsqCamLoad * stats.get(ev::kLsqCamLoad) +
-               p.lsqCamStore * stats.get(ev::kLsqCamStore) +
-               p.lsqAlloc * stats.get(ev::kLsqAlloc) +
-               p.lsqForward * stats.get(ev::kLsqForward);
+    b.lsqBloom = p.lsqBloom * stats.get(C::LsqBloomProbes);
+    b.lsqCam = p.lsqCamLoad * stats.get(C::LsqCamLoads) +
+               p.lsqCamStore * stats.get(C::LsqCamStores) +
+               p.lsqAlloc * stats.get(C::LsqAllocs) +
+               p.lsqForward * stats.get(C::LsqForwards);
 
-    b.l1 = p.l1Read * stats.get("l1.reads") +
-           p.l1Write * stats.get("l1.writes") +
-           p.scratchpadAccess * (stats.get("scratchpad.reads") +
-                                 stats.get("scratchpad.writes"));
+    b.l1 = p.l1Read * stats.get(C::L1Reads) +
+           p.l1Write * stats.get(C::L1Writes) +
+           p.scratchpadAccess * (stats.get(C::ScratchpadReads) +
+                                 stats.get(C::ScratchpadWrites));
     return b;
 }
 

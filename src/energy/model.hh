@@ -1,10 +1,11 @@
 /**
  * @file
  * Event-based energy accounting in the style of Aladdin: every
- * component bumps named counters in a shared StatSet during simulation;
- * the EnergyModel turns the final counts into an energy breakdown with
- * the categories the paper plots (COMPUTE, MDE, LSQ-BLOOM, LSQ-CAM,
- * L1).
+ * component bumps its rows of the run's counter table (SimStats,
+ * support/sim_stats) during simulation; the EnergyModel turns the
+ * final counts into an energy breakdown with the categories the paper
+ * plots (COMPUTE, MDE, LSQ-BLOOM, LSQ-CAM, L1). Each table row names
+ * the category it charges.
  */
 
 #ifndef NACHOS_ENERGY_MODEL_HH
@@ -13,26 +14,9 @@
 #include <string>
 
 #include "energy/params.hh"
-#include "support/stats.hh"
+#include "support/sim_stats.hh"
 
 namespace nachos {
-
-/** Counter names the simulator components use. */
-namespace energy_events {
-
-inline constexpr const char *kIntOps = "fu.intOps";
-inline constexpr const char *kFpOps = "fu.fpOps";
-inline constexpr const char *kNetworkTransfers = "net.transfers";
-inline constexpr const char *kMdeMay = "mde.mayChecks";
-inline constexpr const char *kMdeMust = "mde.orderTokens";
-inline constexpr const char *kMdeForward = "mde.forwards";
-inline constexpr const char *kLsqBloom = "lsq.bloomProbes";
-inline constexpr const char *kLsqCamLoad = "lsq.camLoads";
-inline constexpr const char *kLsqCamStore = "lsq.camStores";
-inline constexpr const char *kLsqAlloc = "lsq.allocs";
-inline constexpr const char *kLsqForward = "lsq.forwards";
-
-} // namespace energy_events
 
 /** Energy breakdown, femtojoules per category. */
 struct EnergyBreakdown
@@ -55,7 +39,7 @@ struct EnergyBreakdown
     double frac(double category) const;
 };
 
-/** Computes breakdowns from a StatSet of event counts. */
+/** Computes breakdowns from a run's event counts. */
 class EnergyModel
 {
   public:
@@ -63,7 +47,7 @@ class EnergyModel
         : params_(params)
     {}
 
-    EnergyBreakdown breakdown(const StatSet &stats) const;
+    EnergyBreakdown breakdown(const SimStats &stats) const;
 
     const EnergyParams &params() const { return params_; }
 

@@ -5,7 +5,7 @@
 #include <iomanip>
 #include <ostream>
 
-#include "support/stats.hh"
+#include "support/sim_stats.hh"
 #include "support/table.hh"
 
 namespace nachos {
@@ -60,7 +60,7 @@ printBars(std::ostream &os, const std::vector<BarEntry> &series,
 }
 
 void
-printStats(std::ostream &os, const StatSet &stats)
+printStats(std::ostream &os, const SimStats &stats)
 {
     TextTable table;
     table.header({"counter", "value"});

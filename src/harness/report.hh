@@ -33,10 +33,10 @@ struct BarEntry
 void printBars(std::ostream &os, const std::vector<BarEntry> &series,
                const std::string &unit, double clamp = 0);
 
-class StatSet;
+class SimStats;
 
-/** Dump every nonzero counter of a StatSet as an aligned table. */
-void printStats(std::ostream &os, const StatSet &stats);
+/** Dump every nonzero counter of a run as an aligned table. */
+void printStats(std::ostream &os, const SimStats &stats);
 
 } // namespace nachos
 

@@ -20,6 +20,8 @@ struct BloomConfig
     uint32_t hashes = 2;     ///< hash functions per key
     /** Keys are addresses quantized to this granule (bytes). */
     uint32_t granule = 8;
+
+    bool operator==(const BloomConfig &) const = default;
 };
 
 /** A small counting Bloom filter keyed on address granules. */

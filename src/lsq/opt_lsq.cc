@@ -3,29 +3,40 @@
 #include <algorithm>
 #include <functional>
 
-#include "energy/model.hh"
 #include "support/logging.hh"
 
 namespace nachos {
 
-namespace ev = energy_events;
-
-OptLsq::OptLsq(const LsqConfig &cfg, uint32_t num_mem_ops, StatSet &stats)
-    : cfg_(cfg), allocs_(&stats.counter(ev::kLsqAlloc)),
-      bloomProbes_(&stats.counter(ev::kLsqBloom)),
-      bloomHits_(&stats.counter("lsq.bloomHits")),
-      bloomMisses_(&stats.counter("lsq.bloomMisses")),
-      camStores_(&stats.counter(ev::kLsqCamStore)),
-      camLoads_(&stats.counter(ev::kLsqCamLoad)),
-      forwards_(&stats.counter(ev::kLsqForward)), entries_(num_mem_ops),
-      bloom_(cfg.bloom)
+OptLsq::OptLsq(const LsqConfig &cfg, uint32_t num_mem_ops, SimStats &stats)
+    : cfg_(cfg), bloom_(cfg.bloom)
 {
-    NACHOS_ASSERT(cfg_.banks >= 1, "need at least one bank");
-    for (uint32_t b = 0; b < cfg_.banks; ++b)
-        bankPorts_.emplace_back(cfg_.portsPerBank);
-    bankQueues_.resize(cfg_.banks);
-    loadWatchers_.resize(num_mem_ops);
-    storeWatchers_.resize(num_mem_ops);
+    bind(cfg, num_mem_ops, stats);
+}
+
+void
+OptLsq::bind(const LsqConfig &cfg, uint32_t num_mem_ops, SimStats &stats)
+{
+    NACHOS_ASSERT(cfg.banks >= 1, "need at least one bank");
+    if (!(cfg.bloom == cfg_.bloom))
+        bloom_ = BloomFilter(cfg.bloom);
+    cfg_ = cfg;
+    allocs_ = &stats.counter(SimCounter::LsqAllocs);
+    bloomProbes_ = &stats.counter(SimCounter::LsqBloomProbes);
+    bloomHits_ = &stats.counter(SimCounter::LsqBloomHits);
+    bloomMisses_ = &stats.counter(SimCounter::LsqBloomMisses);
+    camStores_ = &stats.counter(SimCounter::LsqCamStores);
+    camLoads_ = &stats.counter(SimCounter::LsqCamLoads);
+    forwards_ = &stats.counter(SimCounter::LsqForwards);
+    entries_.resize(num_mem_ops);
+    bankPorts_.assign(cfg_.banks, BandwidthRegulator(cfg_.portsPerBank));
+    // Grow-only: shrinking would free the lists' storage.
+    if (bankQueues_.size() < cfg_.banks)
+        bankQueues_.resize(cfg_.banks);
+    if (loadWatchers_.size() < num_mem_ops) {
+        loadWatchers_.resize(num_mem_ops);
+        storeWatchers_.resize(num_mem_ops);
+    }
+    reset();
 }
 
 void
@@ -34,16 +45,17 @@ OptLsq::reset()
     std::fill(entries_.begin(), entries_.end(), Entry{});
     for (auto &bank : bankPorts_)
         bank.reset();
-    for (auto &q : bankQueues_) {
+    for (uint32_t b = 0; b < cfg_.banks; ++b) {
+        BankQueue &q = bankQueues_[b];
         q.stores.clear();
         q.head = 0;
         q.lastCommit = 0;
         q.anyCommit = false;
     }
-    for (auto &w : loadWatchers_)
-        w.clear();
-    for (auto &w : storeWatchers_)
-        w.clear();
+    for (size_t m = 0; m < entries_.size(); ++m) {
+        loadWatchers_[m].clear();
+        storeWatchers_[m].clear();
+    }
     commitCandidates_.clear();
     bloom_.clear();
     nextToAlloc_ = 0;
@@ -172,8 +184,8 @@ OptLsq::loadWaitStatus(uint32_t m) const
     return st;
 }
 
-std::vector<std::pair<uint32_t, uint64_t>>
-OptLsq::storeDataArrived(uint32_t m, uint64_t cycle)
+void
+OptLsq::storeDataArrived(uint32_t m, uint64_t cycle, CommitBatch &out)
 {
     Entry &e = entries_[m];
     NACHOS_ASSERT(e.seen && e.isStore,
@@ -217,7 +229,7 @@ OptLsq::storeDataArrived(uint32_t m, uint64_t cycle)
         }
     }
     noteCommitCandidate(m);
-    return resumeCommits();
+    resumeCommits(out);
 }
 
 void
@@ -264,8 +276,8 @@ OptLsq::noteCommitCandidate(uint32_t m)
         commitCandidates_.push_back(m);
 }
 
-std::vector<std::pair<uint32_t, uint64_t>>
-OptLsq::resumeCommits()
+void
+OptLsq::resumeCommits(CommitBatch &out)
 {
     // Address-partitioned in-order commit (Sethumadhavan et al. [34]):
     // a store writes the cache only after every older store IN ITS
@@ -279,17 +291,16 @@ OptLsq::resumeCommits()
     // store can unblock only its (younger) bank successor, and the
     // heap keeps the emitted order ascending in memIndex — the same
     // order the previous full-rescan implementation produced.
-    //
-    // The returned batch is a fresh vector: a caller acting on it can
-    // re-enter resumeCommits() before it has read the whole batch.
-    std::vector<std::pair<uint32_t, uint64_t>> committed;
+    out.clear();
     if (commitCandidates_.empty())
-        return committed;
+        return;
 
-    // Both buffers keep their capacity: the heap takes the candidates
-    // and leaves its (empty) storage to collect the next ones.
+    // Both buffers keep their own capacity: swapping them would hand
+    // the candidates a buffer sized for the heap, and each would grow
+    // again on the next call.
     std::vector<uint32_t> &heap = commitHeap_;
-    heap.swap(commitCandidates_);
+    heap.assign(commitCandidates_.begin(), commitCandidates_.end());
+    commitCandidates_.clear();
     std::make_heap(heap.begin(), heap.end(), std::greater<>{});
     while (!heap.empty()) {
         std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
@@ -315,7 +326,7 @@ OptLsq::resumeCommits()
         q.lastCommit = commit;
         q.anyCommit = true;
         ++q.head;
-        committed.emplace_back(m, commit);
+        out.emplace_back(m, commit);
 
         // Cross-bank overlapping younger stores stop waiting on us.
         for (uint32_t w : storeWatchers_[m]) {
@@ -348,7 +359,6 @@ OptLsq::resumeCommits()
             }
         }
     }
-    return committed;
 }
 
 void

@@ -34,11 +34,12 @@
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "lsq/bloom.hh"
 #include "mem/cache.hh"
-#include "support/stats.hh"
+#include "support/sim_stats.hh"
 
 namespace nachos {
 
@@ -88,6 +89,10 @@ struct LoadWaitStatus
     uint64_t commitFloor = 0;
 };
 
+/** Stores committed by one call, with their commit cycles, in
+ * ascending memIndex order. */
+using CommitBatch = std::vector<std::pair<uint32_t, uint64_t>>;
+
 /**
  * One invocation's worth of LSQ state over the region's memory ops
  * (memIndex-addressed). reset() between invocations.
@@ -95,7 +100,16 @@ struct LoadWaitStatus
 class OptLsq
 {
   public:
-    OptLsq(const LsqConfig &cfg, uint32_t num_mem_ops, StatSet &stats);
+    OptLsq(const LsqConfig &cfg, uint32_t num_mem_ops, SimStats &stats);
+
+    /**
+     * Become indistinguishable from a fresh OptLsq(cfg, num_mem_ops,
+     * stats), keeping every buffer's capacity: a pooled LSQ serves the
+     * next run, whatever its bank count or region, without allocating
+     * once it has seen the largest.
+     */
+    void bind(const LsqConfig &cfg, uint32_t num_mem_ops,
+              SimStats &stats);
 
     /** Begin a fresh invocation. */
     void reset();
@@ -133,12 +147,11 @@ class OptLsq
     /**
      * Record that store `m` is ready to commit (allocated AND data
      * present) at `cycle`. Stores commit strictly in program order,
-     * so this may unblock a cascade of younger stores; returns every
-     * newly committed store with its commit cycle (bank port
-     * arbitration applied).
+     * so this may unblock a cascade of younger stores; `out` is
+     * overwritten with every newly committed store and its commit
+     * cycle (bank port arbitration applied).
      */
-    std::vector<std::pair<uint32_t, uint64_t>>
-    storeDataArrived(uint32_t m, uint64_t cycle);
+    void storeDataArrived(uint32_t m, uint64_t cycle, CommitBatch &out);
 
     /**
      * Record when load `m` issues its cache read (anti-dependence:
@@ -152,9 +165,12 @@ class OptLsq
 
     /**
      * Re-run the in-order commit cascade after new information
-     * (load performs). Returns newly committed stores.
+     * (load performs). `out` is overwritten with the newly committed
+     * stores. The caller owns the buffer: a caller that acts on a
+     * batch can re-enter resumeCommits() before it has read the whole
+     * batch, so it passes a different buffer per re-entry depth.
      */
-    std::vector<std::pair<uint32_t, uint64_t>> resumeCommits();
+    void resumeCommits(CommitBatch &out);
 
     /**
      * Store's cache write finished: the entry drains, leaving the
@@ -218,8 +234,8 @@ class OptLsq
     };
 
     LsqConfig cfg_;
-    /** Handles resolved once at construction (hot path: no string
-     * building per allocation/search). */
+    /** Handles resolved at bind() (hot path: no lookup per
+     * allocation/search). */
     Counter *allocs_;
     Counter *bloomProbes_;
     Counter *bloomHits_;
@@ -229,8 +245,12 @@ class OptLsq
     Counter *forwards_;
     std::vector<Entry> entries_;
     std::vector<BandwidthRegulator> bankPorts_;
+    /** The first cfg_.banks are live; the rest keep their capacity
+     * for a later run with more banks. */
     std::vector<BankQueue> bankQueues_;
-    /** Per-load list of younger stores watching its perform/elide. */
+    /** Per-load list of younger stores watching its perform/elide.
+     * Here and in storeWatchers_ the first entries_.size() lists are
+     * live; the rest are kept for a later run over a larger region. */
     std::vector<std::vector<uint32_t>> loadWatchers_;
     /** Per-store list of younger cross-bank overlapping stores
      * watching its commit. */
@@ -239,7 +259,7 @@ class OptLsq
      * resumeCommits() (re-verified before committing). */
     std::vector<uint32_t> commitCandidates_;
     /** resumeCommits()'s min-heap; empty between calls, kept for its
-     * capacity (swapped with commitCandidates_). */
+     * capacity. */
     std::vector<uint32_t> commitHeap_;
     /** addressReady()'s returned batch. */
     std::vector<std::pair<uint32_t, uint64_t>> allocated_;

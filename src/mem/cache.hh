@@ -21,14 +21,15 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "mem/bandwidth.hh"
-#include "support/stats.hh"
+#include "support/sim_stats.hh"
 
 namespace nachos {
+
+/** Which level a cache models: selects its counter-table rows. */
+enum class CacheLevel : uint8_t { L1, Llc };
 
 /** Configuration of one cache level. */
 struct CacheConfig
@@ -40,9 +41,9 @@ struct CacheConfig
     uint32_t numMshrs = 16;
     /** Requests accepted per cycle. */
     uint32_t ports = 2;
-    std::string_view name = "cache"; ///< counter prefix
+    CacheLevel level = CacheLevel::L1; ///< counter rows ("l1.*")
 
-    /** Field-wise equality (names by content) — pooled-reuse check. */
+    /** Field-wise equality — pooled-reuse check. */
     bool operator==(const CacheConfig &) const = default;
 };
 
@@ -100,7 +101,7 @@ template <class Next>
 class CacheT final
 {
   public:
-    CacheT(const CacheConfig &cfg, Next &next, StatSet &stats)
+    CacheT(const CacheConfig &cfg, Next &next, SimStats &stats)
         : cfg_(cfg), next_(next), bw_(cfg.ports)
     {
         NACHOS_ASSERT(cfg_.lineBytes > 0 && cfg_.assoc > 0,
@@ -173,21 +174,26 @@ class CacheT final
     }
 
     /**
-     * Resolve the counter handles into `stats` (construction does the
-     * same). Lets a pooled cache serve a fresh run's StatSet without
-     * rebuilding its multi-megabyte way array.
+     * Register this level's counter rows in `stats` and resolve the
+     * handles (construction does the same). Lets a pooled cache serve
+     * a fresh run's counters without rebuilding its multi-megabyte way
+     * array.
      */
     void
-    rebindStats(StatSet &stats)
+    rebindStats(SimStats &stats)
     {
-        const std::string prefix(cfg_.name);
-        reads_ = &stats.counter(prefix + ".reads");
-        writes_ = &stats.counter(prefix + ".writes");
-        hits_ = &stats.counter(prefix + ".hits");
-        misses_ = &stats.counter(prefix + ".misses");
-        writebacks_ = &stats.counter(prefix + ".writebacks");
-        mshrMerges_ = &stats.counter(prefix + ".mshrMerges");
-        mshrStalls_ = &stats.counter(prefix + ".mshrStalls");
+        using C = SimCounter;
+        const bool l1 = cfg_.level == CacheLevel::L1;
+        reads_ = &stats.counter(l1 ? C::L1Reads : C::LlcReads);
+        writes_ = &stats.counter(l1 ? C::L1Writes : C::LlcWrites);
+        hits_ = &stats.counter(l1 ? C::L1Hits : C::LlcHits);
+        misses_ = &stats.counter(l1 ? C::L1Misses : C::LlcMisses);
+        writebacks_ =
+            &stats.counter(l1 ? C::L1Writebacks : C::LlcWritebacks);
+        mshrMerges_ =
+            &stats.counter(l1 ? C::L1MshrMerges : C::LlcMshrMerges);
+        mshrStalls_ =
+            &stats.counter(l1 ? C::L1MshrStalls : C::LlcMshrStalls);
     }
 
     const CacheConfig &config() const { return cfg_; }

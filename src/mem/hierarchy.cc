@@ -3,7 +3,7 @@
 namespace nachos {
 
 MemoryHierarchy::MemoryHierarchy(const HierarchyConfig &cfg,
-                                 StatSet &stats)
+                                 SimStats &stats)
     : cfg_(cfg), dram_(cfg.dramLatency, cfg.dramRequestsPerCycle),
       llc_(cfg_.llc, dram_, stats), l1_(cfg_.l1, llc_, stats),
       scratchpad_(cfg.scratchpadLatency, 8, stats)
@@ -20,11 +20,9 @@ MemoryHierarchy::reset()
 }
 
 void
-MemoryHierarchy::rebindStats(StatSet &stats)
+MemoryHierarchy::rebindStats(SimStats &stats)
 {
-    // Same counter-creation order as construction: llc, l1, scratchpad
-    // (the set is what matters for result identity; keep the order
-    // anyway so the two paths stay visibly parallel).
+    // Same registration order as construction: llc, l1, scratchpad.
     llc_.rebindStats(stats);
     l1_.rebindStats(stats);
     scratchpad_.rebindStats(stats);

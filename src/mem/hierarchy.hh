@@ -17,20 +17,20 @@
 #include "mem/cache.hh"
 #include "mem/functional_memory.hh"
 #include "mem/scratchpad.hh"
-#include "support/stats.hh"
+#include "support/sim_stats.hh"
 
 namespace nachos {
 
 /** Hierarchy-wide configuration (paper Figure 3 defaults). */
 struct HierarchyConfig
 {
-    CacheConfig l1{64 * 1024, 4, 64, 3, 16, 4, "l1"};
-    CacheConfig llc{4 * 1024 * 1024, 16, 64, 25, 32, 4, "llc"};
+    CacheConfig l1{64 * 1024, 4, 64, 3, 16, 4, CacheLevel::L1};
+    CacheConfig llc{4 * 1024 * 1024, 16, 64, 25, 32, 4, CacheLevel::Llc};
     uint32_t dramLatency = 200;
     uint32_t dramRequestsPerCycle = 4;
     uint32_t scratchpadLatency = 1;
 
-    /** Field-wise equality — pooled-reuse check (mem/hierarchy_pool). */
+    /** Field-wise equality — pooled-reuse check (cgra/hierarchy_pool). */
     bool operator==(const HierarchyConfig &) const = default;
 };
 
@@ -43,7 +43,7 @@ struct HierarchyConfig
 class MemoryHierarchy
 {
   public:
-    explicit MemoryHierarchy(const HierarchyConfig &cfg, StatSet &stats);
+    explicit MemoryHierarchy(const HierarchyConfig &cfg, SimStats &stats);
 
     /** Issue a timed access to L1; returns completion cycle. */
     uint64_t
@@ -70,12 +70,13 @@ class MemoryHierarchy
 
     /**
      * Make this (already-constructed) hierarchy indistinguishable from
-     * a fresh `MemoryHierarchy(config(), stats)`: re-resolve every
-     * counter into `stats` (creating the same name set construction
-     * would) and reset all timing and functional state. The expensive
-     * way arrays are retained — this is the pooled-reuse fast path.
+     * a fresh `MemoryHierarchy(config(), stats)`: register the same
+     * counter rows construction would, resolve the handles into
+     * `stats`, and reset all timing and functional state. The
+     * expensive way arrays are retained — this is the pooled-reuse
+     * fast path.
      */
-    void rebindStats(StatSet &stats);
+    void rebindStats(SimStats &stats);
 
     const HierarchyConfig &config() const { return cfg_; }
 

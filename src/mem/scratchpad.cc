@@ -2,7 +2,7 @@
 
 namespace nachos {
 
-Scratchpad::Scratchpad(uint32_t latency, uint32_t ports, StatSet &stats)
+Scratchpad::Scratchpad(uint32_t latency, uint32_t ports, SimStats &stats)
     : latency_(latency), bw_(ports)
 {
     rebindStats(stats);

@@ -11,7 +11,7 @@
 #include <cstdint>
 
 #include "mem/bandwidth.hh"
-#include "support/stats.hh"
+#include "support/sim_stats.hh"
 
 namespace nachos {
 
@@ -19,7 +19,7 @@ namespace nachos {
 class Scratchpad
 {
   public:
-    Scratchpad(uint32_t latency, uint32_t ports, StatSet &stats);
+    Scratchpad(uint32_t latency, uint32_t ports, SimStats &stats);
 
     /** Timed access; returns completion cycle. */
     uint64_t
@@ -34,12 +34,13 @@ class Scratchpad
 
     void reset() { bw_.reset(); }
 
-    /** Resolve counter handles into `stats` (construction, pooled reuse). */
+    /** Register and resolve the counter rows (construction, pooled
+     * reuse). */
     void
-    rebindStats(StatSet &stats)
+    rebindStats(SimStats &stats)
     {
-        reads_ = &stats.counter("scratchpad.reads");
-        writes_ = &stats.counter("scratchpad.writes");
+        reads_ = &stats.counter(SimCounter::ScratchpadReads);
+        writes_ = &stats.counter(SimCounter::ScratchpadWrites);
     }
 
   private:

@@ -2,20 +2,29 @@
 
 #include <algorithm>
 
-#include "energy/model.hh"
 #include "support/logging.hh"
 
 namespace nachos {
 
-MayCheckStation::MayCheckStation(uint32_t num_parents, StatSet &stats,
+MayCheckStation::MayCheckStation(uint32_t num_parents, SimStats &stats,
                                  uint32_t compares_per_cycle)
-    : numParents_(num_parents),
-      mayChecks_(&stats.counter(energy_events::kMdeMay)),
-      checksClear_(&stats.counter("nachos.checksClear")),
-      checksConflict_(&stats.counter("nachos.checksConflict")),
-      comparesPerCycle_(compares_per_cycle), parents_(num_parents)
 {
-    NACHOS_ASSERT(comparesPerCycle_ >= 1, "need at least one comparator");
+    bind(num_parents, stats, compares_per_cycle);
+}
+
+void
+MayCheckStation::bind(uint32_t num_parents, SimStats &stats,
+                      uint32_t compares_per_cycle)
+{
+    NACHOS_ASSERT(compares_per_cycle >= 1,
+                  "need at least one comparator");
+    numParents_ = num_parents;
+    mayChecks_ = &stats.counter(SimCounter::MdeMayChecks);
+    checksClear_ = &stats.counter(SimCounter::NachosChecksClear);
+    checksConflict_ = &stats.counter(SimCounter::NachosChecksConflict);
+    comparesPerCycle_ = compares_per_cycle;
+    parents_.resize(num_parents);
+    reset();
 }
 
 void
@@ -125,15 +134,18 @@ MayCheckStation::runComparisons()
     pendingCompares_.clear();
 }
 
-std::vector<uint32_t>
-MayCheckStation::conflictingParents() const
+std::optional<uint32_t>
+MayCheckStation::soleConflictingParent() const
 {
-    std::vector<uint32_t> out;
+    std::optional<uint32_t> sole;
     for (uint32_t p = 0; p < numParents_; ++p) {
-        if (parents_[p].compared && parents_[p].conflict)
-            out.push_back(p);
+        if (!parents_[p].compared || !parents_[p].conflict)
+            continue;
+        if (sole)
+            return std::nullopt;
+        sole = p;
     }
-    return out;
+    return sole;
 }
 
 bool

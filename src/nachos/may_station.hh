@@ -20,7 +20,7 @@
 #include <optional>
 #include <vector>
 
-#include "support/stats.hh"
+#include "support/sim_stats.hh"
 
 namespace nachos {
 
@@ -35,8 +35,15 @@ class MayCheckStation
      *        design; larger values model an idealized multi-comparator
      *        station for the contention ablation)
      */
-    MayCheckStation(uint32_t num_parents, StatSet &stats,
+    MayCheckStation(uint32_t num_parents, SimStats &stats,
                     uint32_t compares_per_cycle = 1);
+
+    /**
+     * Become indistinguishable from a fresh station with these
+     * arguments, keeping the buffers' capacity (pooled reuse).
+     */
+    void bind(uint32_t num_parents, SimStats &stats,
+              uint32_t compares_per_cycle);
 
     /** Reset for a new invocation. */
     void reset();
@@ -60,8 +67,9 @@ class MayCheckStation
      */
     std::optional<uint64_t> allClearCycle() const;
 
-    /** Parents whose comparison found a genuine overlap so far. */
-    std::vector<uint32_t> conflictingParents() const;
+    /** The parent index, if exactly one parent's comparison found a
+     * genuine overlap so far. */
+    std::optional<uint32_t> soleConflictingParent() const;
 
     /** Have all parents been compared (no comparison outstanding)? */
     bool allCompared() const;
@@ -93,13 +101,13 @@ class MayCheckStation
         std::optional<uint64_t> bitSet;
     };
 
-    uint32_t numParents_;
-    /** Handles resolved once at construction (hot path: no string
-     * building per comparison). */
+    uint32_t numParents_ = 0;
+    /** Handles resolved at bind() (hot path: no lookup per
+     * comparison). */
     Counter *mayChecks_;
     Counter *checksClear_;
     Counter *checksConflict_;
-    uint32_t comparesPerCycle_;
+    uint32_t comparesPerCycle_ = 1;
     uint64_t comparatorSlot_ = 0;
     std::vector<ParentState> parents_;
     bool ownReady_ = false;

@@ -58,6 +58,20 @@ class CalendarQueue
     bool empty() const { return size_ == 0; }
     size_t size() const { return size_; }
 
+    /**
+     * Rewind the clock to cycle 0 for a new simulation. The queue must
+     * be empty; the node slab and free list are kept, so a reused
+     * queue allocates nothing until it holds more events than it ever
+     * has.
+     */
+    void
+    reset()
+    {
+        NACHOS_ASSERT(size_ == 0, "reset of a queue holding ", size_,
+                      " events");
+        now_ = 0;
+    }
+
     /** Enqueue `ev` for `cycle`. The clock never runs backwards. */
     void
     schedule(uint64_t cycle, const Event &ev)

@@ -148,14 +148,4 @@ StatSet::jsonSnapshot() const
     return v;
 }
 
-std::vector<std::pair<std::string, uint64_t>>
-StatSet::dump() const
-{
-    std::vector<std::pair<std::string, uint64_t>> out;
-    out.reserve(counters_.size());
-    for (const auto &entry : counters_)
-        out.emplace_back(entry.first, entry.second.value());
-    return out;
-}
-
 } // namespace nachos

@@ -1,9 +1,10 @@
 /**
  * @file
- * Lightweight named-statistics registry used by the simulator, the
- * memory hierarchy, and the energy model. A StatSet owns a flat map of
- * counters; components register scalar counters by name and bump them as
- * events occur, mirroring gem5's stats package at a small scale.
+ * Counters, latency histograms, and StatSet, a registry of named ones
+ * for statistics whose names are open-ended: the daemon's `metrics`
+ * counters and histograms, and the suite runner's stage timing. A
+ * simulation's counters are fixed at compile time and live in the
+ * counter table instead (support/sim_stats).
  */
 
 #ifndef NACHOS_SUPPORT_STATS_HH
@@ -12,7 +13,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 namespace nachos {
 
@@ -112,9 +112,6 @@ class StatSet
 
     /** Reset every counter and histogram to zero. */
     void resetAll();
-
-    /** Snapshot of all (name, value) pairs in name order. */
-    std::vector<std::pair<std::string, uint64_t>> dump() const;
 
     const std::map<std::string, LatencyHistogram> &histograms() const
     {

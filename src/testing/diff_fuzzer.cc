@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -60,19 +61,17 @@ faultKind(FaultInjection f)
 }
 
 /**
- * Rebuild `mdes` minus one edge of the fault's kind (deterministic
- * pick so a failing seed replays identically). When the set has no
- * edge of that kind the fault cannot be expressed and the original
- * set is returned with *injected = false — such cases are vacuous for
- * the mutation self-test and the caller keeps fuzzing seeds.
+ * `mdes` minus one edge of the fault's kind (deterministic pick so a
+ * failing seed replays identically), or nullopt when there is nothing
+ * to inject: no fault, or no edge of that kind. The caller then runs
+ * the clean set itself; a fault that cannot be expressed is vacuous
+ * for the mutation self-test, and the caller keeps fuzzing seeds.
  */
-MdeSet
-applyFault(const Region &region, const MdeSet &mdes, FaultInjection fault,
-           bool *injected)
+std::optional<MdeSet>
+applyFault(const Region &region, const MdeSet &mdes, FaultInjection fault)
 {
-    *injected = false;
     if (fault == FaultInjection::None)
-        return mdes;
+        return std::nullopt;
     const MdeKind kind = faultKind(fault);
     std::vector<uint32_t> candidates;
     for (uint32_t i = 0; i < mdes.edges().size(); ++i) {
@@ -80,7 +79,7 @@ applyFault(const Region &region, const MdeSet &mdes, FaultInjection fault,
             candidates.push_back(i);
     }
     if (candidates.empty())
-        return mdes;
+        return std::nullopt;
     // Golden-ratio scramble of the op count: which edge is dropped
     // varies across regions, but stays fixed for any given region.
     const uint32_t drop = candidates[(region.numOps() * 2654435761u) %
@@ -92,7 +91,6 @@ applyFault(const Region &region, const MdeSet &mdes, FaultInjection fault,
         const Mde &e = mdes.edges()[i];
         out.add(e.older, e.younger, e.kind);
     }
-    *injected = true;
     return out;
 }
 
@@ -120,13 +118,25 @@ mustPairs(const AliasMatrix &matrix)
     return out;
 }
 
-/** All per-run checks against the reference execution. */
+/** Where a run committed one (invocation, op): its position in the
+ * commit trace. */
+struct CommitSlot
+{
+    size_t seq = SIZE_MAX; ///< SIZE_MAX: never committed
+    bool forwarded = false;
+};
+
+/**
+ * All per-run checks against the reference execution. `seq` is the
+ * case's commit-position table, refilled for each run so the case's
+ * runs share one buffer.
+ */
 void
 checkRun(const Region &region, const ReferenceResult &ref,
          const SimResult &res, const std::string &backend,
          uint64_t invocations,
          const std::vector<std::pair<OpId, OpId>> &must,
-         std::vector<FuzzMismatch> &out)
+         std::vector<CommitSlot> &seq, std::vector<FuzzMismatch> &out)
 {
     if (res.loadValueDigest != ref.loadValueDigest) {
         out.push_back({"oracle-digest", backend,
@@ -161,13 +171,8 @@ checkRun(const Region &region, const ReferenceResult &ref,
         return;
     // Commit sequence per (invocation, op), indexed by
     // invocation * numOps + op: both are dense and small.
-    struct CommitSlot
-    {
-        size_t seq = SIZE_MAX; ///< SIZE_MAX: never committed
-        bool forwarded = false;
-    };
     const uint64_t num_ops = region.numOps();
-    std::vector<CommitSlot> seq(invocations * num_ops);
+    seq.assign(invocations * num_ops, CommitSlot{});
     for (size_t k = 0; k < res.memCommits.size(); ++k) {
         const MemCommit &c = res.memCommits[k];
         seq[c.invocation * num_ops + c.op] = {k, c.forwarded};
@@ -215,8 +220,9 @@ checkRegion(const Region &region, const FuzzOptions &opts)
     }
 
     const MdeSet clean = insertMdes(region, analysis.matrix);
-    bool injected = false;
-    const MdeSet mdes = applyFault(region, clean, opts.fault, &injected);
+    const std::optional<MdeSet> faulty =
+        applyFault(region, clean, opts.fault);
+    const MdeSet &mdes = faulty ? *faulty : clean;
 
     const auto must = mustPairs(analysis.matrix);
 
@@ -231,10 +237,12 @@ checkRegion(const Region &region, const FuzzOptions &opts)
     // Worker-thread-local hierarchy pool: it survives across runs and
     // cases, so hierarchy construction does not dominate every run.
     thread_local HierarchyPool pool;
+    std::vector<CommitSlot> seq;
     const auto run = [&](BackendKind kind, const SimConfig &c,
                          const std::string &label) {
         SimResult result = simulate(plan, mdes, kind, c, pool);
-        checkRun(region, ref, result, label, opts.invocations, must, out);
+        checkRun(region, ref, result, label, opts.invocations, must, seq,
+                 out);
         return result;
     };
     // The historical check order: the OPT-LSQ bank sweep, then

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -61,41 +62,6 @@ TEST(Simulator, ComputeOnlyRunsUnderEveryBackend)
     }
 }
 
-// A pooled simulate() reuses one hierarchy across backends, regions
-// and machine changes; every run must be observably identical to a
-// fresh, unpooled simulate() of the same configuration.
-TEST(Simulator, PooledSimulateMatchesFresh)
-{
-    HierarchyPool pool;
-    for (const uint64_t l1Bytes : {64u * 1024, 16u * 1024}) {
-        for (const char *name : {"art", "gzip"}) {
-            const Region r = synthesizeRegion(benchmarkByName(name));
-            const AliasAnalysisResult analysis = runAliasPipeline(r);
-            const MdeSet mdes = insertMdes(r, analysis.matrix);
-            SimConfig cfg = smallConfig(3);
-            cfg.mem.l1.sizeBytes = l1Bytes;
-            for (BackendKind kind :
-                 {BackendKind::OptLsq, BackendKind::NachosSw,
-                  BackendKind::Nachos}) {
-                const SimResult fresh = simulate(r, mdes, kind, cfg);
-                const SimResult pooled =
-                    simulate(r, mdes, kind, cfg, pool);
-                const std::string what = std::string(name) + "/" +
-                                         backendName(kind) + "/l1=" +
-                                         std::to_string(l1Bytes);
-                EXPECT_EQ(pooled.cycles, fresh.cycles) << what;
-                EXPECT_EQ(pooled.stats.dump(), fresh.stats.dump())
-                    << what;
-                EXPECT_EQ(pooled.energy.total(), fresh.energy.total())
-                    << what;
-                EXPECT_EQ(pooled.loadValueDigest, fresh.loadValueDigest)
-                    << what;
-                EXPECT_EQ(pooled.memImage, fresh.memImage) << what;
-            }
-        }
-    }
-}
-
 /** Field-by-field equality of two runs' observable results. */
 void
 expectSameResult(const SimResult &a, const SimResult &b,
@@ -109,6 +75,9 @@ expectSameResult(const SimResult &a, const SimResult &b,
     EXPECT_EQ(a.energy.lsqCam, b.energy.lsqCam) << what;
     EXPECT_EQ(a.energy.l1, b.energy.l1) << what;
     EXPECT_EQ(a.loadValueDigest, b.loadValueDigest) << what;
+    EXPECT_EQ(a.criticalOp, b.criticalOp) << what;
+    EXPECT_EQ(a.planEventsDispatched, b.planEventsDispatched) << what;
+    EXPECT_EQ(a.planEventsElided, b.planEventsElided) << what;
     EXPECT_EQ(a.memImage, b.memImage) << what;
     ASSERT_EQ(a.memCommits.size(), b.memCommits.size()) << what;
     for (size_t i = 0; i < a.memCommits.size(); ++i) {
@@ -119,6 +88,88 @@ expectSameResult(const SimResult &a, const SimResult &b,
                     x.forwarded == y.forwarded)
             << what << " commit " << i;
     }
+}
+
+// A pooled simulate() reuses the whole run — counters, hierarchy,
+// engine buffers, OPT-LSQ, MDE tables and stations — across regions,
+// backends and machine changes; every run must be observably
+// identical to a run on a fresh pool. One pool runs a suite region, a
+// fuzz region, then the suite region again, under every backend, while
+// the L1 size, the LSQ bank count (8 -> 1 -> 8) and the comparator
+// width (1 -> 2) change between runs.
+TEST(Simulator, PooledSimulateMatchesFresh)
+{
+    struct Subject
+    {
+        std::string name;
+        Region region;
+    };
+    std::vector<Subject> subjects;
+    subjects.push_back({"art", synthesizeRegion(benchmarkByName("art"))});
+    subjects.push_back({"fuzz7919", testing::generateRegion(7919)});
+    subjects.push_back({"art", synthesizeRegion(benchmarkByName("art"))});
+
+    struct Machine
+    {
+        uint64_t l1Bytes;
+        uint32_t banks;
+        uint32_t compares;
+    };
+    const Machine machines[] = {{64 * 1024, 8, 1},
+                                {16 * 1024, 1, 2},
+                                {64 * 1024, 8, 2}};
+
+    HierarchyPool pool;
+    for (const Subject &subject : subjects) {
+        const Region &r = subject.region;
+        const AliasAnalysisResult analysis = runAliasPipeline(r);
+        const MdeSet mdes = insertMdes(r, analysis.matrix);
+        for (const Machine &m : machines) {
+            SimConfig cfg = smallConfig(3);
+            cfg.recordMemTrace = true;
+            cfg.mem.l1.sizeBytes = m.l1Bytes;
+            cfg.lsq.banks = m.banks;
+            cfg.nachosComparesPerCycle = m.compares;
+            for (BackendKind kind :
+                 {BackendKind::OptLsq, BackendKind::NachosSw,
+                  BackendKind::Nachos}) {
+                const SimResult fresh = simulate(r, mdes, kind, cfg);
+                const SimResult pooled =
+                    simulate(r, mdes, kind, cfg, pool);
+                expectSameResult(
+                    pooled, fresh,
+                    subject.name + "/" + backendName(kind) +
+                        "/l1=" + std::to_string(m.l1Bytes) +
+                        "/banks=" + std::to_string(m.banks) +
+                        "/compares=" + std::to_string(m.compares));
+            }
+        }
+    }
+}
+
+// Every counter-table row is registered by some backend on the suite's
+// first paths: a row nothing registers is dead and should go.
+TEST(Simulator, EveryCounterRowIsRegisteredOnTheSuite)
+{
+    std::set<SimCounter> seen;
+    for (const SuiteRegion &s : buildSuitePaths(0)) {
+        const AliasAnalysisResult analysis = runAliasPipeline(s.region);
+        const MdeSet mdes = insertMdes(s.region, analysis.matrix);
+        for (BackendKind kind : {BackendKind::OptLsq,
+                                 BackendKind::NachosSw,
+                                 BackendKind::Nachos}) {
+            const SimResult r =
+                simulate(s.region, mdes, kind, smallConfig(1));
+            for (const SimCounterRow &row : kSimCounterRows) {
+                if (r.stats.registered(row.id))
+                    seen.insert(row.id);
+            }
+        }
+        if (seen.size() == kNumSimCounters)
+            break;
+    }
+    for (const SimCounterRow &row : kSimCounterRows)
+        EXPECT_TRUE(seen.count(row.id)) << row.name;
 }
 
 // One Placement and one SimPlan shared across the fuzzer's six backend

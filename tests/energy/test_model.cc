@@ -5,11 +5,9 @@
 namespace nachos {
 namespace {
 
-namespace ev = energy_events;
-
 TEST(EnergyModel, EmptyStatsMeanZeroEnergy)
 {
-    StatSet stats;
+    SimStats stats;
     EnergyModel model;
     EnergyBreakdown b = model.breakdown(stats);
     EXPECT_DOUBLE_EQ(b.total(), 0.0);
@@ -18,10 +16,10 @@ TEST(EnergyModel, EmptyStatsMeanZeroEnergy)
 
 TEST(EnergyModel, ComputeCategorySumsAluAndNetwork)
 {
-    StatSet stats;
-    stats.counter(ev::kIntOps).inc(10);
-    stats.counter(ev::kFpOps).inc(2);
-    stats.counter(ev::kNetworkTransfers).inc(5);
+    SimStats stats;
+    stats.counter(SimCounter::FuIntOps).inc(10);
+    stats.counter(SimCounter::FuFpOps).inc(2);
+    stats.counter(SimCounter::NetTransfers).inc(5);
     EnergyParams p;
     EnergyModel model(p);
     EnergyBreakdown b = model.breakdown(stats);
@@ -32,10 +30,10 @@ TEST(EnergyModel, ComputeCategorySumsAluAndNetwork)
 
 TEST(EnergyModel, MdeCategoryUsesPaperCosts)
 {
-    StatSet stats;
-    stats.counter(ev::kMdeMay).inc(4);
-    stats.counter(ev::kMdeMust).inc(8);
-    stats.counter(ev::kMdeForward).inc(1);
+    SimStats stats;
+    stats.counter(SimCounter::MdeMayChecks).inc(4);
+    stats.counter(SimCounter::MdeOrderTokens).inc(8);
+    stats.counter(SimCounter::MdeForwards).inc(1);
     EnergyModel model;
     EnergyBreakdown b = model.breakdown(stats);
     // Paper Figure 3: MAY 500 fJ, MUST 250 fJ.
@@ -44,11 +42,11 @@ TEST(EnergyModel, MdeCategoryUsesPaperCosts)
 
 TEST(EnergyModel, LsqSplitsBloomAndCam)
 {
-    StatSet stats;
-    stats.counter(ev::kLsqBloom).inc(10);
-    stats.counter(ev::kLsqCamLoad).inc(2);
-    stats.counter(ev::kLsqCamStore).inc(1);
-    stats.counter(ev::kLsqAlloc).inc(10);
+    SimStats stats;
+    stats.counter(SimCounter::LsqBloomProbes).inc(10);
+    stats.counter(SimCounter::LsqCamLoads).inc(2);
+    stats.counter(SimCounter::LsqCamStores).inc(1);
+    stats.counter(SimCounter::LsqAllocs).inc(10);
     EnergyParams p;
     EnergyModel model(p);
     EnergyBreakdown b = model.breakdown(stats);
@@ -68,10 +66,10 @@ TEST(EnergyModel, AppendixPerOpCostIs3000fJ)
 
 TEST(EnergyModel, L1IncludesScratchpad)
 {
-    StatSet stats;
-    stats.counter("l1.reads").inc(3);
-    stats.counter("l1.writes").inc(2);
-    stats.counter("scratchpad.reads").inc(4);
+    SimStats stats;
+    stats.counter(SimCounter::L1Reads).inc(3);
+    stats.counter(SimCounter::L1Writes).inc(2);
+    stats.counter(SimCounter::ScratchpadReads).inc(4);
     EnergyParams p;
     EnergyModel model(p);
     EnergyBreakdown b = model.breakdown(stats);
@@ -81,11 +79,11 @@ TEST(EnergyModel, L1IncludesScratchpad)
 
 TEST(EnergyModel, FractionsSumToOne)
 {
-    StatSet stats;
-    stats.counter(ev::kIntOps).inc(7);
-    stats.counter(ev::kMdeMay).inc(3);
-    stats.counter(ev::kLsqBloom).inc(2);
-    stats.counter("l1.reads").inc(5);
+    SimStats stats;
+    stats.counter(SimCounter::FuIntOps).inc(7);
+    stats.counter(SimCounter::MdeMayChecks).inc(3);
+    stats.counter(SimCounter::LsqBloomProbes).inc(2);
+    stats.counter(SimCounter::L1Reads).inc(5);
     EnergyModel model;
     EnergyBreakdown b = model.breakdown(stats);
     double sum = b.frac(b.compute) + b.frac(b.mde) +
@@ -95,13 +93,32 @@ TEST(EnergyModel, FractionsSumToOne)
 
 TEST(EnergyModel, DescribeBreakdownMentionsCategories)
 {
-    StatSet stats;
-    stats.counter(ev::kIntOps).inc(1);
+    SimStats stats;
+    stats.counter(SimCounter::FuIntOps).inc(1);
     EnergyModel model;
     std::string s = describeBreakdown(model.breakdown(stats));
     EXPECT_NE(s.find("compute"), std::string::npos);
     EXPECT_NE(s.find("lsq"), std::string::npos);
     EXPECT_NE(s.find("nJ"), std::string::npos);
+}
+
+// Each counter-table row charges exactly the category its energy role
+// names, and a row with no role charges nothing.
+TEST(EnergyModel, EachCounterChargesItsRole)
+{
+    const EnergyModel model;
+    for (const SimCounterRow &row : kSimCounterRows) {
+        SimStats stats;
+        stats.counter(row.id).inc();
+        const EnergyBreakdown b = model.breakdown(stats);
+        const std::string what(row.name);
+        EXPECT_EQ(b.compute > 0, row.role == EnergyRole::Compute) << what;
+        EXPECT_EQ(b.mde > 0, row.role == EnergyRole::Mde) << what;
+        EXPECT_EQ(b.lsqBloom > 0, row.role == EnergyRole::LsqBloom)
+            << what;
+        EXPECT_EQ(b.lsqCam > 0, row.role == EnergyRole::LsqCam) << what;
+        EXPECT_EQ(b.l1 > 0, row.role == EnergyRole::L1) << what;
+    }
 }
 
 } // namespace

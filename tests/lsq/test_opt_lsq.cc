@@ -9,10 +9,12 @@ namespace {
 class OptLsqTest : public ::testing::Test
 {
   protected:
-    StatSet stats;
+    SimStats stats;
     LsqConfig cfg;
     // 4 mem ops by default; tests that need more build their own.
     OptLsq lsq{cfg, 4, stats};
+    /** Commit batches the tests do not inspect. */
+    CommitBatch ignored;
 };
 
 TEST_F(OptLsqTest, InOrderAllocationCascades)
@@ -73,7 +75,7 @@ TEST_F(OptLsqTest, YoungestMatchingStoreWins)
 TEST_F(OptLsqTest, DrainedStoreInvisibleToSearch)
 {
     lsq.addressReady(0, true, 0x100, 8, 0);
-    lsq.storeDataArrived(0, 3);
+    lsq.storeDataArrived(0, 3, ignored);
     lsq.storeDrained(0);
     auto a = lsq.addressReady(1, false, 0x100, 8, 10);
     auto dec = lsq.loadSearch(1, a[0].second);
@@ -85,10 +87,12 @@ TEST_F(OptLsqTest, StoresCommitInProgramOrder)
     lsq.addressReady(0, true, 0x100, 8, 0);
     lsq.addressReady(1, true, 0x200, 8, 0);
     // Younger store's data arrives first: nothing commits yet.
-    auto c1 = lsq.storeDataArrived(1, 5);
+    CommitBatch c1;
+    lsq.storeDataArrived(1, 5, c1);
     EXPECT_TRUE(c1.empty());
     // Older store's data arrives: both commit, in order.
-    auto c0 = lsq.storeDataArrived(0, 50);
+    CommitBatch c0;
+    lsq.storeDataArrived(0, 50, c0);
     ASSERT_EQ(c0.size(), 2u);
     EXPECT_EQ(c0[0].first, 0u);
     EXPECT_EQ(c0[1].first, 1u);
@@ -103,7 +107,7 @@ TEST_F(OptLsqTest, AllDrainedTracksLifecycle)
     OptLsq small(small_cfg, 2, stats);
     small.addressReady(0, true, 0x100, 8, 0);
     small.addressReady(1, false, 0x200, 8, 1);
-    small.storeDataArrived(0, 2);
+    small.storeDataArrived(0, 2, ignored);
     small.storeDrained(0);
     EXPECT_FALSE(small.allDrained());
     small.loadDone(1);
@@ -171,7 +175,7 @@ allocateYoungestFirst(OptLsq &lsq, uint32_t n)
 
 TEST(OptLsqAlloc, WarmAddressReadyCascadeAllocatesNothing)
 {
-    StatSet stats;
+    SimStats stats;
     const LsqConfig cfg;
     constexpr uint32_t kOps = 24;
     OptLsq lsq(cfg, kOps, stats);
@@ -182,6 +186,44 @@ TEST(OptLsqAlloc, WarmAddressReadyCascadeAllocatesNothing)
     const size_t cascade = allocateYoungestFirst(lsq, kOps);
     EXPECT_EQ(threadAllocCount() - before, 0u);
     EXPECT_EQ(cascade, kOps);
+}
+
+/**
+ * Loads at even memIndex, each followed by a store to its address, so
+ * every store's commit waits on the load before it (anti-dependence).
+ * Performs the loads, then returns how many stores the following
+ * resumeCommits() committed into `batch`.
+ */
+size_t
+commitBehindLoads(OptLsq &lsq, uint32_t n, CommitBatch &batch)
+{
+    for (uint32_t m = 0; m < n; ++m)
+        lsq.addressReady(m, m % 2 == 1, 0x100 + 64 * (m / 2), 8, m);
+    for (uint32_t m = 1; m < n; m += 2) {
+        lsq.storeDataArrived(m, n, batch);
+        EXPECT_TRUE(batch.empty()) << "store " << m;
+    }
+    for (uint32_t m = 0; m < n; m += 2)
+        lsq.loadPerformAt(m, n + 1);
+    lsq.resumeCommits(batch);
+    return batch.size();
+}
+
+TEST(OptLsqAlloc, WarmResumeCommitsAllocatesNothing)
+{
+    SimStats stats;
+    const LsqConfig cfg;
+    constexpr uint32_t kOps = 24;
+    OptLsq lsq(cfg, kOps, stats);
+    CommitBatch batch;
+    // The first invocation grows the batch, the commit heap and the
+    // watcher lists.
+    ASSERT_EQ(commitBehindLoads(lsq, kOps, batch), kOps / 2);
+    lsq.reset();
+    const uint64_t before = threadAllocCount();
+    const size_t committed = commitBehindLoads(lsq, kOps, batch);
+    EXPECT_EQ(threadAllocCount() - before, 0u);
+    EXPECT_EQ(committed, kOps / 2);
 }
 
 } // namespace

@@ -28,9 +28,9 @@ TEST(MainMemory, FixedLatency)
 class CacheTest : public ::testing::Test
 {
   protected:
-    StatSet stats;
+    SimStats stats;
     MainMemory dram{100, 8};
-    CacheConfig cfg{1024, 2, 64, 3, 4, 2, "l1"};
+    CacheConfig cfg{1024, 2, 64, 3, 4, 2, CacheLevel::L1};
     LlcCache cache{cfg, dram, stats};
 };
 
@@ -145,7 +145,7 @@ TEST_F(CacheTest, ResetClearsAllObservableState)
         EXPECT_FALSE(cache.probe(a * 64)) << a;
     // A clean re-run starts from cold: same first-access result as a
     // freshly constructed cache over the same next level.
-    StatSet fresh_stats;
+    SimStats fresh_stats;
     MainMemory fresh_dram{100, 8};
     LlcCache fresh{cfg, fresh_dram, fresh_stats};
     EXPECT_EQ(cache.access(0x80, false, 50), fresh.access(0x80, false, 50));
@@ -155,7 +155,7 @@ TEST_F(CacheTest, ResetClearsAllObservableState)
 
 TEST(Hierarchy, L2BackstopsL1)
 {
-    StatSet stats;
+    SimStats stats;
     HierarchyConfig cfg;
     MemoryHierarchy mem(cfg, stats);
     uint64_t t1 = mem.timedAccess(0x1000, false, 0);
@@ -168,7 +168,7 @@ TEST(Hierarchy, L2BackstopsL1)
 
 TEST(Hierarchy, ScratchpadIsOneCycle)
 {
-    StatSet stats;
+    SimStats stats;
     HierarchyConfig cfg;
     MemoryHierarchy mem(cfg, stats);
     EXPECT_EQ(mem.scratchpadAccess(0x10, false, 7), 8u);
@@ -177,7 +177,7 @@ TEST(Hierarchy, ScratchpadIsOneCycle)
 
 TEST(Hierarchy, ResetClearsFunctionalAndTiming)
 {
-    StatSet stats;
+    SimStats stats;
     HierarchyConfig cfg;
     MemoryHierarchy mem(cfg, stats);
     mem.data().write(0x10, 8, 5);

@@ -8,7 +8,7 @@ namespace {
 class MayStationTest : public ::testing::Test
 {
   protected:
-    StatSet stats;
+    SimStats stats;
 };
 
 TEST_F(MayStationTest, NoConflictClearsAfterCompare)
@@ -117,8 +117,8 @@ TEST_F(MayStationTest, ConflictIntrospection)
     st.parentAddressArrived(1, 0x104, 8, 0); // partial conflict
     st.parentAddressArrived(2, 0x900, 8, 0); // disjoint
     ASSERT_TRUE(st.allCompared());
-    auto conflicts = st.conflictingParents();
-    ASSERT_EQ(conflicts.size(), 2u);
+    // Two parents conflict, so none is the sole conflict.
+    EXPECT_FALSE(st.soleConflictingParent().has_value());
     EXPECT_TRUE(st.exactConflict(0));
     EXPECT_FALSE(st.exactConflict(1)); // overlap but not exact
     EXPECT_FALSE(st.exactConflict(2));

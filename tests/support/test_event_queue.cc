@@ -313,5 +313,38 @@ TEST(CalendarQueue, WarmDrainWaveReplayAllocatesNothing)
     EXPECT_EQ(threadAllocCount() - before, 0u);
 }
 
+// reset() rewinds an empty queue's clock for a new simulation and
+// keeps its node slab: the replay after it allocates nothing.
+TEST(CalendarQueue, ResetRewindsTheClockAndKeepsTheSlab)
+{
+    Queue q;
+    std::vector<Ev> wave;
+    const auto replay = [&] {
+        for (uint32_t i = 0; i < 32; ++i)
+            q.schedule(i % 4, Ev{i});
+        q.schedule(500, Ev{99}); // through the overflow heap
+        uint64_t last = 0;
+        while (!q.empty()) {
+            wave.clear();
+            last = q.drainWave(wave);
+        }
+        return last;
+    };
+    EXPECT_EQ(replay(), 500u);
+    EXPECT_EQ(q.now(), 500u);
+    q.reset();
+    EXPECT_EQ(q.now(), 0u);
+    const uint64_t before = threadAllocCount();
+    EXPECT_EQ(replay(), 500u);
+    EXPECT_EQ(threadAllocCount() - before, 0u);
+}
+
+TEST(CalendarQueueDeathTest, ResetOfANonEmptyQueuePanics)
+{
+    Queue q;
+    q.schedule(3, Ev{1});
+    EXPECT_DEATH(q.reset(), "reset of a queue holding 1 events");
+}
+
 } // namespace
 } // namespace nachos

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "support/json.hh"
+#include "support/sim_stats.hh"
 #include "support/stats.hh"
 
 namespace nachos {
@@ -23,17 +27,6 @@ TEST(StatSet, ResetAllZeroes)
     stats.resetAll();
     EXPECT_EQ(stats.get("a"), 0u);
     EXPECT_EQ(stats.get("b"), 0u);
-}
-
-TEST(StatSet, DumpSortedByName)
-{
-    StatSet stats;
-    stats.counter("z").inc(1);
-    stats.counter("a").inc(2);
-    auto dump = stats.dump();
-    ASSERT_EQ(dump.size(), 2u);
-    EXPECT_EQ(dump[0].first, "a");
-    EXPECT_EQ(dump[1].first, "z");
 }
 
 TEST(LatencyHistogram, EmptyIsAllZero)
@@ -193,6 +186,39 @@ TEST(StatSet, MergeFoldsCountersAndHistograms)
     EXPECT_EQ(a.histogram("latency.simMicros").count(), 1u);
     // b is untouched.
     EXPECT_EQ(b.get("jobs.completed"), 2u);
+}
+
+TEST(SimStats, RowNamesAreUniqueAndInNameOrder)
+{
+    std::set<std::string_view> names;
+    for (size_t i = 0; i < kNumSimCounters; ++i) {
+        const SimCounterRow &row = kSimCounterRows[i];
+        EXPECT_EQ(static_cast<size_t>(row.id), i) << row.name;
+        EXPECT_TRUE(names.insert(row.name).second) << row.name;
+        if (i > 0) {
+            EXPECT_LT(kSimCounterRows[i - 1].name, row.name);
+        }
+    }
+}
+
+TEST(SimStats, UnregisteredRowReadsZeroAndIsNotDumped)
+{
+    SimStats stats;
+    stats.counter(SimCounter::L1Hits).inc(3);
+    stats.counter(SimCounter::NetHops);
+    EXPECT_FALSE(stats.registered(SimCounter::L1Misses));
+    EXPECT_EQ(stats.get(SimCounter::L1Misses), 0u);
+    EXPECT_EQ(stats.get("l1.misses"), 0u);
+    EXPECT_EQ(stats.get("no.such.counter"), 0u);
+    EXPECT_EQ(stats.get("l1.hits"), 3u);
+    // Registered rows dump in name order, zero-valued ones included.
+    const std::vector<std::pair<std::string, uint64_t>> want = {
+        {"l1.hits", 3}, {"net.hops", 0}};
+    EXPECT_EQ(stats.dump(), want);
+
+    stats.reset();
+    EXPECT_TRUE(stats.dump().empty());
+    EXPECT_EQ(stats.get(SimCounter::L1Hits), 0u);
 }
 
 } // namespace
