@@ -14,7 +14,6 @@
 #include "cgra/sim_tables.hh"
 #include "cgra/simulator.hh"
 #include "harness/suite_runner.hh"
-#include "ir/builder.hh"
 #include "lsq/bloom.hh"
 #include "mde/inserter.hh"
 #include "mem/hierarchy.hh"
@@ -223,67 +222,6 @@ BM_EventQueuePushPop(benchmark::State &state)
     state.SetItemsProcessed(static_cast<int64_t>(scheduled));
 }
 BENCHMARK(BM_EventQueuePushPop);
-
-/**
- * Operand fan-out delivery: one producer feeding `range(0)` consumers
- * stresses the precomputed CSR edge tables (vs the former per-delivery
- * users x operand-slots rescan). Items = delivered operands.
- */
-void
-BM_OperandFanout(benchmark::State &state)
-{
-    setQuiet(true);
-    const uint32_t consumers = static_cast<uint32_t>(state.range(0));
-    RegionBuilder b("fanout");
-    OpId x = b.liveIn();
-    OpId y = b.liveIn();
-    for (uint32_t i = 0; i < consumers; ++i)
-        b.liveOut(b.iadd(x, y));
-    Region r = b.build();
-    AliasAnalysisResult res = runAliasPipeline(r);
-    MdeSet mdes = insertMdes(r, res.matrix);
-    SimConfig cfg;
-    cfg.invocations = 8;
-    for (auto _ : state) {
-        SimResult sim = simulate(r, mdes, BackendKind::NachosSw, cfg);
-        benchmark::DoNotOptimize(sim.cycles);
-    }
-    // Each invocation delivers 2 operands to every consumer.
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            8 * 2 * consumers);
-}
-BENCHMARK(BM_OperandFanout)->Arg(16)->Arg(128);
-
-/**
- * Per-invocation start cost: a wide, shallow region re-entered for
- * many invocations is dominated by seedInvocation. Its Const -> LiveOut
- * pairs are all static, so this times the static program's run (value
- * evaluation and bulk counters), the former states_.assign + per-op
- * inputValues.assign path. Items = op starts.
- */
-void
-BM_InvocationReset(benchmark::State &state)
-{
-    setQuiet(true);
-    constexpr uint32_t kOps = 256;
-    constexpr uint64_t kInvocations = 64;
-    RegionBuilder b("reset");
-    for (uint32_t i = 0; i < kOps; ++i)
-        b.liveOut(b.constant(static_cast<int64_t>(i)));
-    Region r = b.build();
-    AliasAnalysisResult res = runAliasPipeline(r);
-    MdeSet mdes = insertMdes(r, res.matrix);
-    SimConfig cfg;
-    cfg.invocations = kInvocations;
-    for (auto _ : state) {
-        SimResult sim = simulate(r, mdes, BackendKind::NachosSw, cfg);
-        benchmark::DoNotOptimize(sim.cycles);
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            static_cast<int64_t>(kInvocations) *
-                            (2 * kOps));
-}
-BENCHMARK(BM_InvocationReset);
 
 /**
  * L1 hit streaming: a working set far smaller than the 64 KiB L1,

@@ -7,9 +7,17 @@
 namespace nachos {
 
 LsqBackend::LsqBackend(const Region &region, const LsqConfig &cfg,
-                       Buffers &buffers)
-    : OrderingBackend(region), cfg_(cfg), buf_(buffers)
-{}
+                       Buffers &buffers, SimStats &stats)
+    : OrderingBackend(region), buf_(buffers)
+{
+    // Registers the LSQ counters with the run, as a new LSQ would.
+    const uint32_t n = static_cast<uint32_t>(region.memOps().size());
+    if (buf_.lsq)
+        buf_.lsq->bind(cfg, n, stats);
+    else
+        buf_.lsq.emplace(cfg, n, stats);
+    lsq_ = &*buf_.lsq;
+}
 
 void
 LsqBackend::beginInvocation(uint64_t inv)
@@ -17,17 +25,7 @@ LsqBackend::beginInvocation(uint64_t inv)
     (void)inv;
     const uint32_t n =
         static_cast<uint32_t>(region_.memOps().size());
-    if (!lsq_) {
-        // The run's first invocation registers the LSQ counters, as a
-        // newly built LSQ would.
-        if (buf_.lsq)
-            buf_.lsq->bind(cfg_, n, core_->stats());
-        else
-            buf_.lsq.emplace(cfg_, n, core_->stats());
-        lsq_ = &*buf_.lsq;
-    } else {
-        lsq_->reset();
-    }
+    lsq_->reset();
     buf_.dyn.assign(n, {});
     // Clear in place: each store's parked-load buffer survives into the
     // next invocation and run instead of being freed and grown again.

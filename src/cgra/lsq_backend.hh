@@ -43,8 +43,8 @@ class LsqBackend : public OrderingBackend
      */
     struct Buffers
     {
-        /** Bound to each run's config and region on its first
-         * invocation (OptLsq::bind). */
+        /** Bound to each run's config, region and counters when the
+         * backend is built (OptLsq::bind). */
         std::optional<OptLsq> lsq;
         std::vector<OpDyn> dyn; ///< indexed by memIndex
         /** Parked loads per store memIndex. */
@@ -56,8 +56,10 @@ class LsqBackend : public OrderingBackend
         std::vector<ParkedLoad> woken;
     };
 
+    /** Binds the pool's OPT-LSQ to `cfg`, the region and the run's
+     *  `stats`. */
     LsqBackend(const Region &region, const LsqConfig &cfg,
-               Buffers &buffers);
+               Buffers &buffers, SimStats &stats);
 
     void beginInvocation(uint64_t inv) override;
     void memAddrReady(OpId op, uint64_t addr, uint32_t size,
@@ -66,10 +68,9 @@ class LsqBackend : public OrderingBackend
     void memCompleted(OpId op, uint64_t cycle) override;
 
   private:
-    LsqConfig cfg_;
     Buffers &buf_;
-    /** The pool's OPT-LSQ, once bound to this run. */
-    OptLsq *lsq_ = nullptr;
+    /** The pool's OPT-LSQ, bound to this run. */
+    OptLsq *lsq_;
     /** drainCommits() calls in progress: the next batch's buffer. */
     uint32_t depth_ = 0;
 

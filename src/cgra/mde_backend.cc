@@ -8,11 +8,10 @@ namespace nachos {
 
 MdeBackend::MdeBackend(const Region &region, const MdeSet &mdes,
                        BackendKind scheme, uint32_t compares_per_cycle,
-                       Buffers &buffers)
+                       Buffers &buffers, SimStats &stats)
     : OrderingBackend(region), mdeSet_(mdes), buf_(buffers),
       info_(buffers.info), dyn_(buffers.dyn),
-      stations_(buffers.stations), comparesPerCycle_(compares_per_cycle),
-      reportsRuntimeForwards_(scheme == BackendKind::Nachos)
+      stations_(buffers.stations)
 {
     NACHOS_ASSERT(scheme == BackendKind::NachosSw ||
                       scheme == BackendKind::Nachos,
@@ -92,6 +91,25 @@ MdeBackend::MdeBackend(const Region &region, const MdeSet &mdes,
             buf_.mayTargets[t.begin + t.size++] = {op, slot};
         }
     }
+
+    // Register the counters with the run, as new stations would,
+    // binding the pool's stations in memOps order. Every NACHOS run
+    // reports nachos.runtimeForwards, with or without stations, and no
+    // NACHOS-SW run does.
+    if (scheme == BackendKind::Nachos)
+        runtimeForwards_ =
+            &stats.counter(SimCounter::NachosRuntimeForwards);
+    for (OpId op : region.memOps()) {
+        const OpInfo &inf = info_[op];
+        if (inf.station == kNoStation)
+            continue;
+        if (inf.station < stations_.size())
+            stations_[inf.station].bind(inf.mayParents.size, stats,
+                                        compares_per_cycle);
+        else
+            stations_.emplace_back(inf.mayParents.size, stats,
+                                   compares_per_cycle);
+    }
 }
 
 void
@@ -103,30 +121,8 @@ MdeBackend::beginInvocation(uint64_t inv)
         dyn_[op] = OpDyn{};
         dyn_[op].tokensPending = info_[op].orderTokensExpected;
     }
-    if (bound_) {
-        for (uint32_t i = 0; i < numStations_; ++i)
-            stations_[i].reset();
-        return;
-    }
-    // The run's first invocation registers the counters, as new
-    // stations would, binding the pool's stations in memOps order.
-    bound_ = true;
-    if (reportsRuntimeForwards_)
-        runtimeForwards_ =
-            &core_->stats().counter(SimCounter::NachosRuntimeForwards);
-    uint32_t next = 0;
-    for (OpId op : region_.memOps()) {
-        const OpInfo &inf = info_[op];
-        if (inf.station == kNoStation)
-            continue;
-        if (next < stations_.size())
-            stations_[next].bind(inf.mayParents.size, core_->stats(),
-                                 comparesPerCycle_);
-        else
-            stations_.emplace_back(inf.mayParents.size, core_->stats(),
-                                   comparesPerCycle_);
-        ++next;
-    }
+    for (uint32_t i = 0; i < numStations_; ++i)
+        stations_[i].reset();
 }
 
 void

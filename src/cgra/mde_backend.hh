@@ -101,10 +101,12 @@ class MdeBackend : public OrderingBackend
     /**
      * @param scheme BackendKind::NachosSw or BackendKind::Nachos
      * @param compares_per_cycle station arbiter width (NACHOS only)
+     * @param stats the run's counters, which the stations and the
+     *        runtime-forward count register with here
      */
     MdeBackend(const Region &region, const MdeSet &mdes,
                BackendKind scheme, uint32_t compares_per_cycle,
-               Buffers &buffers);
+               Buffers &buffers, SimStats &stats);
 
     void beginInvocation(uint64_t inv) override;
     void memAddrReady(OpId op, uint64_t addr, uint32_t size,
@@ -121,19 +123,8 @@ class MdeBackend : public OrderingBackend
     std::vector<OpDyn> &dyn_;
     std::vector<MayCheckStation> &stations_;
     uint32_t numStations_ = 0;
-    uint32_t comparesPerCycle_;
-    /** False until the run's first invocation binds the stations
-     * (they register their counters then). */
-    bool bound_ = false;
-
-    /**
-     * Every NACHOS run reports nachos.runtimeForwards, with or without
-     * stations, and no NACHOS-SW run does. This bit only decides that
-     * registration; no op without a station reaches the counter.
-     */
-    const bool reportsRuntimeForwards_;
-    /** Resolved on the first invocation (hot path: no lookup per
-     * forward). */
+    /** NACHOS only (hot path: no lookup per forward); no op without a
+     * station reaches it. */
     Counter *runtimeForwards_ = nullptr;
 
     template <typename T>

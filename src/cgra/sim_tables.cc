@@ -63,14 +63,12 @@ buildStaticProgram(SimTables &t, const Region &region)
           case FuEvent::Fp: ++t.staticTotals.fpOps; break;
           case FuEvent::None: break;
         }
-        ++t.staticTotals.eventsElided; // the op's completion
         const uint32_t first = t.fanoutOffset[s.op];
         for (uint32_t e = first; e < t.fanoutOffset[s.op + 1]; ++e) {
             const SimTables::FanoutEdge &edge = t.fanoutEdges[e];
             const uint32_t arrival = end + edge.latency;
             ++t.staticTotals.netTransfers;
             t.staticTotals.netHops += edge.hops;
-            ++t.staticTotals.eventsElided; // the operand delivery
             const uint32_t user = programIndex[edge.user];
             if (user != kDynamic) {
                 SimTables::StaticOp &u = t.staticProgram[user];

@@ -103,8 +103,6 @@ struct SimTables
         uint64_t fpOps = 0;
         uint64_t netTransfers = 0;
         uint64_t netHops = 0;
-        /** Completions and operand deliveries kept off the queue. */
-        uint64_t eventsElided = 0;
     };
 
     std::vector<OpInfo> opInfo;

@@ -298,7 +298,6 @@ SimCore::fireOp(OpId op, uint64_t cycle)
     countFuExecution(info.kind, *intOps_, *fpOps_);
     if (trace_.enabled())
         traceCompute(info.kind, op, cycle, info.fuLatency);
-    ++planEventsElided_; // the CompleteOp the event engine never sees
     completeAt(op, cycle + info.fuLatency,
                evalPure(info.kind, numInputs(op), inputs(op)));
 }
@@ -346,7 +345,6 @@ SimCore::deliverToUsers(OpId op, uint64_t cycle, int64_t value)
         const SimTables::FanoutEdge &e = tables_.fanoutEdges[i];
         netTransfers_->inc();
         netHops_->inc(e.hops);
-        ++planEventsElided_; // the OperandArrival that never exists
         deliverOperand(e.user, e.slot, cycle + e.latency, value);
     }
 }
@@ -444,7 +442,6 @@ SimCore::seedInvocation(uint64_t start_cycle)
         fpOps_->inc(t.fpOps);
         netTransfers_->inc(t.netTransfers);
         netHops_->inc(t.netHops);
-        planEventsElided_ += t.eventsElided;
         // completeAt's rule on the first completions of the invocation.
         criticalOp_ = tables_.staticCriticalOp;
         criticalSeen_ = true;
@@ -558,7 +555,6 @@ SimCore::run()
     result.memImage = hierarchy_.data().image();
     result.memCommits = std::move(memCommits_);
     result.planEventsDispatched = planEventsDispatched_;
-    result.planEventsElided = planEventsElided_;
     if (trace_.enabled())
         trace_.writeFile(cfg_.traceFile);
     return result;
@@ -593,13 +589,14 @@ simulate(const SimPlan &plan, const MdeSet &mdes, BackendKind kind,
     };
     switch (kind) {
       case BackendKind::OptLsq: {
-        LsqBackend backend(region, cfg.lsq, run.lsq);
+        LsqBackend backend(region, cfg.lsq, run.lsq, run.stats);
         return go(backend);
       }
       case BackendKind::NachosSw:
       case BackendKind::Nachos: {
         MdeBackend backend(region, mdes, kind,
-                           cfg.nachosComparesPerCycle, run.mde);
+                           cfg.nachosComparesPerCycle, run.mde,
+                           run.stats);
         return go(backend);
       }
     }

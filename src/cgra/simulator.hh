@@ -132,7 +132,6 @@ struct SimResult
     // commit trace describe the modeled machine, while these counters
     // describe the host engine's own work.
     uint64_t planEventsDispatched = 0; ///< events the engine dispatched
-    uint64_t planEventsElided = 0;     ///< events eager delivery avoided
 };
 
 class SimCore;
@@ -228,8 +227,6 @@ class SimCore
 
     const Region &region() const { return region_; }
     const MdeSet &mdes() const { return mdes_; }
-    /** The run's counters. */
-    SimStats &stats() { return stats_; }
     uint64_t invocation() const { return invocation_; }
 
   private:
@@ -357,9 +354,8 @@ class SimCore
     std::vector<MemCommit> memCommits_;
     TraceCollector trace_;
 
-    // Firing-plan observability (SimResult::plan* fields).
+    // Firing-plan observability (SimResult::planEventsDispatched).
     uint64_t planEventsDispatched_ = 0;
-    uint64_t planEventsElided_ = 0;
 
     int64_t *inputs(OpId op)
     {

@@ -7,57 +7,22 @@ namespace nachos {
 
 namespace {
 
-bool
-failCodec(CodecError &err, std::string code, std::string message)
+/** One SimSummary member: its wire name and its field. */
+struct SimSummaryField
 {
-    err.code = std::move(code);
-    err.message = std::move(message);
-    return false;
-}
+    const char *name;
+    uint64_t SimSummary::*u64;  ///< set for integer members
+    double SimSummary::*number; ///< set for the others
+};
 
-/** Reject members for which `known(name)` is false (strict decoding). */
-template <class Known>
-bool
-checkMembers(const JsonValue &v, Known known, CodecError &err)
-{
-    for (const auto &member : v.members())
-        if (!known(member.first))
-            return failCodec(err, "bad_request",
-                             "unknown member '" + member.first + "'");
-    return true;
-}
-
-/** Reject members outside `allowed`. */
-bool
-checkMembers(const JsonValue &v,
-             std::initializer_list<std::string_view> allowed,
-             CodecError &err)
-{
-    return checkMembers(
-        v,
-        [allowed](std::string_view name) {
-            for (const std::string_view a : allowed)
-                if (name == a)
-                    return true;
-            return false;
-        },
-        err);
-}
-
-bool
-getU64Member(const JsonValue &v, const char *name, uint64_t &out,
-             CodecError &err, const char *code = "bad_request")
-{
-    const JsonValue *m = v.find(name);
-    if (!m)
-        return true; // optional; caller keeps the default
-    if (!m->isU64())
-        return failCodec(err, code,
-                         std::string("'") + name +
-                             "' must be a non-negative integer");
-    out = m->asU64();
-    return true;
-}
+constexpr SimSummaryField kSimSummaryFields[] = {
+    {"cycles", &SimSummary::cycles, nullptr},
+    {"cyclesPerInvocation", nullptr, &SimSummary::cyclesPerInvocation},
+    {"maxMlp", &SimSummary::maxMlp, nullptr},
+    {"avgMlp", nullptr, &SimSummary::avgMlp},
+    {"loadValueDigest", &SimSummary::loadValueDigest, nullptr},
+    {"energyTotal", nullptr, &SimSummary::energyTotal},
+};
 
 void
 writePairCounts(JsonWriter &w, const PairCounts &counts)
@@ -76,23 +41,18 @@ decodePairCounts(const JsonValue *v, PairCounts &counts,
     if (!v || !v->isObject())
         return failCodec(err, "bad_request",
                          "pair-count object missing");
-    if (!checkMembers(*v, {"no", "may", "must"}, err))
-        return false;
-    return getU64Member(*v, "no", counts.no, err) &&
-           getU64Member(*v, "may", counts.may, err) &&
-           getU64Member(*v, "must", counts.must, err);
+    const char *code = "bad_request";
+    return checkMembers(*v, {"no", "may", "must"}, err, code) &&
+           readOptionalU64(*v, "no", counts.no, err, code) &&
+           readOptionalU64(*v, "may", counts.may, err, code) &&
+           readOptionalU64(*v, "must", counts.must, err, code);
 }
 
 void
 writeSimSummary(JsonWriter &w, const SimSummary &s)
 {
     w.beginObject();
-    w.member("cycles", s.cycles);
-    w.member("cyclesPerInvocation", s.cyclesPerInvocation);
-    w.member("maxMlp", s.maxMlp);
-    w.member("avgMlp", s.avgMlp);
-    w.member("loadValueDigest", s.loadValueDigest);
-    w.member("energyTotal", s.energyTotal);
+    writeSimSummaryMembers(w, s);
     w.endObject();
 }
 
@@ -102,26 +62,8 @@ decodeSimSummary(const JsonValue &v, SimSummary &s, CodecError &err)
     if (!v.isObject())
         return failCodec(err, "bad_request",
                          "backend summary must be an object");
-    if (!checkMembers(v,
-                      {"cycles", "cyclesPerInvocation", "maxMlp",
-                       "avgMlp", "loadValueDigest", "energyTotal"},
-                      err))
-        return false;
-    if (!getU64Member(v, "cycles", s.cycles, err) ||
-        !getU64Member(v, "maxMlp", s.maxMlp, err) ||
-        !getU64Member(v, "loadValueDigest", s.loadValueDigest, err))
-        return false;
-    const JsonValue *cpi = v.find("cyclesPerInvocation");
-    const JsonValue *mlp = v.find("avgMlp");
-    const JsonValue *energy = v.find("energyTotal");
-    if (!cpi || !cpi->isNumber() || !mlp || !mlp->isNumber() ||
-        !energy || !energy->isNumber())
-        return failCodec(err, "bad_request",
-                         "backend summary field missing or non-numeric");
-    s.cyclesPerInvocation = cpi->asDouble();
-    s.avgMlp = mlp->asDouble();
-    s.energyTotal = energy->asDouble();
-    return true;
+    return checkMembers(v, isSimSummaryMember, err, "bad_request") &&
+           readSimSummaryMembers(v, s, err, "bad_request");
 }
 
 SimSummary
@@ -140,6 +82,113 @@ summarizeSim(const SimResult &r)
 } // namespace
 
 bool
+failCodec(CodecError &err, std::string code, std::string message)
+{
+    err.code = std::move(code);
+    err.message = std::move(message);
+    return false;
+}
+
+bool
+checkMembers(const JsonValue &v,
+             std::initializer_list<std::string_view> allowed,
+             CodecError &err, const char *code, std::string_view noun)
+{
+    return checkMembers(
+        v,
+        [allowed](std::string_view name) {
+            for (const std::string_view a : allowed)
+                if (name == a)
+                    return true;
+            return false;
+        },
+        err, code, noun);
+}
+
+bool
+readOptionalU64(const JsonValue &v, const char *name, uint64_t &out,
+                CodecError &err, const char *code)
+{
+    const JsonValue *m = v.find(name);
+    if (!m)
+        return true; // optional; caller keeps the default
+    if (!m->isU64())
+        return failCodec(err, code,
+                         std::string("'") + name +
+                             "' must be a non-negative integer");
+    out = m->asU64();
+    return true;
+}
+
+bool
+readU64(const JsonValue &v, const char *name, uint64_t &out,
+        CodecError &err, const char *code)
+{
+    if (!v.find(name))
+        return failCodec(err, code,
+                         std::string("'") + name +
+                             "' must be a non-negative integer");
+    return readOptionalU64(v, name, out, err, code);
+}
+
+bool
+readNumber(const JsonValue &v, const char *name, double &out,
+           CodecError &err, const char *code)
+{
+    const JsonValue *m = v.find(name);
+    if (!m || !m->isNumber())
+        return failCodec(err, code,
+                         std::string("'") + name + "' must be a number");
+    out = m->asDouble();
+    return true;
+}
+
+bool
+readString(const JsonValue &v, const char *name, std::string &out,
+           CodecError &err, const char *code)
+{
+    const JsonValue *m = v.find(name);
+    if (!m || !m->isString() || m->str().empty())
+        return failCodec(err, code,
+                         std::string("'") + name +
+                             "' must be a non-empty string");
+    out = m->str();
+    return true;
+}
+
+void
+writeSimSummaryMembers(JsonWriter &w, const SimSummary &s)
+{
+    for (const SimSummaryField &f : kSimSummaryFields) {
+        if (f.u64)
+            w.member(f.name, s.*f.u64);
+        else
+            w.member(f.name, s.*f.number);
+    }
+}
+
+bool
+readSimSummaryMembers(const JsonValue &v, SimSummary &s, CodecError &err,
+                      const char *code)
+{
+    for (const SimSummaryField &f : kSimSummaryFields) {
+        if (f.u64 ? !readU64(v, f.name, s.*f.u64, err, code)
+                  : !readNumber(v, f.name, s.*f.number, err, code))
+            return false;
+    }
+    return true;
+}
+
+bool
+isSimSummaryMember(std::string_view name)
+{
+    for (const SimSummaryField &f : kSimSummaryFields)
+        if (name == f.name)
+            return true;
+    return false;
+}
+
+bool
 decodeMachineOverrides(const JsonValue &v, MachineOverrides &out,
                        CodecError &err)
 {
@@ -150,7 +199,7 @@ decodeMachineOverrides(const JsonValue &v, MachineOverrides &out,
     if (!v.isObject())
         return failCodec(err, "bad_machine",
                          "'machine' must be an object");
-    if (!checkMembers(v, findMachineField, err))
+    if (!checkMembers(v, findMachineField, err, "bad_request"))
         return false;
     for (const MachineField &field : machineFields()) {
         const JsonValue *f = v.find(field.name);
@@ -195,7 +244,7 @@ decodeRunRequest(const JsonValue &v, JobSpec &spec, CodecError &err)
                       {"workload", "pathIndex", "seed", "backends",
                        "pipeline", "invocations", "machine",
                        "timeoutMillis", "sleepMillis", "class"},
-                      err))
+                      err, "bad_request"))
         return false;
 
     // Absent optional members mean their defaults, even when the
@@ -254,7 +303,8 @@ decodeRunRequest(const JsonValue &v, JobSpec &spec, CodecError &err)
         if (!m->isObject())
             return failCodec(err, "bad_request",
                              "'pipeline' must be an object");
-        if (!checkMembers(*m, {"stage2", "stage3", "stage4"}, err))
+        if (!checkMembers(*m, {"stage2", "stage3", "stage4"}, err,
+                          "bad_request"))
             return false;
         auto stage = [&](const char *name, bool &flag) {
             if (const JsonValue *s = m->find(name)) {
@@ -273,7 +323,8 @@ decodeRunRequest(const JsonValue &v, JobSpec &spec, CodecError &err)
     }
 
     uint64_t invocations = 0;
-    if (!getU64Member(v, "invocations", invocations, err))
+    if (!readOptionalU64(v, "invocations", invocations, err,
+                         "bad_request"))
         return false;
     if (invocations > kMaxInvocationsOverride)
         return failCodec(err, "bad_request",
@@ -287,9 +338,11 @@ decodeRunRequest(const JsonValue &v, JobSpec &spec, CodecError &err)
             return false;
     }
 
-    if (!getU64Member(v, "timeoutMillis", spec.timeoutMillis, err))
+    if (!readOptionalU64(v, "timeoutMillis", spec.timeoutMillis, err,
+                         "bad_request"))
         return false;
-    if (!getU64Member(v, "sleepMillis", spec.sleepMillis, err))
+    if (!readOptionalU64(v, "sleepMillis", spec.sleepMillis, err,
+                         "bad_request"))
         return false;
     if (spec.sleepMillis > 60'000)
         return failCodec(err, "bad_request",
@@ -428,7 +481,7 @@ decodeOutcome(const JsonValue &v, OutcomeSummary &summary,
     if (!checkMembers(v,
                       {"workload", "pathIndex", "seed", "invocations",
                        "labels", "enforced", "mdes", "backends"},
-                      err))
+                      err, "bad_request"))
         return false;
     const JsonValue *workload = v.find("workload");
     if (!workload || !workload->isString())
@@ -436,9 +489,11 @@ decodeOutcome(const JsonValue &v, OutcomeSummary &summary,
                          "'workload' (string) is required");
     summary.workload = workload->str();
     uint64_t path = 0;
-    if (!getU64Member(v, "pathIndex", path, err) ||
-        !getU64Member(v, "seed", summary.seed, err) ||
-        !getU64Member(v, "invocations", summary.invocations, err))
+    const char *code = "bad_request";
+    if (!readOptionalU64(v, "pathIndex", path, err, code) ||
+        !readOptionalU64(v, "seed", summary.seed, err, code) ||
+        !readOptionalU64(v, "invocations", summary.invocations, err,
+                         code))
         return false;
     summary.pathIndex = static_cast<uint32_t>(path);
     if (!decodePairCounts(v.find("labels"), summary.labels, err) ||
@@ -447,16 +502,17 @@ decodeOutcome(const JsonValue &v, OutcomeSummary &summary,
     const JsonValue *mdes = v.find("mdes");
     if (!mdes || !mdes->isObject())
         return failCodec(err, "bad_request", "'mdes' object missing");
-    if (!checkMembers(*mdes, {"order", "forward", "may"}, err))
+    if (!checkMembers(*mdes, {"order", "forward", "may"}, err, code))
         return false;
-    if (!getU64Member(*mdes, "order", summary.mdeOrder, err) ||
-        !getU64Member(*mdes, "forward", summary.mdeForward, err) ||
-        !getU64Member(*mdes, "may", summary.mdeMay, err))
+    if (!readOptionalU64(*mdes, "order", summary.mdeOrder, err, code) ||
+        !readOptionalU64(*mdes, "forward", summary.mdeForward, err,
+                         code) ||
+        !readOptionalU64(*mdes, "may", summary.mdeMay, err, code))
         return false;
     const JsonValue *backends = v.find("backends");
     if (!backends || !backends->isObject())
         return failCodec(err, "bad_request", "'backends' object missing");
-    if (!checkMembers(*backends, findBackend, err))
+    if (!checkMembers(*backends, findBackend, err, "bad_request"))
         return false;
     for (const BackendField &backend : backendFields()) {
         if (const JsonValue *b = backends->find(backend.name)) {

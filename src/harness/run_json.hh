@@ -17,8 +17,10 @@
 #ifndef NACHOS_HARNESS_RUN_JSON_HH
 #define NACHOS_HARNESS_RUN_JSON_HH
 
+#include <initializer_list>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "harness/runner.hh"
 #include "support/json.hh"
@@ -31,6 +33,53 @@ struct CodecError
     std::string code;    ///< e.g. "unknown_workload", "bad_request"
     std::string message; ///< what exactly was wrong
 };
+
+// ---- decoder helpers ------------------------------------------------
+// Shared by every strict decoder: the request and outcome codecs here,
+// the protocol envelope (`bad_request`), the sweep spec (`bad_sweep`)
+// and the sweep store (`bad_record`). Each caller passes its own code.
+
+/** Fill `err` and return false: every decoder's failure path. */
+bool failCodec(CodecError &err, std::string code, std::string message);
+
+/**
+ * Strict decoding: fail as `code` with "unknown <noun> 'name'" on the
+ * first member of `v` for which `known(name)` is false.
+ */
+template <class Known>
+bool
+checkMembers(const JsonValue &v, Known known, CodecError &err,
+             const char *code, std::string_view noun = "member")
+{
+    for (const auto &member : v.members())
+        if (!known(std::string_view(member.first)))
+            return failCodec(err, code,
+                             "unknown " + std::string(noun) + " '" +
+                                 member.first + "'");
+    return true;
+}
+
+/** As above, for the members named in `allowed`. */
+bool checkMembers(const JsonValue &v,
+                  std::initializer_list<std::string_view> allowed,
+                  CodecError &err, const char *code,
+                  std::string_view noun = "member");
+
+/**
+ * Required member readers: fail as `code` unless member `name` is
+ * present with the right type ("'name' must be a non-negative
+ * integer", "... a number", "... a non-empty string").
+ */
+bool readU64(const JsonValue &v, const char *name, uint64_t &out,
+             CodecError &err, const char *code);
+bool readNumber(const JsonValue &v, const char *name, double &out,
+                CodecError &err, const char *code);
+bool readString(const JsonValue &v, const char *name, std::string &out,
+                CodecError &err, const char *code);
+
+/** Optional: an absent member leaves `out` as it was. */
+bool readOptionalU64(const JsonValue &v, const char *name,
+                     uint64_t &out, CodecError &err, const char *code);
 
 /** Highest pathIndex a request may name (the paper's top-5 paths). */
 constexpr uint32_t kMaxPathIndex = 4;
@@ -119,6 +168,21 @@ struct SimSummary
     uint64_t loadValueDigest = 0;
     double energyTotal = 0;
 };
+
+/**
+ * SimSummary's members, in the fixed order above, written into an open
+ * object: the body of an outcome's backend summary and part of a sweep
+ * store line.
+ */
+void writeSimSummaryMembers(JsonWriter &w, const SimSummary &s);
+
+/** Inverse of writeSimSummaryMembers: every member is required, and a
+ *  failure carries `code`. Other members of `v` are not looked at. */
+bool readSimSummaryMembers(const JsonValue &v, SimSummary &s,
+                           CodecError &err, const char *code);
+
+/** True when `name` is one of SimSummary's members. */
+bool isSimSummaryMember(std::string_view name);
 
 /** The wire-level view of a RunOutcome (regions stay server-side). */
 struct OutcomeSummary

@@ -55,20 +55,16 @@ runSuite(const std::vector<BenchmarkInfo> &suite,
     }
     const double wall =
         std::chrono::duration<double>(clock::now() - wall0).count();
-    const uint64_t synth = toMicros(total.synthSeconds);
-    const uint64_t analysis = toMicros(total.analysisSeconds);
-    const uint64_t mde = toMicros(total.mdeSeconds);
-    const uint64_t sim = toMicros(total.simSeconds);
-
-    run.timing.counter("suite.wallMicros").inc(toMicros(wall));
-    run.timing.counter("suite.taskMicros")
-        .inc(synth + analysis + mde + sim);
-    run.timing.counter("stage.synthMicros").inc(synth);
-    run.timing.counter("stage.analysisMicros").inc(analysis);
-    run.timing.counter("stage.mdeMicros").inc(mde);
-    run.timing.counter("stage.simMicros").inc(sim);
-    run.timing.counter("suite.workloads").inc(run.outcomes.size());
-    run.timing.counter("suite.threads").inc(pool.size());
+    SuiteTiming &t = run.timing;
+    t.wallMicros = toMicros(wall);
+    t.synthMicros = toMicros(total.synthSeconds);
+    t.analysisMicros = toMicros(total.analysisSeconds);
+    t.mdeMicros = toMicros(total.mdeSeconds);
+    t.simMicros = toMicros(total.simSeconds);
+    t.taskMicros =
+        t.synthMicros + t.analysisMicros + t.mdeMicros + t.simMicros;
+    t.workloads = run.outcomes.size();
+    t.threads = pool.size();
     return run;
 }
 
@@ -98,17 +94,15 @@ suiteThreads(int argc, char *const argv[])
 void
 printSuiteTiming(std::ostream &os, const SuiteRun &run)
 {
-    const StatSet &t = run.timing;
-    auto ms = [&t](const char *name) {
-        return fmtDouble(static_cast<double>(t.get(name)) / 1000.0, 1);
+    const SuiteTiming &t = run.timing;
+    auto ms = [](uint64_t micros) {
+        return fmtDouble(static_cast<double>(micros) / 1000.0, 1);
     };
-    os << "suite: " << t.get("suite.workloads") << " workloads on "
-       << t.get("suite.threads") << " thread(s): "
-       << ms("suite.wallMicros") << " ms wall, "
-       << ms("suite.taskMicros") << " ms of work (synth "
-       << ms("stage.synthMicros") << ", analysis "
-       << ms("stage.analysisMicros") << ", mde "
-       << ms("stage.mdeMicros") << ", sim " << ms("stage.simMicros")
+    os << "suite: " << t.workloads << " workloads on " << t.threads
+       << " thread(s): " << ms(t.wallMicros) << " ms wall, "
+       << ms(t.taskMicros) << " ms of work (synth "
+       << ms(t.synthMicros) << ", analysis " << ms(t.analysisMicros)
+       << ", mde " << ms(t.mdeMicros) << ", sim " << ms(t.simMicros)
        << ")\n";
 }
 

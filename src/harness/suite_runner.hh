@@ -10,8 +10,8 @@
  *
  * Every full-suite bench binary accepts `--threads N` (else the
  * NACHOS_THREADS environment variable, else all hardware threads) via
- * suiteThreads(); timing lands in a StatSet so speedup is observable
- * without touching the deterministic stdout tables.
+ * suiteThreads(); timing lands in SuiteRun::timing so speedup is
+ * observable without touching the deterministic stdout tables.
  */
 
 #ifndef NACHOS_HARNESS_SUITE_RUNNER_HH
@@ -21,10 +21,22 @@
 #include <vector>
 
 #include "harness/runner.hh"
-#include "support/stats.hh"
 #include "support/thread_pool.hh"
 
 namespace nachos {
+
+/** Wall-clock accounting of a suite sweep; times in microseconds. */
+struct SuiteTiming
+{
+    uint64_t wallMicros = 0;     ///< end-to-end wall clock of the sweep
+    uint64_t taskMicros = 0;     ///< summed per-task time (aggregate work)
+    uint64_t synthMicros = 0;    ///< summed synthesis time
+    uint64_t analysisMicros = 0; ///< summed alias-pipeline time
+    uint64_t mdeMicros = 0;      ///< summed MDE-insertion time
+    uint64_t simMicros = 0;      ///< summed backend-simulation time
+    uint64_t workloads = 0;      ///< number of workloads run
+    uint64_t threads = 0;        ///< pool size used
+};
 
 /** Result of a (possibly parallel) sweep over a workload suite. */
 struct SuiteRun
@@ -35,18 +47,7 @@ struct SuiteRun
     /** Per-workload stage timing, in suite order. */
     std::vector<StageTimes> stageTimes;
 
-    /**
-     * Wall-clock accounting, all in microseconds except the last two:
-     *   suite.wallMicros      end-to-end wall clock of the sweep
-     *   suite.taskMicros      summed per-task time (aggregate work)
-     *   stage.synthMicros     summed synthesis time
-     *   stage.analysisMicros  summed alias-pipeline time
-     *   stage.mdeMicros       summed MDE-insertion time
-     *   stage.simMicros       summed backend-simulation time
-     *   suite.workloads       number of workloads run
-     *   suite.threads         pool size used
-     */
-    StatSet timing;
+    SuiteTiming timing;
 };
 
 /**

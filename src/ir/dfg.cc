@@ -51,13 +51,6 @@ Region::object(ObjectId id) const
     return objects_[id];
 }
 
-MemObject &
-Region::mutableObject(ObjectId id)
-{
-    NACHOS_ASSERT(id < objects_.size(), "object id out of range");
-    return objects_[id];
-}
-
 const PointerParam &
 Region::param(ParamId id) const
 {

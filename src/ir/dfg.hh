@@ -56,7 +56,6 @@ class Region
     // ------------------------------------------------------------------
 
     const std::string &name() const { return name_; }
-    void setName(std::string n) { name_ = std::move(n); }
 
     size_t numOps() const { return ops_.size(); }
     // Inline: on the simulator's per-event path (millions of calls).
@@ -69,7 +68,6 @@ class Region
 
     const MemObject &object(ObjectId id) const;
     const std::vector<MemObject> &objects() const { return objects_; }
-    MemObject &mutableObject(ObjectId id);
 
     const PointerParam &param(ParamId id) const;
     const std::vector<PointerParam> &params() const { return params_; }

@@ -103,9 +103,6 @@ struct PointerParam
     int64_t actualOffset = 0;
 };
 
-/** Printable name of an object kind. */
-const char *objectKindName(ObjectKind k);
-
 } // namespace nachos
 
 #endif // NACHOS_IR_MEM_OBJECT_HH

@@ -42,6 +42,75 @@ errorLine(uint64_t id, std::string_view code, std::string_view message)
     return line;
 }
 
+/** A `metrics` counter: its wire name and its DaemonMetrics field. */
+struct CounterRow
+{
+    std::string_view name;
+    Counter DaemonMetrics::*field;
+};
+
+/** A `metrics` histogram: its wire name and its DaemonMetrics field. */
+struct HistogramRow
+{
+    std::string_view name;
+    LatencyHistogram DaemonMetrics::*field;
+};
+
+/** Every counter of the `metrics` snapshot, in name order. */
+constexpr CounterRow kCounterRows[] = {
+    {"cache.evictions", &DaemonMetrics::cacheEvictions},
+    {"cache.hits", &DaemonMetrics::cacheHits},
+    {"cache.misses", &DaemonMetrics::cacheMisses},
+    {"cache.size", &DaemonMetrics::cacheSize},
+    {"conns.accepted", &DaemonMetrics::connsAccepted},
+    {"conns.active", &DaemonMetrics::connsActive},
+    {"daemon.draining", &DaemonMetrics::daemonDraining},
+    {"daemon.workers", &DaemonMetrics::daemonWorkers},
+    {"jobs.accepted", &DaemonMetrics::jobsAccepted},
+    {"jobs.acceptedBulk", &DaemonMetrics::jobsAcceptedBulk},
+    {"jobs.acceptedInteractive", &DaemonMetrics::jobsAcceptedInteractive},
+    {"jobs.cancelled", &DaemonMetrics::jobsCancelled},
+    {"jobs.completed", &DaemonMetrics::jobsCompleted},
+    {"jobs.expired", &DaemonMetrics::jobsExpired},
+    {"jobs.failed", &DaemonMetrics::jobsFailed},
+    {"jobs.lateResults", &DaemonMetrics::jobsLateResults},
+    {"jobs.outstanding", &DaemonMetrics::jobsOutstanding},
+    {"jobs.rejected", &DaemonMetrics::jobsRejected},
+    {"jobs.rejectedDraining", &DaemonMetrics::jobsRejectedDraining},
+    {"plan.eventsDispatched", &DaemonMetrics::planEventsDispatched},
+    {"queue.bulkDepth", &DaemonMetrics::queueBulkDepth},
+    {"queue.depth", &DaemonMetrics::queueDepth},
+    {"queue.interactiveDepth", &DaemonMetrics::queueInteractiveDepth},
+    {"requests.errors", &DaemonMetrics::requestsErrors},
+    {"requests.total", &DaemonMetrics::requestsTotal},
+};
+
+/** Every histogram of the `metrics` snapshot, in name order. */
+constexpr HistogramRow kHistogramRows[] = {
+    {"latency.analysisMicros", &DaemonMetrics::analysisMicros},
+    {"latency.bulk.totalMicros", &DaemonMetrics::bulkTotalMicros},
+    {"latency.interactive.totalMicros",
+     &DaemonMetrics::interactiveTotalMicros},
+    {"latency.mdeMicros", &DaemonMetrics::mdeMicros},
+    {"latency.queueMicros", &DaemonMetrics::queueMicros},
+    {"latency.simMicros", &DaemonMetrics::simMicros},
+    {"latency.synthMicros", &DaemonMetrics::synthMicros},
+    {"latency.totalMicros", &DaemonMetrics::totalMicros},
+};
+
+template <class Row, size_t N>
+constexpr bool
+inNameOrder(const Row (&rows)[N])
+{
+    for (size_t i = 1; i < N; ++i)
+        if (!(rows[i - 1].name < rows[i].name))
+            return false;
+    return true;
+}
+
+static_assert(inNameOrder(kCounterRows) && inNameOrder(kHistogramRows),
+              "metrics rows must be sorted by wire name");
+
 /** Answer `job` with an error line (the job owns its response). */
 void
 respondError(const Job &job, std::string_view code,
@@ -300,7 +369,7 @@ Daemon::acceptLoop()
             if (fd < 0)
                 continue;
             auto conn = std::make_shared<Connection>(fd);
-            bump("conns.accepted");
+            bump(&DaemonMetrics::connsAccepted);
             std::lock_guard<std::mutex> lock(connsMutex_);
             conns_.push_back(conn);
             connThreads_.emplace_back(
@@ -362,11 +431,11 @@ void
 Daemon::handleLine(const std::shared_ptr<Connection> &conn,
                    std::string_view line, JsonValue &reqTree)
 {
-    bump("requests.total");
+    bump(&DaemonMetrics::requestsTotal);
     Request req;
     CodecError err;
     if (!parseRequestLine(line, reqTree, req, err)) {
-        bump("requests.errors");
+        bump(&DaemonMetrics::requestsErrors);
         sendTo(conn, errorLine(req.id, err.code, err.message));
         return;
     }
@@ -398,7 +467,7 @@ void
 Daemon::handleRun(const std::shared_ptr<Connection> &conn, Request &req)
 {
     if (draining_.load()) {
-        bump("jobs.rejectedDraining");
+        bump(&DaemonMetrics::jobsRejectedDraining);
         sendTo(conn, errorLine(req.id, "shutting_down",
                                "daemon is draining"));
         return;
@@ -410,7 +479,7 @@ Daemon::handleRun(const std::shared_ptr<Connection> &conn, Request &req)
             if (std::shared_ptr<Job> live = it->second.lock()) {
                 const JobState s = live->state.load();
                 if (s == JobState::Queued || s == JobState::Running) {
-                    bump("requests.errors");
+                    bump(&DaemonMetrics::requestsErrors);
                     sendTo(conn, errorLine(req.id, "bad_request",
                                            "id already names an active "
                                            "job on this connection"));
@@ -446,11 +515,12 @@ Daemon::handleRun(const std::shared_ptr<Connection> &conn, Request &req)
     // can claim the job: a fast worker must never bump jobs.completed
     // for a job whose acceptance is not yet visible to metrics.
     if (!queue_.tryPush(job, [this, bulk] {
-            bump("jobs.accepted");
-            bump(bulk ? "jobs.acceptedBulk" : "jobs.acceptedInteractive");
+            bump(&DaemonMetrics::jobsAccepted);
+            bump(bulk ? &DaemonMetrics::jobsAcceptedBulk
+                      : &DaemonMetrics::jobsAcceptedInteractive);
         })) {
         finishJob();
-        bump("jobs.rejected");
+        bump(&DaemonMetrics::jobsRejected);
         const size_t capacity =
             bulk ? config_.bulkQueueCapacity : config_.queueCapacity;
         sendTo(conn,
@@ -479,7 +549,7 @@ Daemon::handleCancel(const std::shared_ptr<Connection> &conn,
         // We own the job's response now (Queued -> Cancelled).
         respondError(*target, "cancelled", "job cancelled by request");
         finishJob();
-        bump("jobs.cancelled");
+        bump(&DaemonMetrics::jobsCancelled);
         std::string reply;
         appendOkResponse(reply, req.id);
         sendTo(conn, std::move(reply));
@@ -522,8 +592,7 @@ Daemon::executeJob(Worker &self, const std::shared_ptr<Job> &job)
     const clock_t_::time_point started = clock_t_::now();
     {
         std::lock_guard<std::mutex> lock(statsMutex_);
-        stats_.histogram("latency.queueMicros")
-            .sample(microsBetween(job->enqueued, started));
+        metrics_.queueMicros.sample(microsBetween(job->enqueued, started));
     }
     if (job->spec.sleepMillis) {
         std::this_thread::sleep_for(
@@ -557,13 +626,13 @@ Daemon::executeJob(Worker &self, const std::shared_ptr<Job> &job)
     if (!job->tryTransition(JobState::Running, JobState::Done)) {
         // The watchdog answered `timeout` while we were computing; the
         // result is discarded but still counted.
-        bump("jobs.lateResults");
+        bump(&DaemonMetrics::jobsLateResults);
         return;
     }
     if (failed) {
         respondError(*job, "internal",
                      "job execution failed: " + failMessage);
-        bump("jobs.failed");
+        bump(&DaemonMetrics::jobsFailed);
         return;
     }
     respondResult(self, job,
@@ -573,28 +642,19 @@ Daemon::executeJob(Worker &self, const std::shared_ptr<Job> &job)
         microsBetween(job->enqueued, clock_t_::now());
     const bool bulk = job->spec.klass == AdmitClass::Bulk;
     std::lock_guard<std::mutex> lock(statsMutex_);
-    stats_.counter("jobs.completed").inc();
+    DaemonMetrics &m = metrics_;
+    m.jobsCompleted.inc();
     // Firing-plan observability: the engine's event traffic summed
     // over every backend run the daemon served.
-    for (const BackendField &backend : backendFields()) {
-        const std::optional<SimResult> &sim = sims.*backend.result;
-        if (!sim)
-            continue;
-        stats_.counter("plan.eventsDispatched")
-            .inc(sim->planEventsDispatched);
-        stats_.counter("plan.eventsElided").inc(sim->planEventsElided);
-    }
-    stats_.histogram("latency.synthMicros")
-        .sample(secondsToMicros(times.synthSeconds));
-    stats_.histogram("latency.analysisMicros")
-        .sample(secondsToMicros(times.analysisSeconds));
-    stats_.histogram("latency.mdeMicros")
-        .sample(secondsToMicros(times.mdeSeconds));
-    stats_.histogram("latency.simMicros")
-        .sample(secondsToMicros(times.simSeconds));
-    stats_.histogram("latency.totalMicros").sample(totalMicros);
-    stats_.histogram(bulk ? "latency.bulk.totalMicros"
-                          : "latency.interactive.totalMicros")
+    for (const BackendField &backend : backendFields())
+        if (const std::optional<SimResult> &sim = sims.*backend.result)
+            m.planEventsDispatched.inc(sim->planEventsDispatched);
+    m.synthMicros.sample(secondsToMicros(times.synthSeconds));
+    m.analysisMicros.sample(secondsToMicros(times.analysisSeconds));
+    m.mdeMicros.sample(secondsToMicros(times.mdeSeconds));
+    m.simMicros.sample(secondsToMicros(times.simSeconds));
+    m.totalMicros.sample(totalMicros);
+    (bulk ? m.bulkTotalMicros : m.interactiveTotalMicros)
         .sample(totalMicros);
 }
 
@@ -670,7 +730,7 @@ Daemon::watchdogLoop(std::stop_token st)
                 // outstanding count.
                 respondError(*job, "timeout",
                              "job timed out before starting");
-                bump("jobs.expired");
+                bump(&DaemonMetrics::jobsExpired);
                 finishJob();
             } else if (job->tryTransition(JobState::Running,
                                           JobState::TimedOut)) {
@@ -678,7 +738,7 @@ Daemon::watchdogLoop(std::stop_token st)
                 // the late result and settles the accounting.
                 respondError(*job, "timeout",
                              "job exceeded its deadline while running");
-                bump("jobs.expired");
+                bump(&DaemonMetrics::jobsExpired);
             }
         }
     }
@@ -696,37 +756,47 @@ Daemon::sendTo(const std::shared_ptr<Connection> &conn, std::string line)
 }
 
 void
-Daemon::bump(const char *name, uint64_t n)
+Daemon::bump(Counter DaemonMetrics::*counter)
 {
     std::lock_guard<std::mutex> lock(statsMutex_);
-    stats_.counter(name).inc(n);
+    (metrics_.*counter).inc();
 }
 
 JsonValue
 Daemon::metricsSnapshot() const
 {
-    StatSet copy;
+    DaemonMetrics m;
     {
         std::lock_guard<std::mutex> lock(statsMutex_);
-        copy.merge(stats_);
+        m = metrics_;
     }
-    // Point-in-time gauges ride along as counters of the snapshot.
     const size_t interactiveDepth =
         queue_.depth(AdmitClass::Interactive);
     const size_t bulkDepth = queue_.depth(AdmitClass::Bulk);
-    copy.counter("queue.depth").inc(interactiveDepth + bulkDepth);
-    copy.counter("queue.interactiveDepth").inc(interactiveDepth);
-    copy.counter("queue.bulkDepth").inc(bulkDepth);
-    copy.counter("jobs.outstanding").inc(outstanding_.load());
-    copy.counter("conns.active").inc(activeConns_.load());
-    copy.counter("daemon.draining").inc(draining_.load() ? 1 : 0);
-    copy.counter("daemon.workers").inc(workers_.size());
+    m.queueDepth.inc(interactiveDepth + bulkDepth);
+    m.queueInteractiveDepth.inc(interactiveDepth);
+    m.queueBulkDepth.inc(bulkDepth);
+    m.jobsOutstanding.inc(outstanding_.load());
+    m.connsActive.inc(activeConns_.load());
+    m.daemonDraining.inc(draining_.load() ? 1 : 0);
+    m.daemonWorkers.inc(workers_.size());
     const RegionCache::Counters cc = cache_.counters();
-    copy.counter("cache.hits").inc(cc.hits);
-    copy.counter("cache.misses").inc(cc.misses);
-    copy.counter("cache.evictions").inc(cc.evictions);
-    copy.counter("cache.size").inc(cc.size);
-    return copy.jsonSnapshot();
+    m.cacheHits.inc(cc.hits);
+    m.cacheMisses.inc(cc.misses);
+    m.cacheEvictions.inc(cc.evictions);
+    m.cacheSize.inc(cc.size);
+
+    JsonValue counters = JsonValue::makeObject();
+    for (const CounterRow &row : kCounterRows)
+        counters.set(std::string(row.name), (m.*row.field).value());
+    JsonValue histograms = JsonValue::makeObject();
+    for (const HistogramRow &row : kHistogramRows)
+        histograms.set(std::string(row.name),
+                       (m.*row.field).jsonSnapshot());
+    JsonValue v = JsonValue::makeObject();
+    v.set("counters", std::move(counters));
+    v.set("histograms", std::move(histograms));
+    return v;
 }
 
 } // namespace nachos

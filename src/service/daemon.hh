@@ -77,6 +77,55 @@ struct DaemonConfig
     uint64_t defaultTimeoutMillis = 0;
 };
 
+/**
+ * Every counter and latency histogram of the daemon's `metrics`
+ * (DESIGN.md §9.4), one field each, so every key is present from the
+ * daemon's start. The row tables in daemon.cc give each field its wire
+ * name. The gauges (cache.*, conns.active, daemon.*, jobs.outstanding,
+ * queue.*) stay zero in the live struct; their owners fill them into a
+ * snapshot's copy.
+ */
+struct DaemonMetrics
+{
+    Counter connsAccepted;
+    Counter requestsTotal;
+    Counter requestsErrors;
+    Counter jobsAccepted;
+    Counter jobsAcceptedInteractive;
+    Counter jobsAcceptedBulk;
+    Counter jobsRejected;
+    Counter jobsRejectedDraining;
+    Counter jobsCompleted;
+    Counter jobsFailed;
+    Counter jobsCancelled;
+    Counter jobsExpired;
+    Counter jobsLateResults;
+    /** Events dispatched, summed over every backend run served. */
+    Counter planEventsDispatched;
+
+    // Gauges.
+    Counter cacheHits;
+    Counter cacheMisses;
+    Counter cacheEvictions;
+    Counter cacheSize;
+    Counter queueDepth;
+    Counter queueInteractiveDepth;
+    Counter queueBulkDepth;
+    Counter jobsOutstanding;
+    Counter connsActive;
+    Counter daemonDraining;
+    Counter daemonWorkers;
+
+    LatencyHistogram queueMicros;
+    LatencyHistogram synthMicros;
+    LatencyHistogram analysisMicros;
+    LatencyHistogram mdeMicros;
+    LatencyHistogram simMicros;
+    LatencyHistogram totalMicros;
+    LatencyHistogram interactiveTotalMicros;
+    LatencyHistogram bulkTotalMicros;
+};
+
 class Daemon
 {
   public:
@@ -173,7 +222,7 @@ class Daemon
 
     /** Send one response line; the framing newline is added here. */
     void sendTo(const std::shared_ptr<Connection> &conn, std::string line);
-    void bump(const char *name, uint64_t n = 1);
+    void bump(Counter DaemonMetrics::*counter);
 
     DaemonConfig config_;
     JobQueue queue_;
@@ -209,7 +258,7 @@ class Daemon
     std::vector<std::shared_ptr<Job>> deadlineJobs_;
 
     mutable std::mutex statsMutex_;
-    StatSet stats_; ///< every daemon counter and latency histogram
+    DaemonMetrics metrics_; ///< guarded by statsMutex_
 };
 
 } // namespace nachos

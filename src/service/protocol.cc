@@ -4,38 +4,30 @@ namespace nachos {
 
 namespace {
 
-bool
-failProto(CodecError &err, std::string code, std::string message)
-{
-    err.code = std::move(code);
-    err.message = std::move(message);
-    return false;
-}
-
 /** Validate a parsed request tree. */
 bool
 parseRequest(const JsonValue &v, Request &req, CodecError &err)
 {
     if (!v.isObject())
-        return failProto(err, "bad_request",
+        return failCodec(err, "bad_request",
                          "request must be a JSON object");
 
     // Pull the id first so every later error can echo it.
     if (const JsonValue *id = v.find("id")) {
         if (!id->isU64() || id->asU64() == 0)
-            return failProto(err, "bad_request",
+            return failCodec(err, "bad_request",
                              "'id' must be a positive integer");
         req.id = id->asU64();
     } else {
-        return failProto(err, "bad_request", "'id' is required");
+        return failCodec(err, "bad_request", "'id' is required");
     }
 
     const JsonValue *version = v.find("v");
     if (!version || !version->isU64())
-        return failProto(err, "bad_request",
+        return failCodec(err, "bad_request",
                          "'v' (protocol version) is required");
     if (version->asU64() != kProtocolVersion)
-        return failProto(err, "unsupported_version",
+        return failCodec(err, "unsupported_version",
                          "protocol version " +
                              std::to_string(version->asU64()) +
                              " not supported (want " +
@@ -43,22 +35,18 @@ parseRequest(const JsonValue &v, Request &req, CodecError &err)
 
     const JsonValue *type = v.find("type");
     if (!type || !type->isString())
-        return failProto(err, "bad_request",
+        return failCodec(err, "bad_request",
                          "'type' (string) is required");
 
     const std::string &name = type->str();
     if (name == "run") {
         req.type = Request::Type::Run;
-        for (const auto &member : v.members()) {
-            if (member.first != "v" && member.first != "id" &&
-                member.first != "type" && member.first != "run")
-                return failProto(err, "bad_request",
-                                 "unknown member '" + member.first +
-                                     "'");
-        }
+        if (!checkMembers(v, {"v", "id", "type", "run"}, err,
+                          "bad_request"))
+            return false;
         const JsonValue *run = v.find("run");
         if (!run)
-            return failProto(err, "bad_request",
+            return failCodec(err, "bad_request",
                              "'run' (object) is required");
         return decodeRunRequest(*run, req.job, err);
     }
@@ -66,13 +54,12 @@ parseRequest(const JsonValue &v, Request &req, CodecError &err)
     // The payload-free types accept only the envelope (+ cancel's
     // target); anything else is a typo worth rejecting loudly.
     const bool isCancel = name == "cancel";
-    for (const auto &member : v.members()) {
-        if (member.first != "v" && member.first != "id" &&
-            member.first != "type" &&
-            !(isCancel && member.first == "target"))
-            return failProto(err, "bad_request",
-                             "unknown member '" + member.first + "'");
-    }
+    const auto envelope = [isCancel](std::string_view member) {
+        return member == "v" || member == "id" || member == "type" ||
+               (isCancel && member == "target");
+    };
+    if (!checkMembers(v, envelope, err, "bad_request"))
+        return false;
     if (name == "metrics") {
         req.type = Request::Type::Metrics;
         return true;
@@ -89,12 +76,12 @@ parseRequest(const JsonValue &v, Request &req, CodecError &err)
         req.type = Request::Type::Cancel;
         const JsonValue *target = v.find("target");
         if (!target || !target->isU64() || target->asU64() == 0)
-            return failProto(err, "bad_request",
+            return failCodec(err, "bad_request",
                              "'target' must be a positive integer");
         req.cancelTarget = target->asU64();
         return true;
     }
-    return failProto(err, "unknown_type",
+    return failCodec(err, "unknown_type",
                      "unknown request type '" + name + "'");
 }
 
@@ -119,13 +106,13 @@ parseRequestLine(std::string_view line, JsonValue &tree, Request &req,
                  CodecError &err)
 {
     if (line.size() > kMaxRequestLineBytes)
-        return failProto(err, "oversized",
+        return failCodec(err, "oversized",
                          "request line exceeds " +
                              std::to_string(kMaxRequestLineBytes) +
                              " bytes");
     const JsonParseStatus parsed = parseJson(line, tree);
     if (!parsed.ok)
-        return failProto(err, "bad_json",
+        return failCodec(err, "bad_json",
                          std::string(parsed.error) + " at offset " +
                              std::to_string(parsed.errorOffset));
     return parseRequest(tree, req, err);

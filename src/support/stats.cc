@@ -96,56 +96,4 @@ LatencyHistogram::jsonSnapshot() const
     return v;
 }
 
-Counter &
-StatSet::counter(const std::string &name)
-{
-    return counters_[name];
-}
-
-uint64_t
-StatSet::get(const std::string &name) const
-{
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second.value();
-}
-
-LatencyHistogram &
-StatSet::histogram(const std::string &name)
-{
-    return histograms_[name];
-}
-
-void
-StatSet::merge(const StatSet &other)
-{
-    for (const auto &entry : other.counters_)
-        counters_[entry.first].inc(entry.second.value());
-    for (const auto &entry : other.histograms_)
-        histograms_[entry.first].merge(entry.second);
-}
-
-void
-StatSet::resetAll()
-{
-    for (auto &entry : counters_)
-        entry.second.reset();
-    for (auto &entry : histograms_)
-        entry.second.reset();
-}
-
-JsonValue
-StatSet::jsonSnapshot() const
-{
-    JsonValue counters = JsonValue::makeObject();
-    for (const auto &entry : counters_)
-        counters.set(entry.first, entry.second.value());
-    JsonValue histograms = JsonValue::makeObject();
-    for (const auto &entry : histograms_)
-        histograms.set(entry.first, entry.second.jsonSnapshot());
-    JsonValue v = JsonValue::makeObject();
-    v.set("counters", std::move(counters));
-    v.set("histograms", std::move(histograms));
-    return v;
-}
-
 } // namespace nachos

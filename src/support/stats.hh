@@ -1,18 +1,16 @@
 /**
  * @file
- * Counters, latency histograms, and StatSet, a registry of named ones
- * for statistics whose names are open-ended: the daemon's `metrics`
- * counters and histograms, and the suite runner's stage timing. A
- * simulation's counters are fixed at compile time and live in the
- * counter table instead (support/sim_stats).
+ * Counters and latency histograms. A simulation's counters are the
+ * rows of the counter table (support/sim_stats); the daemon's `metrics`
+ * counters and histograms are the fields of DaemonMetrics
+ * (service/daemon.hh). Both name every statistic at compile time.
  */
 
 #ifndef NACHOS_SUPPORT_STATS_HH
 #define NACHOS_SUPPORT_STATS_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <string>
 
 namespace nachos {
 
@@ -85,50 +83,6 @@ class LatencyHistogram
     uint64_t sum_ = 0;
     uint64_t min_ = UINT64_MAX;
     uint64_t max_ = 0;
-};
-
-/**
- * A registry of named counters and latency histograms. Names are
- * hierarchical by convention ("l1.hits", "lsq.camSearches"). Lookup
- * creates the stat on first use so call sites stay terse.
- */
-class StatSet
-{
-  public:
-    /** Get (creating if needed) the counter with the given name. */
-    Counter &counter(const std::string &name);
-
-    /** Read a counter's value; zero if it was never touched. */
-    uint64_t get(const std::string &name) const;
-
-    /** Get (creating if needed) the histogram with the given name. */
-    LatencyHistogram &histogram(const std::string &name);
-
-    /**
-     * Fold another set into this one: counters add, histograms merge,
-     * names absent here are created.
-     */
-    void merge(const StatSet &other);
-
-    /** Reset every counter and histogram to zero. */
-    void resetAll();
-
-    const std::map<std::string, LatencyHistogram> &histograms() const
-    {
-        return histograms_;
-    }
-
-    /**
-     * JSON snapshot {"counters":{name:value,...},
-     * "histograms":{name:{count,sum,min,max,mean,p50,p95,p99},...}},
-     * both in name order — the payload of the daemon's `metrics`
-     * response.
-     */
-    JsonValue jsonSnapshot() const;
-
-  private:
-    std::map<std::string, Counter> counters_;
-    std::map<std::string, LatencyHistogram> histograms_;
 };
 
 } // namespace nachos

@@ -289,14 +289,17 @@ cmdVerify(const Options &opt)
             simulateRequest(*info, request, *entry, pool);
         const SimResult &result = *(sims.*backend->result);
         ++checked;
-        const bool match = result.cycles == r.cycles &&
-                           result.loadValueDigest == r.loadValueDigest &&
-                           result.energy.total() == r.energyTotal;
+        const SimSummary &stored = r.summary;
+        const bool match =
+            result.cycles == stored.cycles &&
+            result.loadValueDigest == stored.loadValueDigest &&
+            result.energy.total() == stored.energyTotal;
         if (!match) {
             ++mismatched;
             std::cerr << "MISMATCH " << r.id << "\n  stored  cycles="
-                      << r.cycles << " digest=" << r.loadValueDigest
-                      << " energy=" << fmtDouble(r.energyTotal, 3)
+                      << stored.cycles
+                      << " digest=" << stored.loadValueDigest
+                      << " energy=" << fmtDouble(stored.energyTotal, 3)
                       << "\n  rerun   cycles=" << result.cycles
                       << " digest=" << result.loadValueDigest
                       << " energy="

@@ -59,13 +59,7 @@ makeSweepRecord(const SweepPoint &point, const OutcomeSummary &summary)
     const BackendField *backend = findBackend(point.backend);
     NACHOS_ASSERT(backend && (summary.*backend->summary).has_value(),
                   "outcome summary lacks the point's backend");
-    const std::optional<SimSummary> &s = summary.*backend->summary;
-    r.cycles = s->cycles;
-    r.cyclesPerInvocation = s->cyclesPerInvocation;
-    r.maxMlp = s->maxMlp;
-    r.avgMlp = s->avgMlp;
-    r.loadValueDigest = s->loadValueDigest;
-    r.energyTotal = s->energyTotal;
+    r.summary = *(summary.*backend->summary);
     r.areaProxy = areaProxy(point.machine, point.backend);
     return r;
 }

@@ -35,11 +35,13 @@ std::vector<size_t>
 paretoFrontier(const std::vector<SweepRecord> &records)
 {
     auto dominates = [](const SweepRecord &a, const SweepRecord &b) {
-        const bool noWorse = a.cycles <= b.cycles &&
-                             a.energyTotal <= b.energyTotal &&
+        const SimSummary &x = a.summary;
+        const SimSummary &y = b.summary;
+        const bool noWorse = x.cycles <= y.cycles &&
+                             x.energyTotal <= y.energyTotal &&
                              a.areaProxy <= b.areaProxy;
-        const bool strictlyBetter = a.cycles < b.cycles ||
-                                    a.energyTotal < b.energyTotal ||
+        const bool strictlyBetter = x.cycles < y.cycles ||
+                                    x.energyTotal < y.energyTotal ||
                                     a.areaProxy < b.areaProxy;
         return noWorse && strictlyBetter;
     };
@@ -84,15 +86,15 @@ renderSweepReport(std::vector<SweepRecord> records)
                   [&](size_t a, size_t b) {
                       const SweepRecord &ra = group.second[a];
                       const SweepRecord &rb = group.second[b];
-                      if (ra.cycles != rb.cycles)
-                          return ra.cycles < rb.cycles;
+                      if (ra.summary.cycles != rb.summary.cycles)
+                          return ra.summary.cycles < rb.summary.cycles;
                       return ra.id < rb.id;
                   });
         for (const size_t i : frontier) {
             const SweepRecord &r = group.second[i];
             const std::string machine = machineCoordinates(r.machine);
-            out += "  cycles=" + std::to_string(r.cycles) +
-                   " energy=" + fmtDouble(r.energyTotal, 1) +
+            out += "  cycles=" + std::to_string(r.summary.cycles) +
+                   " energy=" + fmtDouble(r.summary.energyTotal, 1) +
                    " area=" + fmtDouble(r.areaProxy, 1) +
                    " backend=" + r.backend + " " +
                    (machine.empty() ? "default-machine" : machine) + "\n";
@@ -116,8 +118,8 @@ renderSweepReport(std::vector<SweepRecord> records)
                 swept = true;
             auto &bin = bins[value];
             std::get<0>(bin) += 1;
-            std::get<1>(bin) += static_cast<double>(r.cycles);
-            std::get<2>(bin) += r.energyTotal;
+            std::get<1>(bin) += static_cast<double>(r.summary.cycles);
+            std::get<2>(bin) += r.summary.energyTotal;
         }
         if (!swept)
             continue; // axis never varied in this store

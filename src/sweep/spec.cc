@@ -11,34 +11,6 @@ namespace nachos {
 namespace {
 
 bool
-failCodec(CodecError &err, const char *code, std::string message)
-{
-    err.code = code;
-    err.message = std::move(message);
-    return false;
-}
-
-/** Strict-object check: every member must be in `allowed`. */
-bool
-checkMembers(const JsonValue &v,
-             std::initializer_list<const char *> allowed,
-             CodecError &err)
-{
-    for (const auto &member : v.members()) {
-        const bool known =
-            std::any_of(allowed.begin(), allowed.end(),
-                        [&](const char *name) {
-                            return member.first == name;
-                        });
-        if (!known)
-            return failCodec(err, "bad_sweep",
-                            "unknown sweep member '" + member.first +
-                                "'");
-    }
-    return true;
-}
-
-bool
 compareOp(const std::string &op, uint64_t lhs, uint64_t rhs)
 {
     if (op == "lt")
@@ -79,14 +51,9 @@ decodeSweepSpec(const JsonValue &v, SweepSpec &spec, CodecError &err)
     if (!checkMembers(v,
                       {"name", "workloads", "paths", "seeds", "backends",
                        "invocations", "axes", "constraints"},
-                      err))
+                      err, "bad_sweep", "sweep member") ||
+        !readString(v, "name", spec.name, err, "bad_sweep"))
         return false;
-
-    const JsonValue *name = v.find("name");
-    if (!name || !name->isString() || name->str().empty())
-        return failCodec(err, "bad_sweep",
-                        "'name' must be a non-empty string");
-    spec.name = name->str();
 
     const JsonValue *workloads = v.find("workloads");
     if (!workloads || !workloads->isArray() || workloads->size() == 0)
@@ -240,7 +207,8 @@ decodeSweepSpec(const JsonValue &v, SweepSpec &spec, CodecError &err)
             if (!c.isObject())
                 return failCodec(err, "bad_sweep",
                                 "constraints must be objects");
-            if (!checkMembers(c, {"lhs", "op", "rhs"}, err))
+            if (!checkMembers(c, {"lhs", "op", "rhs"}, err, "bad_sweep",
+                              "sweep member"))
                 return false;
             SweepConstraint constraint;
             const JsonValue *lhs = c.find("lhs");

@@ -14,14 +14,6 @@ namespace nachos {
 namespace {
 
 bool
-failCodec(CodecError &err, const char *code, std::string message)
-{
-    err.code = code;
-    err.message = std::move(message);
-    return false;
-}
-
-bool
 setError(std::string *error, std::string message)
 {
     if (error)
@@ -44,12 +36,7 @@ writeSweepRecord(JsonWriter &w, const SweepRecord &r)
     w.member("invocations", r.invocations);
     w.key("machine");
     writeMachineOverrides(w, r.machine);
-    w.member("cycles", r.cycles);
-    w.member("cyclesPerInvocation", r.cyclesPerInvocation);
-    w.member("maxMlp", r.maxMlp);
-    w.member("avgMlp", r.avgMlp);
-    w.member("loadValueDigest", r.loadValueDigest);
-    w.member("energyTotal", r.energyTotal);
+    writeSimSummaryMembers(w, r.summary);
     w.member("areaProxy", r.areaProxy);
     w.member("seconds", r.seconds);
     w.endObject();
@@ -67,58 +54,37 @@ encodeSweepRecord(const SweepRecord &r)
 bool
 decodeSweepRecord(const JsonValue &v, SweepRecord &r, CodecError &err)
 {
+    const char *code = "bad_record";
     r = SweepRecord{};
     if (!v.isObject())
-        return failCodec(err, "bad_record",
-                        "sweep record must be an object");
-    auto str = [&](const char *name, std::string &out) {
-        const JsonValue *f = v.find(name);
-        if (!f || !f->isString() || f->str().empty())
-            return failCodec(err, "bad_record",
-                            std::string("'") + name +
-                                "' must be a non-empty string");
-        out = f->str();
-        return true;
+        return failCodec(err, code, "sweep record must be an object");
+    const auto known = [](std::string_view name) {
+        for (const char *own : {"id", "hash", "workload", "pathIndex",
+                                "seed", "backend", "invocations",
+                                "machine", "areaProxy", "seconds"})
+            if (name == own)
+                return true;
+        return isSimSummaryMember(name);
     };
-    auto u64 = [&](const char *name, uint64_t &out) {
-        const JsonValue *f = v.find(name);
-        if (!f || !f->isU64())
-            return failCodec(err, "bad_record",
-                            std::string("'") + name +
-                                "' must be an unsigned integer");
-        out = f->asU64();
-        return true;
-    };
-    auto dbl = [&](const char *name, double &out) {
-        const JsonValue *f = v.find(name);
-        if (!f || !f->isNumber())
-            return failCodec(err, "bad_record",
-                            std::string("'") + name +
-                                "' must be a number");
-        out = f->asDouble();
-        return true;
-    };
+    if (!checkMembers(v, known, err, code))
+        return false;
     uint64_t pathIndex = 0;
-    if (!str("id", r.id) || !u64("hash", r.hash) ||
-        !str("workload", r.workload) || !u64("pathIndex", pathIndex) ||
-        !u64("seed", r.seed) || !str("backend", r.backend) ||
-        !u64("invocations", r.invocations))
+    if (!readString(v, "id", r.id, err, code) ||
+        !readU64(v, "hash", r.hash, err, code) ||
+        !readString(v, "workload", r.workload, err, code) ||
+        !readU64(v, "pathIndex", pathIndex, err, code) ||
+        !readU64(v, "seed", r.seed, err, code) ||
+        !readString(v, "backend", r.backend, err, code) ||
+        !readU64(v, "invocations", r.invocations, err, code))
         return false;
     r.pathIndex = static_cast<uint32_t>(pathIndex);
     const JsonValue *machine = v.find("machine");
-    if (!machine ||
-        !decodeMachineOverrides(*machine, r.machine, err))
-        return machine ? false
-                       : failCodec(err, "bad_record",
-                                  "'machine' member is required");
-    if (!u64("cycles", r.cycles) ||
-        !dbl("cyclesPerInvocation", r.cyclesPerInvocation) ||
-        !u64("maxMlp", r.maxMlp) || !dbl("avgMlp", r.avgMlp) ||
-        !u64("loadValueDigest", r.loadValueDigest) ||
-        !dbl("energyTotal", r.energyTotal) ||
-        !dbl("areaProxy", r.areaProxy) || !dbl("seconds", r.seconds))
-        return false;
-    return true;
+    if (!machine)
+        return failCodec(err, code, "'machine' member is required");
+    return decodeMachineOverrides(*machine, r.machine, err) &&
+           readSimSummaryMembers(v, r.summary, err, code) &&
+           readNumber(v, "areaProxy", r.areaProxy, err, code) &&
+           readNumber(v, "seconds", r.seconds, err, code);
 }
 
 SweepStore::~SweepStore() { close(); }

@@ -52,23 +52,23 @@ struct SweepRecord
     std::string backend;
     uint64_t invocations = 0; ///< effective (resolved) count
     MachineOverrides machine;
-    uint64_t cycles = 0;
-    double cyclesPerInvocation = 0;
-    uint64_t maxMlp = 0;
-    double avgMlp = 0;
-    uint64_t loadValueDigest = 0;
-    double energyTotal = 0;
+    SimSummary summary; ///< the backend's results
     double areaProxy = 0;
     double seconds = 0; ///< wall clock; excluded from reports
 };
 
-/** Canonical record encoding (fixed member order): a store line. */
+/**
+ * Canonical record encoding (fixed member order): a store line. The
+ * summary's members sit flat between "machine" and "areaProxy", written
+ * by writeSimSummaryMembers.
+ */
 void writeSweepRecord(JsonWriter &w, const SweepRecord &r);
 
 /** writeSweepRecord's bytes as a tree, for callers that want one. */
 JsonValue encodeSweepRecord(const SweepRecord &r);
 
-/** Strict inverse of writeSweepRecord. */
+/** Strict inverse of writeSweepRecord: a missing, wrong-typed or
+ *  unknown member fails as `bad_record`. */
 bool decodeSweepRecord(const JsonValue &v, SweepRecord &r,
                        CodecError &err);
 

@@ -48,6 +48,12 @@ faultByName(const std::string &name)
 
 namespace {
 
+/**
+ * Allowed NACHOS-over-NACHOS-SW cycle excess per invocation, on top of
+ * the region's worst station MAY fan-in (see the metamorphic check).
+ */
+constexpr uint64_t kMetamorphicSlackPerInvocation = 4;
+
 MdeKind
 faultKind(FaultInjection f)
 {
@@ -266,9 +272,8 @@ checkRegion(const Region &region, const FuzzOptions &opts)
     for (uint64_t f : mdes.mayFanIns(region))
         max_fanin = std::max(max_fanin, f);
     const uint64_t slack =
-        (opts.metamorphicSlackPerInvocation + max_fanin) *
-        opts.invocations;
-    if (opts.checkMetamorphic && hw.cycles > sw.cycles + slack) {
+        (kMetamorphicSlackPerInvocation + max_fanin) * opts.invocations;
+    if (hw.cycles > sw.cycles + slack) {
         out.push_back({"metamorphic-cycles", "nachos",
                        "NACHOS took " + std::to_string(hw.cycles) +
                            " cycles, NACHOS-SW only " +

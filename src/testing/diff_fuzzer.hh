@@ -63,19 +63,6 @@ struct FuzzOptions
     /** OPT-LSQ bank counts to sweep. */
     std::vector<uint32_t> lsqBankSweep = {1, 2, 4, 8};
     FaultInjection fault = FaultInjection::None;
-    /** Check cross-run invariants (NACHOS vs NACHOS-SW cycles). */
-    bool checkMetamorphic = true;
-    /**
-     * Base allowed NACHOS-over-NACHOS-SW cycle excess, per invocation.
-     * Runtime MAY checks relax compiler serialization but sit on the
-     * younger op's own critical path: when every MAY parent completes
-     * early, the SW token has long arrived while NACHOS still pays
-     * address-compare + arbitration latency after its own address
-     * resolves. That tail is O(station MAY fan-in) serialized checks,
-     * so the effective slack is (base + max MAY fan-in) * invocations;
-     * anything beyond it is a real regression.
-     */
-    uint64_t metamorphicSlackPerInvocation = 4;
     /** Shrink failing regions before reporting. */
     bool shrinkFailures = true;
 };

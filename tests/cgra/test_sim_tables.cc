@@ -62,7 +62,6 @@ TEST(SimTables, StaticPartition)
     EXPECT_EQ(t.staticTotals.intOps, 2u);
     EXPECT_EQ(t.staticTotals.fpOps, 1u);
     EXPECT_EQ(t.staticTotals.netTransfers, 11u);
-    EXPECT_EQ(t.staticTotals.eventsElided, 7u + 11u);
     // The fadd's LiveOut ends last: 9 + 1.
     EXPECT_EQ(t.staticCriticalEnd, 10u);
     EXPECT_EQ(t.staticCriticalOp, 7u);

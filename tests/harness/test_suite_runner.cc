@@ -79,24 +79,22 @@ TEST(SuiteRunner, RecordsStageTiming)
     req.invocationsOverride = 2;
     SuiteRun run = runSuite(subset, req, 2);
 
-    EXPECT_EQ(run.timing.get("suite.workloads"), 3u);
-    EXPECT_EQ(run.timing.get("suite.threads"), 2u);
-    EXPECT_GT(run.timing.get("suite.wallMicros"), 0u);
-    EXPECT_GT(run.timing.get("suite.taskMicros"), 0u);
-    EXPECT_GT(run.timing.get("stage.simMicros"), 0u);
+    const SuiteTiming &t = run.timing;
+    EXPECT_EQ(t.workloads, 3u);
+    EXPECT_EQ(t.threads, 2u);
+    EXPECT_GT(t.wallMicros, 0u);
+    EXPECT_GT(t.taskMicros, 0u);
+    EXPECT_GT(t.simMicros, 0u);
     // The aggregate equals the sum of its stage parts.
-    EXPECT_EQ(run.timing.get("suite.taskMicros"),
-              run.timing.get("stage.synthMicros") +
-                  run.timing.get("stage.analysisMicros") +
-                  run.timing.get("stage.mdeMicros") +
-                  run.timing.get("stage.simMicros"));
+    EXPECT_EQ(t.taskMicros,
+              t.synthMicros + t.analysisMicros + t.mdeMicros + t.simMicros);
 }
 
 TEST(SuiteRunner, EmptySuiteIsANoop)
 {
     SuiteRun run = runSuite({}, RunRequest{}, 2);
     EXPECT_TRUE(run.outcomes.empty());
-    EXPECT_EQ(run.timing.get("suite.workloads"), 0u);
+    EXPECT_EQ(run.timing.workloads, 0u);
 }
 
 TEST(SuiteRunner, SuiteThreadsParsesArgv)

@@ -2,7 +2,6 @@
 
 #include "ir/builder.hh"
 #include "ir/dfg.hh"
-#include "ir/dot.hh"
 #include "ir/serialize.hh"
 
 namespace nachos {
@@ -189,21 +188,6 @@ TEST(RegionDeathTest, DoubleFinalizePanics)
     Region r;
     r.finalize();
     EXPECT_DEATH(r.finalize(), "double finalize");
-}
-
-TEST(Dot, EmitsNodesAndEdges)
-{
-    RegionBuilder b("dotr");
-    ObjectId obj = b.object("A", 128);
-    OpId c = b.constant(4);
-    OpId ld = b.load(b.at(obj, 0));
-    OpId s = b.iadd(c, ld);
-    b.store(b.at(obj, 8), s);
-    Region r = b.build();
-    std::string dot = dotString(r);
-    EXPECT_NE(dot.find("digraph"), std::string::npos);
-    EXPECT_NE(dot.find("load"), std::string::npos);
-    EXPECT_NE(dot.find("->"), std::string::npos);
 }
 
 } // namespace

@@ -290,10 +290,10 @@ TEST(TreeAdapters, DumpEqualsWriterBytes)
     record.backend = "nachos";
     record.invocations = 3;
     record.machine.l1SizeBytes = 16384;
-    record.cycles = summary.nachos->cycles;
-    record.cyclesPerInvocation = summary.nachos->cyclesPerInvocation;
-    record.avgMlp = summary.nachos->avgMlp;
-    record.energyTotal = summary.nachos->energyTotal;
+    record.summary.cycles = summary.nachos->cycles;
+    record.summary.cyclesPerInvocation = summary.nachos->cyclesPerInvocation;
+    record.summary.avgMlp = summary.nachos->avgMlp;
+    record.summary.energyTotal = summary.nachos->energyTotal;
     record.areaProxy = 40.25;
     record.seconds = 0.0123;
     std::string stored;

@@ -10,25 +10,6 @@
 namespace nachos {
 namespace {
 
-TEST(StatSet, CounterCreatedOnFirstUse)
-{
-    StatSet stats;
-    EXPECT_EQ(stats.get("l1.hits"), 0u);
-    stats.counter("l1.hits").inc();
-    stats.counter("l1.hits").inc(4);
-    EXPECT_EQ(stats.get("l1.hits"), 5u);
-}
-
-TEST(StatSet, ResetAllZeroes)
-{
-    StatSet stats;
-    stats.counter("a").inc(3);
-    stats.counter("b").inc(7);
-    stats.resetAll();
-    EXPECT_EQ(stats.get("a"), 0u);
-    EXPECT_EQ(stats.get("b"), 0u);
-}
-
 TEST(LatencyHistogram, EmptyIsAllZero)
 {
     LatencyHistogram h;
@@ -102,36 +83,6 @@ TEST(LatencyHistogram, ResetAndJsonSnapshot)
     EXPECT_EQ(h.p50(), 0u);
 }
 
-TEST(StatSet, JsonSnapshotHasCountersAndHistograms)
-{
-    StatSet stats;
-    stats.counter("z.late").inc(2);
-    stats.counter("a.early").inc(1);
-    stats.histogram("lat.us").sample(100);
-    JsonValue snap = stats.jsonSnapshot();
-    const JsonValue *counters = snap.find("counters");
-    ASSERT_NE(counters, nullptr);
-    ASSERT_EQ(counters->members().size(), 2u);
-    // Name order, not insertion order.
-    EXPECT_EQ(counters->members()[0].first, "a.early");
-    EXPECT_EQ(counters->members()[1].first, "z.late");
-    EXPECT_EQ(counters->find("z.late")->asU64(), 2u);
-    const JsonValue *histograms = snap.find("histograms");
-    ASSERT_NE(histograms, nullptr);
-    const JsonValue *lat = histograms->find("lat.us");
-    ASSERT_NE(lat, nullptr);
-    EXPECT_EQ(lat->find("count")->asU64(), 1u);
-    EXPECT_EQ(lat->find("p50")->asU64(), 100u);
-}
-
-TEST(StatSet, ResetAllClearsHistograms)
-{
-    StatSet stats;
-    stats.histogram("h").sample(5);
-    stats.resetAll();
-    EXPECT_EQ(stats.histogram("h").count(), 0u);
-}
-
 TEST(LatencyHistogram, MergeAddsBucketsAndBounds)
 {
     LatencyHistogram a, b;
@@ -154,8 +105,7 @@ TEST(LatencyHistogram, MergeAddsBucketsAndBounds)
 TEST(LatencyHistogram, MergeMatchesCombinedSampling)
 {
     // Percentiles after a merge equal those of one histogram that saw
-    // every sample directly — the property StatSet::merge relies on
-    // when it folds one set's histograms into another.
+    // every sample directly.
     LatencyHistogram combined, left, right;
     for (uint64_t v = 1; v <= 200; ++v) {
         combined.sample(v * 7);
@@ -167,25 +117,6 @@ TEST(LatencyHistogram, MergeMatchesCombinedSampling)
     EXPECT_EQ(left.p50(), combined.p50());
     EXPECT_EQ(left.p95(), combined.p95());
     EXPECT_EQ(left.p99(), combined.p99());
-}
-
-TEST(StatSet, MergeFoldsCountersAndHistograms)
-{
-    StatSet a, b;
-    a.counter("jobs.completed").inc(3);
-    a.histogram("latency.totalMicros").sample(100);
-    b.counter("jobs.completed").inc(2);
-    b.counter("jobs.failed").inc(); // only in b
-    b.histogram("latency.totalMicros").sample(900);
-    b.histogram("latency.simMicros").sample(4); // only in b
-    a.merge(b);
-    EXPECT_EQ(a.get("jobs.completed"), 5u);
-    EXPECT_EQ(a.get("jobs.failed"), 1u);
-    EXPECT_EQ(a.histogram("latency.totalMicros").count(), 2u);
-    EXPECT_EQ(a.histogram("latency.totalMicros").sum(), 1000u);
-    EXPECT_EQ(a.histogram("latency.simMicros").count(), 1u);
-    // b is untouched.
-    EXPECT_EQ(b.get("jobs.completed"), 2u);
 }
 
 TEST(SimStats, RowNamesAreUniqueAndInNameOrder)

@@ -251,8 +251,8 @@ TEST(SweepReport, RenderIsPinned)
         r.machine.l1SizeBytes = i < 3 ? 0 : 32768;
         r.id = "point-" + std::to_string(i);
         r.hash = fnv1a64(r.id);
-        r.cycles = cycles[i];
-        r.energyTotal = energy[i];
+        r.summary.cycles = cycles[i];
+        r.summary.energyTotal = energy[i];
         r.areaProxy = areaProxy(r.machine, r.backend);
         records.push_back(r);
     }
@@ -392,12 +392,12 @@ record(uint64_t n)
     r.backend = "sw";
     r.invocations = 2;
     r.machine.lsqBanks = static_cast<uint32_t>(n % 7 + 1);
-    r.cycles = 1000 + n;
-    r.cyclesPerInvocation = (1000.0 + n) / 2.0;
-    r.maxMlp = 4;
-    r.avgMlp = 2.5;
-    r.loadValueDigest = 0x9e3779b97f4a7c15ull ^ n;
-    r.energyTotal = 123.5 + n;
+    r.summary.cycles = 1000 + n;
+    r.summary.cyclesPerInvocation = (1000.0 + n) / 2.0;
+    r.summary.maxMlp = 4;
+    r.summary.avgMlp = 2.5;
+    r.summary.loadValueDigest = 0x9e3779b97f4a7c15ull ^ n;
+    r.summary.energyTotal = 123.5 + n;
     r.areaProxy = 40.25;
     r.seconds = 0.001 * n;
     return r;
@@ -414,8 +414,8 @@ TEST(SweepStore, RecordRoundTripsAndRejectsJunk)
               dumpJson(encodeSweepRecord(r)));
     EXPECT_EQ(back.hash, r.hash);
     EXPECT_EQ(back.machine, r.machine);
-    EXPECT_EQ(back.cycles, r.cycles);
-    EXPECT_EQ(back.energyTotal, r.energyTotal);
+    EXPECT_EQ(back.summary.cycles, r.summary.cycles);
+    EXPECT_EQ(back.summary.energyTotal, r.summary.energyTotal);
 
     JsonValue missing = encodeSweepRecord(r);
     EXPECT_FALSE(decodeSweepRecord(mustParse("[1]"), back, err));
@@ -423,6 +423,48 @@ TEST(SweepStore, RecordRoundTripsAndRejectsJunk)
     EXPECT_FALSE(
         decodeSweepRecord(mustParse(R"({"id":"x"})"), back, err));
     EXPECT_EQ(err.code, "bad_record");
+}
+
+TEST(SweepStore, UnknownMemberFailsAsBadRecord)
+{
+    std::string line = dumpJson(encodeSweepRecord(record(3)));
+    SweepRecord back;
+    CodecError err;
+    ASSERT_TRUE(decodeSweepRecord(mustParse(line), back, err))
+        << err.message;
+    line.insert(1, R"("typo":1,)");
+    EXPECT_FALSE(decodeSweepRecord(mustParse(line), back, err));
+    EXPECT_EQ(err.code, "bad_record");
+    EXPECT_EQ(err.message, "unknown member 'typo'");
+}
+
+// A line written before SweepRecord held a SimSummary, when the record
+// repeated the summary's six fields with a writer of its own: it
+// decodes, and today's writer gives back the same bytes.
+TEST(SweepStore, EarlierWriterLineReencodesByteIdentically)
+{
+    const std::string line =
+        R"({"id":"workload=179.art path=0 seed=4 backend=nachos inv=3 )"
+        R"(lsqBanks=2 l1SizeBytes=16384","hash":11070035205443656565,)"
+        R"("workload":"179.art","pathIndex":0,"seed":4,)"
+        R"("backend":"nachos","invocations":3,)"
+        R"("machine":{"lsqBanks":2,"l1SizeBytes":16384},"cycles":4822,)"
+        R"("cyclesPerInvocation":1607.3333333333333,"maxMlp":6,)"
+        R"("avgMlp":2.586965904186448,)"
+        R"("loadValueDigest":2067443871689031085,"energyTotal":708000,)"
+        R"("areaProxy":39937.25,"seconds":0.002141548})";
+    SweepRecord r;
+    CodecError err;
+    ASSERT_TRUE(decodeSweepRecord(mustParse(line), r, err))
+        << err.message;
+    EXPECT_EQ(r.summary.cycles, 4822u);
+    EXPECT_EQ(r.summary.maxMlp, 6u);
+    EXPECT_EQ(r.summary.loadValueDigest, 2067443871689031085ull);
+    EXPECT_EQ(r.summary.energyTotal, 708000.0);
+    std::string again;
+    JsonWriter w(again);
+    writeSweepRecord(w, r);
+    EXPECT_EQ(again, line);
 }
 
 TEST(SweepStore, MissingFileIsEmptyAndAppendsAccumulate)
@@ -448,7 +490,7 @@ TEST(SweepStore, MissingFileIsEmptyAndAppendsAccumulate)
     again.close();
     ASSERT_TRUE(again.load(loaded, &error)) << error;
     ASSERT_EQ(loaded.records.size(), 3u);
-    EXPECT_EQ(loaded.records[2].cycles, 1003u);
+    EXPECT_EQ(loaded.records[2].summary.cycles, 1003u);
     EXPECT_EQ(completedHashes(loaded.records).size(), 3u);
 }
 
@@ -559,8 +601,8 @@ TEST(SweepReport, ParetoFrontierDropsDominatedKeepsTies)
 {
     auto point = [](uint64_t cycles, double energy, double area) {
         SweepRecord r;
-        r.cycles = cycles;
-        r.energyTotal = energy;
+        r.summary.cycles = cycles;
+        r.summary.energyTotal = energy;
         r.areaProxy = area;
         return r;
     };
@@ -657,11 +699,11 @@ TEST(SweepRun, InProcessRunSkipResumeMatchesStraightThrough)
     for (const SweepRecord &r : a.records) {
         EXPECT_EQ(r.backend, "sw");
         EXPECT_EQ(r.invocations, 2u);
-        EXPECT_GT(r.cycles, 0u);
-        EXPECT_GT(r.energyTotal, 0.0);
+        EXPECT_GT(r.summary.cycles, 0u);
+        EXPECT_GT(r.summary.energyTotal, 0.0);
     }
     // The overridden DRAM latency reached the simulator.
-    EXPECT_NE(a.records[0].cycles, a.records[1].cycles);
+    EXPECT_NE(a.records[0].summary.cycles, a.records[1].summary.cycles);
 }
 
 // ---- daemon orchestrator -----------------------------------------
