@@ -88,7 +88,7 @@ BM_PlacementBuild(benchmark::State &state)
     setQuiet(true);
     const Region r = planBenchRegion(state.range(0));
     for (auto _ : state) {
-        const Placement placement(r, GridConfig{});
+        const Placement placement(r);
         benchmark::DoNotOptimize(placement.depth());
     }
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
@@ -110,9 +110,9 @@ BM_SimTablesBuild(benchmark::State &state)
     setQuiet(true);
     const Region r = planBenchRegion(state.range(0));
     const SimConfig cfg;
-    const Placement placement(r, cfg.grid);
+    const Placement placement(r);
     for (auto _ : state) {
-        const SimPlan plan(r, placement, cfg.grid, cfg.net);
+        const SimPlan plan(r, placement, cfg.net);
         benchmark::DoNotOptimize(plan.tables().arenaSize());
     }
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
@@ -161,8 +161,8 @@ BM_WarmSimulate(benchmark::State &state)
     SimConfig cfg;
     cfg.invocations = 6;
     cfg.recordMemTrace = true;
-    const Placement placement(r, cfg.grid);
-    const SimPlan plan(r, placement, cfg.grid, cfg.net);
+    const Placement placement(r);
+    const SimPlan plan(r, placement, cfg.net);
     const BackendKind kind = static_cast<BackendKind>(state.range(0));
     HierarchyPool pool;
     simulate(plan, mdes, kind, cfg, pool);

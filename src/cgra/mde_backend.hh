@@ -7,19 +7,20 @@
  *    waits for every older endpoint's completion token.
  *  - FORWARD edges: the store sends its data value to the load as soon
  *    as the data is computed; the load never accesses the cache.
- *  - MAY edges: the one place the schemes differ, decided once while
- *    the per-op table is built. NACHOS-SW (paper §V) treats MAY as
- *    MUST: each MAY edge is one more ORDER token. NACHOS (§VII) makes
- *    each MAY parent a slot of the younger op's comparator station
- *    (nachos/may_station), so provably-disjoint ops proceed in
- *    parallel while true conflicts degrade to ordering, and a
- *    confirmed exact ST->LD conflict forwards the store's value
- *    (§VIII).
+ *  - MAY edges: the one place the schemes differ. NACHOS-SW (paper
+ *    §V) treats MAY as MUST: an op waits for one token per ORDER or
+ *    MAY in-edge and sends one over each ORDER or MAY out-edge.
+ *    NACHOS (§VII) gives each op with MAY parents a comparator station
+ *    (nachos/may_station) whose slots are its MAY in-edges, so
+ *    provably-disjoint ops proceed in parallel while true conflicts
+ *    degrade to ordering, and a confirmed exact ST->LD conflict
+ *    forwards the store's value (§VIII).
  *
- * After table build every path is shared: an op without a station
+ * The backend keeps no MDE table of its own: it reads the MdeSet's
+ * per-op spans. Every other path is shared: an op without a station
  * skips the station gate and never forwards at run time, and an op
- * that is nobody's MAY parent has no station to notify. NACHOS-SW is
- * NACHOS with no stations.
+ * with no MAY out-edge has no station to notify. NACHOS-SW is NACHOS
+ * with no stations.
  */
 
 #ifndef NACHOS_CGRA_MDE_BACKEND_HH
@@ -37,35 +38,6 @@ namespace nachos {
 /** Compiler-enforced memory ordering, with or without the assist. */
 class MdeBackend : public OrderingBackend
 {
-    static constexpr uint32_t kNoStation = UINT32_MAX;
-
-    /** A younger op's station slot this op fills as a MAY parent. */
-    struct MayTarget
-    {
-        OpId younger = 0;
-        uint32_t slot = 0;
-    };
-
-    /** A run of entries in one of the flat per-op lists. */
-    struct Span
-    {
-        uint32_t begin = 0;
-        uint32_t size = 0;
-    };
-
-    /** Static per-op MDE shape; its lists live in Buffers. */
-    struct OpInfo
-    {
-        uint32_t orderTokensExpected = 0; ///< incoming ORDER tokens
-        bool hasForward = false;
-        /** Index into Buffers::stations, or kNoStation. */
-        uint32_t station = kNoStation;
-        Span mayParents;      ///< station slot -> parent op
-        Span outgoingOrder;   ///< edge indices
-        Span outgoingForward; ///< edge indices
-        Span mayTargets;
-    };
-
     struct OpDyn
     {
         uint32_t tokensPending = 0;
@@ -80,21 +52,14 @@ class MdeBackend : public OrderingBackend
 
   public:
     /**
-     * The backend's storage a pool keeps between runs: the per-op
-     * table with its lists flattened (each op's list is a Span of the
-     * shared array), rebuilt per run into kept capacity, and the
-     * comparator stations.
+     * The backend's storage a pool keeps between runs: per-op dynamic
+     * state and the comparator stations, by memIndex. A run binds the
+     * stations of its ops with MAY parents; the rest are kept for
+     * reuse and never touched.
      */
     struct Buffers
     {
-        std::vector<OpInfo> info; ///< by OpId
-        std::vector<OpId> mayParents;
-        std::vector<uint32_t> outgoingOrder;
-        std::vector<uint32_t> outgoingForward;
-        std::vector<MayTarget> mayTargets;
         std::vector<OpDyn> dyn; ///< by OpId
-        /** One per op with MAY parents, in memOps order; the first
-         * numStations_ are this run's, the rest kept for reuse. */
         std::vector<MayCheckStation> stations;
     };
 
@@ -117,22 +82,30 @@ class MdeBackend : public OrderingBackend
     void onForwardValue(OpId op, uint64_t cycle, int64_t value) override;
 
   private:
-    const MdeSet &mdeSet_;
-    Buffers &buf_;
-    std::vector<OpInfo> &info_;
+    const MdeSet &mdes_;
+    /** NACHOS-SW: MAY edges carry ORDER tokens and no op has a
+     * station. */
+    const bool mayIsOrder_;
     std::vector<OpDyn> &dyn_;
     std::vector<MayCheckStation> &stations_;
-    uint32_t numStations_ = 0;
     /** NACHOS only (hot path: no lookup per forward); no op without a
      * station reaches it. */
     Counter *runtimeForwards_ = nullptr;
 
-    template <typename T>
-    static std::span<const T>
-    spanOf(const std::vector<T> &list, Span s)
+    /** Incoming ORDER tokens `op` waits for each invocation. */
+    uint32_t tokensExpected(OpId op) const;
+
+    bool hasForward(OpId op) const
     {
-        return {list.data() + s.begin, s.size};
+        return !mdes_.in(op, MdeKind::Forward).empty();
     }
+
+    /** `op`'s comparator station, or nullptr if it has none. */
+    MayCheckStation *station(OpId op);
+
+    /** The MAY out-edges whose younger op's station `op` feeds (none
+     * under NACHOS-SW), younger op ascending. */
+    std::span<const uint32_t> stationTargets(OpId op) const;
 
     void tryIssue(OpId op);
 
@@ -142,9 +115,10 @@ class MdeBackend : public OrderingBackend
      * match — and no compiler MUST-store edge could interleave,
      * forward the store's value instead of waiting for it to complete
      * ("NACHOS improves over NACHOS-SW by detecting many more
-     * opportunities for ST-LD forwarding").
+     * opportunities for ST-LD forwarding"). `op` is fully ready and
+     * not yet issued; `st` is its station.
      */
-    bool tryRuntimeForward(OpId op);
+    bool tryRuntimeForward(OpId op, const MayCheckStation &st);
 };
 
 } // namespace nachos

@@ -8,8 +8,7 @@
 
 namespace nachos {
 
-Placement::Placement(const Region &region, const GridConfig &grid)
-    : grid_(grid)
+Placement::Placement(const Region &region)
 {
     const size_t n = region.numOps();
     levels_.assign(n, 0);
@@ -26,15 +25,14 @@ Placement::Placement(const Region &region, const GridConfig &grid)
     // free cell nearest the centroid of its producers (spiral search).
     // If the region exceeds the grid, cells are reused (FUs
     // time-share; hop distances stay defined).
-    const uint32_t cells = grid_.rows * grid_.cols;
-    NACHOS_ASSERT(cells > 0, "empty grid");
+    const uint32_t cells = kGridRows * kGridCols;
     std::vector<uint8_t> occupied(cells, 0);
     uint32_t placed_in_pass = 0;
 
     coords_.assign(n, {});
     for (const auto &o : region.ops()) {
         // Centroid of operand coordinates; sources default to center.
-        int64_t row_sum = grid_.rows / 2, col_sum = grid_.cols / 2;
+        int64_t row_sum = kGridRows / 2, col_sum = kGridCols / 2;
         int64_t cnt = 1;
         for (OpId src : o.operands) {
             row_sum += coords_[src].row;
@@ -47,7 +45,7 @@ Placement::Placement(const Region &region, const GridConfig &grid)
         // Spiral outward for the nearest free cell.
         bool done = false;
         const int max_radius =
-            static_cast<int>(grid_.rows + grid_.cols);
+            static_cast<int>(kGridRows + kGridCols);
         for (int radius = 0; radius <= max_radius && !done; ++radius) {
             for (int dr = -radius; dr <= radius && !done; ++dr) {
                 const int rem = radius - std::abs(dr);
@@ -55,12 +53,12 @@ Placement::Placement(const Region &region, const GridConfig &grid)
                     const int r = want_r + dr;
                     const int c = want_c + dc;
                     if (r < 0 || c < 0 ||
-                        r >= static_cast<int>(grid_.rows) ||
-                        c >= static_cast<int>(grid_.cols)) {
+                        r >= static_cast<int>(kGridRows) ||
+                        c >= static_cast<int>(kGridCols)) {
                         continue;
                     }
                     const uint32_t cell =
-                        static_cast<uint32_t>(r) * grid_.cols +
+                        static_cast<uint32_t>(r) * kGridCols +
                         static_cast<uint32_t>(c);
                     if (occupied[cell])
                         continue;
@@ -78,7 +76,7 @@ Placement::Placement(const Region &region, const GridConfig &grid)
             std::fill(occupied.begin(), occupied.end(), 0);
             placed_in_pass = 0;
             const uint32_t cell =
-                static_cast<uint32_t>(want_r) * grid_.cols +
+                static_cast<uint32_t>(want_r) * kGridCols +
                 static_cast<uint32_t>(want_c);
             occupied[cell] = 1;
             ++placed_in_pass;
@@ -101,10 +99,10 @@ Placement::refine(const Region &region)
 {
     const size_t n = region.numOps();
     std::vector<uint32_t> cell_of(n);
-    std::vector<int32_t> op_at(grid_.rows * grid_.cols, -1);
+    std::vector<int32_t> op_at(kGridRows * kGridCols, -1);
     for (OpId op = 0; op < n; ++op) {
         const uint32_t cell =
-            coords_[op].row * grid_.cols + coords_[op].col;
+            coords_[op].row * kGridCols + coords_[op].col;
         cell_of[op] = cell;
         op_at[cell] = static_cast<int32_t>(op);
     }
@@ -148,7 +146,7 @@ Placement::refine(const Region &region)
                 static_cast<uint32_t>(row_sum / cnt),
                 static_cast<uint32_t>(col_sum / cnt)};
             const uint32_t target_cell =
-                ideal.row * grid_.cols + ideal.col;
+                ideal.row * kGridCols + ideal.col;
             if (target_cell == cell_of[op])
                 continue;
 

@@ -21,14 +21,9 @@
 
 namespace nachos {
 
-/** CGRA grid geometry. */
-struct GridConfig
-{
-    uint32_t rows = 32;
-    uint32_t cols = 32;
-
-    bool operator==(const GridConfig &) const = default;
-};
+/** The Figure-3 grid: 32x32 homogeneous function units. */
+inline constexpr uint32_t kGridRows = 32;
+inline constexpr uint32_t kGridCols = 32;
 
 /** Grid coordinate of a mapped operation. */
 struct Coord
@@ -48,7 +43,7 @@ class Placement
 {
   public:
     Placement() = default;
-    Placement(const Region &region, const GridConfig &grid = {});
+    explicit Placement(const Region &region);
 
     /** Number of ops placed. */
     size_t numOps() const { return coords_.size(); }
@@ -64,10 +59,7 @@ class Placement
     /** Depth of the whole graph (critical path in ops). */
     uint32_t depth() const { return depth_; }
 
-    const GridConfig &grid() const { return grid_; }
-
   private:
-    GridConfig grid_;
     std::vector<Coord> coords_;
     std::vector<uint32_t> levels_;
     uint32_t depth_ = 0;

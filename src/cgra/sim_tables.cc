@@ -160,14 +160,12 @@ SimTables::build(const Region &region, const Placement &placement,
 }
 
 SimPlan::SimPlan(const Region &region, const Placement &placement,
-                 const GridConfig &grid, const NetworkConfig &net)
+                 const NetworkConfig &net)
     : region_(region), placement_(placement), network_(placement, net)
 {
     NACHOS_ASSERT(placement.numOps() == region.numOps(), "placement of ",
                   placement.numOps(), " ops for a region of ",
                   region.numOps());
-    NACHOS_ASSERT(placement.grid() == grid,
-                  "placement built for a different grid");
     tables_.build(region, placement_, network_);
 }
 

@@ -142,15 +142,15 @@ struct SimTables
  * The firing plan of one (region, placement, network config): the
  * operand network and SimTables over a borrowed placement, built once
  * and borrowed read-only by every SimCore that simulates the region
- * on that grid and network — whatever its backend, LSQ or memory
+ * on that network — whatever its backend, LSQ or memory
  * configuration. The region and the placement must outlive the plan.
  */
 class SimPlan
 {
   public:
-    /** `placement` must place `region`'s ops on `grid` (asserted). */
+    /** `placement` must place `region`'s ops (asserted). */
     SimPlan(const Region &region, const Placement &placement,
-            const GridConfig &grid, const NetworkConfig &net);
+            const NetworkConfig &net);
 
     const Region &region() const { return region_; }
     const Placement &placement() const { return placement_; }

@@ -36,11 +36,10 @@ OrderingBackend::onForwardValue(OpId op, uint64_t cycle, int64_t value)
                  " but does not override onForwardValue");
 }
 
-SimCore::SimCore(const SimPlan &plan, const MdeSet &mdes,
-                 OrderingBackend &backend, const SimConfig &cfg,
-                 PooledRun &run)
+SimCore::SimCore(const SimPlan &plan, OrderingBackend &backend,
+                 const SimConfig &cfg, PooledRun &run)
     : plan_(plan), tables_(plan.tables()), region_(plan.region()),
-      mdes_(mdes), backend_(backend), cfg_(cfg), stats_(run.stats),
+      backend_(backend), cfg_(cfg), stats_(run.stats),
       hierarchy_(*run.hierarchy), energyModel_(cfg.energy),
       events_(run.core.events), waveBuf_(run.core.wave),
       states_(run.core.states), inputArena_(run.core.inputArena),
@@ -48,8 +47,6 @@ SimCore::SimCore(const SimPlan &plan, const MdeSet &mdes,
       trace_(!cfg.traceFile.empty())
 {
     NACHOS_ASSERT(region_.finalized(), "simulate a finalized region");
-    NACHOS_ASSERT(plan.placement().grid() == cfg.grid,
-                  "firing plan built for a different grid");
     NACHOS_ASSERT(plan.network().config() == cfg.net,
                   "firing plan built for a different operand network");
     NACHOS_ASSERT(hierarchy_.config() == cfg.mem,
@@ -89,22 +86,6 @@ uint64_t
 SimCore::netLatency(OpId from, OpId to) const
 {
     return plan_.network().latency(from, to);
-}
-
-void
-SimCore::countOrderToken(OpId from, OpId to)
-{
-    (void)from;
-    (void)to;
-    mdeMust_->inc();
-}
-
-void
-SimCore::countForward(OpId from, OpId to)
-{
-    (void)from;
-    (void)to;
-    mdeForwards_->inc();
 }
 
 int64_t
@@ -572,8 +553,8 @@ SimResult
 simulate(const Region &region, const MdeSet &mdes, BackendKind kind,
          const SimConfig &cfg, HierarchyPool &pool)
 {
-    const Placement placement(region, cfg.grid);
-    const SimPlan plan(region, placement, cfg.grid, cfg.net);
+    const Placement placement(region);
+    const SimPlan plan(region, placement, cfg.net);
     return simulate(plan, mdes, kind, cfg, pool);
 }
 
@@ -584,7 +565,7 @@ simulate(const SimPlan &plan, const MdeSet &mdes, BackendKind kind,
     const Region &region = plan.region();
     PooledRun &run = pool.beginRun(cfg.mem);
     const auto go = [&](OrderingBackend &backend) {
-        SimCore core(plan, mdes, backend, cfg, run);
+        SimCore core(plan, backend, cfg, run);
         return core.run();
     };
     switch (kind) {

@@ -73,7 +73,6 @@ const char *backendName(BackendKind k);
 /** Full simulation configuration. */
 struct SimConfig
 {
-    GridConfig grid;
     NetworkConfig net;
     HierarchyConfig mem;
     LsqConfig lsq;
@@ -186,12 +185,11 @@ class SimCore
      * pool must outlive the core.
      *
      * The core borrows `plan` (the region's placement and firing
-     * tables), whose grid and network must match `cfg`; the plan must
-     * outlive the core.
+     * tables), whose network must match `cfg`; the plan must outlive
+     * the core.
      */
-    SimCore(const SimPlan &plan, const MdeSet &mdes,
-            OrderingBackend &backend, const SimConfig &cfg,
-            PooledRun &run);
+    SimCore(const SimPlan &plan, OrderingBackend &backend,
+            const SimConfig &cfg, PooledRun &run);
 
     /** Run all invocations; returns the aggregated result. */
     SimResult run();
@@ -217,17 +215,15 @@ class SimCore
     uint64_t netLatency(OpId from, OpId to) const;
 
     /** Count a 1-bit ORDER token traversal (energy). */
-    void countOrderToken(OpId from, OpId to);
+    void countOrderToken() { mdeMust_->inc(); }
 
     /** Count a FORWARD value traversal (energy). */
-    void countForward(OpId from, OpId to);
+    void countForward() { mdeForwards_->inc(); }
 
     /** Data value a store will write (valid once fully ready). */
     int64_t storeData(OpId op) const;
 
     const Region &region() const { return region_; }
-    const MdeSet &mdes() const { return mdes_; }
-    uint64_t invocation() const { return invocation_; }
 
   private:
     /**
@@ -313,7 +309,6 @@ class SimCore
     /** Static firing tables: the plan's (cgra/sim_tables). */
     const SimTables &tables_;
     const Region &region_;
-    const MdeSet &mdes_;
     OrderingBackend &backend_;
     SimConfig cfg_;
     /** The run's counters and memory hierarchy: the pool's. */

@@ -1,8 +1,6 @@
 #include "harness/region_cache.hh"
 
-#include "ir/serialize.hh"
 #include "support/logging.hh"
-#include "support/value_hash.hh"
 
 namespace nachos {
 
@@ -19,19 +17,16 @@ RegionCache::makeKey(const BenchmarkInfo &info, const RunRequest &request)
     return key;
 }
 
-std::shared_ptr<const RegionCacheEntry>
+std::shared_ptr<const FrontEnd>
 RegionCache::build(const BenchmarkInfo &info, const RunRequest &request,
                    StageTimes *times)
 {
     StageTimes unused;
-    auto entry = std::make_shared<RegionCacheEntry>();
-    static_cast<FrontEnd &>(*entry) =
-        buildFrontEnd(info, request, times ? *times : unused);
-    entry->digest = regionDigest(entry->region);
-    return entry;
+    return std::make_shared<const FrontEnd>(
+        buildFrontEnd(info, request, times ? *times : unused));
 }
 
-std::shared_ptr<const RegionCacheEntry>
+std::shared_ptr<const FrontEnd>
 RegionCache::acquire(const BenchmarkInfo &info, const RunRequest &request,
                      bool *hit, StageTimes *times)
 {
@@ -62,7 +57,7 @@ RegionCache::acquire(const BenchmarkInfo &info, const RunRequest &request,
     if (hit)
         *hit = false;
 
-    std::shared_ptr<const RegionCacheEntry> entry =
+    std::shared_ptr<const FrontEnd> entry =
         build(info, request, times);
     if (capacity_ == 0)
         return entry;
@@ -94,18 +89,6 @@ RegionCache::counters() const
     c.evictions = evictions_;
     c.size = lru_.size();
     return c;
-}
-
-uint64_t
-RegionCache::regionDigest(const Region &region)
-{
-    return fnv1a64(regionToString(region));
-}
-
-bool
-RegionCache::entryIntact(const RegionCacheEntry &entry)
-{
-    return regionDigest(entry.region) == entry.digest;
 }
 
 } // namespace nachos

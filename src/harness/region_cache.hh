@@ -11,10 +11,8 @@
  * the firing tables and the simulate calls.
  *
  * Entries are immutable once inserted (handed out as
- * shared_ptr<const>), LRU-evicted beyond the configured capacity, and
- * carry a digest of the serialized region taken at insert time so
- * tests can prove no simulation path mutated a cached region
- * (entryIntact re-digests and compares).
+ * shared_ptr<const FrontEnd>) and LRU-evicted beyond the configured
+ * capacity.
  */
 
 #ifndef NACHOS_HARNESS_REGION_CACHE_HH
@@ -27,13 +25,6 @@
 #include "harness/runner.hh"
 
 namespace nachos {
-
-/** One fully prepared front end plus its insert-time digest. */
-struct RegionCacheEntry : FrontEnd
-{
-    /** FNV-1a over the serialized region, taken at insert time. */
-    uint64_t digest = 0;
-};
 
 class RegionCache
 {
@@ -54,7 +45,7 @@ class RegionCache
      * same key — the first insert wins, both count a miss). A miss
      * adds its stage times to `*times` (a hit leaves them alone).
      */
-    std::shared_ptr<const RegionCacheEntry>
+    std::shared_ptr<const FrontEnd>
     acquire(const BenchmarkInfo &info, const RunRequest &request,
             bool *hit = nullptr, StageTimes *times = nullptr);
 
@@ -70,17 +61,11 @@ class RegionCache
 
     size_t capacity() const { return capacity_; }
 
-    /** FNV-1a 64 over regionToString(region). */
-    static uint64_t regionDigest(const Region &region);
-
-    /** Re-digest: false iff something mutated the cached region. */
-    static bool entryIntact(const RegionCacheEntry &entry);
-
     /** Build an entry without any cache involved (the miss path, and
      *  the direct path benches compare against), adding the synth,
      *  analysis and MDE-plus-placement seconds to `*times` when
      *  given. */
-    static std::shared_ptr<const RegionCacheEntry>
+    static std::shared_ptr<const FrontEnd>
     build(const BenchmarkInfo &info, const RunRequest &request,
           StageTimes *times = nullptr);
 
@@ -115,7 +100,7 @@ class RegionCache
     struct Node
     {
         Key key;
-        std::shared_ptr<const RegionCacheEntry> entry;
+        std::shared_ptr<const FrontEnd> entry;
     };
 
     static Key makeKey(const BenchmarkInfo &info,

@@ -33,15 +33,9 @@ buildFrontEnd(const BenchmarkInfo &info, const RunRequest &request,
     times.analysisSeconds += secondsSince(start);
     start = Clock::now();
     front.mdes = insertMdes(front.region, front.analysis.matrix);
-    front.placement = Placement(front.region, GridConfig{});
+    front.placement = Placement(front.region);
     times.mdeSeconds += secondsSince(start);
     return front;
-}
-
-SimPlan
-requestPlan(const FrontEnd &front, const SimConfig &sim)
-{
-    return SimPlan(front.region, front.placement, sim.grid, sim.net);
 }
 
 BackendResults
@@ -53,8 +47,9 @@ simulateRequest(const BenchmarkInfo &info, const RunRequest &request,
                           ? request.invocationsOverride
                           : info.invocations;
     request.machine.applyTo(sim);
-    // One firing plan serves all three backend runs.
-    const SimPlan plan = requestPlan(front, sim);
+    // One firing plan on the front end's placement serves all three
+    // backend runs.
+    const SimPlan plan(front.region, front.placement, sim.net);
     const MdeSet &m = front.mdes;
     BackendResults out;
     for (const BackendField &backend : backendFields())
@@ -94,7 +89,7 @@ analyzeRegion(Region region, const PipelineConfig &pipeline)
     out.region = std::move(region);
     out.analysis = runAliasPipeline(out.region, pipeline);
     out.mdes = insertMdes(out.region, out.analysis.matrix);
-    out.placement = Placement(out.region, GridConfig{});
+    out.placement = Placement(out.region);
     return out;
 }
 

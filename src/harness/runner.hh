@@ -89,19 +89,12 @@ FrontEnd buildFrontEnd(const BenchmarkInfo &info, const RunRequest &request,
                        StageTimes &times);
 
 /**
- * The firing plan `front` simulates on under `sim`: it borrows
- * front.placement, so every request served from one front end shares
- * one placement, and builds the operand network and SimTables for
- * sim.net. `sim.grid` must be the grid front.placement was built on
- * (asserted). `front` must outlive the plan.
- */
-SimPlan requestPlan(const FrontEnd &front, const SimConfig &sim);
-
-/**
  * Simulate `front` (built for `info` and `request`) under every
  * backend `request` asks for, on the request's machine, reusing
- * `pool`'s memory hierarchy and one requestPlan. The one simulation
- * path behind runWorkload, nachosd and the sweeps.
+ * `pool`'s memory hierarchy and one firing plan. The plan borrows
+ * front.placement, so every request served from one front end shares
+ * one placement. The one simulation path behind runWorkload, nachosd
+ * and the sweeps.
  */
 BackendResults simulateRequest(const BenchmarkInfo &info,
                                const RunRequest &request,

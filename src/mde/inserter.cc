@@ -1,11 +1,13 @@
 #include "mde/inserter.hh"
 
+#include <utility>
+
 namespace nachos {
 
 MdeSet
 insertMdes(const Region &region, const AliasMatrix &matrix)
 {
-    MdeSet mdes(region);
+    std::vector<Mde> edges;
     const uint32_t n = static_cast<uint32_t>(matrix.numMemOps());
 
     for (uint32_t j = 0; j < n; ++j) {
@@ -40,18 +42,18 @@ insertMdes(const Region &region, const AliasMatrix &matrix)
               case AliasLabel::No:
                 break;
               case AliasLabel::May:
-                mdes.add(older, younger, MdeKind::May);
+                edges.push_back({older, younger, MdeKind::May});
                 break;
               case AliasLabel::Must:
                 if (static_cast<int64_t>(i) == forward_i)
-                    mdes.add(older, younger, MdeKind::Forward);
+                    edges.push_back({older, younger, MdeKind::Forward});
                 else
-                    mdes.add(older, younger, MdeKind::Order);
+                    edges.push_back({older, younger, MdeKind::Order});
                 break;
             }
         }
     }
-    return mdes;
+    return MdeSet(region, std::move(edges));
 }
 
 } // namespace nachos

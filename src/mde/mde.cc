@@ -1,6 +1,7 @@
 #include "mde/mde.hh"
 
 #include <ostream>
+#include <utility>
 
 #include "support/logging.hh"
 
@@ -17,60 +18,49 @@ mdeKindName(MdeKind k)
     return "?";
 }
 
-MdeSet::MdeSet(const Region &region)
-    : incoming_(region.numOps()), outgoing_(region.numOps())
-{}
-
-void
-MdeSet::add(OpId older, OpId younger, MdeKind kind)
+MdeSet::MdeSet(const Region &region, std::vector<Mde> edges)
+    : edges_(std::move(edges))
 {
-    NACHOS_ASSERT(older < younger, "MDE must point older -> younger");
-    NACHOS_ASSERT(younger < incoming_.size(), "MDE op out of range");
-    uint32_t idx = static_cast<uint32_t>(edges_.size());
-    edges_.push_back({older, younger, kind});
-    incoming_[younger].push_back(idx);
-    outgoing_[older].push_back(idx);
-}
-
-const std::vector<uint32_t> &
-MdeSet::incoming(OpId op) const
-{
-    NACHOS_ASSERT(op < incoming_.size(), "op out of range");
-    return incoming_[op];
-}
-
-const std::vector<uint32_t> &
-MdeSet::outgoing(OpId op) const
-{
-    NACHOS_ASSERT(op < outgoing_.size(), "op out of range");
-    return outgoing_[op];
-}
-
-const Mde &
-MdeSet::edge(uint32_t idx) const
-{
-    NACHOS_ASSERT(idx < edges_.size(), "edge index out of range");
-    return edges_[idx];
-}
-
-bool
-MdeSet::hasForwardSource(OpId load) const
-{
-    for (uint32_t idx : incoming(load)) {
-        if (edges_[idx].kind == MdeKind::Forward)
-            return true;
+    OpId last_younger = 0;
+    for (const Mde &e : edges_) {
+        NACHOS_ASSERT(e.older < e.younger,
+                      "MDE must point older -> younger");
+        NACHOS_ASSERT(e.younger < region.numOps(), "MDE op out of range");
+        NACHOS_ASSERT(e.younger >= last_younger,
+                      "MDEs must be listed in younger-op order");
+        last_younger = e.younger;
     }
-    return false;
-}
 
-OpId
-MdeSet::forwardSource(OpId load) const
-{
-    for (uint32_t idx : incoming(load)) {
-        if (edges_[idx].kind == MdeKind::Forward)
-            return edges_[idx].older;
+    // Counting sort of the edge indices into (op, kind) groups; a
+    // stable pass, so each group keeps the edge-list order.
+    const size_t groups = region.numOps() * kKinds;
+    const auto fill = [&](OpId Mde::*endpoint,
+                          std::vector<uint32_t> &offset,
+                          std::vector<uint32_t> &list) {
+        const auto group_of = [endpoint](const Mde &e) {
+            return e.*endpoint * kKinds + static_cast<size_t>(e.kind);
+        };
+        offset.assign(groups + 1, 0);
+        for (const Mde &e : edges_)
+            ++offset[group_of(e) + 1];
+        for (size_t g = 0; g < groups; ++g)
+            offset[g + 1] += offset[g];
+        std::vector<uint32_t> next(offset.begin(), offset.end() - 1);
+        list.resize(edges_.size());
+        for (uint32_t idx = 0; idx < edges_.size(); ++idx)
+            list[next[group_of(edges_[idx])]++] = idx;
+    };
+    fill(&Mde::younger, inOffset_, inEdges_);
+    fill(&Mde::older, outOffset_, outEdges_);
+
+    slot_.resize(edges_.size());
+    for (size_t g = 0; g < groups; ++g) {
+        for (uint32_t pos = inOffset_[g]; pos < inOffset_[g + 1]; ++pos)
+            slot_[inEdges_[pos]] = pos - inOffset_[g];
     }
-    NACHOS_PANIC("load ", load, " has no FORWARD edge");
+    for (OpId op = 0; op < region.numOps(); ++op)
+        NACHOS_ASSERT(in(op, MdeKind::Forward).size() <= 1,
+                      "load with two FORWARD sources");
 }
 
 MdeCounts
@@ -92,12 +82,9 @@ MdeSet::mayFanIns(const Region &region) const
 {
     std::vector<uint32_t> fanins;
     fanins.reserve(region.memOps().size());
-    for (OpId op : region.memOps()) {
-        uint32_t k = 0;
-        for (uint32_t idx : incoming(op))
-            k += edges_[idx].kind == MdeKind::May ? 1 : 0;
-        fanins.push_back(k);
-    }
+    for (OpId op : region.memOps())
+        fanins.push_back(
+            static_cast<uint32_t>(in(op, MdeKind::May).size()));
     return fanins;
 }
 

@@ -18,9 +18,11 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <vector>
 
 #include "ir/dfg.hh"
+#include "support/logging.hh"
 
 namespace nachos {
 
@@ -49,35 +51,53 @@ struct MdeCounts
 };
 
 /**
- * The set of MDEs for a region, with per-younger-op indexing used by
- * the simulator backends.
+ * The MDEs of a region and their per-op adjacency, built once from
+ * the complete edge list and immutable afterwards (so a cached front
+ * end is shared by threads without locks).
+ *
+ * The adjacency is two CSR tables, in-edges by younger op and
+ * out-edges by older op, each grouping an op's edges by kind; within
+ * a kind, edges keep their order in the edge list. The list is in
+ * younger-op order (asserted), so every out-edge span runs younger op
+ * ascending. The simulator backends read these spans directly.
  */
 class MdeSet
 {
   public:
     MdeSet() = default;
 
-    /** Create an empty set for a region. */
-    explicit MdeSet(const Region &region);
-
-    void add(OpId older, OpId younger, MdeKind kind);
+    /**
+     * The set of `edges` over `region`'s ops. Each edge points older
+     * -> younger, the list is sorted by younger op, and no op has two
+     * FORWARD sources (all asserted).
+     */
+    explicit MdeSet(const Region &region, std::vector<Mde> edges = {});
 
     const std::vector<Mde> &edges() const { return edges_; }
 
-    /** Edges whose younger endpoint is `op` (incoming dependences). */
-    const std::vector<uint32_t> &incoming(OpId op) const;
+    const Mde &edge(uint32_t idx) const
+    {
+        NACHOS_ASSERT(idx < edges_.size(), "edge index out of range");
+        return edges_[idx];
+    }
 
-    /** Edges whose older endpoint is `op` (ops waiting on it). */
-    const std::vector<uint32_t> &outgoing(OpId op) const;
+    /** Indices of `kind` edges whose younger endpoint is `op`. */
+    std::span<const uint32_t> in(OpId op, MdeKind kind) const
+    {
+        return group(inOffset_, inEdges_, op, kind);
+    }
 
-    const Mde &edge(uint32_t idx) const;
+    /** Indices of `kind` edges whose older endpoint is `op`. */
+    std::span<const uint32_t> out(OpId op, MdeKind kind) const
+    {
+        return group(outOffset_, outEdges_, op, kind);
+    }
 
     /**
-     * The forwarding source of a load, if any: the older store of its
-     * unique FORWARD edge.
+     * Position of edge `idx` in in(younger, kind): for a MAY edge, the
+     * slot its older op fills in the younger op's comparator station.
      */
-    bool hasForwardSource(OpId load) const;
-    OpId forwardSource(OpId load) const;
+    uint32_t slot(uint32_t idx) const { return slot_[idx]; }
 
     MdeCounts counts() const;
 
@@ -87,9 +107,25 @@ class MdeSet
     size_t size() const { return edges_.size(); }
 
   private:
+    static constexpr size_t kKinds = 3;
+
     std::vector<Mde> edges_;
-    std::vector<std::vector<uint32_t>> incoming_;
-    std::vector<std::vector<uint32_t>> outgoing_;
+    /** Group (op, kind) of a table spans [offset[g], offset[g + 1]),
+     * g = op * kKinds + kind. */
+    std::vector<uint32_t> inOffset_;
+    std::vector<uint32_t> inEdges_;
+    std::vector<uint32_t> outOffset_;
+    std::vector<uint32_t> outEdges_;
+    std::vector<uint32_t> slot_; ///< by edge index
+
+    static std::span<const uint32_t>
+    group(const std::vector<uint32_t> &offset,
+          const std::vector<uint32_t> &list, OpId op, MdeKind kind)
+    {
+        const size_t g = op * kKinds + static_cast<size_t>(kind);
+        NACHOS_ASSERT(g + 1 < offset.size(), "op out of range");
+        return {list.data() + offset[g], offset[g + 1] - offset[g]};
+    }
 };
 
 /** DOT dump of a region with MDEs drawn as dashed colored edges. */

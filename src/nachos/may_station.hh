@@ -28,6 +28,9 @@ namespace nachos {
 class MayCheckStation
 {
   public:
+    /** An unbound station (a pool's spare); bind() before use. */
+    MayCheckStation() = default;
+
     /**
      * @param num_parents number of MAY-alias parents (result bits)
      * @param stats energy/event counters (mde.mayChecks et al.)
@@ -83,8 +86,6 @@ class MayCheckStation
     /** Number of comparisons performed so far this invocation. */
     uint64_t comparesDone() const { return comparesDone_; }
 
-    uint32_t numParents() const { return numParents_; }
-
   private:
     struct ParentState
     {
@@ -104,9 +105,9 @@ class MayCheckStation
     uint32_t numParents_ = 0;
     /** Handles resolved at bind() (hot path: no lookup per
      * comparison). */
-    Counter *mayChecks_;
-    Counter *checksClear_;
-    Counter *checksConflict_;
+    Counter *mayChecks_ = nullptr;
+    Counter *checksClear_ = nullptr;
+    Counter *checksConflict_ = nullptr;
     uint32_t comparesPerCycle_ = 1;
     uint64_t comparatorSlot_ = 0;
     std::vector<ParentState> parents_;

@@ -317,21 +317,16 @@ Daemon::drain()
 
     // 4. Wake readers blocked in recv and join them; the last
     //    reference to each Connection closes its fd.
+    std::list<Reader> readers;
     {
         std::lock_guard<std::mutex> lock(connsMutex_);
-        for (const std::weak_ptr<Connection> &weak : conns_) {
-            if (std::shared_ptr<Connection> conn = weak.lock())
+        for (const Reader &reader : readers_) {
+            if (std::shared_ptr<Connection> conn = reader.conn.lock())
                 conn->shutdownSocket();
         }
+        readers.swap(readers_);
     }
-    std::vector<std::jthread> readers;
-    {
-        std::lock_guard<std::mutex> lock(connsMutex_);
-        readers.swap(connThreads_);
-    }
-    for (std::jthread &t : readers)
-        if (t.joinable())
-            t.join();
+    readers.clear(); // joins every reader
 
     for (int &fd : wakePipe_) {
         if (fd >= 0)
@@ -371,9 +366,17 @@ Daemon::acceptLoop()
             auto conn = std::make_shared<Connection>(fd);
             bump(&DaemonMetrics::connsAccepted);
             std::lock_guard<std::mutex> lock(connsMutex_);
-            conns_.push_back(conn);
-            connThreads_.emplace_back(
-                [this, conn] { connectionLoop(conn); });
+            // Join the readers whose peers hung up, so that a stream
+            // of short connections keeps no thread stacks behind.
+            readers_.remove_if(
+                [](const Reader &r) { return r.done.load(); });
+            Reader &reader = readers_.emplace_back();
+            reader.conn = conn;
+            reader.thread =
+                std::jthread([this, conn, &done = reader.done] {
+                    connectionLoop(conn);
+                    done = true;
+                });
         }
     }
 }
@@ -547,9 +550,9 @@ Daemon::handleCancel(const std::shared_ptr<Connection> &conn,
     }
     if (target && queue_.cancel(target)) {
         // We own the job's response now (Queued -> Cancelled).
+        bump(&DaemonMetrics::jobsCancelled);
         respondError(*target, "cancelled", "job cancelled by request");
         finishJob();
-        bump(&DaemonMetrics::jobsCancelled);
         std::string reply;
         appendOkResponse(reply, req.id);
         sendTo(conn, std::move(reply));
@@ -603,7 +606,7 @@ Daemon::executeJob(Worker &self, const std::shared_ptr<Job> &job)
     // cache.misses == jobs.completed + jobs.failed + jobs.lateResults.
     bool failed = false;
     std::string failMessage;
-    std::shared_ptr<const RegionCacheEntry> entry;
+    std::shared_ptr<const FrontEnd> entry;
     BackendResults sims;
     StageTimes times;
     try {
@@ -629,33 +632,38 @@ Daemon::executeJob(Worker &self, const std::shared_ptr<Job> &job)
         bump(&DaemonMetrics::jobsLateResults);
         return;
     }
+    // Each answer is counted before it is sent, so a client that asks
+    // for `metrics` after its answer sees its own job.
     if (failed) {
+        bump(&DaemonMetrics::jobsFailed);
         respondError(*job, "internal",
                      "job execution failed: " + failMessage);
-        bump(&DaemonMetrics::jobsFailed);
         return;
     }
-    respondResult(self, job,
-                  summarizeOutcome(*job->spec.info, job->spec.request,
-                                   *entry, sims));
-    const uint64_t totalMicros =
-        microsBetween(job->enqueued, clock_t_::now());
-    const bool bulk = job->spec.klass == AdmitClass::Bulk;
-    std::lock_guard<std::mutex> lock(statsMutex_);
-    DaemonMetrics &m = metrics_;
-    m.jobsCompleted.inc();
-    // Firing-plan observability: the engine's event traffic summed
-    // over every backend run the daemon served.
-    for (const BackendField &backend : backendFields())
-        if (const std::optional<SimResult> &sim = sims.*backend.result)
-            m.planEventsDispatched.inc(sim->planEventsDispatched);
-    m.synthMicros.sample(secondsToMicros(times.synthSeconds));
-    m.analysisMicros.sample(secondsToMicros(times.analysisSeconds));
-    m.mdeMicros.sample(secondsToMicros(times.mdeSeconds));
-    m.simMicros.sample(secondsToMicros(times.simSeconds));
-    m.totalMicros.sample(totalMicros);
-    (bulk ? m.bulkTotalMicros : m.interactiveTotalMicros)
-        .sample(totalMicros);
+    const OutcomeSummary summary = summarizeOutcome(
+        *job->spec.info, job->spec.request, *entry, sims);
+    {
+        const uint64_t totalMicros =
+            microsBetween(job->enqueued, clock_t_::now());
+        const bool bulk = job->spec.klass == AdmitClass::Bulk;
+        std::lock_guard<std::mutex> lock(statsMutex_);
+        DaemonMetrics &m = metrics_;
+        m.jobsCompleted.inc();
+        // Firing-plan observability: the engine's event traffic summed
+        // over every backend run the daemon served.
+        for (const BackendField &backend : backendFields())
+            if (const std::optional<SimResult> &sim =
+                    sims.*backend.result)
+                m.planEventsDispatched.inc(sim->planEventsDispatched);
+        m.synthMicros.sample(secondsToMicros(times.synthSeconds));
+        m.analysisMicros.sample(secondsToMicros(times.analysisSeconds));
+        m.mdeMicros.sample(secondsToMicros(times.mdeSeconds));
+        m.simMicros.sample(secondsToMicros(times.simSeconds));
+        m.totalMicros.sample(totalMicros);
+        (bulk ? m.bulkTotalMicros : m.interactiveTotalMicros)
+            .sample(totalMicros);
+    }
+    respondResult(self, job, summary);
 }
 
 void
@@ -728,17 +736,17 @@ Daemon::watchdogLoop(std::stop_token st)
                                    JobState::TimedOut)) {
                 // Never started: we own both the response and the
                 // outstanding count.
+                bump(&DaemonMetrics::jobsExpired);
                 respondError(*job, "timeout",
                              "job timed out before starting");
-                bump(&DaemonMetrics::jobsExpired);
                 finishJob();
             } else if (job->tryTransition(JobState::Running,
                                           JobState::TimedOut)) {
                 // Still computing: answer now; the worker discards
                 // the late result and settles the accounting.
+                bump(&DaemonMetrics::jobsExpired);
                 respondError(*job, "timeout",
                              "job exceeded its deadline while running");
-                bump(&DaemonMetrics::jobsExpired);
             }
         }
     }

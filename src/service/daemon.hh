@@ -45,6 +45,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -189,6 +190,14 @@ class Daemon
         std::map<uint64_t, std::weak_ptr<Job>> jobs;
     };
 
+    /** One connection's reader thread; `done` is set as it returns. */
+    struct Reader
+    {
+        std::weak_ptr<Connection> conn;
+        std::atomic<bool> done{false};
+        std::jthread thread; ///< last: joined before `done` goes
+    };
+
     /**
      * One run-to-completion worker and the state it reuses. Its thread
      * holds its address, so it is neither copied nor moved.
@@ -236,8 +245,9 @@ class Daemon
     std::jthread watchdogThread_;
 
     std::mutex connsMutex_;
-    std::vector<std::jthread> connThreads_;
-    std::vector<std::weak_ptr<Connection>> conns_;
+    /** Connection readers: acceptLoop reaps the finished ones on each
+     * accept, drain() wakes and joins the rest. */
+    std::list<Reader> readers_;
 
     std::atomic<bool> started_{false};
     std::atomic<bool> draining_{false};

@@ -749,16 +749,8 @@ writeNumber(std::string &out, const JsonValue &v)
 }
 
 void
-writeValue(std::string &out, const JsonValue &v, int indent, int level)
+writeValue(std::string &out, const JsonValue &v)
 {
-    const bool pretty = indent >= 0;
-    auto newline = [&out, indent, pretty](int lvl) {
-        if (!pretty)
-            return;
-        out.push_back('\n');
-        out.append(static_cast<size_t>(indent) * lvl, ' ');
-    };
-
     switch (v.kind()) {
       case JsonValue::Kind::Null:
         out += "null";
@@ -777,11 +769,8 @@ writeValue(std::string &out, const JsonValue &v, int indent, int level)
         for (size_t i = 0; i < v.size(); ++i) {
             if (i)
                 out.push_back(',');
-            newline(level + 1);
-            writeValue(out, v.at(i), indent, level + 1);
+            writeValue(out, v.at(i));
         }
-        if (v.size())
-            newline(level);
         out.push_back(']');
         break;
       case JsonValue::Kind::Object: {
@@ -791,15 +780,10 @@ writeValue(std::string &out, const JsonValue &v, int indent, int level)
             if (!first)
                 out.push_back(',');
             first = false;
-            newline(level + 1);
             writeEscaped(out, member.first);
             out.push_back(':');
-            if (pretty)
-                out.push_back(' ');
-            writeValue(out, member.second, indent, level + 1);
+            writeValue(out, member.second);
         }
-        if (!v.members().empty())
-            newline(level);
         out.push_back('}');
         break;
       }
@@ -809,10 +793,10 @@ writeValue(std::string &out, const JsonValue &v, int indent, int level)
 } // namespace
 
 std::string
-dumpJson(const JsonValue &v, int indent)
+dumpJson(const JsonValue &v)
 {
     std::string out;
-    writeValue(out, v, indent, 0);
+    writeValue(out, v);
     return out;
 }
 
@@ -929,7 +913,7 @@ void
 JsonWriter::value(const JsonValue &v)
 {
     elementPrefix();
-    writeValue(out_, v, -1, 0);
+    writeValue(out_, v);
 }
 
 } // namespace nachos

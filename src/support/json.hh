@@ -131,11 +131,10 @@ JsonParseStatus parseJson(std::string_view text, JsonValue &out,
 JsonValue parseWritten(std::string_view written);
 
 /**
- * Serialize. indent < 0 gives the compact one-line wire form (the
- * canonical encoding: no spaces, members in insertion order);
- * indent >= 0 pretty-prints with that many spaces per level.
+ * Serialize to the compact one-line wire form (the canonical
+ * encoding: no spaces, members in insertion order).
  */
-std::string dumpJson(const JsonValue &v, int indent = -1);
+std::string dumpJson(const JsonValue &v);
 
 /**
  * Append-style compact JSON encoder over a caller-owned buffer, and

@@ -63,19 +63,6 @@ LatencyHistogram::bucket(size_t idx) const
 }
 
 void
-LatencyHistogram::merge(const LatencyHistogram &other)
-{
-    for (size_t b = 0; b < kBuckets; ++b)
-        buckets_[b] += other.buckets_[b];
-    count_ += other.count_;
-    sum_ += other.sum_;
-    if (other.count_ && other.min_ < min_)
-        min_ = other.min_;
-    if (other.max_ > max_)
-        max_ = other.max_;
-}
-
-void
 LatencyHistogram::reset()
 {
     *this = LatencyHistogram();

@@ -65,12 +65,6 @@ class LatencyHistogram
 
     uint64_t bucket(size_t idx) const;
 
-    /**
-     * Fold another histogram's samples into this one (buckets add,
-     * min/max widen).
-     */
-    void merge(const LatencyHistogram &other);
-
     void reset();
 
     /** {"count":..,"sum":..,"min":..,"max":..,"mean":..,

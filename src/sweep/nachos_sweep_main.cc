@@ -283,7 +283,7 @@ cmdVerify(const Options &opt)
         point.machine = r.machine;
         const RunRequest request = point.toRequest();
 
-        std::shared_ptr<const RegionCacheEntry> entry =
+        std::shared_ptr<const FrontEnd> entry =
             cache.acquire(*info, request);
         const BackendResults sims =
             simulateRequest(*info, request, *entry, pool);

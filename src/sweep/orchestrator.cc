@@ -86,7 +86,7 @@ runSweepInProcess(const std::vector<SweepPoint> &points,
         const clock::time_point start = clock::now();
 
         const RunRequest request = p.toRequest();
-        std::shared_ptr<const RegionCacheEntry> entry =
+        std::shared_ptr<const FrontEnd> entry =
             cache.acquire(*p.info, request);
         const BackendResults sims =
             simulateRequest(*p.info, request, *entry, pool);

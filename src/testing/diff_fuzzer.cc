@@ -90,14 +90,9 @@ applyFault(const Region &region, const MdeSet &mdes, FaultInjection fault)
     // varies across regions, but stays fixed for any given region.
     const uint32_t drop = candidates[(region.numOps() * 2654435761u) %
                                      candidates.size()];
-    MdeSet out(region);
-    for (uint32_t i = 0; i < mdes.edges().size(); ++i) {
-        if (i == drop)
-            continue;
-        const Mde &e = mdes.edges()[i];
-        out.add(e.older, e.younger, e.kind);
-    }
-    return out;
+    std::vector<Mde> edges = mdes.edges();
+    edges.erase(edges.begin() + drop);
+    return MdeSet(region, std::move(edges));
 }
 
 std::string
@@ -237,8 +232,8 @@ checkRegion(const Region &region, const FuzzOptions &opts)
     cfg.recordMemTrace = true;
     // Every run below shares the grid and network, so one placement
     // and one firing plan serve them all.
-    const Placement placement(region, cfg.grid);
-    const SimPlan plan(region, placement, cfg.grid, cfg.net);
+    const Placement placement(region);
+    const SimPlan plan(region, placement, cfg.net);
 
     // Worker-thread-local hierarchy pool: it survives across runs and
     // cases, so hierarchy construction does not dominate every run.

@@ -307,5 +307,35 @@ TEST(Backends, MdeSchemesArePinned)
     }
 }
 
+// Comparator stations exist only for ops with MAY parents, and only
+// they register the station rows: a NACHOS run of a region with no MAY
+// edge lists none, even on a pool whose last run bound stations.
+TEST(Backends, StationRowsOnlyWithMayEdges)
+{
+    RegionBuilder b("nomay");
+    ObjectId a = b.object("A", 4096);
+    ObjectId c = b.object("C", 4096);
+    b.store(b.at(a, 0), b.constant(3));
+    b.liveOut(b.load(b.at(c, 0)));
+    const Region no_may = b.build();
+    const Region with_may = conflictingMayRegion();
+    SimConfig cfg;
+    cfg.invocations = 2;
+    HierarchyPool pool;
+    const auto simulateOn = [&](const Region &r) {
+        const MdeSet mdes = insertMdes(r, runAliasPipeline(r).matrix);
+        return simulate(r, mdes, BackendKind::Nachos, cfg, pool);
+    };
+    ASSERT_EQ(
+        insertMdes(no_may, runAliasPipeline(no_may).matrix).counts().may,
+        0u);
+    EXPECT_GT(simulateOn(with_may).stats.get("mde.mayChecks"), 0u);
+    const std::string names = statNames(simulateOn(no_may));
+    EXPECT_EQ(names.find("mde.mayChecks"), std::string::npos) << names;
+    EXPECT_EQ(names.find("nachos.checks"), std::string::npos) << names;
+    EXPECT_NE(names.find("nachos.runtimeForwards"), std::string::npos)
+        << names;
+}
+
 } // namespace
 } // namespace nachos

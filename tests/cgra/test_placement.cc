@@ -40,26 +40,23 @@ TEST(Placement, ConsecutiveChainOpsStayLocal)
 TEST(Placement, DistinctCellsUpToGridCapacity)
 {
     Region r = chainRegion(20);
-    Placement p(r, {8, 8});
+    Placement p(r);
     for (OpId a = 0; a < r.numOps(); ++a) {
-        for (OpId b = a + 1; b < r.numOps(); ++b) {
-            if (b - a < 64) {
-                EXPECT_GT(p.hops(a, b), 0u)
-                    << "ops " << a << "," << b << " share a cell";
-            }
-        }
+        for (OpId b = a + 1; b < r.numOps(); ++b)
+            EXPECT_GT(p.hops(a, b), 0u)
+                << "ops " << a << "," << b << " share a cell";
     }
 }
 
 TEST(Placement, WrapsWhenRegionExceedsGrid)
 {
-    Region r = chainRegion(40);
-    Placement p(r, {4, 4}); // 16 cells < 42 ops
+    Region r = chainRegion(kGridRows * kGridCols + 40);
+    Placement p(r);
     // No panic; coordinates stay in range.
     for (OpId op = 0; op < r.numOps(); ++op) {
         Coord c = p.coordOf(op);
-        EXPECT_LT(c.row, 4u);
-        EXPECT_LT(c.col, 4u);
+        EXPECT_LT(c.row, kGridRows);
+        EXPECT_LT(c.col, kGridCols);
     }
 }
 
@@ -83,8 +80,8 @@ TEST(Network, TransferCountsHops)
     Region r = chainRegion(4);
     SimConfig cfg;
     cfg.invocations = 3;
-    const Placement placement(r, cfg.grid);
-    const SimPlan plan(r, placement, cfg.grid, cfg.net);
+    const Placement placement(r);
+    const SimPlan plan(r, placement, cfg.net);
     uint64_t edges = 0;
     uint64_t hops = 0;
     for (const Operation &o : r.ops()) {

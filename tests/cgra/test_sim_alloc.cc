@@ -23,8 +23,8 @@ struct Planned
     explicit Planned(Region r, const SimConfig &cfg)
         : region(std::move(r)),
           mdes(insertMdes(region, runAliasPipeline(region).matrix)),
-          placement(region, cfg.grid),
-          plan(region, placement, cfg.grid, cfg.net)
+          placement(region),
+          plan(region, placement, cfg.net)
     {}
 
     Region region;

@@ -29,7 +29,7 @@ TEST(SimTables, StaticPartition)
     b.liveOut(b.select(c, x, m));            // 9, 10
     const Region r = b.build();
     const Placement placement(r);
-    const SimPlan plan(r, placement, GridConfig{}, NetworkConfig{});
+    const SimPlan plan(r, placement, NetworkConfig{});
     const SimTables &t = plan.tables();
 
     // Fire offsets: the cycles at which the eager cascade fired these
@@ -78,12 +78,8 @@ TEST(SimPlanDeathTest, RejectsMismatchedPlacement)
     const Region wider = w.build();
     const Placement placed(wider);
     EXPECT_DEATH(
-        { const SimPlan plan(r, placed, GridConfig{}, NetworkConfig{}); },
+        { const SimPlan plan(r, placed, NetworkConfig{}); },
         "placement of 6 ops for a region of 4");
-    const Placement small(r, GridConfig{8, 8});
-    EXPECT_DEATH(
-        { const SimPlan plan(r, small, GridConfig{}, NetworkConfig{}); },
-        "different grid");
 }
 
 } // namespace

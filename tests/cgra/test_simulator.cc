@@ -182,8 +182,8 @@ TEST(Simulator, SharedPlanMatchesPerRunPlans)
     const auto check = [&](const Region &r, const std::string &name) {
         const AliasAnalysisResult analysis = runAliasPipeline(r);
         const MdeSet mdes = insertMdes(r, analysis.matrix);
-        const Placement placement(r, cfg.grid);
-        const SimPlan plan(r, placement, cfg.grid, cfg.net);
+        const Placement placement(r);
+        const SimPlan plan(r, placement, cfg.net);
         const auto both = [&](BackendKind kind, const SimConfig &c,
                               const std::string &label) {
             const SimResult shared = simulate(plan, mdes, kind, c, pool);

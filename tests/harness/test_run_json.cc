@@ -258,7 +258,7 @@ TEST(Outcome, PartsSummaryMatchesWholeOutcome)
     const RunOutcome outcome = runWorkload(*info, request);
     const OutcomeSummary whole =
         summarizeOutcome(*info, request, outcome);
-    const std::shared_ptr<const RegionCacheEntry> front =
+    const std::shared_ptr<const FrontEnd> front =
         RegionCache::build(*info, request);
     HierarchyPool pool;
     const OutcomeSummary parts = summarizeOutcome(

@@ -67,7 +67,7 @@ TEST(Runner, SimulateRequestMatchesRunWorkload)
         RunRequest req;
         req.invocationsOverride = 4;
         const RunOutcome direct = runWorkload(info, req);
-        const std::shared_ptr<const RegionCacheEntry> front =
+        const std::shared_ptr<const FrontEnd> front =
             RegionCache::build(info, req);
         const BackendResults sims =
             simulateRequest(info, req, *front, pool);
@@ -87,7 +87,7 @@ TEST(Runner, SimulateRequestSelectiveBackendsAndMachine)
     req.machine.l1SizeBytes = 16 * 1024;
     req.machine.dramLatency = 400;
     const RunOutcome direct = runWorkload(info, req);
-    const std::shared_ptr<const RegionCacheEntry> front =
+    const std::shared_ptr<const FrontEnd> front =
         RegionCache::build(info, req);
     HierarchyPool pool;
     const BackendResults sims = simulateRequest(info, req, *front, pool);

@@ -73,8 +73,9 @@ TEST(Inserter, ForwardFromYoungestStore)
     (void)st0;
 
     MdeSet mdes = analyzeAndInsert(r);
-    EXPECT_TRUE(mdes.hasForwardSource(ld));
-    EXPECT_EQ(mdes.forwardSource(ld), st1);
+    const auto forward = mdes.in(ld, MdeKind::Forward);
+    ASSERT_EQ(forward.size(), 1u);
+    EXPECT_EQ(mdes.edge(forward[0]).older, st1);
     // The older store still orders against the load (kept ST->LD).
     bool found_order_from_st0 = false;
     for (const auto &e : mdes.edges()) {

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
@@ -234,9 +235,6 @@ TEST_F(DaemonTest, MetricsListEveryKeyFromTheStart)
         client->call(runRequest(1, "164.gzip", opts));
     ASSERT_TRUE(response.has_value());
     ASSERT_STREQ(responseType(*response), "result");
-    // The worker counts a job after it answers it.
-    waitUntil([&] { return counterValue("jobs.completed") == 1; },
-              "the job to settle");
     const JsonValue after = daemon_->metricsSnapshot();
     EXPECT_EQ(names(after, "counters"), wantCounters);
     EXPECT_EQ(names(after, "histograms"), wantHistograms);
@@ -247,6 +245,59 @@ TEST_F(DaemonTest, MetricsListEveryKeyFromTheStart)
                   ->find("count")
                   ->asU64(),
               1u);
+}
+
+// The worker counts a job before it answers it: a `metrics` request
+// sent on the same connection right after the result sees the job.
+TEST_F(DaemonTest, MetricsAfterAResultCountTheJob)
+{
+    start(2);
+    auto client = connect();
+    ASSERT_NE(client, nullptr);
+    RunOpts opts;
+    opts.invocations = 2;
+    std::optional<JsonValue> response =
+        client->call(runRequest(1, "164.gzip", opts));
+    ASSERT_TRUE(response.has_value());
+    ASSERT_STREQ(responseType(*response), "result");
+    std::optional<JsonValue> metrics =
+        client->call(requestEnvelope(2, "metrics"));
+    ASSERT_TRUE(metrics.has_value());
+    ASSERT_STREQ(responseType(*metrics), "metrics");
+    const JsonValue *stats = metrics->find("stats");
+    ASSERT_NE(stats, nullptr);
+    EXPECT_EQ(stats->find("counters")->find("jobs.completed")->asU64(),
+              1u);
+    EXPECT_EQ(stats->find("histograms")
+                  ->find("latency.totalMicros")
+                  ->find("count")
+                  ->asU64(),
+              1u);
+}
+
+// A finished connection's reader thread is joined at the next accept:
+// a stream of short connections keeps no thread stacks behind.
+TEST_F(DaemonTest, SequentialConnectionsKeepNoReaderThreads)
+{
+    const auto mapLines = [] {
+        std::ifstream maps("/proc/self/maps");
+        size_t lines = 0;
+        for (std::string line; std::getline(maps, line);)
+            ++lines;
+        return lines;
+    };
+    const auto pingOnce = [this] {
+        auto client = connect();
+        ASSERT_NE(client, nullptr);
+        ASSERT_TRUE(client->call(requestEnvelope(1, "ping")).has_value());
+    };
+    start();
+    for (int i = 0; i < 8; ++i)
+        pingOnce();
+    const size_t before = mapLines();
+    for (int i = 0; i < 200; ++i)
+        pingOnce();
+    EXPECT_LT(mapLines(), before + 40);
 }
 
 // Satellite (a): a job through nachosd yields byte-identical result

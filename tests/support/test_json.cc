@@ -91,17 +91,6 @@ TEST(Json, NestedRoundTrip)
     EXPECT_EQ(dumpJson(v), text);
 }
 
-TEST(Json, PrettyPrint)
-{
-    JsonValue v = JsonValue::makeObject();
-    v.set("a", 1);
-    JsonValue arr = JsonValue::makeArray();
-    arr.push(2);
-    v.set("b", std::move(arr));
-    EXPECT_EQ(dumpJson(v, 2),
-              "{\n  \"a\": 1,\n  \"b\": [\n    2\n  ]\n}");
-}
-
 TEST(Json, MalformedInputsReportErrors)
 {
     const char *bad[] = {

@@ -83,42 +83,6 @@ TEST(LatencyHistogram, ResetAndJsonSnapshot)
     EXPECT_EQ(h.p50(), 0u);
 }
 
-TEST(LatencyHistogram, MergeAddsBucketsAndBounds)
-{
-    LatencyHistogram a, b;
-    a.sample(10);
-    a.sample(1000);
-    b.sample(3);
-    b.sample(50000);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 4u);
-    EXPECT_EQ(a.sum(), 10u + 1000u + 3u + 50000u);
-    EXPECT_EQ(a.min(), 3u);
-    EXPECT_EQ(a.max(), 50000u);
-    // Merging an empty histogram changes nothing.
-    const uint64_t p99 = a.p99();
-    a.merge(LatencyHistogram());
-    EXPECT_EQ(a.count(), 4u);
-    EXPECT_EQ(a.p99(), p99);
-}
-
-TEST(LatencyHistogram, MergeMatchesCombinedSampling)
-{
-    // Percentiles after a merge equal those of one histogram that saw
-    // every sample directly.
-    LatencyHistogram combined, left, right;
-    for (uint64_t v = 1; v <= 200; ++v) {
-        combined.sample(v * 7);
-        (v % 2 ? left : right).sample(v * 7);
-    }
-    left.merge(right);
-    EXPECT_EQ(left.count(), combined.count());
-    EXPECT_EQ(left.sum(), combined.sum());
-    EXPECT_EQ(left.p50(), combined.p50());
-    EXPECT_EQ(left.p95(), combined.p95());
-    EXPECT_EQ(left.p99(), combined.p99());
-}
-
 TEST(SimStats, RowNamesAreUniqueAndInNameOrder)
 {
     std::set<std::string_view> names;

@@ -1,13 +1,18 @@
 #!/usr/bin/env bash
 # Golden-output check over the figure benches: each bench's stdout at
-# --threads 2 must match its checked-in golden file byte for byte.
+# --threads 1 and at --threads 2 must match its checked-in golden file
+# byte for byte. Together the two runs also pin the 1-vs-2-thread
+# identity of every bench's stdout.
 #
 # usage: check_golden.sh <bench-dir> <golden-dir>
 #
 # The golden directory holds one <bench>.txt per bench; that file list
-# is the set of benches checked. On a mismatch the diff is printed and
-# the script exits 1. A change that alters bench output on purpose
-# regenerates the files in the same commit and explains the change:
+# is the set of benches checked. Timing lines go to stderr by design
+# (printSuiteTiming), so stdout is the deterministic surface; bench_micro
+# (google-benchmark, timing-only output) has no golden file. On a
+# mismatch the diff is printed and the script exits 1. A change that
+# alters bench output on purpose regenerates the files in the same
+# commit and explains the change:
 #
 #   for g in tests/golden/*.txt; do
 #       build/bench/"$(basename "$g" .txt)" --threads 2 > "$g"
@@ -33,18 +38,20 @@ for golden in "$GOLDEN_DIR"/*.txt; do
         failures=$((failures + 1))
         continue
     fi
-    if ! "$bin" --threads 2 > "$TMP/$bench.txt" 2>/dev/null; then
-        echo "FAIL: $bench exited non-zero" >&2
-        failures=$((failures + 1))
-        continue
-    fi
-    if ! cmp -s "$golden" "$TMP/$bench.txt"; then
-        echo "FAIL: $bench stdout differs from $golden" >&2
-        diff -u "$golden" "$TMP/$bench.txt" >&2
-        failures=$((failures + 1))
-    else
-        echo "ok: $bench"
-    fi
+    for threads in 1 2; do
+        got="$TMP/$bench.t$threads"
+        if ! "$bin" --threads "$threads" > "$got" 2>/dev/null; then
+            echo "FAIL: $bench --threads $threads exited non-zero" >&2
+            failures=$((failures + 1))
+        elif ! cmp -s "$golden" "$got"; then
+            echo "FAIL: $bench --threads $threads stdout differs" \
+                 "from $golden" >&2
+            diff -u "$golden" "$got" >&2
+            failures=$((failures + 1))
+        else
+            echo "ok: $bench --threads $threads"
+        fi
+    done
 done
 
 if [ "$checked" -eq 0 ]; then
@@ -55,4 +62,5 @@ if [ "$failures" -ne 0 ]; then
     echo "$failures golden mismatch(es)" >&2
     exit 1
 fi
-echo "all $checked bench outputs match their golden files"
+echo "all $checked bench outputs match their golden files at 1 and 2" \
+     "threads"
