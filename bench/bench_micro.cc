@@ -122,35 +122,53 @@ BENCHMARK(BM_SimTablesBuild)
     ->Arg(0)  // suite region
     ->Arg(1); // generated region
 
+/**
+ * Warm simulate() runs of parser's region (16 invocations) on a
+ * prebuilt plan and a pool that already ran it, as a daemon worker
+ * runs a sweep. Arg 0 = backend (0 OPT-LSQ, 1 NACHOS-SW, 2 NACHOS);
+ * arg 1 = 1 alternates l1SizeBytes 16k/64k/256k between runs, so the
+ * pool re-shapes its hierarchy to a new machine every run (arg 1 = 0
+ * keeps the Figure-3 machine). Items = invocations.
+ */
 void
 BM_SimulatorInvocation(benchmark::State &state)
 {
     setQuiet(true);
-    Region r = synthesizeRegion(benchmarkByName("parser"));
-    AliasAnalysisResult res = runAliasPipeline(r);
-    MdeSet mdes = insertMdes(r, res.matrix);
+    const Region r = synthesizeRegion(benchmarkByName("parser"));
+    const MdeSet mdes = insertMdes(r, runAliasPipeline(r).matrix);
     SimConfig cfg;
     cfg.invocations = 16;
-    const BackendKind kind =
-        static_cast<BackendKind>(state.range(0));
+    const Placement placement(r);
+    const SimPlan plan(r, placement, cfg.net);
+    const BackendKind kind = static_cast<BackendKind>(state.range(0));
+    const bool alternate = state.range(1) != 0;
+    constexpr uint64_t kL1Bytes[] = {16 * 1024, 64 * 1024, 256 * 1024};
+    HierarchyPool pool;
+    simulate(plan, mdes, kind, cfg, pool);
+    uint64_t run = 0;
     for (auto _ : state) {
-        SimResult sim = simulate(r, mdes, kind, cfg);
+        if (alternate)
+            cfg.mem.l1.sizeBytes = kL1Bytes[run++ % 3];
+        SimResult sim = simulate(plan, mdes, kind, cfg, pool);
         benchmark::DoNotOptimize(sim.cycles);
     }
     state.SetItemsProcessed(
         static_cast<int64_t>(state.iterations()) * 16);
 }
 BENCHMARK(BM_SimulatorInvocation)
-    ->Arg(0)  // OPT-LSQ
-    ->Arg(1)  // NACHOS-SW
-    ->Arg(2); // NACHOS
+    ->Args({0, 0}) // OPT-LSQ
+    ->Args({1, 0}) // NACHOS-SW
+    ->Args({2, 0}) // NACHOS
+    ->Args({0, 1}) // OPT-LSQ, L1 16k/64k/256k
+    ->Args({1, 1})
+    ->Args({2, 1});
 
 /**
  * A warm simulate() of a fuzz-sized region: the differential fuzzer's
  * run (6 invocations, commit trace on) on a prebuilt plan and a pool
  * that already ran it, so the time is the run's own work plus whatever
  * fixed cost each run still pays. Arg = backend, as
- * BM_SimulatorInvocation. Items = runs.
+ * BM_SimulatorInvocation's first. Items = runs.
  */
 void
 BM_WarmSimulate(benchmark::State &state)
@@ -335,9 +353,10 @@ BM_FunctionalMemoryMix(benchmark::State &state)
 BENCHMARK(BM_FunctionalMemoryMix);
 
 /**
- * Hierarchy reset cost after a bounded touch: the epoch-bump cache
- * reset plus the page-bitmap clear must scale with touched state, not
- * with capacity. Items = resets.
+ * Hierarchy reset cost after a bounded touch: a re-shape to the same
+ * config (the pooled run's reset) is the epoch-bump cache reset plus
+ * the page-bitmap clear, and must scale with touched state, not with
+ * capacity. Items = resets.
  */
 void
 BM_HierarchyReset(benchmark::State &state)
@@ -350,7 +369,7 @@ BM_HierarchyReset(benchmark::State &state)
             mem.timedAccess(line * 64, true, line);
             mem.data().write(line * 64, 8, static_cast<int64_t>(line));
         }
-        mem.reset();
+        mem.reshape(HierarchyConfig{}, stats);
         ++resets;
     }
     state.SetItemsProcessed(static_cast<int64_t>(resets));

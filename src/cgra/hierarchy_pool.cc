@@ -13,10 +13,7 @@ HierarchyPool::beginRun(const HierarchyConfig &cfg)
 {
     PooledRun &run = *run_;
     run.stats.reset();
-    if (run.hierarchy && run.hierarchy->config() == cfg)
-        run.hierarchy->rebindStats(run.stats);
-    else
-        run.hierarchy = std::make_unique<MemoryHierarchy>(cfg, run.stats);
+    run.hierarchy.reshape(cfg, run.stats);
     return run;
 }
 

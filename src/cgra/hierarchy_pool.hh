@@ -11,9 +11,11 @@
  * filling the LLC way array (~2 MiB for the paper's 4 MiB LLC —
  * around 100 µs), which dwarfs a small region's entire simulation, and
  * the rest is the fixed cost of every short run. Reset-heavy drivers
- * (the suite runner, the differential fuzzer, the daemon's workers)
- * keep one pool alive across runs: a warm run on the same region and
- * configuration allocates only its result buffers. A pooled run is
+ * (the suite runner, the differential fuzzer, the daemon's workers,
+ * the sweeps) keep one pool alive across runs, and the pool re-shapes
+ * its one hierarchy to each run's machine: a warm run allocates only
+ * its result buffers, also after a machine change to a cache geometry
+ * the pool has already held. A pooled run is
  * observably identical to a run on a fresh pool (tested), and the
  * unpooled simulate() is exactly that.
  */
@@ -40,9 +42,9 @@ class HierarchyPool
 
     /**
      * The kept run state, reset for a new run: counters zeroed and
-     * unregistered, and a hierarchy configured as `cfg` bound to them
-     * — the kept one, reset, when the configuration matches; a new
-     * one otherwise. The reference stays valid for the pool's life;
+     * unregistered, and the kept hierarchy re-shaped to `cfg` and
+     * bound to them (MemoryHierarchy::reshape), whatever config the
+     * last run had. The reference stays valid for the pool's life;
      * its contents until the next beginRun().
      */
     PooledRun &beginRun(const HierarchyConfig &cfg);

@@ -7,8 +7,6 @@
 #ifndef NACHOS_CGRA_POOLED_RUN_HH
 #define NACHOS_CGRA_POOLED_RUN_HH
 
-#include <memory>
-
 #include "cgra/lsq_backend.hh"
 #include "cgra/mde_backend.hh"
 #include "cgra/simulator.hh"
@@ -21,7 +19,8 @@ struct PooledRun
 {
     /** The run's counters; every component's handles point here. */
     SimStats stats;
-    std::unique_ptr<MemoryHierarchy> hierarchy;
+    /** Re-shaped to each run's config (HierarchyPool::beginRun). */
+    MemoryHierarchy hierarchy{HierarchyConfig{}, stats};
     SimCore::Buffers core;
     LsqBackend::Buffers lsq;
     MdeBackend::Buffers mde;

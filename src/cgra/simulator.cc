@@ -40,7 +40,7 @@ SimCore::SimCore(const SimPlan &plan, OrderingBackend &backend,
                  const SimConfig &cfg, PooledRun &run)
     : plan_(plan), tables_(plan.tables()), region_(plan.region()),
       backend_(backend), cfg_(cfg), stats_(run.stats),
-      hierarchy_(*run.hierarchy), energyModel_(cfg.energy),
+      hierarchy_(run.hierarchy), energyModel_(cfg.energy),
       events_(run.core.events), waveBuf_(run.core.wave),
       states_(run.core.states), inputArena_(run.core.inputArena),
       staticValues_(run.core.staticValues),

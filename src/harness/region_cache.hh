@@ -12,15 +12,30 @@
  *
  * Entries are immutable once inserted (handed out as
  * shared_ptr<const FrontEnd>) and LRU-evicted beyond the configured
- * capacity.
+ * capacity. Each key is built once: while a key is being built, a
+ * second acquire of it waits for that build instead of starting
+ * another, so the miss count is the number of builds.
+ *
+ * Eviction is LRU with one preference: an entry a `retain` acquire has
+ * used (the daemon retains interactive requests' entries) is evicted
+ * only after every entry no such acquire has used. A design-space
+ * sweep's region serves a burst of bulk jobs and is never asked for
+ * again, while interactive requests return to the same few regions;
+ * under plain LRU a fast sweep flushed those out. At most half the
+ * capacity is retained: past that, the least recently used retained
+ * entry loses its mark, so bulk work always keeps room for the
+ * regions it is working on.
  */
 
 #ifndef NACHOS_HARNESS_REGION_CACHE_HH
 #define NACHOS_HARNESS_REGION_CACHE_HH
 
+#include <condition_variable>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
+#include <vector>
 
 #include "harness/runner.hh"
 
@@ -29,9 +44,17 @@ namespace nachos {
 class RegionCache
 {
   public:
-    /** `capacity` = max resident entries; 0 disables caching (every
-     *  acquire synthesizes fresh and stores nothing). */
-    explicit RegionCache(size_t capacity) : capacity_(capacity) {}
+    /**
+     * `capacity` = max resident entries; 0 disables caching (every
+     * acquire synthesizes fresh and stores nothing). `onBuilt`, when
+     * set, runs after each build of a storing cache lands (or fails),
+     * once building() no longer reports its key, outside the cache
+     * lock.
+     */
+    explicit RegionCache(size_t capacity,
+                         std::function<void()> onBuilt = {})
+        : capacity_(capacity), onBuilt_(std::move(onBuilt))
+    {}
 
     RegionCache(const RegionCache &) = delete;
     RegionCache &operator=(const RegionCache &) = delete;
@@ -41,13 +64,25 @@ class RegionCache
      * synthesizing and inserting on miss. Exactly one hit or one miss
      * is counted per call, so hits + misses equals the number of
      * front-end lookups the daemon reports. Thread-safe; the build on
-     * a miss runs outside the lock (two threads may race to build the
-     * same key — the first insert wins, both count a miss). A miss
-     * adds its stage times to `*times` (a hit leaves them alone).
+     * a miss runs outside the lock, and an acquire of a key another
+     * thread is building waits for that build and counts a hit (if
+     * that build failed, it builds the key itself and counts a miss).
+     * A miss adds its stage times to `*times` (a hit leaves them
+     * alone). A failed build rethrows to its caller. `retain` marks
+     * the entry as one to evict last (see the class comment).
      */
     std::shared_ptr<const FrontEnd>
     acquire(const BenchmarkInfo &info, const RunRequest &request,
-            bool *hit = nullptr, StageTimes *times = nullptr);
+            bool *hit = nullptr, StageTimes *times = nullptr,
+            bool retain = false);
+
+    /**
+     * True while some acquire() is building the entry `request` on
+     * `info` would use. The daemon claims no job whose key is being
+     * built: it would only wait for the build inside acquire().
+     */
+    bool building(const BenchmarkInfo &info,
+                  const RunRequest &request) const;
 
     struct Counters
     {
@@ -101,14 +136,30 @@ class RegionCache
     {
         Key key;
         std::shared_ptr<const FrontEnd> entry;
+        bool retained = false; ///< a `retain` acquire used it
     };
 
     static Key makeKey(const BenchmarkInfo &info,
                        const RunRequest &request);
 
+    /**
+     * End the build of `key`: insert `entry` (null when the build
+     * failed) and evict down to capacity, unretained entries first,
+     * wake the acquires waiting for it, then run onBuilt_.
+     */
+    void land(const Key &key, std::shared_ptr<const FrontEnd> entry,
+              bool retain);
+
+    /** Mark `node` retained, keeping at most capacity_/2 marks. */
+    void retain(Node &node);
+
     mutable std::mutex mutex_;
+    std::condition_variable built_; ///< a build landed or failed
     std::list<Node> lru_; ///< front = most recently used
+    std::vector<Key> building_; ///< keys some acquire() is building
     size_t capacity_;
+    size_t retained_ = 0; ///< nodes with `retained` set
+    std::function<void()> onBuilt_;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
     uint64_t evictions_ = 0;

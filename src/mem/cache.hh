@@ -43,9 +43,21 @@ struct CacheConfig
     uint32_t ports = 2;
     CacheLevel level = CacheLevel::L1; ///< counter rows ("l1.*")
 
-    /** Field-wise equality — pooled-reuse check. */
     bool operator==(const CacheConfig &) const = default;
 };
+
+/**
+ * The paper's Figure-3 geometry of each level: L1 64 KiB, 4-way,
+ * 3 cycles; LLC 4 MiB, 16-way, 25 cycles (HierarchyConfig's defaults).
+ */
+constexpr CacheConfig
+figure3Cache(CacheLevel level)
+{
+    return level == CacheLevel::L1
+               ? CacheConfig{64 * 1024, 4, 64, 3, 16, 4, CacheLevel::L1}
+               : CacheConfig{4 * 1024 * 1024, 16, 64, 25, 32, 4,
+                             CacheLevel::Llc};
+}
 
 /**
  * Fixed-latency DRAM with a simple per-request issue bandwidth: the
@@ -102,17 +114,9 @@ class CacheT final
 {
   public:
     CacheT(const CacheConfig &cfg, Next &next, SimStats &stats)
-        : cfg_(cfg), next_(next), bw_(cfg.ports)
+        : next_(next), bw_(cfg.ports)
     {
-        NACHOS_ASSERT(cfg_.lineBytes > 0 && cfg_.assoc > 0,
-                      "bad cache geometry");
-        NACHOS_ASSERT(cfg_.numMshrs > 0, "cache needs at least 1 MSHR");
-        numSets_ = static_cast<uint32_t>(cfg_.sizeBytes /
-                                         (cfg_.lineBytes * cfg_.assoc));
-        NACHOS_ASSERT(numSets_ > 0, "cache too small for its geometry");
-        ways_.assign(static_cast<size_t>(numSets_) * cfg_.assoc, Way{});
-        mshrFreeAt_.assign(cfg_.numMshrs, 0);
-        rebindStats(stats);
+        reshape(cfg, stats);
     }
 
     /**
@@ -174,14 +178,41 @@ class CacheT final
     }
 
     /**
-     * Register this level's counter rows in `stats` and resolve the
-     * handles (construction does the same). Lets a pooled cache serve
-     * a fresh run's counters without rebuilding its multi-megabyte way
-     * array.
+     * Become indistinguishable from a fresh `CacheT(cfg, next, stats)`
+     * without rebuilding the way array (multi-megabyte for an LLC):
+     * the kept storage is resized to `cfg`'s sets and the epoch bump
+     * of reset() invalidates every way, kept or new (a new way has
+     * epoch 0, which the cache epoch never equals). The MSHR array and
+     * the bandwidth regulator take the new config, and the counter
+     * rows are registered in `stats` and their handles resolved.
+     *
+     * Kept storage is bounded: when it exceeds twice what the larger
+     * of `cfg` and this level's Figure-3 geometry needs, the excess is
+     * given back, so one huge run does not pin its array for good.
      */
     void
-    rebindStats(SimStats &stats)
+    reshape(const CacheConfig &cfg, SimStats &stats)
     {
+        NACHOS_ASSERT(cfg.lineBytes > 0 && cfg.assoc > 0,
+                      "bad cache geometry");
+        NACHOS_ASSERT(cfg.numMshrs > 0, "cache needs at least 1 MSHR");
+        cfg_ = cfg;
+        numSets_ = static_cast<uint32_t>(cfg_.sizeBytes /
+                                         (cfg_.lineBytes * cfg_.assoc));
+        NACHOS_ASSERT(numSets_ > 0, "cache too small for its geometry");
+        const size_t ways = static_cast<size_t>(numSets_) * cfg_.assoc;
+        const CacheConfig figure3 = figure3Cache(cfg_.level);
+        const size_t keep = std::max<size_t>(
+            ways, figure3.sizeBytes / figure3.lineBytes);
+        if (ways_.capacity() > 2 * keep) {
+            std::vector<Way> smaller;
+            smaller.reserve(keep);
+            ways_.swap(smaller);
+        }
+        ways_.resize(ways);
+        mshrFreeAt_.resize(cfg_.numMshrs);
+        bw_ = BandwidthRegulator(cfg_.ports);
+
         using C = SimCounter;
         const bool l1 = cfg_.level == CacheLevel::L1;
         reads_ = &stats.counter(l1 ? C::L1Reads : C::LlcReads);
@@ -194,6 +225,14 @@ class CacheT final
             &stats.counter(l1 ? C::L1MshrMerges : C::LlcMshrMerges);
         mshrStalls_ =
             &stats.counter(l1 ? C::L1MshrStalls : C::LlcMshrStalls);
+        reset();
+    }
+
+    /** Bytes of way storage held, in use or kept for a later reshape. */
+    size_t
+    wayStorageBytes() const
+    {
+        return ways_.capacity() * sizeof(Way);
     }
 
     const CacheConfig &config() const { return cfg_; }

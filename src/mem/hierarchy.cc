@@ -10,23 +10,14 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyConfig &cfg,
 {}
 
 void
-MemoryHierarchy::reset()
+MemoryHierarchy::reshape(const HierarchyConfig &cfg, SimStats &stats)
 {
-    l1_.reset();
-    llc_.reset();
-    dram_.reset();
-    scratchpad_.reset();
+    cfg_ = cfg;
+    dram_ = MainMemory(cfg.dramLatency, cfg.dramRequestsPerCycle);
+    llc_.reshape(cfg_.llc, stats);
+    l1_.reshape(cfg_.l1, stats);
+    scratchpad_ = Scratchpad(cfg.scratchpadLatency, 8, stats);
     data_.reset();
-}
-
-void
-MemoryHierarchy::rebindStats(SimStats &stats)
-{
-    // Same registration order as construction: llc, l1, scratchpad.
-    llc_.rebindStats(stats);
-    l1_.rebindStats(stats);
-    scratchpad_.rebindStats(stats);
-    reset();
 }
 
 } // namespace nachos

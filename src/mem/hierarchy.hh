@@ -24,13 +24,13 @@ namespace nachos {
 /** Hierarchy-wide configuration (paper Figure 3 defaults). */
 struct HierarchyConfig
 {
-    CacheConfig l1{64 * 1024, 4, 64, 3, 16, 4, CacheLevel::L1};
-    CacheConfig llc{4 * 1024 * 1024, 16, 64, 25, 32, 4, CacheLevel::Llc};
+    CacheConfig l1 = figure3Cache(CacheLevel::L1);
+    CacheConfig llc = figure3Cache(CacheLevel::Llc);
     uint32_t dramLatency = 200;
     uint32_t dramRequestsPerCycle = 4;
     uint32_t scratchpadLatency = 1;
 
-    /** Field-wise equality — pooled-reuse check (cgra/hierarchy_pool). */
+    /** Field-wise equality: a run checks its pooled hierarchy's config. */
     bool operator==(const HierarchyConfig &) const = default;
 };
 
@@ -65,18 +65,23 @@ class MemoryHierarchy
     FunctionalMemory &data() { return data_; }
     const FunctionalMemory &data() const { return data_; }
 
-    /** Reset timing state and functional contents. */
-    void reset();
-
     /**
-     * Make this (already-constructed) hierarchy indistinguishable from
-     * a fresh `MemoryHierarchy(config(), stats)`: register the same
-     * counter rows construction would, resolve the handles into
-     * `stats`, and reset all timing and functional state. The
-     * expensive way arrays are retained — this is the pooled-reuse
-     * fast path.
+     * Become indistinguishable from a fresh `MemoryHierarchy(cfg,
+     * stats)`: each cache takes `cfg`'s geometry into its kept way
+     * storage (CacheT::reshape), DRAM and the scratchpad take their
+     * latency and bandwidth, every counter row construction registers
+     * is registered in `stats`, and the functional store forgets its
+     * contents but keeps its pages. The pooled-reuse path
+     * (cgra/hierarchy_pool): no multi-megabyte way array is rebuilt.
      */
-    void rebindStats(SimStats &stats);
+    void reshape(const HierarchyConfig &cfg, SimStats &stats);
+
+    /** Bytes of cache way storage held (CacheT::wayStorageBytes). */
+    size_t
+    wayStorageBytes() const
+    {
+        return l1_.wayStorageBytes() + llc_.wayStorageBytes();
+    }
 
     const HierarchyConfig &config() const { return cfg_; }
 

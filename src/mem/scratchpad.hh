@@ -19,6 +19,7 @@ namespace nachos {
 class Scratchpad
 {
   public:
+    /** Registers and resolves its counter rows in `stats`. */
     Scratchpad(uint32_t latency, uint32_t ports, SimStats &stats);
 
     /** Timed access; returns completion cycle. */
@@ -30,17 +31,6 @@ class Scratchpad
         // Banked: bandwidth is rarely the bottleneck; model
         // generously.
         return bw_.admit(cycle) + latency_;
-    }
-
-    void reset() { bw_.reset(); }
-
-    /** Register and resolve the counter rows (construction, pooled
-     * reuse). */
-    void
-    rebindStats(SimStats &stats)
-    {
-        reads_ = &stats.counter(SimCounter::ScratchpadReads);
-        writes_ = &stats.counter(SimCounter::ScratchpadWrites);
     }
 
   private:

@@ -165,7 +165,8 @@ Daemon::Connection::shutdownSocket()
 Daemon::Daemon(DaemonConfig config)
     : config_(std::move(config)),
       queue_(config_.queueCapacity, config_.bulkQueueCapacity),
-      cache_(config_.regionCacheEntries)
+      // A landed build may let a skipped job run (workerLoop).
+      cache_(config_.regionCacheEntries, [this] { queue_.wake(); })
 {
     if (config_.workers < 1)
         config_.workers = 1;
@@ -571,7 +572,13 @@ Daemon::handleCancel(const std::shared_ptr<Connection> &conn,
 void
 Daemon::workerLoop(Worker &self)
 {
-    while (std::shared_ptr<Job> job = queue_.claim()) {
+    // A job whose front end another worker is building waits in the
+    // queue, not on a worker: it would only block in acquire() until
+    // that build lands, while jobs behind it could run.
+    const std::function<bool(const Job &)> mayRun = [this](const Job &job) {
+        return !cache_.building(*job.spec.info, job.spec.request);
+    };
+    while (std::shared_ptr<Job> job = queue_.claim(mayRun)) {
         executeJob(self, job);
         job.reset(); // drop the job reference promptly
         finishJob();
@@ -604,14 +611,18 @@ Daemon::executeJob(Worker &self, const std::shared_ptr<Job> &job)
 
     // One region-cache lookup per executed job: cache.hits +
     // cache.misses == jobs.completed + jobs.failed + jobs.lateResults.
+    // Interactive jobs retain their entries, so a sweep's one-off
+    // regions are evicted before the regions interactive clients
+    // come back to.
     bool failed = false;
     std::string failMessage;
     std::shared_ptr<const FrontEnd> entry;
     BackendResults sims;
     StageTimes times;
     try {
-        entry = cache_.acquire(*job->spec.info, job->spec.request,
-                               nullptr, &times);
+        entry = cache_.acquire(
+            *job->spec.info, job->spec.request, nullptr, &times,
+            /*retain=*/job->spec.klass == AdmitClass::Interactive);
         const clock_t_::time_point simStart = clock_t_::now();
         sims = simulateRequest(*job->spec.info, job->spec.request,
                                *entry, self.pool);

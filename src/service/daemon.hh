@@ -27,7 +27,10 @@
  * buffer. A worker claims one job at a time and runs it to
  * completion: the front end (synthesis + alias pipeline + MDEs) comes
  * from a daemon-wide LRU RegionCache (capacity 0 builds it fresh per
- * job), then harness simulateRequest runs the requested backends.
+ * job), then harness simulateRequest runs the requested backends. The
+ * cache builds each key once, and a worker claims no job whose front
+ * end another worker is building: such a job keeps its place, Queued,
+ * until the build lands and wakes the queue.
  * Results are encoded straight into the worker's buffer (protocol
  * appendResultResponse), so the steady-state request path performs no
  * per-request heap allocation.

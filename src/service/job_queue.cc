@@ -38,31 +38,47 @@ JobQueue::tryPush(std::shared_ptr<Job> job,
 }
 
 std::shared_ptr<Job>
-JobQueue::claim()
+JobQueue::claim(const std::function<bool(const Job &)> &mayRun)
 {
     std::unique_lock<std::mutex> lock(mutex_);
     while (true) {
-        // Interactive first, then bulk; FIFO within a class.
+        // Interactive first, then bulk; FIFO within a class among the
+        // jobs that may run. A refused job keeps its place.
         for (auto *ring : {&interactive_, &bulk_}) {
-            while (!ring->empty()) {
-                std::shared_ptr<Job> job = std::move(ring->front());
-                ring->pop_front();
+            for (auto it = ring->begin(); it != ring->end();) {
+                Job &job = **it;
+                if (job.state.load() == JobState::Queued && mayRun &&
+                    !mayRun(job)) {
+                    ++it;
+                    continue;
+                }
                 // The CAS happens while we still hold the ring lock, so
                 // a claimed job can never be seen as Queued by the
                 // watchdog.
-                if (job->tryTransition(JobState::Queued,
-                                       JobState::Running))
-                    return job;
+                if (job.tryTransition(JobState::Queued,
+                                      JobState::Running)) {
+                    std::shared_ptr<Job> claimed = std::move(*it);
+                    ring->erase(it);
+                    return claimed;
+                }
                 // Corpse (cancelled/timed out while queued): drop it.
+                it = ring->erase(it);
             }
         }
 
-        if (closed_)
+        if (closed_ && interactive_.empty() && bulk_.empty())
             return nullptr;
-        cv_.wait(lock, [this] {
-            return closed_ || !interactive_.empty() || !bulk_.empty();
-        });
+        cv_.wait(lock);
     }
+}
+
+void
+JobQueue::wake()
+{
+    // Taking the lock orders this wake after any claimer's test that
+    // missed the change: that claimer is already waiting.
+    { std::lock_guard<std::mutex> lock(mutex_); }
+    cv_.notify_all();
 }
 
 bool

@@ -85,17 +85,27 @@ class JobQueue
                  const std::function<void()> &onAdmit = {});
 
     /**
-     * Claim the next job: the oldest interactive job, else the oldest
-     * bulk job. The returned job has already made the Queued ->
-     * Running transition under the queue lock — the caller owns its
-     * execution and its response unless the watchdog later times it
-     * out.
+     * Claim the next job that `mayRun` (when set) accepts: the oldest
+     * such interactive job, else the oldest such bulk job. `mayRun`
+     * runs under the queue lock; a job it refuses keeps its place and
+     * stays Queued, so cancel and the watchdog treat it as any queued
+     * job. The returned job has already made the Queued -> Running
+     * transition under the queue lock — the caller owns its execution
+     * and its response unless the watchdog later times it out.
      *
-     * Blocks until work arrives; returns null once the queue is
+     * Blocks until a job it may run arrives or wake() is called (then
+     * it tests the queued jobs again); returns null once the queue is
      * closed and drained. Cancelled/timed-out corpses are dropped
      * here.
      */
-    std::shared_ptr<Job> claim();
+    std::shared_ptr<Job>
+    claim(const std::function<bool(const Job &)> &mayRun = {});
+
+    /**
+     * Make blocked claimers test the queued jobs again: call it when
+     * something a `mayRun` test reads has changed.
+     */
+    void wake();
 
     /**
      * Cancel a still-queued job (matched by pointer identity).

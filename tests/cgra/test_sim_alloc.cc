@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "analysis/pipeline.hh"
+#include "cgra/pooled_run.hh"
 #include "cgra/simulator.hh"
 #include "mde/inserter.hh"
 #include "support/alloc_hook.hh"
@@ -92,6 +93,54 @@ TEST(SimAlloc, WarmSimulateAllocatesOnlyItsResult)
             EXPECT_EQ(allocs, resultBuffers(result)) << what;
         }
     }
+}
+
+// The pool re-shapes its one hierarchy to each run's machine, so a
+// warm run after a machine change allocates only its result too, once
+// the pool has held that geometry: the L1 shrinks to 16 KiB and the
+// LLC doubles to 8 MiB (the most way storage the pool keeps for a
+// Figure-3 run) and back.
+TEST(SimAlloc, WarmRunAfterAMachineChangeAllocatesOnlyItsResult)
+{
+    SimConfig figure3;
+    figure3.invocations = 6;
+    figure3.recordMemTrace = true;
+    SimConfig other = figure3;
+    other.mem.l1.sizeBytes = 16 * 1024;
+    other.mem.llc.sizeBytes = 8 * 1024 * 1024;
+    other.mem.dramLatency = 300;
+    for (const Region &r : probeRegions()) {
+        const Planned p(r, figure3);
+        for (BackendKind kind : kBackends) {
+            const std::string what =
+                r.name() + "/" + backendName(kind);
+            HierarchyPool pool;
+            SimResult result;
+            countedRun(p, kind, figure3, pool, result);
+            countedRun(p, kind, other, pool, result);
+            for (const SimConfig *cfg : {&figure3, &other, &figure3}) {
+                const uint64_t allocs =
+                    countedRun(p, kind, *cfg, pool, result);
+                EXPECT_EQ(allocs, resultBuffers(result)) << what;
+            }
+        }
+    }
+}
+
+// A pool keeps at most twice the way storage that the larger of its
+// run and the Figure-3 machine needs: a run on a 64 MiB LLC does not
+// pin its 32 MiB way array once a Figure-3 run follows.
+TEST(HierarchyPool, KeptWayStorageIsBounded)
+{
+    HierarchyPool pool;
+    const size_t figure3 =
+        pool.beginRun(HierarchyConfig{}).hierarchy.wayStorageBytes();
+    HierarchyConfig big;
+    big.llc.sizeBytes = 64ull * 1024 * 1024;
+    EXPECT_GT(pool.beginRun(big).hierarchy.wayStorageBytes(),
+              2 * figure3);
+    EXPECT_LE(pool.beginRun(HierarchyConfig{}).hierarchy.wayStorageBytes(),
+              2 * figure3);
 }
 
 } // namespace

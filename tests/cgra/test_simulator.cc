@@ -11,6 +11,7 @@
 
 #include "analysis/pipeline.hh"
 #include "cgra/simulator.hh"
+#include "harness/machine_config.hh"
 #include "ir/builder.hh"
 #include "ir/serialize.hh"
 #include "mde/inserter.hh"
@@ -95,7 +96,10 @@ expectSameResult(const SimResult &a, const SimResult &b,
 // identical to a run on a fresh pool. One pool runs a suite region, a
 // fuzz region, then the suite region again, under every backend, while
 // the L1 size, the LSQ bank count (8 -> 1 -> 8) and the comparator
-// width (1 -> 2) change between runs.
+// width (1 -> 2) change between runs, and then every machine field
+// that shapes the memory hierarchy walks from its default to twice it,
+// half of it and twice it again (grow, shrink, grow), so the pool
+// re-shapes its one hierarchy in both directions.
 TEST(Simulator, PooledSimulateMatchesFresh)
 {
     struct Subject
@@ -110,13 +114,42 @@ TEST(Simulator, PooledSimulateMatchesFresh)
 
     struct Machine
     {
-        uint64_t l1Bytes;
-        uint32_t banks;
-        uint32_t compares;
+        std::string label;
+        SimConfig cfg;
     };
-    const Machine machines[] = {{64 * 1024, 8, 1},
-                                {16 * 1024, 1, 2},
-                                {64 * 1024, 8, 2}};
+    std::vector<Machine> machines;
+    const auto add = [&](const std::string &label, uint64_t l1Bytes,
+                         uint32_t banks, uint32_t compares) {
+        SimConfig cfg = smallConfig(3);
+        cfg.recordMemTrace = true;
+        cfg.mem.l1.sizeBytes = l1Bytes;
+        cfg.lsq.banks = banks;
+        cfg.nachosComparesPerCycle = compares;
+        machines.push_back({label, cfg});
+    };
+    add("l1=64k/banks=8/compares=1", 64 * 1024, 8, 1);
+    add("l1=16k/banks=1/compares=2", 16 * 1024, 1, 2);
+    add("l1=64k/banks=8/compares=2", 64 * 1024, 8, 2);
+    std::vector<std::string> walked;
+    for (const MachineField &field : machineFields()) {
+        const uint64_t d = field.defaultValue();
+        SimConfig probe = smallConfig(3);
+        field.sim.set(probe, 2 * d);
+        if (probe.mem == SimConfig{}.mem)
+            continue; // not a hierarchy field
+        walked.push_back(field.name);
+        for (const uint64_t v : {2 * d, d / 2, 2 * d}) {
+            SimConfig cfg = smallConfig(3);
+            cfg.recordMemTrace = true;
+            field.sim.set(cfg, v);
+            machines.push_back(
+                {std::string(field.name) + "=" + std::to_string(v), cfg});
+        }
+    }
+    EXPECT_EQ(walked, (std::vector<std::string>{
+                          "l1SizeBytes", "l1Assoc", "l1LineBytes",
+                          "l1Ports", "llcSizeBytes", "dramLatency",
+                          "dramRequestsPerCycle"}));
 
     HierarchyPool pool;
     for (const Subject &subject : subjects) {
@@ -124,23 +157,15 @@ TEST(Simulator, PooledSimulateMatchesFresh)
         const AliasAnalysisResult analysis = runAliasPipeline(r);
         const MdeSet mdes = insertMdes(r, analysis.matrix);
         for (const Machine &m : machines) {
-            SimConfig cfg = smallConfig(3);
-            cfg.recordMemTrace = true;
-            cfg.mem.l1.sizeBytes = m.l1Bytes;
-            cfg.lsq.banks = m.banks;
-            cfg.nachosComparesPerCycle = m.compares;
             for (BackendKind kind :
                  {BackendKind::OptLsq, BackendKind::NachosSw,
                   BackendKind::Nachos}) {
-                const SimResult fresh = simulate(r, mdes, kind, cfg);
+                const SimResult fresh = simulate(r, mdes, kind, m.cfg);
                 const SimResult pooled =
-                    simulate(r, mdes, kind, cfg, pool);
-                expectSameResult(
-                    pooled, fresh,
-                    subject.name + "/" + backendName(kind) +
-                        "/l1=" + std::to_string(m.l1Bytes) +
-                        "/banks=" + std::to_string(m.banks) +
-                        "/compares=" + std::to_string(m.compares));
+                    simulate(r, mdes, kind, m.cfg, pool);
+                expectSameResult(pooled, fresh,
+                                 subject.name + "/" +
+                                     backendName(kind) + "/" + m.label);
             }
         }
     }

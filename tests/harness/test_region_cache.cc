@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -341,6 +342,77 @@ TEST(RegionCache, ConcurrentAcquiresAgree)
     EXPECT_EQ(c.hits + c.misses,
               static_cast<uint64_t>(2 * kThreads));
     EXPECT_EQ(c.size, 2u);
+}
+
+// Entries a `retain` acquire used are evicted only after every other
+// entry, so a stream of one-off keys (a sweep's regions) cannot flush
+// them; at most half the capacity is retained, the least recently
+// used mark going first.
+TEST(RegionCache, RetainedEntriesAreEvictedLast)
+{
+    RegionCache cache(4);
+    const BenchmarkInfo &info = *findBenchmark("164.gzip");
+    const auto acquire = [&](uint64_t seed, bool retain) {
+        bool hit = false;
+        cache.acquire(info, request(seed), &hit, nullptr, retain);
+        return hit;
+    };
+    acquire(1, true);  // retained when built
+    acquire(2, false);
+    EXPECT_TRUE(acquire(2, true)); // retained by a later hit
+    for (uint64_t seed = 10; seed < 20; ++seed)
+        EXPECT_FALSE(acquire(seed, false));
+    EXPECT_TRUE(acquire(1, false));
+    EXPECT_TRUE(acquire(2, false));
+    EXPECT_EQ(cache.counters().size, 4u);
+
+    // A third retained entry takes the mark of the least recently used
+    // one (seed 1), which then goes first.
+    EXPECT_FALSE(acquire(3, true));
+    EXPECT_FALSE(acquire(30, false));
+    EXPECT_FALSE(acquire(31, false));
+    EXPECT_FALSE(acquire(1, false));
+    EXPECT_TRUE(acquire(2, false));
+    EXPECT_TRUE(acquire(3, false));
+}
+
+// Threads that acquire one key at once share one build: the others
+// wait for it and count hits, so misses count builds. onBuilt runs
+// once per build, after building() stops reporting the key.
+TEST(RegionCache, ConcurrentAcquiresBuildEachKeyOnce)
+{
+    const BenchmarkInfo &info = *findBenchmark("183.equake");
+    RegionCache *self = nullptr;
+    std::atomic<int> builds{0};
+    std::atomic<int> stillBuilding{0};
+    RegionCache cache(8, [&] {
+        ++builds;
+        if (self->building(info, request(1)))
+            ++stillBuilding;
+    });
+    self = &cache;
+    constexpr int kThreads = 4;
+    std::atomic<int> ready{0};
+    std::vector<std::shared_ptr<const FrontEnd>> got(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            ++ready;
+            while (ready < kThreads) {
+            }
+            got[static_cast<size_t>(t)] = cache.acquire(info, request(1));
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    for (int t = 1; t < kThreads; ++t)
+        EXPECT_EQ(got[static_cast<size_t>(t)], got[0]);
+    const RegionCache::Counters c = cache.counters();
+    EXPECT_EQ(c.misses, 1u);
+    EXPECT_EQ(c.hits, static_cast<uint64_t>(kThreads - 1));
+    EXPECT_EQ(builds, 1);
+    EXPECT_EQ(stillBuilding, 0);
+    EXPECT_FALSE(cache.building(info, request(1)));
 }
 
 } // namespace

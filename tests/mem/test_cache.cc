@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "mem/cache.hh"
@@ -153,6 +154,63 @@ TEST_F(CacheTest, ResetClearsAllObservableState)
     EXPECT_EQ(stats.get("l1.writebacks"), 0u);
 }
 
+/**
+ * One access trace: reads and writes over a footprint several times
+ * the smallest cache, at issue cycles that leave misses in flight (so
+ * MSHR merges and stalls, LRU eviction and dirty writebacks all
+ * happen). Returns each access's completion cycle.
+ */
+std::vector<uint64_t>
+runTrace(LlcCache &cache)
+{
+    std::vector<uint64_t> done;
+    uint64_t x = 0x9e3779b97f4a7c15ull;
+    for (uint64_t i = 0; i < 3000; ++i) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        const uint64_t addr = (x % 8192) * 8;
+        done.push_back(cache.access(addr, x & 1, i / 2));
+    }
+    return done;
+}
+
+// A cache re-shaped from geometry A to geometry B is a fresh B: the
+// same completion cycles and the same counters on one trace, whether
+// B grows or shrinks the kept way array, and whatever A left behind.
+TEST(CacheReshape, ReshapedCacheMatchesFreshCache)
+{
+    const CacheConfig shapes[] = {
+        {1024, 2, 64, 3, 4, 2, CacheLevel::L1},
+        {16 * 1024, 4, 64, 3, 16, 4, CacheLevel::L1},
+        {4096, 8, 32, 2, 2, 1, CacheLevel::L1},
+        {64 * 1024, 16, 128, 5, 8, 3, CacheLevel::L1},
+        {2048, 1, 64, 3, 1, 2, CacheLevel::L1},
+    };
+    for (const CacheConfig &a : shapes) {
+        for (const CacheConfig &b : shapes) {
+            SimStats stats;
+            MainMemory dram{100, 8};
+            LlcCache cache{a, dram, stats};
+            runTrace(cache);
+            stats.reset();
+            dram.reset();
+            cache.reshape(b, stats);
+
+            SimStats freshStats;
+            MainMemory freshDram{100, 8};
+            LlcCache fresh{b, freshDram, freshStats};
+            const std::string what = std::to_string(a.sizeBytes) + " -> " +
+                                     std::to_string(b.sizeBytes) + "/" +
+                                     std::to_string(b.assoc);
+            EXPECT_EQ(runTrace(cache), runTrace(fresh)) << what;
+            EXPECT_EQ(stats.dump(), freshStats.dump()) << what;
+            EXPECT_EQ(dram.totalAccesses(), freshDram.totalAccesses())
+                << what;
+        }
+    }
+}
+
 TEST(Hierarchy, L2BackstopsL1)
 {
     SimStats stats;
@@ -182,7 +240,7 @@ TEST(Hierarchy, ResetClearsFunctionalAndTiming)
     MemoryHierarchy mem(cfg, stats);
     mem.data().write(0x10, 8, 5);
     mem.timedAccess(0x10, true, 0);
-    mem.reset();
+    mem.reshape(cfg, stats);
     EXPECT_EQ(mem.data().footprint(), 0u);
     EXPECT_FALSE(mem.l1Probe(0x10));
 }

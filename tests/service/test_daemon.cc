@@ -843,6 +843,32 @@ TEST_F(DaemonTest, BulkBurstStaysByteIdentical)
     EXPECT_EQ(counterValue("cache.size"), 1u);
 }
 
+// Bulk jobs pipelined on one new region share one front-end build:
+// while one worker builds it, the other claims none of them (or waits
+// for that build in the cache), so the cache counts one miss.
+TEST_F(DaemonTest, PipelinedBulkJobsBuildOneFrontEnd)
+{
+    start(/*workers=*/2);
+    auto client = connect();
+    ASSERT_NE(client, nullptr);
+
+    constexpr uint64_t kJobs = 8;
+    RunOpts opts{.seed = 11, .invocations = 1, .backends = {"lsq"}};
+    opts.klass = "bulk";
+    for (uint64_t id = 1; id <= kJobs; ++id)
+        ASSERT_TRUE(client->sendRequest(runRequest(id, "183.equake", opts)));
+    for (uint64_t id = 1; id <= kJobs; ++id) {
+        std::optional<JsonValue> response = client->waitFor(id);
+        ASSERT_TRUE(response.has_value()) << id;
+        EXPECT_STREQ(responseType(*response), "result") << id;
+    }
+    waitUntil([&] { return counterValue("jobs.completed") == kJobs; },
+              "the accounting to settle");
+    expectOneLookupPerExecutedJob();
+    EXPECT_EQ(counterValue("cache.misses"), 1u);
+    EXPECT_EQ(counterValue("cache.hits"), kJobs - 1);
+}
+
 // Interactive and bulk rings are bounded independently; filling the
 // bulk ring must not reject interactive work.
 TEST_F(DaemonTest, PerClassQueueBounds)

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -167,6 +168,70 @@ TEST(JobQueue, ClaimSkipsTimedOutCorpses)
     ASSERT_TRUE(dead->tryTransition(JobState::Queued,
                                     JobState::TimedOut));
     EXPECT_EQ(q.claim()->requestId, 2u);
+}
+
+// A job the claim test refuses keeps its place, Queued, while the
+// jobs behind it that may run are claimed in order, interactive first;
+// once the test accepts it and wake() runs, a blocked claimer takes it.
+TEST(JobQueue, RefusedJobKeepsItsPlaceUntilReleased)
+{
+    JobQueue q(8, 8);
+    auto held = makeJob(1, AdmitClass::Interactive, "164.gzip", 1);
+    auto behind = makeJob(2, AdmitClass::Interactive, "164.gzip", 2);
+    auto bulk = makeJob(3, AdmitClass::Bulk, "164.gzip", 3);
+    ASSERT_TRUE(q.tryPush(held));
+    ASSERT_TRUE(q.tryPush(behind));
+    ASSERT_TRUE(q.tryPush(bulk));
+    std::atomic<bool> released{false};
+    const std::function<bool(const Job &)> mayRun =
+        [&](const Job &job) { return released || &job != held.get(); };
+
+    EXPECT_EQ(q.claim(mayRun), behind); // the interactive job behind it
+    EXPECT_EQ(q.claim(mayRun), bulk);
+    EXPECT_EQ(held->state.load(), JobState::Queued);
+    EXPECT_EQ(q.depth(AdmitClass::Interactive), 1u);
+
+    std::atomic<bool> claimed{false};
+    std::shared_ptr<Job> got;
+    std::thread claimer([&] {
+        got = q.claim(mayRun);
+        claimed = true;
+    });
+    std::this_thread::sleep_for(20ms);
+    EXPECT_FALSE(claimed); // refused: the claimer waits
+    released = true;
+    q.wake();
+    claimer.join();
+    EXPECT_EQ(got, held);
+    EXPECT_EQ(held->state.load(), JobState::Running);
+    EXPECT_EQ(q.depth(AdmitClass::Interactive), 0u);
+}
+
+// A refused job is an ordinary queued job to cancel and the watchdog.
+TEST(JobQueue, RefusedJobCanBeCancelledOrTimedOut)
+{
+    JobQueue q(8, 8);
+    auto cancelled = makeJob(1, AdmitClass::Bulk, "164.gzip", 1);
+    auto expired = makeJob(2, AdmitClass::Bulk, "164.gzip", 2);
+    auto live = makeJob(3, AdmitClass::Bulk, "164.gzip", 3);
+    ASSERT_TRUE(q.tryPush(cancelled));
+    ASSERT_TRUE(q.tryPush(expired));
+    const std::function<bool(const Job &)> refuseAll =
+        [](const Job &) { return false; };
+    std::thread claimer([&] { EXPECT_EQ(q.claim(refuseAll), nullptr); });
+    std::this_thread::sleep_for(20ms);
+
+    EXPECT_TRUE(q.cancel(cancelled));
+    EXPECT_EQ(cancelled->state.load(), JobState::Cancelled);
+    EXPECT_TRUE(expired->tryTransition(JobState::Queued,
+                                       JobState::TimedOut));
+    // The corpses are dropped, not claimed, and the live job behind
+    // them runs once the test accepts it.
+    ASSERT_TRUE(q.tryPush(live));
+    EXPECT_EQ(q.claim(), live);
+    EXPECT_EQ(q.depth(AdmitClass::Bulk), 0u);
+    q.close();
+    claimer.join();
 }
 
 TEST(Job, TransitionIsExactlyOnce)
