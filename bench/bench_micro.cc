@@ -123,21 +123,26 @@ BENCHMARK(BM_SimTablesBuild)
     ->Arg(1); // generated region
 
 /**
- * Warm simulate() runs of parser's region (16 invocations) on a
- * prebuilt plan and a pool that already ran it, as a daemon worker
- * runs a sweep. Arg 0 = backend (0 OPT-LSQ, 1 NACHOS-SW, 2 NACHOS);
- * arg 1 = 1 alternates l1SizeBytes 16k/64k/256k between runs, so the
- * pool re-shapes its hierarchy to a new machine every run (arg 1 = 0
- * keeps the Figure-3 machine). Items = invocations.
+ * Warm simulate() runs on a prebuilt plan and a pool that already ran
+ * it, as a daemon worker runs a sweep. Arg 0 = backend (0 OPT-LSQ,
+ * 1 NACHOS-SW, 2 NACHOS); arg 1 = 1 alternates l1SizeBytes
+ * 16k/64k/256k between runs, so the pool re-shapes its hierarchy to a
+ * new machine every run (arg 1 = 0 keeps the Figure-3 machine); arg 2
+ * = region: 0 is parser's at 16 invocations, 1 the differential
+ * fuzzer's run of planBenchRegion(1) (6 invocations, commit trace on),
+ * where the fixed cost each run still pays shows. Items = invocations.
  */
 void
 BM_SimulatorInvocation(benchmark::State &state)
 {
     setQuiet(true);
-    const Region r = synthesizeRegion(benchmarkByName("parser"));
+    const bool fuzzRun = state.range(2) != 0;
+    const Region r = fuzzRun ? planBenchRegion(1)
+                             : synthesizeRegion(benchmarkByName("parser"));
     const MdeSet mdes = insertMdes(r, runAliasPipeline(r).matrix);
     SimConfig cfg;
-    cfg.invocations = 16;
+    cfg.invocations = fuzzRun ? 6 : 16;
+    cfg.recordMemTrace = fuzzRun;
     const Placement placement(r);
     const SimPlan plan(r, placement, cfg.net);
     const BackendKind kind = static_cast<BackendKind>(state.range(0));
@@ -152,49 +157,20 @@ BM_SimulatorInvocation(benchmark::State &state)
         SimResult sim = simulate(plan, mdes, kind, cfg, pool);
         benchmark::DoNotOptimize(sim.cycles);
     }
-    state.SetItemsProcessed(
-        static_cast<int64_t>(state.iterations()) * 16);
-}
-BENCHMARK(BM_SimulatorInvocation)
-    ->Args({0, 0}) // OPT-LSQ
-    ->Args({1, 0}) // NACHOS-SW
-    ->Args({2, 0}) // NACHOS
-    ->Args({0, 1}) // OPT-LSQ, L1 16k/64k/256k
-    ->Args({1, 1})
-    ->Args({2, 1});
-
-/**
- * A warm simulate() of a fuzz-sized region: the differential fuzzer's
- * run (6 invocations, commit trace on) on a prebuilt plan and a pool
- * that already ran it, so the time is the run's own work plus whatever
- * fixed cost each run still pays. Arg = backend, as
- * BM_SimulatorInvocation's first. Items = runs.
- */
-void
-BM_WarmSimulate(benchmark::State &state)
-{
-    setQuiet(true);
-    const Region r = planBenchRegion(1);
-    const MdeSet mdes = insertMdes(r, runAliasPipeline(r).matrix);
-    SimConfig cfg;
-    cfg.invocations = 6;
-    cfg.recordMemTrace = true;
-    const Placement placement(r);
-    const SimPlan plan(r, placement, cfg.net);
-    const BackendKind kind = static_cast<BackendKind>(state.range(0));
-    HierarchyPool pool;
-    simulate(plan, mdes, kind, cfg, pool);
-    for (auto _ : state) {
-        SimResult sim = simulate(plan, mdes, kind, cfg, pool);
-        benchmark::DoNotOptimize(sim.cycles);
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(cfg.invocations));
     state.SetLabel(std::to_string(r.numOps()) + " ops");
 }
-BENCHMARK(BM_WarmSimulate)
-    ->Arg(0)  // OPT-LSQ
-    ->Arg(1)  // NACHOS-SW
-    ->Arg(2); // NACHOS
+BENCHMARK(BM_SimulatorInvocation)
+    ->Args({0, 0, 0}) // OPT-LSQ
+    ->Args({1, 0, 0}) // NACHOS-SW
+    ->Args({2, 0, 0}) // NACHOS
+    ->Args({0, 1, 0}) // OPT-LSQ, L1 16k/64k/256k
+    ->Args({1, 1, 0})
+    ->Args({2, 1, 0})
+    ->Args({0, 0, 1}) // OPT-LSQ, fuzz-sized run
+    ->Args({1, 0, 1})
+    ->Args({2, 0, 1});
 
 /**
  * Event-queue schedule/drain throughput: the typed-record CalendarQueue

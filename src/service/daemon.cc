@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <limits>
 
 #include "harness/runner.hh"
 #include "support/logging.hh"
@@ -186,14 +187,12 @@ Daemon::start(std::string *error)
     auto fail = [&](const std::string &msg) {
         if (error)
             *error = msg;
-        if (listenUnixFd_ >= 0)
-            ::close(listenUnixFd_);
-        if (listenTcpFd_ >= 0)
-            ::close(listenTcpFd_);
-        for (int fd : wakePipe_)
+        closeListeners();
+        for (int &fd : wakePipe_) {
             if (fd >= 0)
                 ::close(fd);
-        listenUnixFd_ = listenTcpFd_ = wakePipe_[0] = wakePipe_[1] = -1;
+            fd = -1;
+        }
         return false;
     };
 
@@ -248,9 +247,7 @@ Daemon::start(std::string *error)
     for (const std::unique_ptr<Worker> &worker : workers_)
         worker->thread = std::jthread(
             [this, &self = *worker] { workerLoop(self); });
-    watchdogThread_ =
-        std::jthread([this](std::stop_token st) { watchdogLoop(st); });
-    acceptThread_ = std::jthread([this] { acceptLoop(); });
+    ioThread_ = std::jthread([this] { ioLoop(); });
     started_ = true;
     return true;
 }
@@ -284,147 +281,189 @@ Daemon::drain()
 {
     if (!started_.load() || drained_.exchange(true))
         return;
+
+    // 1. Stop accepting: the loop closes and unlinks the listeners. It
+    //    keeps reading (new runs get `shutting_down`) and expiring
+    //    deadlines.
     draining_ = true;
+    wakeLoop();
 
-    // 1. Stop accepting: wake the poll loop and retire the listeners.
-    if (wakePipe_[1] >= 0) {
-        const char x = 'x';
-        [[maybe_unused]] ssize_t n = ::write(wakePipe_[1], &x, 1);
-    }
-    if (acceptThread_.joinable())
-        acceptThread_.join();
-    if (listenUnixFd_ >= 0)
-        ::close(listenUnixFd_);
-    if (listenTcpFd_ >= 0)
-        ::close(listenTcpFd_);
-    listenUnixFd_ = listenTcpFd_ = -1;
-    ::unlink(config_.socketPath.c_str());
-
-    // 2. Let every admitted job reach a final response.
+    // 2. Let every admitted job reach a final response, then retire
+    //    the workers.
     {
         std::unique_lock<std::mutex> lock(idleMutex_);
         idleCv_.wait(lock, [this] { return outstanding_.load() == 0; });
     }
-
-    // 3. Retire the workers and the watchdog.
     queue_.close();
     for (const std::unique_ptr<Worker> &worker : workers_)
         if (worker->thread.joinable())
             worker->thread.join();
-    watchdogThread_.request_stop();
-    watchdogCv_.notify_all();
-    if (watchdogThread_.joinable())
-        watchdogThread_.join();
 
-    // 4. Wake readers blocked in recv and join them; the last
-    //    reference to each Connection closes its fd.
-    std::list<Reader> readers;
-    {
-        std::lock_guard<std::mutex> lock(connsMutex_);
-        for (const Reader &reader : readers_) {
-            if (std::shared_ptr<Connection> conn = reader.conn.lock())
-                conn->shutdownSocket();
-        }
-        readers.swap(readers_);
-    }
-    readers.clear(); // joins every reader
-
+    // 3. Stop the loop; it shuts every connection down as it returns.
+    stopping_ = true;
+    wakeLoop();
+    ioThread_.join();
     for (int &fd : wakePipe_) {
-        if (fd >= 0)
-            ::close(fd);
+        ::close(fd);
         fd = -1;
     }
     started_ = false;
 }
 
 // ---------------------------------------------------------------------
-// Accept + connection readers
+// The I/O loop: listeners, connections and deadlines
 // ---------------------------------------------------------------------
 
 void
-Daemon::acceptLoop()
+Daemon::wakeLoop()
 {
-    while (true) {
-        pollfd fds[3];
-        nfds_t nfds = 0;
-        fds[nfds++] = {wakePipe_[0], POLLIN, 0};
-        fds[nfds++] = {listenUnixFd_, POLLIN, 0};
-        if (listenTcpFd_ >= 0)
-            fds[nfds++] = {listenTcpFd_, POLLIN, 0};
-        if (::poll(fds, nfds, -1) < 0) {
+    const char x = 'x';
+    [[maybe_unused]] ssize_t n = ::write(wakePipe_[1], &x, 1);
+}
+
+void
+Daemon::closeListeners()
+{
+    if (listenUnixFd_ < 0)
+        return;
+    ::close(listenUnixFd_);
+    ::unlink(config_.socketPath.c_str());
+    if (listenTcpFd_ >= 0)
+        ::close(listenTcpFd_);
+    listenUnixFd_ = listenTcpFd_ = -1;
+}
+
+void
+Daemon::ioLoop()
+{
+    std::vector<std::shared_ptr<Connection>> conns;
+    std::vector<pollfd> fds; // wake pipe, listeners, then conns in order
+    while (!stopping_.load()) {
+        if (draining_.load())
+            closeListeners();
+        // Deadlines are registered on this thread, so the timeout
+        // computed here already covers every job admitted so far.
+        const int timeout = expireDeadlines();
+        fds.clear();
+        fds.push_back({wakePipe_[0], POLLIN, 0});
+        for (const int fd : {listenUnixFd_, listenTcpFd_})
+            if (fd >= 0)
+                fds.push_back({fd, POLLIN, 0});
+        const size_t firstConn = fds.size();
+        for (const std::shared_ptr<Connection> &conn : conns)
+            fds.push_back({conn->fd, POLLIN, 0});
+        if (::poll(fds.data(), fds.size(), timeout) < 0) {
             if (errno == EINTR)
                 continue;
-            return;
+            break;
         }
-        if (fds[0].revents)
-            return; // drain() woke us
-        for (nfds_t i = 1; i < nfds; ++i) {
+
+        if (fds[0].revents) {
+            char wakes[64];
+            [[maybe_unused]] ssize_t n =
+                ::read(wakePipe_[0], wakes, sizeof(wakes));
+        }
+        for (size_t i = 1; i < firstConn; ++i) {
             if (!(fds[i].revents & POLLIN))
                 continue;
             const int fd = ::accept(fds[i].fd, nullptr, nullptr);
             if (fd < 0)
                 continue;
-            auto conn = std::make_shared<Connection>(fd);
+            conns.push_back(std::make_shared<Connection>(fd));
             bump(&DaemonMetrics::connsAccepted);
-            std::lock_guard<std::mutex> lock(connsMutex_);
-            // Join the readers whose peers hung up, so that a stream
-            // of short connections keeps no thread stacks behind.
-            readers_.remove_if(
-                [](const Reader &r) { return r.done.load(); });
-            Reader &reader = readers_.emplace_back();
-            reader.conn = conn;
-            reader.thread =
-                std::jthread([this, conn, &done = reader.done] {
-                    connectionLoop(conn);
-                    done = true;
-                });
+            ++activeConns_;
         }
+        // New connections sit past the polled ones and wait a round.
+        for (size_t i = 0; i + firstConn < fds.size(); ++i) {
+            if (fds[i + firstConn].revents && !readRequests(conns[i])) {
+                conns[i].reset(); // the last job to answer closes it
+                --activeConns_;
+            }
+        }
+        std::erase(conns, nullptr);
     }
+    closeListeners();
+    for (const std::shared_ptr<Connection> &conn : conns)
+        conn->shutdownSocket();
+    activeConns_ = 0;
 }
 
-void
-Daemon::connectionLoop(std::shared_ptr<Connection> conn)
+bool
+Daemon::readRequests(const std::shared_ptr<Connection> &conn)
 {
-    ++activeConns_;
-    // All per-line state lives here and is reused across requests:
-    // the rx buffer keeps its capacity through erase(), and the
-    // request tree is reparsed in place (protocol parseRequestLine),
-    // so a warmed-up connection reads, parses, and dispatches without
-    // touching the heap.
-    std::string buffer;
-    JsonValue reqTree;
     char chunk[4096];
-    while (true) {
-        const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
-        if (n < 0 && errno == EINTR)
-            continue;
-        if (n <= 0)
-            break;
-        buffer.append(chunk, static_cast<size_t>(n));
-        size_t start = 0;
-        size_t pos;
-        while ((pos = buffer.find('\n', start)) != std::string::npos) {
-            std::string_view line(buffer.data() + start, pos - start);
-            start = pos + 1;
-            if (!line.empty() && line.back() == '\r')
-                line.remove_suffix(1);
-            if (!line.empty())
-                handleLine(conn, line, reqTree);
-        }
-        if (start > 0)
-            buffer.erase(0, start); // keeps capacity
-        if (buffer.size() > kMaxRequestLineBytes) {
-            // Framing is unrecoverable once a line exceeds the cap:
-            // answer and drop the connection.
-            sendTo(conn, errorLine(0, "oversized",
-                                   "request line exceeds " +
-                                       std::to_string(
-                                           kMaxRequestLineBytes) +
-                                       " bytes"));
-            break;
-        }
+    const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
+    if (n < 0 && errno == EINTR)
+        return true;
+    if (n <= 0)
+        return false;
+    std::string &rx = conn->rx;
+    rx.append(chunk, static_cast<size_t>(n));
+    size_t start = 0;
+    size_t pos;
+    while ((pos = rx.find('\n', start)) != std::string::npos) {
+        std::string_view line(rx.data() + start, pos - start);
+        start = pos + 1;
+        if (!line.empty() && line.back() == '\r')
+            line.remove_suffix(1);
+        if (!line.empty())
+            handleLine(conn, line);
     }
-    --activeConns_;
+    if (start > 0)
+        rx.erase(0, start); // keeps capacity
+    if (rx.size() > kMaxRequestLineBytes) {
+        // Framing is unrecoverable once a line exceeds the cap: answer
+        // and drop the connection.
+        sendTo(conn, errorLine(0, "oversized",
+                               "request line exceeds " +
+                                   std::to_string(kMaxRequestLineBytes) +
+                                   " bytes"));
+        return false;
+    }
+    return true;
+}
+
+int
+Daemon::expireDeadlines()
+{
+    const clock_t_::time_point now = clock_t_::now();
+    clock_t_::time_point nearest = clock_t_::time_point::max();
+    std::erase_if(deadlineJobs_, [&](const std::shared_ptr<Job> &job) {
+        const JobState s = job->state.load();
+        if (s != JobState::Queued && s != JobState::Running)
+            return true; // reached a final state on its own
+        if (job->deadline > now) {
+            nearest = std::min(nearest, job->deadline);
+            return false;
+        }
+        // claim() performs Queued -> Running inside the queue lock, so
+        // this CAS can only win while the job truly still sits in a
+        // ring (where it stays as a corpse that claim() drops) — a
+        // claimed-but-unstarted job can never be timed out as "never
+        // started" here.
+        if (job->tryTransition(JobState::Queued, JobState::TimedOut)) {
+            // Never started: we own both the response and the
+            // outstanding count.
+            bump(&DaemonMetrics::jobsExpired);
+            respondError(*job, "timeout", "job timed out before starting");
+            finishJob();
+        } else if (job->tryTransition(JobState::Running,
+                                      JobState::TimedOut)) {
+            // Still computing: answer now; the worker discards the
+            // late result and settles the accounting.
+            bump(&DaemonMetrics::jobsExpired);
+            respondError(*job, "timeout",
+                         "job exceeded its deadline while running");
+        }
+        return true;
+    });
+    if (nearest == clock_t_::time_point::max())
+        return -1;
+    // Rounded up, so the loop never wakes just short of the deadline.
+    const auto millis =
+        std::chrono::ceil<std::chrono::milliseconds>(nearest - now);
+    return static_cast<int>(std::min<std::chrono::milliseconds::rep>(
+        millis.count(), std::numeric_limits<int>::max()));
 }
 
 // ---------------------------------------------------------------------
@@ -433,12 +472,12 @@ Daemon::connectionLoop(std::shared_ptr<Connection> conn)
 
 void
 Daemon::handleLine(const std::shared_ptr<Connection> &conn,
-                   std::string_view line, JsonValue &reqTree)
+                   std::string_view line)
 {
     bump(&DaemonMetrics::requestsTotal);
     Request req;
     CodecError err;
-    if (!parseRequestLine(line, reqTree, req, err)) {
+    if (!parseRequestLine(line, conn->reqTree, req, err)) {
         bump(&DaemonMetrics::requestsErrors);
         sendTo(conn, errorLine(req.id, err.code, err.message));
         return;
@@ -476,19 +515,16 @@ Daemon::handleRun(const std::shared_ptr<Connection> &conn, Request &req)
                                "daemon is draining"));
         return;
     }
-    {
-        std::lock_guard<std::mutex> lock(conn->jobsMutex);
-        auto it = conn->jobs.find(req.id);
-        if (it != conn->jobs.end()) {
-            if (std::shared_ptr<Job> live = it->second.lock()) {
-                const JobState s = live->state.load();
-                if (s == JobState::Queued || s == JobState::Running) {
-                    bump(&DaemonMetrics::requestsErrors);
-                    sendTo(conn, errorLine(req.id, "bad_request",
-                                           "id already names an active "
-                                           "job on this connection"));
-                    return;
-                }
+    auto it = conn->jobs.find(req.id);
+    if (it != conn->jobs.end()) {
+        if (std::shared_ptr<Job> live = it->second.lock()) {
+            const JobState s = live->state.load();
+            if (s == JobState::Queued || s == JobState::Running) {
+                bump(&DaemonMetrics::requestsErrors);
+                sendTo(conn, errorLine(req.id, "bad_request",
+                                       "id already names an active "
+                                       "job on this connection"));
+                return;
             }
         }
     }
@@ -509,9 +545,14 @@ Daemon::handleRun(const std::shared_ptr<Connection> &conn, Request &req)
         conn->sendBytes(line);
     };
 
-    {
-        std::lock_guard<std::mutex> lock(conn->jobsMutex);
-        conn->jobs[req.id] = job;
+    conn->jobs[req.id] = job;
+    // An entry outlives its job and holds the job's memory: once the
+    // map has doubled since its last sweep, drop the finished entries
+    // (amortized O(1) per run).
+    if (conn->jobs.size() > 2 * conn->jobsAfterSweep) {
+        std::erase_if(conn->jobs,
+                      [](const auto &entry) { return entry.second.expired(); });
+        conn->jobsAfterSweep = conn->jobs.size();
     }
     const bool bulk = job->spec.klass == AdmitClass::Bulk;
     ++outstanding_;
@@ -535,7 +576,7 @@ Daemon::handleRun(const std::shared_ptr<Connection> &conn, Request &req)
         return;
     }
     if (job->hasDeadline)
-        registerDeadline(job);
+        deadlineJobs_.push_back(std::move(job));
 }
 
 void
@@ -543,12 +584,9 @@ Daemon::handleCancel(const std::shared_ptr<Connection> &conn,
                      const Request &req)
 {
     std::shared_ptr<Job> target;
-    {
-        std::lock_guard<std::mutex> lock(conn->jobsMutex);
-        auto it = conn->jobs.find(req.cancelTarget);
-        if (it != conn->jobs.end())
-            target = it->second.lock();
-    }
+    auto it = conn->jobs.find(req.cancelTarget);
+    if (it != conn->jobs.end())
+        target = it->second.lock();
     if (target && queue_.cancel(target)) {
         // We own the job's response now (Queued -> Cancelled).
         bump(&DaemonMetrics::jobsCancelled);
@@ -638,7 +676,7 @@ Daemon::executeJob(Worker &self, const std::shared_ptr<Job> &job)
     }
 
     if (!job->tryTransition(JobState::Running, JobState::Done)) {
-        // The watchdog answered `timeout` while we were computing; the
+        // The I/O loop answered `timeout` while we were computing; the
         // result is discarded but still counted.
         bump(&DaemonMetrics::jobsLateResults);
         return;
@@ -685,82 +723,6 @@ Daemon::finishJob()
         --outstanding_;
     }
     idleCv_.notify_all();
-}
-
-// ---------------------------------------------------------------------
-// Timeout watchdog
-// ---------------------------------------------------------------------
-
-void
-Daemon::registerDeadline(std::shared_ptr<Job> job)
-{
-    {
-        std::lock_guard<std::mutex> lock(watchdogMutex_);
-        deadlineJobs_.push_back(std::move(job));
-    }
-    watchdogCv_.notify_all();
-}
-
-void
-Daemon::watchdogLoop(std::stop_token st)
-{
-    std::unique_lock<std::mutex> lock(watchdogMutex_);
-    while (!st.stop_requested()) {
-        // Retire jobs that reached a final state on their own.
-        std::erase_if(deadlineJobs_, [](const std::shared_ptr<Job> &j) {
-            const JobState s = j->state.load();
-            return s == JobState::Done || s == JobState::Cancelled ||
-                   s == JobState::TimedOut;
-        });
-
-        clock_t_::time_point nearest = clock_t_::time_point::max();
-        for (const std::shared_ptr<Job> &job : deadlineJobs_)
-            nearest = std::min(nearest, job->deadline);
-
-        if (nearest == clock_t_::time_point::max()) {
-            watchdogCv_.wait(lock, st, [this] {
-                return !deadlineJobs_.empty();
-            });
-            continue;
-        }
-        if (clock_t_::now() < nearest) {
-            watchdogCv_.wait_until(lock, st, nearest, [this, nearest] {
-                // Wake early only for a job with an earlier deadline.
-                for (const std::shared_ptr<Job> &job : deadlineJobs_)
-                    if (job->deadline < nearest)
-                        return true;
-                return false;
-            });
-            continue;
-        }
-
-        const clock_t_::time_point now = clock_t_::now();
-        for (const std::shared_ptr<Job> &job : deadlineJobs_) {
-            if (job->deadline > now)
-                continue;
-            // claim() performs Queued -> Running inside the queue
-            // lock, so this CAS can only win while the job truly
-            // still sits in a ring (where it stays as a corpse that
-            // claim() drops) — a claimed-but-unstarted job can never
-            // be timed out as "never started" here.
-            if (job->tryTransition(JobState::Queued,
-                                   JobState::TimedOut)) {
-                // Never started: we own both the response and the
-                // outstanding count.
-                bump(&DaemonMetrics::jobsExpired);
-                respondError(*job, "timeout",
-                             "job timed out before starting");
-                finishJob();
-            } else if (job->tryTransition(JobState::Running,
-                                          JobState::TimedOut)) {
-                // Still computing: answer now; the worker discards
-                // the late result and settles the accounting.
-                bump(&DaemonMetrics::jobsExpired);
-                respondError(*job, "timeout",
-                             "job exceeded its deadline while running");
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------

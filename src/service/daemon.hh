@@ -7,25 +7,27 @@
  * workers — amortizing process setup across many requests instead of
  * paying it per bench invocation.
  *
- * Architecture (one box per thread kind):
+ * Architecture (two kinds of thread):
  *
- *   accept loop ──> connection readers (1/conn) ──> one JobQueue
- *                                                   (interactive +
- *                                                    bulk rings)
- *                                                        │
- *   timeout watchdog <── deadline registry      N workers claim from it
+ *   I/O loop (1): polls the wake pipe, the listeners and every
+ *        │        connection; parses requests, answers ping/metrics/
+ *        │        cancel, admits runs and answers `timeout`
+ *        ▼
+ *   one JobQueue (interactive + bulk rings)
  *        │
- *        └── answers `timeout`, workers answer `result`/`error`;
- *            an atomic per-job state machine guarantees exactly one
- *            response per request no matter who wins the race.
+ *        ▼
+ *   N workers claim from it and answer `result`/`error`
  *
- * Every connection pushes into the daemon's one dual-class JobQueue
- * (interactive and bulk rings with separate bounds), and every worker
- * claims from it, interactive first, so a request takes the first
- * worker that frees up whichever connection sent it. Each worker owns
- * a HierarchyPool that persists across jobs and a reusable encode
- * buffer. A worker claims one job at a time and runs it to
- * completion: the front end (synthesis + alias pipeline + MDEs) comes
+ * An atomic per-job state machine guarantees exactly one response per
+ * request no matter whether the loop or a worker wins the race.
+ *
+ * The loop admits every connection's runs into the daemon's one
+ * dual-class JobQueue (interactive and bulk rings with separate
+ * bounds), and every worker claims from it, interactive first, so a
+ * request takes the first worker that frees up whichever connection
+ * sent it. Each worker owns a HierarchyPool that persists across jobs
+ * and a reusable encode buffer. A worker claims one job at a time and
+ * runs it to completion: the front end (synthesis + alias pipeline + MDEs) comes
  * from a daemon-wide LRU RegionCache (capacity 0 builds it fresh per
  * job), then harness simulateRequest runs the requested backends. The
  * cache builds each key once, and a worker claims no job whose front
@@ -37,9 +39,10 @@
  *
  * Backpressure: per-class ring capacity bounds admission daemon-wide;
  * a full ring answers `queue_full` immediately. Shutdown: drain()
- * stops the accept loop, lets every admitted job finish and flush its
- * response, then closes connections — SIGTERM/SIGINT in the nachosd
- * binary and the `shutdown` request both route here.
+ * has the loop close the listeners, lets every admitted job finish
+ * and flush its response, then stops the loop, which closes the
+ * connections — SIGTERM/SIGINT in the nachosd binary and the
+ * `shutdown` request both route here.
  */
 
 #ifndef NACHOS_SERVICE_DAEMON_HH
@@ -48,7 +51,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -142,8 +144,8 @@ class Daemon
     Daemon &operator=(const Daemon &) = delete;
 
     /**
-     * Bind sockets and spawn the accept loop, workers, and
-     * watchdog. False (with *error filled) on socket setup failure.
+     * Bind sockets and spawn the I/O loop and the workers.
+     * False (with *error filled) on socket setup failure.
      */
     bool start(std::string *error = nullptr);
 
@@ -171,34 +173,40 @@ class Daemon
     const DaemonConfig &config() const { return config_; }
 
   private:
-    /** Per-connection shared state; the last owner closes the fd. */
+    /**
+     * One client connection. Its socket and write lock are shared with
+     * the workers answering its jobs, and the last owner closes the
+     * fd; the rest is touched only by the I/O loop.
+     */
     struct Connection
     {
         explicit Connection(int connFd) : fd(connFd) {}
         ~Connection();
 
         /**
-         * Serialized, best-effort write (MSG_NOSIGNAL) of a prebuilt
-         * buffer that already ends in \n.
+         * Serialized, best-effort blocking write (MSG_NOSIGNAL) of a
+         * prebuilt buffer that already ends in \n.
          */
         void sendBytes(std::string_view bytes);
 
-        /** Wake a reader blocked in recv (drain path). */
+        /** Shut the socket down: the peer reads end-of-stream. */
         void shutdownSocket();
 
         int fd;
         std::mutex writeMutex;
-        std::mutex jobsMutex;
-        /** Live jobs by client request id (for cancel/duplicate). */
-        std::map<uint64_t, std::weak_ptr<Job>> jobs;
-    };
 
-    /** One connection's reader thread; `done` is set as it returns. */
-    struct Reader
-    {
-        std::weak_ptr<Connection> conn;
-        std::atomic<bool> done{false};
-        std::jthread thread; ///< last: joined before `done` goes
+        /**
+         * Unparsed bytes. It keeps its capacity and the request tree
+         * is reparsed in place (protocol parseRequestLine), so a
+         * warmed-up connection reads and parses without touching the
+         * heap.
+         */
+        std::string rx;
+        JsonValue reqTree;
+        /** Jobs by client request id (for cancel/duplicate). */
+        std::map<uint64_t, std::weak_ptr<Job>> jobs;
+        /** jobs.size() after its last sweep of finished entries. */
+        size_t jobsAfterSweep = 0;
     };
 
     /**
@@ -216,20 +224,28 @@ class Daemon
         std::jthread thread;
     };
 
-    void acceptLoop();
-    void connectionLoop(std::shared_ptr<Connection> conn);
+    void ioLoop();
+    void closeListeners();
+    /** Wake the I/O loop to re-read draining_ and stopping_. */
+    void wakeLoop();
+    /** Read and handle what one connection sent; false drops it. */
+    bool readRequests(const std::shared_ptr<Connection> &conn);
     void handleLine(const std::shared_ptr<Connection> &conn,
-                    std::string_view line, JsonValue &reqTree);
+                    std::string_view line);
     void handleRun(const std::shared_ptr<Connection> &conn,
                    Request &req);
     void handleCancel(const std::shared_ptr<Connection> &conn,
                       const Request &req);
+    /**
+     * Answer `timeout` for every job past its deadline and forget the
+     * settled ones; returns the poll timeout (ms, -1 for none) until
+     * the nearest remaining deadline.
+     */
+    int expireDeadlines();
     void workerLoop(Worker &self);
     void executeJob(Worker &self, const std::shared_ptr<Job> &job);
     void respondResult(Worker &self, const std::shared_ptr<Job> &job,
                        const OutcomeSummary &summary);
-    void watchdogLoop(std::stop_token st);
-    void registerDeadline(std::shared_ptr<Job> job);
     void finishJob(); ///< outstanding-- and wake drain()
 
     /** Send one response line; the framing newline is added here. */
@@ -244,16 +260,13 @@ class Daemon
     int listenUnixFd_ = -1;
     int listenTcpFd_ = -1;
     int wakePipe_[2] = {-1, -1};
-    std::jthread acceptThread_;
-    std::jthread watchdogThread_;
-
-    std::mutex connsMutex_;
-    /** Connection readers: acceptLoop reaps the finished ones on each
-     * accept, drain() wakes and joins the rest. */
-    std::list<Reader> readers_;
+    /** Admitted jobs with a deadline; the I/O loop's alone. */
+    std::vector<std::shared_ptr<Job>> deadlineJobs_;
+    std::jthread ioThread_;
 
     std::atomic<bool> started_{false};
     std::atomic<bool> draining_{false};
+    std::atomic<bool> stopping_{false}; ///< the I/O loop returns
     std::atomic<bool> drained_{false};
     std::atomic<uint64_t> activeConns_{0};
     /** Jobs admitted but not yet finally disposed of. */
@@ -265,10 +278,6 @@ class Daemon
 
     std::mutex idleMutex_;
     std::condition_variable idleCv_;
-
-    std::mutex watchdogMutex_;
-    std::condition_variable_any watchdogCv_;
-    std::vector<std::shared_ptr<Job>> deadlineJobs_;
 
     mutable std::mutex statsMutex_;
     DaemonMetrics metrics_; ///< guarded by statsMutex_

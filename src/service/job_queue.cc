@@ -54,7 +54,7 @@ JobQueue::claim(const std::function<bool(const Job &)> &mayRun)
                 }
                 // The CAS happens while we still hold the ring lock, so
                 // a claimed job can never be seen as Queued by the
-                // watchdog.
+                // deadline check.
                 if (job.tryTransition(JobState::Queued,
                                       JobState::Running)) {
                     std::shared_ptr<Job> claimed = std::move(*it);

@@ -9,12 +9,12 @@
  * admission, and claim() always serves interactive work first.
  *
  * Jobs carry an atomic state machine so three parties — the claiming
- * worker, the timeout watchdog, and a cancel request — can race for a
- * job and exactly one wins the right to answer it. The Queued ->
+ * worker, the daemon's deadline check, and a cancel request — can race
+ * for a job and exactly one wins the right to answer it. The Queued ->
  * Running transition happens INSIDE the queue lock at claim time:
  * there is no window where a job has left the ring but is still
- * Queued, so the watchdog can never answer `timeout` for a job a
- * worker has already popped and is about to run.
+ * Queued, so the deadline check can never answer `timeout` for a job
+ * a worker has already popped and is about to run.
  */
 
 #ifndef NACHOS_SERVICE_JOB_QUEUE_HH
@@ -36,10 +36,10 @@ namespace nachos {
 /**
  * Lifecycle of a job. Legal transitions (all CAS-guarded):
  * Queued -> Running (claim), Queued -> Cancelled (cancel request),
- * Queued/Running -> TimedOut (watchdog), Running -> Done (worker).
- * Whoever performs the transition out of Queued/Running owns the
- * response; a worker that finishes a job the watchdog already timed
- * out discards its result.
+ * Queued/Running -> TimedOut (deadline check), Running -> Done
+ * (worker). Whoever performs the transition out of Queued/Running
+ * owns the response; a worker that finishes a job already timed out
+ * discards its result.
  */
 enum class JobState : int { Queued, Running, Done, TimedOut, Cancelled };
 
@@ -88,10 +88,11 @@ class JobQueue
      * Claim the next job that `mayRun` (when set) accepts: the oldest
      * such interactive job, else the oldest such bulk job. `mayRun`
      * runs under the queue lock; a job it refuses keeps its place and
-     * stays Queued, so cancel and the watchdog treat it as any queued
-     * job. The returned job has already made the Queued -> Running
-     * transition under the queue lock — the caller owns its execution
-     * and its response unless the watchdog later times it out.
+     * stays Queued, so cancel and the deadline check treat it as any
+     * queued job. The returned job has already made the Queued ->
+     * Running transition under the queue lock — the caller owns its
+     * execution and its response unless its deadline later times it
+     * out.
      *
      * Blocks until a job it may run arrives or wake() is called (then
      * it tests the queued jobs again); returns null once the queue is

@@ -5,10 +5,12 @@
  */
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -298,6 +300,26 @@ TEST_F(DaemonTest, SequentialConnectionsKeepNoReaderThreads)
     for (int i = 0; i < 200; ++i)
         pingOnce();
     EXPECT_LT(mapLines(), before + 40);
+}
+
+// One I/O loop serves every connection: open connections cost the
+// daemon no threads.
+TEST_F(DaemonTest, ConnectionsCostNoThreads)
+{
+    const auto threads = [] {
+        const std::filesystem::directory_iterator tasks("/proc/self/task");
+        return std::distance(begin(tasks), end(tasks));
+    };
+    start();
+    const auto before = threads();
+    std::vector<std::unique_ptr<ServiceClient>> clients;
+    for (uint64_t id = 1; id <= 16; ++id) {
+        clients.push_back(connect());
+        ASSERT_NE(clients.back(), nullptr);
+        ASSERT_TRUE(
+            clients.back()->call(requestEnvelope(id, "ping")).has_value());
+    }
+    EXPECT_EQ(threads(), before);
 }
 
 // Satellite (a): a job through nachosd yields byte-identical result
@@ -666,6 +688,47 @@ TEST_F(DaemonTest, WatchdogTimesOutQueuedAndRunningJobs)
               2u);
 }
 
+// The poll timeout runs to the nearest deadline, including one that
+// arrives after a later deadline: behind a sleeping job, a 50 ms run
+// sent after a 1000 ms run times out first.
+TEST_F(DaemonTest, LaterRequestWithEarlierDeadlineExpiresFirst)
+{
+    start(/*workers=*/1);
+    auto client = connect();
+    ASSERT_NE(client, nullptr);
+
+    const RunOpts fast{.invocations = 1, .backends = {"nachos"}};
+    RunOpts slow = fast;
+    slow.sleepMillis = 1500;
+    ASSERT_TRUE(client->sendRequest(runRequest(1, "164.gzip", slow)));
+    waitUntil(
+        [&] {
+            return counterValue("jobs.accepted") == 1 &&
+                   counterValue("queue.depth") == 0;
+        },
+        "job 1 to start running");
+
+    RunOpts later = fast;
+    later.timeoutMillis = 1000;
+    RunOpts sooner = fast;
+    sooner.timeoutMillis = 50;
+    ASSERT_TRUE(client->sendRequest(runRequest(2, "164.gzip", later)));
+    const auto sent = std::chrono::steady_clock::now();
+    ASSERT_TRUE(client->sendRequest(runRequest(3, "164.gzip", sooner)));
+    std::optional<JsonValue> expired = client->waitFor(3);
+    ASSERT_TRUE(expired.has_value());
+    EXPECT_EQ(errorCode(*expired), "timeout");
+    EXPECT_LT(std::chrono::steady_clock::now() - sent,
+              std::chrono::milliseconds(500));
+
+    std::optional<JsonValue> second = client->waitFor(2);
+    ASSERT_TRUE(second.has_value());
+    EXPECT_EQ(errorCode(*second), "timeout");
+    std::optional<JsonValue> first = client->waitFor(1);
+    ASSERT_TRUE(first.has_value());
+    EXPECT_STREQ(responseType(*first), "result");
+}
+
 TEST_F(DaemonTest, CancelQueuedJobOnly)
 {
     start(/*workers=*/1);
@@ -734,6 +797,54 @@ TEST_F(DaemonTest, DuplicateActiveIdRejected)
     std::optional<JsonValue> result = client->waitFor(1);
     ASSERT_TRUE(result.has_value());
     EXPECT_STREQ(responseType(*result), "result");
+}
+
+// A connection keeps no state for its finished jobs: ten thousand
+// runs refused with `queue_full` leave the heap where it was.
+TEST_F(DaemonTest, FinishedJobsLeaveNoPerConnectionState)
+{
+    start(/*workers=*/1, /*queueCapacity=*/1);
+    auto client = connect();
+    ASSERT_NE(client, nullptr);
+
+    // A first run fills the region cache and the worker's pool, so a
+    // run admitted below (a slow host outlasting the sleeper) leaves
+    // nothing behind either.
+    const RunOpts fast{.invocations = 1, .backends = {"nachos"}};
+    std::optional<JsonValue> warm =
+        client->call(runRequest(1, "164.gzip", fast));
+    ASSERT_TRUE(warm.has_value());
+    ASSERT_STREQ(responseType(*warm), "result");
+
+    // The sleeper holds the one worker, and job 3 the one queue slot.
+    RunOpts slow = fast;
+    slow.sleepMillis = 2000;
+    ASSERT_TRUE(client->sendRequest(runRequest(2, "164.gzip", slow)));
+    waitUntil(
+        [&] {
+            return counterValue("jobs.accepted") == 2 &&
+                   counterValue("queue.depth") == 0;
+        },
+        "the sleeper to start running");
+    ASSERT_TRUE(client->sendRequest(runRequest(3, "164.gzip", fast)));
+    waitUntil([&] { return counterValue("queue.depth") == 1; },
+              "job 3 to be queued");
+
+    constexpr uint64_t kRuns = 10'000;
+    constexpr uint64_t kPipelined = 500;
+    const size_t before = mallinfo2().uordblks;
+    for (uint64_t first = 100; first < 100 + kRuns; first += kPipelined) {
+        std::string lines;
+        for (uint64_t id = first; id < first + kPipelined; ++id)
+            lines += dumpJson(runRequest(id, "164.gzip", fast)) + "\n";
+        ASSERT_TRUE(client->sendRaw(lines));
+        for (uint64_t i = 0; i < kPipelined; ++i)
+            ASSERT_TRUE(client->readResponse().has_value());
+    }
+    const size_t after = mallinfo2().uordblks;
+    EXPECT_LT(after, before + (size_t{1} << 20))
+        << "heap grew " << after - before << " bytes over " << kRuns
+        << " runs";
 }
 
 TEST_F(DaemonTest, DrainAnswersAdmittedJobsAndRejectsNewOnes)
