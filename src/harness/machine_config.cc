@@ -38,11 +38,13 @@ using CC = CacheConfig;
 // Caps bound a job's memory and run time; 0 ("unset") is never a
 // value here — the codec rejects an explicit zero before it reaches a
 // slot (a zero would silently decode back to "default").
+// onlyFor: LsqConfig reaches only LsqBackend, and MdeBackend binds MAY
+// stations (the comparator arbiters) only for NACHOS.
 const MachineField kMachineFields[] = {
     {"lsqBanks", 64, false, slotAt<&MO::lsqBanks>,
-     simAt<&SimConfig::lsq, &LC::banks>},
+     simAt<&SimConfig::lsq, &LC::banks>, BackendKind::OptLsq},
     {"lsqPortsPerBank", 64, false, slotAt<&MO::lsqPortsPerBank>,
-     simAt<&SimConfig::lsq, &LC::portsPerBank>},
+     simAt<&SimConfig::lsq, &LC::portsPerBank>, BackendKind::OptLsq},
     {"l1SizeBytes", 1ull << 30, false, slotAt<&MO::l1SizeBytes>,
      l1At<&CC::sizeBytes>},
     {"l1Assoc", 64, false, slotAt<&MO::l1Assoc>, l1At<&CC::assoc>},
@@ -60,7 +62,7 @@ const MachineField kMachineFields[] = {
      simAt<&SimConfig::net, &NetworkConfig::hopsPerCycle>},
     {"nachosComparesPerCycle", 1024, false,
      slotAt<&MO::nachosComparesPerCycle>,
-     simAt<&SimConfig::nachosComparesPerCycle>},
+     simAt<&SimConfig::nachosComparesPerCycle>, BackendKind::Nachos},
 };
 
 const BackendField kBackendFields[] = {
@@ -139,6 +141,19 @@ machineCoordinates(const MachineOverrides &m)
         text += std::to_string(value);
     }
     return text;
+}
+
+MachineOverrides
+projectFor(const MachineOverrides &m, BackendKind backend)
+{
+    MachineOverrides projected = m;
+    for (const MachineField &f : kMachineFields) {
+        const uint64_t value = f.slot.get(m);
+        if ((f.onlyFor && *f.onlyFor != backend) ||
+            value == f.defaultValue())
+            f.slot.set(projected, 0);
+    }
+    return projected;
 }
 
 bool

@@ -16,7 +16,9 @@
  * machineFields() has one row per MachineOverrides field, in
  * declaration order — which is also the wire order, the point-id order
  * and the report order. A new machine parameter is one struct member
- * plus one row; nothing else lists the fields.
+ * plus one row; nothing else lists the fields. A row also names the one
+ * backend that reads it, if only one does: projectFor() drops what a
+ * backend cannot see, so a sweep simulates each distinct machine once.
  *
  * The front half of a run (synthesis, alias pipeline, MDE insertion)
  * never reads these fields — the region cache key stays
@@ -78,6 +80,8 @@ struct MachineField
     bool powerOfTwo;  ///< the value must be a power of two
     FieldAccess<MachineOverrides> slot; ///< the override (0 = unset)
     FieldAccess<SimConfig> sim;         ///< the field the override sets
+    /** The only backend that reads the field; empty = every backend. */
+    std::optional<BackendKind> onlyFor = std::nullopt;
 
     /** The Figure-3 value (what an unset slot means). */
     uint64_t defaultValue() const;
@@ -101,6 +105,14 @@ const MachineField *findMachineField(std::string_view name);
  * id and of its report label.
  */
 std::string machineCoordinates(const MachineOverrides &m);
+
+/**
+ * `m` as `backend` sees it: every field the backend does not read
+ * (MachineField::onlyFor) and every field set to its Figure-3 default
+ * is unset. Both reach the SimConfig unchanged, so a backend simulates
+ * `m` and projectFor(m, backend) identically.
+ */
+MachineOverrides projectFor(const MachineOverrides &m, BackendKind backend);
 
 /**
  * Validate overrides against the machine model's constraints: every

@@ -167,6 +167,8 @@ struct SimSummary
     double avgMlp = 0;
     uint64_t loadValueDigest = 0;
     double energyTotal = 0;
+
+    bool operator==(const SimSummary &) const = default;
 };
 
 /**

@@ -16,12 +16,18 @@
  *         default (bulk-class, pipelined), or fully in-process with
  *         --in-process — appending one store record per point. Safe
  *         to kill and re-run: completed points are never re-issued.
+ *         A point its backend cannot tell apart from an earlier or
+ *         stored one (e.g. a NACHOS point differing only in lsqBanks)
+ *         is filled from that result instead of simulated; the
+ *         summary line counts these fills as "reused" (part of "run").
  * report  renders Pareto frontiers and per-axis sensitivity tables
  *         from the store (deterministic text; see sweep/report.hh).
- * verify  recomputes every --sample'th record in-process and compares
- *         cycles/energy/digest against the stored values — the
- *         cheap standing answer to "did the daemon path drift from
- *         direct execution?".
+ * verify  recomputes every --sample'th record in-process, simulating
+ *         its own point unprojected, and compares the whole stored
+ *         summary (cycles, cycles/invocation, MLP, load digest,
+ *         energy) — the cheap standing answer to "did the daemon
+ *         path drift from direct execution?" and the independent
+ *         check of every filled record.
  *
  * Exit codes: 0 success, 1 usage/IO/connection failure, 2 the run had
  * failed points or verify found a mismatch.
@@ -37,7 +43,6 @@
 #include "harness/region_cache.hh"
 #include "service/client.hh"
 #include "support/parse.hh"
-#include "support/table.hh"
 #include "sweep/orchestrator.hh"
 #include "sweep/report.hh"
 
@@ -242,7 +247,8 @@ cmdRun(const Options &opt)
     }
     std::cout << "sweep '" << spec.name << "': " << stats.expanded
               << " points, " << stats.skipped << " already done, "
-              << stats.ran << " run, " << stats.failed << " failed\n";
+              << stats.ran << " run, " << stats.reused << " reused, "
+              << stats.failed << " failed\n";
     return stats.failed ? 2 : 0;
 }
 
@@ -261,49 +267,11 @@ cmdVerify(const Options &opt)
     HierarchyPool pool;
     size_t checked = 0, mismatched = 0;
     for (size_t i = 0; i < records.size(); i += opt.sample) {
-        const SweepRecord &r = records[i];
-        const BenchmarkInfo *info = findBenchmark(r.workload);
-        if (!info) {
-            std::cerr << "  unknown workload '" << r.workload << "'\n";
-            ++mismatched;
-            continue;
-        }
-        const BackendField *backend = findBackend(r.backend);
-        if (!backend) {
-            std::cerr << "  unknown backend '" << r.backend << "'\n";
-            ++mismatched;
-            continue;
-        }
-        SweepPoint point;
-        point.info = info;
-        point.pathIndex = r.pathIndex;
-        point.seed = r.seed;
-        point.backend = r.backend;
-        point.invocations = r.invocations;
-        point.machine = r.machine;
-        const RunRequest request = point.toRequest();
-
-        std::shared_ptr<const FrontEnd> entry =
-            cache.acquire(*info, request);
-        const BackendResults sims =
-            simulateRequest(*info, request, *entry, pool);
-        const SimResult &result = *(sims.*backend->result);
         ++checked;
-        const SimSummary &stored = r.summary;
-        const bool match =
-            result.cycles == stored.cycles &&
-            result.loadValueDigest == stored.loadValueDigest &&
-            result.energy.total() == stored.energyTotal;
-        if (!match) {
+        const std::string bad = verifySweepRecord(records[i], cache, pool);
+        if (!bad.empty()) {
             ++mismatched;
-            std::cerr << "MISMATCH " << r.id << "\n  stored  cycles="
-                      << stored.cycles
-                      << " digest=" << stored.loadValueDigest
-                      << " energy=" << fmtDouble(stored.energyTotal, 3)
-                      << "\n  rerun   cycles=" << result.cycles
-                      << " digest=" << result.loadValueDigest
-                      << " energy="
-                      << fmtDouble(result.energy.total(), 3) << "\n";
+            std::cerr << bad << "\n";
         }
     }
     std::cout << "verified " << checked << " of " << records.size()

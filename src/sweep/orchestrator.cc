@@ -2,6 +2,8 @@
 
 #include <chrono>
 #include <deque>
+#include <optional>
+#include <unordered_map>
 
 #include "harness/region_cache.hh"
 #include "service/client.hh"
@@ -42,10 +44,84 @@ pendingPoints(const std::vector<SweepPoint> &points,
     return todo;
 }
 
+using clock = std::chrono::steady_clock;
+
+double
+secondsSince(clock::time_point start)
+{
+    return std::chrono::duration<double>(clock::now() - start).count();
+}
+
+/**
+ * Each answered projected id's source record; empty while its request
+ * is out, and for good once the request failed.
+ */
+using Answers =
+    std::unordered_map<std::string, std::optional<SweepRecord>>;
+
+/** The store's records as answers (unknown workloads and backends
+ *  answer nothing a point can ask). */
+Answers
+storedAnswers(const std::vector<SweepRecord> &records)
+{
+    Answers answers;
+    for (const SweepRecord &r : records) {
+        const SweepPoint p = recordedPoint(r);
+        if (p.info && findBackend(p.backend))
+            answers.emplace(p.projectedId(), r);
+    }
+    return answers;
+}
+
+/** The record of `point` from its backend's part of a wire outcome. */
+SweepRecord
+recordFromOutcome(const SweepPoint &point, const OutcomeSummary &summary)
+{
+    const BackendField *backend = findBackend(point.backend);
+    NACHOS_ASSERT(backend && (summary.*backend->summary).has_value(),
+                  "outcome summary lacks the point's backend");
+    return makeSweepRecord(point, summary.invocations,
+                           *(summary.*backend->summary));
+}
+
+/** Fill `point` from `source`; a failed source fails the fill too. */
+bool
+appendFill(const SweepPoint &point,
+           const std::optional<SweepRecord> &source, SweepStore &store,
+           SweepRunStats &stats, std::string *error)
+{
+    if (!source) {
+        ++stats.failed;
+        return true;
+    }
+    const clock::time_point start = clock::now();
+    SweepRecord record =
+        makeSweepRecord(point, source->invocations, source->summary);
+    record.seconds = secondsSince(start);
+    if (!store.append(record, error))
+        return false;
+    ++stats.ran;
+    ++stats.reused;
+    return true;
+}
+
+/** A record's summary as one line of JSON members. */
+std::string
+summaryText(const SimSummary &summary)
+{
+    std::string text;
+    JsonWriter w(text);
+    w.beginObject();
+    writeSimSummaryMembers(w, summary);
+    w.endObject();
+    return text;
+}
+
 } // namespace
 
 SweepRecord
-makeSweepRecord(const SweepPoint &point, const OutcomeSummary &summary)
+makeSweepRecord(const SweepPoint &point, uint64_t invocations,
+                const SimSummary &summary)
 {
     SweepRecord r;
     r.id = point.id;
@@ -54,14 +130,34 @@ makeSweepRecord(const SweepPoint &point, const OutcomeSummary &summary)
     r.pathIndex = point.pathIndex;
     r.seed = point.seed;
     r.backend = point.backend;
-    r.invocations = summary.invocations;
+    r.invocations = invocations;
     r.machine = point.machine;
-    const BackendField *backend = findBackend(point.backend);
-    NACHOS_ASSERT(backend && (summary.*backend->summary).has_value(),
-                  "outcome summary lacks the point's backend");
-    r.summary = *(summary.*backend->summary);
+    r.summary = summary;
     r.areaProxy = areaProxy(point.machine, point.backend);
     return r;
+}
+
+std::string
+verifySweepRecord(const SweepRecord &record, RegionCache &cache,
+                  HierarchyPool &pool)
+{
+    const SweepPoint point = recordedPoint(record);
+    if (!point.info)
+        return record.id + ": unknown workload '" + record.workload + "'";
+    const BackendField *backend = findBackend(record.backend);
+    if (!backend)
+        return record.id + ": unknown backend '" + record.backend + "'";
+    const RunRequest request = point.toRequest();
+    std::shared_ptr<const FrontEnd> entry =
+        cache.acquire(*point.info, request);
+    const OutcomeSummary rerun = summarizeOutcome(
+        *point.info, request, *entry,
+        simulateRequest(*point.info, request, *entry, pool));
+    const SimSummary &got = *(rerun.*backend->summary);
+    if (got == record.summary)
+        return {};
+    return "MISMATCH " + record.id + "\n  stored " +
+           summaryText(record.summary) + "\n  rerun  " + summaryText(got);
 }
 
 bool
@@ -75,14 +171,21 @@ runSweepInProcess(const std::vector<SweepPoint> &points,
         return false;
     const std::vector<const SweepPoint *> todo =
         pendingPoints(points, loaded.records, options.limit, stats);
+    Answers answers = storedAnswers(loaded.records);
 
     RegionCache cache(options.cacheEntries);
     HierarchyPool pool;
-    using clock = std::chrono::steady_clock;
     for (size_t i = 0; i < todo.size(); ++i) {
         const SweepPoint &p = *todo[i];
         if (options.onPoint)
             options.onPoint(p.id, i, todo.size());
+        std::string key = p.projectedId();
+        if (const auto source = answers.find(key);
+            source != answers.end()) {
+            if (!appendFill(p, source->second, store, stats, error))
+                return false;
+            continue;
+        }
         const clock::time_point start = clock::now();
 
         const RunRequest request = p.toRequest();
@@ -93,12 +196,12 @@ runSweepInProcess(const std::vector<SweepPoint> &points,
         const OutcomeSummary summary =
             summarizeOutcome(*p.info, request, *entry, sims);
 
-        SweepRecord record = makeSweepRecord(p, summary);
-        record.seconds =
-            std::chrono::duration<double>(clock::now() - start).count();
+        SweepRecord record = recordFromOutcome(p, summary);
+        record.seconds = secondsSince(start);
         if (!store.append(record, error))
             return false;
         ++stats.ran;
+        answers.emplace(std::move(key), std::move(record));
     }
     return true;
 }
@@ -115,22 +218,32 @@ runSweepOverDaemon(const std::vector<SweepPoint> &points,
         return false;
     const std::vector<const SweepPoint *> todo =
         pendingPoints(points, loaded.records, options.limit, stats);
+    Answers answers = storedAnswers(loaded.records);
 
     const uint32_t window = options.window ? options.window : 1;
-    using clock = std::chrono::steady_clock;
 
-    struct InFlight
+    /** A queued point: a request in flight, or a fill (requestId 0). */
+    struct Queued
     {
-        uint64_t id;
         const SweepPoint *point;
+        std::string key; ///< the point's projected id
+        uint64_t requestId;
         clock::time_point sent;
     };
-    std::deque<InFlight> inFlight;
+    std::deque<Queued> queue;
+    uint32_t requestsInFlight = 0;
     uint64_t nextId = 1;
     size_t nextPoint = 0;
 
-    auto send = [&]() -> bool {
-        const SweepPoint &p = *todo[nextPoint];
+    // A point whose projected id is answered, or asked by a request
+    // ahead of it, is queued as a fill; any other point sends one.
+    auto enqueue = [&]() -> bool {
+        const SweepPoint &p = *todo[nextPoint++];
+        std::string key = p.projectedId();
+        if (answers.count(key)) {
+            queue.push_back({&p, std::move(key), 0, clock::now()});
+            return true;
+        }
         JobSpec spec;
         spec.info = p.info;
         spec.request = p.toRequest();
@@ -140,50 +253,58 @@ runSweepOverDaemon(const std::vector<SweepPoint> &points,
         line += '\n';
         if (!client.sendRaw(line))
             return setError(error, "send failed (daemon gone?)");
-        inFlight.push_back({nextId, &p, clock::now()});
+        answers.emplace(key, std::nullopt);
+        queue.push_back({&p, std::move(key), nextId, clock::now()});
         ++nextId;
-        ++nextPoint;
+        ++requestsInFlight;
         return true;
     };
 
     // Collect strictly in submission (= point) order: the store then
     // grows as a prefix of the pending list, which is what makes a
-    // kill at any moment resumable without duplicate records.
-    while (nextPoint < todo.size() || !inFlight.empty()) {
-        while (nextPoint < todo.size() && inFlight.size() < window)
-            if (!send())
+    // kill at any moment resumable without duplicate records. A fill
+    // reaches the head only after its source was collected.
+    while (nextPoint < todo.size() || !queue.empty()) {
+        while (nextPoint < todo.size() && requestsInFlight < window)
+            if (!enqueue())
                 return false;
 
-        const InFlight head = inFlight.front();
-        inFlight.pop_front();
-        std::optional<JsonValue> response = client.waitFor(head.id);
-        if (!response)
-            return setError(error,
-                            "connection closed with responses "
-                            "outstanding");
+        const Queued head = std::move(queue.front());
+        queue.pop_front();
+        std::optional<JsonValue> response;
+        if (head.requestId) {
+            --requestsInFlight;
+            response = client.waitFor(head.requestId);
+            if (!response)
+                return setError(error,
+                                "connection closed with responses "
+                                "outstanding");
+        }
         if (options.onPoint)
             options.onPoint(head.point->id, stats.ran + stats.failed,
                             todo.size());
-
-        const JsonValue *type = response->find("type");
-        if (!type || !type->isString() || type->str() != "result") {
-            ++stats.failed;
+        if (!head.requestId) {
+            if (!appendFill(*head.point, answers.at(head.key), store,
+                            stats, error))
+                return false;
             continue;
         }
+
+        const JsonValue *type = response->find("type");
         const JsonValue *outcome = response->find("outcome");
         OutcomeSummary summary;
         CodecError err;
-        if (!outcome || !decodeOutcome(*outcome, summary, err)) {
+        if (!type || !type->isString() || type->str() != "result" ||
+            !outcome || !decodeOutcome(*outcome, summary, err)) {
             ++stats.failed;
             continue;
         }
-        SweepRecord record = makeSweepRecord(*head.point, summary);
-        record.seconds =
-            std::chrono::duration<double>(clock::now() - head.sent)
-                .count();
+        SweepRecord record = recordFromOutcome(*head.point, summary);
+        record.seconds = secondsSince(head.sent);
         if (!store.append(record, error))
             return false;
         ++stats.ran;
+        answers.at(head.key) = std::move(record);
     }
     return true;
 }

@@ -19,6 +19,18 @@
  *    mid-run therefore loses only trailing work, which resume
  *    recomputes).
  *
+ * Fills: a point whose backend cannot tell it apart from another
+ * (same SweepPoint::projectedId — e.g. a NACHOS point that differs
+ * only in lsqBanks) is not simulated again. If an earlier point of the
+ * same call, or a record already in the store, has that projected id,
+ * the point is filled from that source's result: no request, no
+ * simulation, and a record byte-identical (but for `seconds`) to the
+ * one simulating it would give. In daemon mode a fill keeps its place
+ * in the point-order queue and takes no slot of the request window;
+ * when it reaches the head its source has been collected, and if the
+ * source answered with an error the fill fails too (a resume re-runs
+ * both).
+ *
  * Resume: points whose hash already has a store record are skipped
  * before any work is issued. Running the same spec against the same
  * store twice is a no-op the second time.
@@ -33,6 +45,8 @@
 
 namespace nachos {
 
+class HierarchyPool;
+class RegionCache;
 class ServiceClient;
 
 /** Orchestration knobs. */
@@ -40,7 +54,8 @@ struct SweepRunOptions
 {
     /** Stop after this many newly-run points (0 = no limit). */
     size_t limit = 0;
-    /** Daemon mode: max pipelined requests in flight. */
+    /** Daemon mode: max pipelined requests in flight (fills send no
+     *  request, so they do not count). */
     uint32_t window = 16;
     /** In-process mode: region cache capacity. */
     size_t cacheEntries = 16;
@@ -53,8 +68,9 @@ struct SweepRunStats
 {
     size_t expanded = 0; ///< points in the expansion
     size_t skipped = 0;  ///< already present in the store
-    size_t ran = 0;      ///< newly computed + appended
-    size_t failed = 0;   ///< error responses (daemon mode)
+    size_t ran = 0;      ///< newly appended, fills included
+    size_t reused = 0;   ///< of `ran`, filled from an earlier result
+    size_t failed = 0;   ///< error responses and their fills (daemon)
 };
 
 /**
@@ -76,12 +92,21 @@ bool runSweepOverDaemon(const std::vector<SweepPoint> &points,
                         SweepRunStats &stats, std::string *error);
 
 /**
- * Build the record for one point from its wire-level outcome summary
- * (shared by both modes + the verify subcommand; `seconds` is filled
- * by the caller).
+ * Build the record for one point from its backend's result and the
+ * effective invocation count (shared by both modes and by fills;
+ * `seconds` is filled by the caller).
  */
-SweepRecord makeSweepRecord(const SweepPoint &point,
-                            const OutcomeSummary &summary);
+SweepRecord makeSweepRecord(const SweepPoint &point, uint64_t invocations,
+                            const SimSummary &summary);
+
+/**
+ * Re-simulate `record` in-process and compare the whole SimSummary
+ * with the stored one — the check behind `nachos_sweep verify`. Empty
+ * if they are equal, else what differs (or why the record cannot be
+ * re-run).
+ */
+std::string verifySweepRecord(const SweepRecord &record, RegionCache &cache,
+                              HierarchyPool &pool);
 
 } // namespace nachos
 

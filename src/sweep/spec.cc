@@ -27,6 +27,20 @@ compareOp(const std::string &op, uint64_t lhs, uint64_t rhs)
     return lhs > rhs;
 }
 
+std::string
+pointId(const SweepPoint &p)
+{
+    std::string id = "workload=" + p.info->name;
+    id += " path=" + std::to_string(p.pathIndex);
+    id += " seed=" + std::to_string(p.seed);
+    id += " backend=" + p.backend;
+    id += " inv=" + std::to_string(p.invocations);
+    const std::string machine = machineCoordinates(p.machine);
+    if (!machine.empty())
+        id += " " + machine;
+    return id;
+}
+
 } // namespace
 
 RunRequest
@@ -40,6 +54,17 @@ SweepPoint::toRequest() const
     r.invocationsOverride = invocations;
     r.machine = machine;
     return r;
+}
+
+std::string
+SweepPoint::projectedId() const
+{
+    const BackendField *b = findBackend(backend);
+    NACHOS_ASSERT(info && b, "sweep point without workload or backend");
+    SweepPoint seen = *this;
+    seen.invocations = invocations ? invocations : info->invocations;
+    seen.machine = projectFor(machine, b->kind);
+    return pointId(seen);
 }
 
 bool
@@ -249,24 +274,6 @@ decodeSweepSpec(const JsonValue &v, SweepSpec &spec, CodecError &err)
     }
     return true;
 }
-
-namespace {
-
-std::string
-pointId(const SweepPoint &p)
-{
-    std::string id = "workload=" + p.info->name;
-    id += " path=" + std::to_string(p.pathIndex);
-    id += " seed=" + std::to_string(p.seed);
-    id += " backend=" + p.backend;
-    id += " inv=" + std::to_string(p.invocations);
-    const std::string machine = machineCoordinates(p.machine);
-    if (!machine.empty())
-        id += " " + machine;
-    return id;
-}
-
-} // namespace
 
 std::vector<SweepPoint>
 expandSweep(const SweepSpec &spec)

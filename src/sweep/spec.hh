@@ -97,6 +97,13 @@ struct SweepPoint
 
     /** The RunRequest this point denotes (exactly one backend set). */
     RunRequest toRequest() const;
+
+    /**
+     * The id of the run this point's backend actually simulates: the
+     * invocation count resolved and the machine projected
+     * (projectFor). Two points with one projected id have one result.
+     */
+    std::string projectedId() const;
 };
 
 /**

@@ -199,6 +199,21 @@ SweepStore::close()
     }
 }
 
+SweepPoint
+recordedPoint(const SweepRecord &r)
+{
+    SweepPoint p;
+    p.info = findBenchmark(r.workload);
+    p.pathIndex = r.pathIndex;
+    p.seed = r.seed;
+    p.backend = r.backend;
+    p.invocations = r.invocations;
+    p.machine = r.machine;
+    p.id = r.id;
+    p.hash = r.hash;
+    return p;
+}
+
 std::unordered_set<uint64_t>
 completedHashes(const std::vector<SweepRecord> &records)
 {

@@ -116,6 +116,12 @@ class SweepStore
     std::FILE *file_ = nullptr;
 };
 
+/**
+ * The point `r` records, with its effective invocation count; `info`
+ * is null when the record names an unknown workload.
+ */
+SweepPoint recordedPoint(const SweepRecord &r);
+
 /** The set of point hashes present in `records`. */
 std::unordered_set<uint64_t>
 completedHashes(const std::vector<SweepRecord> &records);

@@ -76,6 +76,8 @@ expectSameResult(const SimResult &a, const SimResult &b,
     EXPECT_EQ(a.energy.lsqCam, b.energy.lsqCam) << what;
     EXPECT_EQ(a.energy.l1, b.energy.l1) << what;
     EXPECT_EQ(a.loadValueDigest, b.loadValueDigest) << what;
+    EXPECT_EQ(a.maxMlp, b.maxMlp) << what;
+    EXPECT_EQ(a.avgMlp, b.avgMlp) << what;
     EXPECT_EQ(a.criticalOp, b.criticalOp) << what;
     EXPECT_EQ(a.planEventsDispatched, b.planEventsDispatched) << what;
     EXPECT_EQ(a.memImage, b.memImage) << what;
@@ -169,6 +171,93 @@ TEST(Simulator, PooledSimulateMatchesFresh)
             }
         }
     }
+}
+
+// A machine field a row declares for one backend (MachineField::onlyFor)
+// must leave every other backend's run unchanged, field by field: a
+// sweep fills those backends' points from one result (projectFor), so
+// a row that claims a backend ignores it when it does not would reuse
+// a wrong result. The declaring backend must see the field on one of
+// the subjects, or the comparison proves nothing: gzip, MAY-heavy
+// equake, and art, where the comparator width moves NACHOS (it moves
+// nothing on gzip or equake).
+TEST(Simulator, ProjectedMachineFieldsAreIgnored)
+{
+    struct Subject
+    {
+        std::string name;
+        Region region;
+        MdeSet mdes;
+    };
+    std::vector<Subject> subjects;
+    for (const char *name : {"gzip", "equake", "art"}) {
+        Region r = synthesizeRegion(benchmarkByName(name));
+        MdeSet mdes = insertMdes(r, runAliasPipeline(r).matrix);
+        subjects.push_back({name, std::move(r), std::move(mdes)});
+    }
+    const std::vector<BackendKind> kinds = {
+        BackendKind::OptLsq, BackendKind::NachosSw, BackendKind::Nachos};
+
+    std::vector<std::string> projected;
+    HierarchyPool pool;
+    for (const MachineField &field : machineFields()) {
+        if (!field.onlyFor)
+            continue;
+        projected.push_back(field.name);
+        const uint64_t d = field.defaultValue();
+        bool declarerSees = false;
+        for (const uint64_t v : {uint64_t{1}, 2 * d}) {
+            if (v == d)
+                continue;
+            ASSERT_EQ(field.reject(v), "") << field.name << "=" << v;
+            for (const Subject &s : subjects) {
+                for (const BackendKind kind : kinds) {
+                    SimConfig base = smallConfig(8);
+                    base.recordMemTrace = true;
+                    SimConfig moved = base;
+                    field.sim.set(moved, v);
+                    const SimResult at = simulate(s.region, s.mdes, kind,
+                                                  base, pool);
+                    const SimResult off = simulate(s.region, s.mdes, kind,
+                                                   moved, pool);
+                    const std::string what =
+                        s.name + "/" + backendName(kind) + "/" +
+                        field.name + "=" + std::to_string(v);
+                    if (kind != *field.onlyFor) {
+                        expectSameResult(at, off, what);
+                        MachineOverrides m;
+                        field.slot.set(m, v);
+                        EXPECT_TRUE(projectFor(m, kind) == MachineOverrides{})
+                            << what;
+                    } else if (at.cycles != off.cycles ||
+                               at.stats.dump() != off.stats.dump()) {
+                        declarerSees = true;
+                    }
+                }
+            }
+        }
+        EXPECT_TRUE(declarerSees)
+            << field.name << " changes nothing for "
+            << backendName(*field.onlyFor) << " on any subject";
+    }
+    EXPECT_EQ(projected,
+              (std::vector<std::string>{"lsqBanks", "lsqPortsPerBank",
+                                        "nachosComparesPerCycle"}));
+
+    // The projection keeps what the backend reads, unless it is the
+    // default.
+    MachineOverrides m;
+    m.lsqBanks = 8;
+    m.l1SizeBytes = 16384;
+    m.dramLatency = static_cast<uint32_t>(
+        findMachineField("dramLatency")->defaultValue());
+    MachineOverrides lsqSees;
+    lsqSees.lsqBanks = 8;
+    lsqSees.l1SizeBytes = 16384;
+    EXPECT_TRUE(projectFor(m, BackendKind::OptLsq) == lsqSees);
+    MachineOverrides nachosSees;
+    nachosSees.l1SizeBytes = 16384;
+    EXPECT_TRUE(projectFor(m, BackendKind::Nachos) == nachosSees);
 }
 
 // Every counter-table row is registered by some backend on the suite's

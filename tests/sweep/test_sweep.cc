@@ -3,17 +3,22 @@
  * expansion (constraint and geometry filtering, coordinate-derived
  * point ids), the append-only store's resume semantics (torn-tail
  * truncation, duplicate detection), Pareto/report determinism, the
- * in-process orchestrator's skip-completed resume loop, and the
- * daemon orchestrator's equivalence with it.
+ * in-process orchestrator's skip-completed resume loop, the daemon
+ * orchestrator's equivalence with it, fills (points a backend cannot
+ * tell apart share one simulation) and the verify check.
  */
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <thread>
 
+#include "harness/region_cache.hh"
 #include "service/client.hh"
 #include "service/daemon.hh"
 #include "sweep/orchestrator.hh"
@@ -772,6 +777,282 @@ TEST(SweepRun, OverDaemonMatchesInProcess)
 
     client.reset();
     ::unlink(socketPath.c_str()); // ~Daemon drains
+}
+
+// ---- fills ---------------------------------------------------------
+
+/** Each point simulated on its own, unprojected, as its record. */
+std::vector<SweepRecord>
+simulatedRecords(const std::vector<SweepPoint> &points)
+{
+    RegionCache cache(4);
+    HierarchyPool pool;
+    std::vector<SweepRecord> records;
+    for (const SweepPoint &p : points) {
+        const RunRequest request = p.toRequest();
+        std::shared_ptr<const FrontEnd> entry =
+            cache.acquire(*p.info, request);
+        const OutcomeSummary summary = summarizeOutcome(
+            *p.info, request, *entry,
+            simulateRequest(*p.info, request, *entry, pool));
+        records.push_back(makeSweepRecord(
+            p, summary.invocations,
+            *(summary.*findBackend(p.backend)->summary)));
+    }
+    return records;
+}
+
+/** The store's lines with the wall clock cleared. */
+std::vector<std::string>
+storeLines(const std::vector<SweepRecord> &records)
+{
+    std::vector<std::string> lines;
+    for (SweepRecord r : records) {
+        r.seconds = 0;
+        lines.push_back(dumpJson(encodeSweepRecord(r)));
+    }
+    return lines;
+}
+
+std::vector<SweepRecord>
+loadStore(const std::string &path)
+{
+    SweepStore store(path);
+    SweepLoadResult loaded;
+    std::string error;
+    EXPECT_TRUE(store.load(loaded, &error)) << error;
+    return std::move(loaded.records);
+}
+
+uint64_t
+daemonCounter(const Daemon &daemon, const char *name)
+{
+    const JsonValue snap = daemon.metricsSnapshot();
+    const JsonValue *counters = snap.find("counters");
+    const JsonValue *v = counters ? counters->find(name) : nullptr;
+    return v && v->isU64() ? v->asU64() : 0;
+}
+
+/** Spin (with a 30 s cap) until the daemon counter reaches `want`. */
+void
+waitForCounter(const Daemon &daemon, const char *name, uint64_t want)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (daemonCounter(daemon, name) != want) {
+        ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+            << "timed out waiting for " << name << " == " << want;
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+}
+
+std::string
+testSocket(const std::string &name)
+{
+    return "/tmp/nachos-test-sweep-" + name + "-" +
+           std::to_string(::getpid()) + ".sock";
+}
+
+// A serve-shaped sweep: NACHOS-SW and NACHOS read no LSQ field, so
+// their points at banks 2, 4 and 8 (24 of 48) are filled from banks 1.
+// Filled or not, the store, the ids and the report are exactly those
+// of simulating every point on its own, in-process and over a daemon,
+// and a resume fills from records already in the store.
+TEST(SweepRun, FillsMatchSimulatingEveryPoint)
+{
+    const SweepSpec spec = mustDecode(
+        R"({"name":"serve-shaped","workloads":["183.equake"],
+            "paths":[0,1],"invocations":4,
+            "axes":{"lsqBanks":[1,2,4,8],"l1SizeBytes":[16384,65536]}})");
+    const std::vector<SweepPoint> points = expandSweep(spec);
+    ASSERT_EQ(points.size(), 48u);
+    const std::vector<SweepRecord> reference = simulatedRecords(points);
+    const std::vector<std::string> referenceLines = storeLines(reference);
+    const std::string referenceReport = renderSweepReport(reference);
+
+    const auto expectReference = [&](const std::string &path,
+                                     const char *what) {
+        const std::vector<SweepRecord> got = loadStore(path);
+        ASSERT_EQ(got.size(), points.size()) << what;
+        for (size_t i = 0; i < got.size(); ++i)
+            EXPECT_EQ(got[i].id, points[i].id) << what;
+        EXPECT_EQ(storeLines(got), referenceLines) << what;
+        EXPECT_EQ(renderSweepReport(got), referenceReport) << what;
+    };
+
+    SweepRunOptions options;
+    SweepRunStats stats;
+    std::string error;
+    const std::string inProcessPath = tempStore("fills_in_process");
+    SweepStore inProcess(inProcessPath);
+    ASSERT_TRUE(
+        runSweepInProcess(points, inProcess, options, stats, &error))
+        << error;
+    inProcess.close();
+    EXPECT_EQ(stats.ran, 48u);
+    EXPECT_EQ(stats.reused, 24u);
+    EXPECT_EQ(stats.failed, 0u);
+    expectReference(inProcessPath, "in-process");
+
+    const std::string socketPath = testSocket("fills");
+    DaemonConfig config;
+    config.socketPath = socketPath;
+    config.workers = 2;
+    Daemon daemon(config);
+    ASSERT_TRUE(daemon.start(&error)) << error;
+    std::unique_ptr<ServiceClient> client =
+        ServiceClient::connectUnix(socketPath, &error);
+    ASSERT_NE(client, nullptr) << error;
+
+    options.window = 3;
+    const std::string overDaemonPath = tempStore("fills_over_daemon");
+    SweepStore overDaemon(overDaemonPath);
+    ASSERT_TRUE(runSweepOverDaemon(points, overDaemon, *client, options,
+                                   stats, &error))
+        << error;
+    overDaemon.close();
+    EXPECT_EQ(stats.ran, 48u);
+    EXPECT_EQ(stats.reused, 24u);
+    EXPECT_EQ(stats.failed, 0u);
+    EXPECT_EQ(daemonCounter(daemon, "requests.total"), 24u);
+    expectReference(overDaemonPath, "over the daemon");
+
+    // Resume from a store that holds every OPT-LSQ record and the
+    // banks-1 records: each pending point is a fill, so no request.
+    const auto seedStore = [&](const std::string &path) {
+        SweepStore store(path);
+        SweepLoadResult ignored;
+        ASSERT_TRUE(store.openForAppend(ignored, &error)) << error;
+        for (const SweepRecord &r : reference) {
+            if (r.backend == "lsq" || r.machine.lsqBanks == 1) {
+                ASSERT_TRUE(store.append(r, &error)) << error;
+            }
+        }
+    };
+    for (const bool viaDaemon : {false, true}) {
+        SCOPED_TRACE(viaDaemon ? "daemon resume" : "in-process resume");
+        const std::string path = tempStore("fills_resume");
+        seedStore(path);
+        const uint64_t requestsBefore =
+            daemonCounter(daemon, "requests.total");
+        SweepStore resumed(path);
+        ASSERT_TRUE(viaDaemon
+                        ? runSweepOverDaemon(points, resumed, *client,
+                                             options, stats, &error)
+                        : runSweepInProcess(points, resumed, options,
+                                            stats, &error))
+            << error;
+        resumed.close();
+        EXPECT_EQ(stats.skipped, 24u);
+        EXPECT_EQ(stats.ran, 24u);
+        EXPECT_EQ(stats.reused, 24u);
+        EXPECT_EQ(daemonCounter(daemon, "requests.total"),
+                  requestsBefore);
+        EXPECT_EQ(renderSweepReport(loadStore(path)), referenceReport);
+    }
+
+    client.reset();
+    ::unlink(socketPath.c_str()); // ~Daemon drains
+}
+
+// A fill is only as good as its source: when the source's request is
+// turned away (queue_full), the fill fails with it, and neither lands
+// in the store, so a resume re-runs both.
+TEST(SweepRun, FillFailsWithItsSource)
+{
+    const SweepSpec spec = mustDecode(
+        R"({"name":"fail","workloads":["164.gzip"],"backends":["sw"],
+            "invocations":2,"axes":{"lsqBanks":[1,2]}})");
+    const std::vector<SweepPoint> points = expandSweep(spec);
+    ASSERT_EQ(points.size(), 2u);
+
+    const std::string socketPath = testSocket("fill_fails");
+    DaemonConfig config;
+    config.socketPath = socketPath;
+    config.workers = 1;
+    config.bulkQueueCapacity = 1;
+    Daemon daemon(config);
+    std::string error;
+    ASSERT_TRUE(daemon.start(&error)) << error;
+    std::unique_ptr<ServiceClient> hog =
+        ServiceClient::connectUnix(socketPath, &error);
+    ASSERT_NE(hog, nullptr) << error;
+    std::unique_ptr<ServiceClient> client =
+        ServiceClient::connectUnix(socketPath, &error);
+    ASSERT_NE(client, nullptr) << error;
+
+    // A sleeper holds the one worker, and a bulk job fills the bulk
+    // queue's one slot.
+    const auto hogRequest = [](uint64_t id, const char *klass) {
+        JsonValue run = JsonValue::makeObject();
+        run.set("workload", "164.gzip");
+        run.set("invocations", uint64_t{1});
+        run.set("sleepMillis", uint64_t{300});
+        run.set("class", klass);
+        JsonValue request = requestEnvelope(id, "run");
+        request.set("run", std::move(run));
+        return request;
+    };
+    ASSERT_TRUE(hog->sendRequest(hogRequest(1, "interactive")));
+    waitForCounter(daemon, "jobs.accepted", 1);
+    waitForCounter(daemon, "queue.depth", 0);
+    ASSERT_TRUE(hog->sendRequest(hogRequest(2, "bulk")));
+    waitForCounter(daemon, "queue.bulkDepth", 1);
+
+    SweepRunOptions options;
+    SweepRunStats stats;
+    const std::string path = tempStore("fill_fails");
+    SweepStore store(path);
+    ASSERT_TRUE(
+        runSweepOverDaemon(points, store, *client, options, stats, &error))
+        << error;
+    store.close();
+    EXPECT_EQ(daemonCounter(daemon, "jobs.rejected"), 1u);
+    EXPECT_EQ(stats.failed, 2u);
+    EXPECT_EQ(stats.ran, 0u);
+    EXPECT_EQ(stats.reused, 0u);
+    EXPECT_TRUE(loadStore(path).empty());
+
+    for (const uint64_t id : {1u, 2u})
+        EXPECT_TRUE(hog->waitFor(id).has_value()) << id;
+    hog.reset();
+    client.reset();
+    ::unlink(socketPath.c_str());
+}
+
+// verify compares the whole summary: tampering with any one member of
+// a stored record is reported as a mismatch.
+TEST(SweepVerify, AnyTamperedSummaryMemberIsAMismatch)
+{
+    const SweepSpec spec = mustDecode(
+        R"({"name":"verify","workloads":["183.equake"],
+            "backends":["nachos"],"invocations":2})");
+    const std::vector<SweepRecord> records =
+        simulatedRecords(expandSweep(spec));
+    ASSERT_EQ(records.size(), 1u);
+    RegionCache cache(1);
+    HierarchyPool pool;
+    EXPECT_EQ(verifySweepRecord(records[0], cache, pool), "");
+
+    const std::vector<std::function<void(SimSummary &)>> tamper = {
+        [](SimSummary &s) { ++s.cycles; },
+        [](SimSummary &s) { s.cyclesPerInvocation += 0.5; },
+        [](SimSummary &s) { ++s.maxMlp; },
+        [](SimSummary &s) { s.avgMlp += 0.25; },
+        [](SimSummary &s) { s.loadValueDigest ^= 1; },
+        [](SimSummary &s) { s.energyTotal += 1; },
+    };
+    for (size_t i = 0; i < tamper.size(); ++i) {
+        SweepRecord bad = records[0];
+        tamper[i](bad.summary);
+        const std::string report = verifySweepRecord(bad, cache, pool);
+        EXPECT_EQ(report.rfind("MISMATCH " + bad.id, 0), 0u)
+            << "member " << i << ": " << report;
+    }
+
+    SweepRecord unknown = records[0];
+    unknown.workload = "999.nope";
+    EXPECT_NE(verifySweepRecord(unknown, cache, pool), "");
 }
 
 } // namespace

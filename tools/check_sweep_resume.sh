@@ -3,9 +3,11 @@
 # nachosd is SIGKILLed mid-flight, its store is additionally torn mid
 # record (simulating a kill inside append), and the resumed sweep must
 # finish with exactly one record per point and a report byte-identical
-# to an uninterrupted run's. Finally `nachos_sweep verify` recomputes a
-# sample of the daemon-produced records in-process and must find no
-# drift.
+# to an uninterrupted run's. The uninterrupted run must fill the 8
+# points its backends cannot tell apart from others instead of
+# simulating them. Finally `nachos_sweep verify` recomputes a sample of
+# the daemon-produced records, and every record of the uninterrupted
+# store, in-process and must find no drift.
 #
 # usage: check_sweep_resume.sh <bin-dir>   # holds nachosd, nachos_sweep
 
@@ -60,11 +62,16 @@ for _ in $(seq 1 100); do
 done
 [ -S "$SOCK" ] || fail "nachosd did not open $SOCK"
 
-# Reference: straight through, no interruptions.
+# Reference: straight through, no interruptions. NACHOS-SW and NACHOS
+# read no LSQ field, so their lsqBanks=4 points (8 of the 24) are
+# filled from the lsqBanks=1 results instead of simulated.
 STRAIGHT="$TMP/straight.jsonl"
 "$BIN_DIR/nachos_sweep" run --spec "$SPEC" --store "$STRAIGHT" \
-    --socket "$SOCK" --window 4 2>/dev/null \
+    --socket "$SOCK" --window 4 > "$TMP/straight.txt" 2>/dev/null \
     || fail "uninterrupted sweep run exited non-zero"
+grep -q ': 24 points, 0 already done, 24 run, 8 reused, 0 failed$' \
+    "$TMP/straight.txt" \
+    || fail "expected 8 reused of 24: $(cat "$TMP/straight.txt")"
 "$BIN_DIR/nachos_sweep" report --store "$STRAIGHT" > "$TMP/report.ref" \
     || fail "report on the uninterrupted store exited non-zero"
 
@@ -116,5 +123,10 @@ cmp -s "$TMP/report.ref" "$TMP/report.got" || {
 "$BIN_DIR/nachos_sweep" verify --store "$VICTIM" --sample 5 \
     || fail "verify found daemon-vs-direct drift"
 
+# Every record of the straight store, the filled ones included, must
+# match its own point simulated directly, without projection.
+"$BIN_DIR/nachos_sweep" verify --store "$STRAIGHT" --sample 1 \
+    || fail "verify found a filled record that differs from direct"
+
 echo "sweep resume check passed: 24/24 points exactly once," \
-     "byte-identical report, no daemon-vs-direct drift"
+     "8 filled, byte-identical report, no daemon-vs-direct drift"
