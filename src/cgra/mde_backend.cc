@@ -22,7 +22,7 @@ MdeBackend::MdeBackend(const Region &region, const MdeSet &mdes,
         return;
     // Register the counters with the run, as new stations would. Every
     // NACHOS run reports nachos.runtimeForwards, with or without
-    // stations, and no NACHOS-SW run does.
+    // stations, and no NACHOS-SW run does (nachosResultFromSw adds it).
     runtimeForwards_ = &stats.counter(SimCounter::NachosRuntimeForwards);
     if (stations_.size() < region.memOps().size())
         stations_.resize(region.memOps().size());
@@ -239,6 +239,26 @@ MdeBackend::tryRuntimeForward(OpId op, const MayCheckStation &st)
     core_->completeLoadForwarded(op, when + 1,
                                  core_->storeData(parent));
     return true;
+}
+
+bool
+nachosRunsAsNachosSw(const MdeSet &mdes)
+{
+    return mdes.counts().may == 0;
+}
+
+SimResult
+nachosResultFromSw(SimResult sw)
+{
+    static_assert(kSimCounterRows[static_cast<size_t>(
+                      SimCounter::NachosRuntimeForwards)]
+                          .role == EnergyRole::None,
+                  "the derived row must leave the energy unchanged");
+    NACHOS_ASSERT(!sw.stats.registered(SimCounter::NachosRuntimeForwards),
+                  "not a NACHOS-SW result");
+    sw.stats.counter(SimCounter::NachosRuntimeForwards);
+    sw.planEventsDispatched = 0;
+    return sw;
 }
 
 } // namespace nachos

@@ -21,6 +21,8 @@
  * skips the station gate and never forwards at run time, and an op
  * with no MAY out-edge has no station to notify. NACHOS-SW is NACHOS
  * with no stations.
+ * So without a MAY edge the two schemes are one machine, and
+ * nachosResultFromSw() below derives such a NACHOS run from NACHOS-SW's.
  */
 
 #ifndef NACHOS_CGRA_MDE_BACKEND_HH
@@ -120,6 +122,23 @@ class MdeBackend : public OrderingBackend
      */
     bool tryRuntimeForward(OpId op, const MayCheckStation &st);
 };
+
+/**
+ * True when NACHOS and NACHOS-SW simulate one machine on `mdes`: the
+ * set has no MAY edge, so NACHOS binds no station, never forwards at
+ * run time, and each op waits for the same ORDER tokens under both.
+ */
+bool nachosRunsAsNachosSw(const MdeSet &mdes);
+
+/**
+ * The NACHOS result on an MDE set nachosRunsAsNachosSw() holds for,
+ * from the NACHOS-SW result on the same plan, set and machine. The
+ * modeled run differs in one counter row: every NACHOS run registers
+ * nachos.runtimeForwards, here 0, and the row charges no energy. The
+ * engine did no work for the derived result, so planEventsDispatched
+ * is 0.
+ */
+SimResult nachosResultFromSw(SimResult sw);
 
 } // namespace nachos
 

@@ -2,6 +2,8 @@
 
 #include <chrono>
 
+#include "cgra/mde_backend.hh"
+
 namespace nachos {
 
 namespace {
@@ -52,9 +54,19 @@ simulateRequest(const BenchmarkInfo &info, const RunRequest &request,
     const SimPlan plan(front.region, front.placement, sim.net);
     const MdeSet &m = front.mdes;
     BackendResults out;
-    for (const BackendField &backend : backendFields())
-        if (request.*backend.run)
+    for (const BackendField &backend : backendFields()) {
+        if (!(request.*backend.run))
+            continue;
+        // Without a MAY edge NACHOS is NACHOS-SW's machine
+        // (cgra/mde_backend); backendFields() lists NACHOS-SW first.
+        if (backend.kind == BackendKind::Nachos && out.sw &&
+            nachosRunsAsNachosSw(m)) {
+            out.nachos = nachosResultFromSw(*out.sw);
+            ++out.derivedRuns;
+        } else {
             out.*backend.result = simulate(plan, m, backend.kind, sim, pool);
+        }
+    }
     return out;
 }
 

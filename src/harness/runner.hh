@@ -13,6 +13,7 @@
 #ifndef NACHOS_HARNESS_RUNNER_HH
 #define NACHOS_HARNESS_RUNNER_HH
 
+#include <cstdint>
 #include <optional>
 
 #include "analysis/pipeline.hh"
@@ -64,6 +65,9 @@ struct BackendResults
     std::optional<SimResult> lsq;
     std::optional<SimResult> sw;
     std::optional<SimResult> nachos;
+    /** Of the results above, how many were derived from another one
+     * rather than simulated (simulateRequest). */
+    uint32_t derivedRuns = 0;
 };
 
 /** Everything produced for one workload run. */
@@ -95,6 +99,12 @@ FrontEnd buildFrontEnd(const BenchmarkInfo &info, const RunRequest &request,
  * front.placement, so every request served from one front end shares
  * one placement. The one simulation path behind runWorkload, nachosd
  * and the sweeps.
+ *
+ * When the request runs NACHOS-SW too and `front`'s MDEs have no MAY
+ * edge, the NACHOS result is derived from the NACHOS-SW one
+ * (nachosResultFromSw, cgra/mde_backend) instead of simulated: it is
+ * the same modeled run, and only its planEventsDispatched, the host
+ * engine's work, reads 0.
  */
 BackendResults simulateRequest(const BenchmarkInfo &info,
                                const RunRequest &request,

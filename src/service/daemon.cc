@@ -78,6 +78,7 @@ constexpr CounterRow kCounterRows[] = {
     {"jobs.outstanding", &DaemonMetrics::jobsOutstanding},
     {"jobs.rejected", &DaemonMetrics::jobsRejected},
     {"jobs.rejectedDraining", &DaemonMetrics::jobsRejectedDraining},
+    {"plan.derivedRuns", &DaemonMetrics::planDerivedRuns},
     {"plan.eventsDispatched", &DaemonMetrics::planEventsDispatched},
     {"queue.bulkDepth", &DaemonMetrics::queueBulkDepth},
     {"queue.depth", &DaemonMetrics::queueDepth},
@@ -699,11 +700,13 @@ Daemon::executeJob(Worker &self, const std::shared_ptr<Job> &job)
         DaemonMetrics &m = metrics_;
         m.jobsCompleted.inc();
         // Firing-plan observability: the engine's event traffic summed
-        // over every backend run the daemon served.
+        // over every backend run the daemon served (a derived run
+        // dispatched none), and the runs derived instead of simulated.
         for (const BackendField &backend : backendFields())
             if (const std::optional<SimResult> &sim =
                     sims.*backend.result)
                 m.planEventsDispatched.inc(sim->planEventsDispatched);
+        m.planDerivedRuns.inc(sims.derivedRuns);
         m.synthMicros.sample(secondsToMicros(times.synthSeconds));
         m.analysisMicros.sample(secondsToMicros(times.analysisSeconds));
         m.mdeMicros.sample(secondsToMicros(times.mdeSeconds));

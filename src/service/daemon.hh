@@ -108,6 +108,8 @@ struct DaemonMetrics
     Counter jobsLateResults;
     /** Events dispatched, summed over every backend run served. */
     Counter planEventsDispatched;
+    /** Backend runs derived from another run, not simulated. */
+    Counter planDerivedRuns;
 
     // Gauges.
     Counter cacheHits;

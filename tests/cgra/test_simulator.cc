@@ -10,12 +10,14 @@
 #include <vector>
 
 #include "analysis/pipeline.hh"
+#include "cgra/mde_backend.hh"
 #include "cgra/simulator.hh"
 #include "harness/machine_config.hh"
 #include "ir/builder.hh"
 #include "ir/serialize.hh"
 #include "mde/inserter.hh"
 #include "support/json.hh"
+#include "testing/diff_fuzzer.hh"
 #include "testing/region_gen.hh"
 #include "workloads/suite.hh"
 
@@ -258,6 +260,79 @@ TEST(Simulator, ProjectedMachineFieldsAreIgnored)
     MachineOverrides nachosSees;
     nachosSees.l1SizeBytes = 16384;
     EXPECT_TRUE(projectFor(m, BackendKind::Nachos) == nachosSees);
+}
+
+// NACHOS on an MDE set with no MAY edge is NACHOS-SW's machine, so
+// simulateRequest derives that NACHOS result from the NACHOS-SW one
+// (nachosResultFromSw). Every such set of the suite (paths 0-4 at
+// synthesis seeds 7920 and 1) and of generated regions 1-2000, under
+// three machines, must give a simulated NACHOS run equal to the
+// derived one on every member but planEventsDispatched, which counts
+// the host engine's work and reads 0 when derived.
+TEST(Simulator, NachosWithoutMayEdgesIsDerivedFromNachosSw)
+{
+    struct Machine
+    {
+        const char *label;
+        MachineOverrides overrides;
+        uint64_t invocations; ///< 0 = the region's own count
+    };
+    MachineOverrides smallL1;
+    smallL1.l1SizeBytes = 16 * 1024;
+    smallL1.nachosComparesPerCycle = 4;
+    const std::vector<Machine> machines = {
+        {"default", {}, 0}, {"l1=16K,cmp=4", smallL1, 0}, {"inv=7", {}, 7}};
+
+    HierarchyPool pool;
+    size_t suiteCases = 0;
+    size_t generatedCases = 0;
+    const auto check = [&](const Region &r, uint64_t invocations,
+                           const std::string &name, size_t &cases) {
+        const MdeSet mdes = insertMdes(r, runAliasPipeline(r).matrix);
+        if (!nachosRunsAsNachosSw(mdes))
+            return;
+        const Placement placement(r);
+        for (const Machine &machine : machines) {
+            SimConfig cfg;
+            cfg.invocations =
+                machine.invocations ? machine.invocations : invocations;
+            cfg.recordMemTrace = true;
+            machine.overrides.applyTo(cfg);
+            const SimPlan plan(r, placement, cfg.net);
+            const SimResult sw =
+                simulate(plan, mdes, BackendKind::NachosSw, cfg, pool);
+            const SimResult nachos =
+                simulate(plan, mdes, BackendKind::Nachos, cfg, pool);
+            SimResult derived = nachosResultFromSw(sw);
+            const std::string what = name + "/" + machine.label;
+            EXPECT_EQ(derived.planEventsDispatched, 0u) << what;
+            derived.planEventsDispatched = nachos.planEventsDispatched;
+            expectSameResult(nachos, derived, what);
+            ++cases;
+        }
+    };
+
+    for (const uint64_t seed : {7920, 1}) {
+        for (const SuiteRegion &s : buildFullSuite(seed)) {
+            check(s.region, s.info->invocations,
+                  s.info->name + "/path" + std::to_string(s.pathIndex) +
+                      "/seed" + std::to_string(seed),
+                  suiteCases);
+            if (HasFailure())
+                return;
+        }
+    }
+    const uint64_t fuzzInvocations = testing::FuzzOptions{}.invocations;
+    for (uint64_t seed = 1; seed <= 2000; ++seed) {
+        check(testing::generateRegion(seed), fuzzInvocations,
+              "generated" + std::to_string(seed), generatedCases);
+        if (HasFailure())
+            return;
+    }
+    // A set without a MAY edge counts once per machine: 549 suite and
+    // 960 generated cases when this was written.
+    EXPECT_GT(suiteCases, 300u);
+    EXPECT_GT(generatedCases, 600u);
 }
 
 // Every counter-table row is registered by some backend on the suite's

@@ -97,6 +97,48 @@ TEST(Runner, SimulateRequestSelectiveBackendsAndMachine)
     expectSameSim(*sims.nachos, *direct.nachos, "nachos");
 }
 
+// runWorkload derives NACHOS from NACHOS-SW only where no MAY edge
+// can tell them apart (nachosRunsAsNachosSw): art's MAY edges keep its
+// NACHOS run simulated, with its runtime checks, exactly as a direct
+// simulate() gives it; on gzip and equake (ORDER and FORWARD edges
+// only) the derived run equals a direct simulate() but for the
+// engine's own event count.
+TEST(Runner, NachosIsSimulatedWhereAMayEdgeExists)
+{
+    const auto direct = [](const RunOutcome &out) {
+        SimConfig cfg;
+        cfg.invocations = 4;
+        return simulate(out.region, out.mdes, BackendKind::Nachos, cfg);
+    };
+    RunRequest req;
+    req.invocationsOverride = 4;
+
+    const RunOutcome art = runWorkload(benchmarkByName("art"), req);
+    ASSERT_TRUE(art.sw && art.nachos);
+    EXPECT_GT(art.mdes.counts().may, 0u);
+    EXPECT_EQ(art.derivedRuns, 0u);
+    EXPECT_TRUE(art.nachos->stats.registered(SimCounter::MdeMayChecks));
+    EXPECT_GT(art.nachos->stats.get(SimCounter::MdeMayChecks), 0u);
+    const SimResult artNachos = direct(art);
+    expectSameSim(*art.nachos, artNachos, "art");
+    EXPECT_EQ(art.nachos->planEventsDispatched,
+              artNachos.planEventsDispatched);
+
+    for (const char *name : {"gzip", "equake"}) {
+        const RunOutcome out = runWorkload(benchmarkByName(name), req);
+        ASSERT_TRUE(out.sw && out.nachos) << name;
+        EXPECT_EQ(out.mdes.counts().may, 0u) << name;
+        EXPECT_EQ(out.derivedRuns, 1u) << name;
+        const SimResult simulated = direct(out);
+        expectSameSim(*out.nachos, simulated, name);
+        EXPECT_EQ(out.nachos->maxMlp, simulated.maxMlp) << name;
+        EXPECT_EQ(out.nachos->avgMlp, simulated.avgMlp) << name;
+        EXPECT_EQ(out.nachos->criticalOp, simulated.criticalOp) << name;
+        EXPECT_EQ(out.nachos->planEventsDispatched, 0u) << name;
+        EXPECT_GT(simulated.planEventsDispatched, 0u) << name;
+    }
+}
+
 TEST(Runner, MachineOverridesChangeTiming)
 {
     RunRequest base;

@@ -203,8 +203,9 @@ TEST_F(DaemonTest, MetricsListEveryKeyFromTheStart)
         "jobs.acceptedInteractive", "jobs.cancelled", "jobs.completed",
         "jobs.expired", "jobs.failed", "jobs.lateResults",
         "jobs.outstanding", "jobs.rejected", "jobs.rejectedDraining",
-        "plan.eventsDispatched", "queue.bulkDepth", "queue.depth",
-        "queue.interactiveDepth", "requests.errors", "requests.total"};
+        "plan.derivedRuns", "plan.eventsDispatched", "queue.bulkDepth",
+        "queue.depth", "queue.interactiveDepth", "requests.errors",
+        "requests.total"};
     const std::vector<std::string> wantHistograms = {
         "latency.analysisMicros", "latency.bulk.totalMicros",
         "latency.interactive.totalMicros", "latency.mdeMicros",
@@ -275,6 +276,34 @@ TEST_F(DaemonTest, MetricsAfterAResultCountTheJob)
                   ->find("count")
                   ->asU64(),
               1u);
+}
+
+// plan.derivedRuns counts the backend runs the daemon derived instead
+// of simulating: an interactive run of gzip (no MAY edge, all three
+// backends) derives its NACHOS run from NACHOS-SW's, one of art (MAY
+// edges) simulates it.
+TEST_F(DaemonTest, DerivedRunsCountNachosRunsWithoutMayEdges)
+{
+    start(2);
+    auto client = connect();
+    ASSERT_NE(client, nullptr);
+    RunOpts opts;
+    opts.invocations = 2;
+    opts.klass = "interactive";
+    uint64_t id = 0;
+    const auto run = [&](const char *workload) {
+        std::optional<JsonValue> response =
+            client->call(runRequest(++id, workload, opts));
+        ASSERT_TRUE(response.has_value()) << workload;
+        ASSERT_STREQ(responseType(*response), "result") << workload;
+    };
+    run("164.gzip");
+    EXPECT_EQ(counterValue("plan.derivedRuns"), 1u);
+    const uint64_t events = counterValue("plan.eventsDispatched");
+    EXPECT_GT(events, 0u);
+    run("179.art");
+    EXPECT_EQ(counterValue("plan.derivedRuns"), 1u);
+    EXPECT_GT(counterValue("plan.eventsDispatched"), events);
 }
 
 // A finished connection's reader thread is joined at the next accept:

@@ -144,6 +144,48 @@ else
             fi
         fi
 
+        # A NACHOS run on a region with no MAY edge is derived from the
+        # NACHOS-SW run of the same request rather than simulated
+        # (cgra/mde_backend). Its summary must equal that of a
+        # NACHOS-only request, which simulates it, both over the
+        # daemon and --direct. gzip has no MDE at all; equake has
+        # ORDER and FORWARD edges but no MAY edge.
+        nachos_summary() {
+            grep -o '"nachos":{[^}]*}' "$1"
+        }
+        for wl in 164.gzip 183.equake; do
+            for side in daemon direct; do
+                if [ "$side" = direct ]; then
+                    via="--direct"
+                else
+                    via="--socket $SOCK"
+                fi
+                for backends in "sw nachos" "nachos"; do
+                    flags=""
+                    for b in $backends; do
+                        flags="$flags --backend $b"
+                    done
+                    out="$TMP/derive.$wl.$side.${backends// /-}"
+                    if ! "$BIN_DIR/nachos_client" $via --raw run \
+                        --workload "$wl" --seed 3 $flags \
+                        --invocations 2 --class bulk > "$out.raw"; then
+                        echo "FAIL: $side run $wl/$backends exited" \
+                             "non-zero" >&2
+                        failures=$((failures + 1))
+                    fi
+                    nachos_summary "$out.raw" > "$out"
+                done
+                ref="$TMP/derive.$wl.$side.nachos"
+                if [ ! -s "$ref" ]; then
+                    echo "FAIL: no nachos summary for $wl ($side)" >&2
+                    failures=$((failures + 1))
+                    continue
+                fi
+                check "$wl/nachos" "$ref" "$TMP/derive.$wl.$side.sw-nachos" \
+                    "derived from NACHOS-SW vs simulated, $side"
+            done
+        done
+
         # Error lines too: --direct writes them with the daemon's error
         # encoder, so an unknown workload must give byte-identical
         # error lines, and exit code 2, from both sides.
